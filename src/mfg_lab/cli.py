@@ -274,9 +274,7 @@ def _run_stability(cfg, outdir: Path, seed: int, threads: int) -> dict:
     t1s = sorted({min(max(int(round(f * K)), 0), K - 1) for f in fracs})
 
     def one(t1):
-        return certify_stability(
-            model, sol, t1, tol=cfg["stability.tol"], method=cfg["stability.method"]
-        )
+        return certify_stability(model, sol, t1, tol=cfg["stability.tol"])
 
     certs = list(_mapper(threads)(one, t1s))
     summary = {"kind": "stability", "base_residuals": sol.residuals, "certificates": {}}

@@ -64,7 +64,6 @@ SCHEMA: dict[str, _Key] = {
     "fp.success_err": _Key(float, 5e-4),
     "stability.t1_fractions": _Key(str, "0.0,0.1,0.25,0.5"),
     "stability.tol": _Key(float, 1e-6),
-    "stability.method": _Key(str, "auto", ("auto", "dense", "iterative")),
     "isolation.etas": _Key(str, "0.0,0.01"),
     "isolation.trials": _Key(int, 5),
     "nonuniqueness.thetas": _Key(str, "1,4,16,64"),

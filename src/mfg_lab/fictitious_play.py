@@ -138,7 +138,7 @@ class FpTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-def _as_solution(state: FpState) -> MfgSolution:
+def _as_solution(state: FpState, converged: bool) -> MfgSolution:
     model, grid = state.model, state.grid
     source_used = model.coupling.f_field(grid, state.mu)
     source_of_m = model.coupling.f_field(grid, state.last_m)
@@ -158,7 +158,7 @@ def _as_solution(state: FpState) -> MfgSolution:
         w=FluxField(grid, w),
         residuals=residuals,
         iterations=state.n,
-        converged=state.last_gap is not None,
+        converged=converged,
     )
 
 
@@ -203,7 +203,7 @@ def run_fp(
         errors=errors,
         n_iterations=state.n,
         converged=converged,
-        final=_as_solution(state),
+        final=_as_solution(state, converged),
         state=state,
     )
 

@@ -162,7 +162,7 @@ def find_asymmetric_branch(
                         state.n,
                         reflection_defect(state.last_m),
                     )
-        candidate = _as_solution(state)
+        candidate = _as_solution(state, state.last_gap <= tol)
         for damping in (0.5, 0.25):
             polished = solve_picard(
                 model,

@@ -13,12 +13,19 @@ boundary rows:
     mu^0 = mu0 (default 0),    v^{K'} - Kg mu^{K'} = c
 
 with b = D_pH(x,Du), A = D2_ppH(x,Du), Kf/Kg the coupling kernels at the
-base density.  Stability is decided by the smallest singular value of the
-assembled homogeneous operator (uniqueness of solutions of a finite linear
-system is injectivity), after row scaling that makes sigma_min approximate a
+base density.  These rows are written once, as per-slice blocks built by
+`AssembledOperator`; the matrix-free products, the residuals, the sparse
+matrix and the Picard sweeps of `solve_linearized` (block-triangular solves
+with I/dt - Lap inverted by the FFT) all apply the same blocks.
+
+Stability is decided by the smallest singular value of the assembled
+homogeneous operator (uniqueness of solutions of a finite linear system is
+injectivity), after row scaling that makes sigma_min approximate a
 grid-independent quantity: measuring fields in the L2(dx dt) norm turns the
 equation rows into their raw PDE units and weights the boundary rows by
-1/sqrt(dt).
+1/sqrt(dt).  sigma_min comes from inverse power iteration on one sparse LU;
+an iteration that stops at its cap without converging never certifies
+STABLE.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from .grid import (
     gradient,
     integrate,
     l2_norm,
-    laplacian,
     sup_norm,
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
@@ -64,49 +70,12 @@ __all__ = [
 ]
 
 SIZE_GUARD = 200_000
-DENSE_GUARD = 16_000
-
-
-# ---------------------------------------------------------------------------
-# base-solution data on a subinterval
-# ---------------------------------------------------------------------------
-
-
-class _LinearizedData:
-    """Frozen coefficients of the linearized system on [t1, T]."""
-
-    def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int):
-        grid = base.grid
-        if not 0 <= t1_index < grid.n_time:
-            raise ValueError("t1_index out of range")
-        self.model = model
-        self.base = base
-        self.t1_index = t1_index
-        self.grid = grid.restrict(t1_index)
-        coords = self.grid.coordinates()
-        K = self.grid.n_time
-        u = base.u.values[t1_index:]
-        m = base.m.values[t1_index:]
-        self.m = m
-        ham = model.hamiltonian
-        self.b = np.stack(
-            [ham.grad_p(coords, gradient(self.grid, u[k])) for k in range(K + 1)]
-        )
-        hess = np.stack(
-            [ham.hess_pp(coords, gradient(self.grid, u[k])) for k in range(K + 1)]
-        )
-        self.mA = m[..., None, None] * hess
-        coup = model.coupling
-        self.Kf = [coup.kernel_f(self.grid, m[k]) for k in range(K + 1)]
-        self.Kg = coup.kernel_g(self.grid, m[K])
-
-    def apply_kernel(self, K_mat: np.ndarray, mu_slice: np.ndarray) -> np.ndarray:
-        flat = self.grid.cell_volume * (K_mat @ mu_slice.reshape(-1))
-        return flat.reshape(self.grid.spatial_shape)
 
 
 @functools.lru_cache(maxsize=16)
-def _grad_matrices(grid: TorusGrid) -> tuple:
+def _gradient_matrix(grid: TorusGrid) -> sp.csr_matrix:
+    """Centered periodic gradient, (d n x n) with components stacked
+    axis-major; its negative transpose is the divergence, exactly."""
     N = grid.n_space
     e = np.ones(N)
     up = sp.diags([e[:-1]], [1], shape=(N, N), format="lil")
@@ -115,18 +84,23 @@ def _grad_matrices(grid: TorusGrid) -> tuple:
     down[0, N - 1] = 1.0
     G1d = ((up - down) / (2.0 * grid.dx)).tocsr()
     if grid.dim == 1:
-        return (G1d,)
+        return G1d
     eye = sp.identity(N, format="csr")
-    return (sp.kron(G1d, eye, format="csr"), sp.kron(eye, G1d, format="csr"))
+    return sp.vstack([sp.kron(G1d, eye), sp.kron(eye, G1d)], format="csr")
 
 
-@functools.lru_cache(maxsize=16)
-def _laplacian_matrix(grid: TorusGrid) -> sp.csr_matrix:
-    out = None
-    for G in _grad_matrices(grid):
-        term = (G @ G).tocsr()
-        out = term if out is None else out + term
-    return out
+def _diag_blocks(w: np.ndarray) -> sp.csr_matrix:
+    """Block matrix [diag(w[:, a, c])]_{a, c} for w of shape (n, p, q)."""
+    n, p, q = w.shape
+    cols = np.arange(q) * n + np.arange(n)[:, None]
+    return sp.csr_matrix(
+        (
+            w.transpose(1, 0, 2).ravel(),
+            np.broadcast_to(cols, (p, n, q)).ravel(),
+            np.arange(0, p * n * q + 1, q),
+        ),
+        shape=(p * n, q * n),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,70 +157,187 @@ class LinearizedSolution:
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# the linearized operator
 # ---------------------------------------------------------------------------
 
 
-def _backward_sweep(data: _LinearizedData, mu: np.ndarray, a, c) -> np.ndarray:
-    grid = data.grid
-    K, dt = grid.n_time, grid.dt
-    heat = PeriodicHeatSolver(grid)
-    v = np.empty_like(mu)
-    v[K] = data.apply_kernel(data.Kg, mu[K]) + c
-    for k in range(K - 1, -1, -1):
-        adv = np.sum(data.b[k + 1] * gradient(grid, v[k + 1]), axis=-1)
-        src = data.apply_kernel(data.Kf[k + 1], mu[k + 1]) + a[k + 1]
-        v[k] = heat.step(v[k + 1] - dt * adv + dt * src)
-    return v
+class AssembledOperator:
+    """Space-time operator of the homogeneous linearized system, as blocks.
+
+    Unknowns are stacked [v^0..v^K', mu^0..mu^K'] with one spatial block of
+    n = N^d nodes per slice, so slot s of the stacked vector holds v^s for
+    s <= K' and mu^{s-K'-1} after.  Row block r is backward row r for
+    r < K', forward row r - K' for r < 2K', then the initial rows (mu^0)
+    and the terminal rows (v^K' - Kg mu^K').  ``rows[r]`` lists the
+    (slot, block) terms of row block r, pivot first: the unknown that row
+    determines in a sweep.  Products apply the blocks at any size; sparse
+    materialization is guarded.
+    """
+
+    def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int = 0):
+        if not 0 <= t1_index < base.grid.n_time:
+            raise ValueError("t1_index out of range")
+        self.grid = grid = base.grid.restrict(t1_index)
+        self.n = n = grid.n_nodes
+        self.K = K = grid.n_time
+        self.n_unknowns = 2 * (K + 1) * n
+        self._sparse: Optional[sp.csr_matrix] = None
+        self._heat = PeriodicHeatSolver(grid)
+        dt, vol, d = grid.dt, grid.cell_volume, grid.dim
+        coords = grid.coordinates()
+        ham, coup = model.hamiltonian, model.coupling
+        u = base.u.values[t1_index:]
+        m = base.m.values[t1_index:]
+        grad = _gradient_matrix(grid)
+        eye = sp.identity(n, format="csr")
+        self._diag = (eye / dt + grad.T @ grad).tocsr()  # I/dt - Lap, Lap = -G^T G
+
+        # per slice: the flux blocks mu -> mu b and v -> m A G v,
+        # T = -I/dt + b.G and E = -div(m A G .); div = -G^T exactly, so
+        # T^T = -I/dt - div(. b)
+        T, E, self.flux_mu, self.flux_v = [], [], [], []
+        for k in range(K + 1):
+            du = gradient(grid, u[k])
+            b = ham.grad_p(coords, du).reshape(n, d, 1)
+            mA = (m[k][..., None, None] * ham.hess_pp(coords, du)).reshape(n, d, d)
+            self.flux_mu.append(_diag_blocks(b))
+            self.flux_v.append(_diag_blocks(mA) @ grad)
+            T.append(self.flux_mu[k].T @ grad - eye / dt)
+            E.append(grad.T @ self.flux_v[k])
+
+        def v_slot(k):
+            return k
+
+        def mu_slot(k):
+            return K + 1 + k
+
+        backward = [
+            [
+                (v_slot(k), self._diag),
+                (v_slot(k + 1), T[k + 1]),
+                (mu_slot(k + 1), -vol * coup.kernel_f(grid, m[k + 1])),
+            ]
+            for k in range(K)
+        ]
+        forward = [
+            [(mu_slot(k + 1), self._diag), (mu_slot(k), T[k].T), (v_slot(k), E[k])]
+            for k in range(K)
+        ]
+        initial = [(mu_slot(0), eye)]
+        terminal = [(v_slot(K), eye), (mu_slot(K), -vol * coup.kernel_g(grid, m[K]))]
+        self.rows = backward + forward + [initial, terminal]
+
+    # -- layout helpers ----------------------------------------------------
+    def unstack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        K, n = self.K, self.n
+        v = x[: (K + 1) * n].reshape(K + 1, *self.grid.spatial_shape)
+        mu = x[(K + 1) * n :].reshape(K + 1, *self.grid.spatial_shape)
+        return v.copy(), mu.copy()
+
+    def stack(self, v_values: np.ndarray, mu_values: np.ndarray) -> np.ndarray:
+        return np.concatenate([v_values.reshape(-1), mu_values.reshape(-1)])
+
+    # -- products, residuals, sweeps -----------------------------------------
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        X = x.reshape(-1, self.n)
+        return np.concatenate([sum(B @ X[s] for s, B in terms) for terms in self.rows])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        Y = y.reshape(-1, self.n)
+        out = np.zeros(Y.shape)
+        for r, terms in enumerate(self.rows):
+            for s, B in terms:
+                out[s] += B.T @ Y[r]
+        return out.reshape(-1)
+
+    def _residuals(self, x: np.ndarray, rhs: np.ndarray) -> dict:
+        """Sup of A x - rhs per row kind, and the drift of the mass of mu."""
+        K, n = self.K, self.n
+        r = np.abs(self.matvec(x) - rhs)
+        mass = [integrate(self.grid, s) for s in x.reshape(-1, n)[K + 1 :]]
+        return {
+            "backward": float(r[: K * n].max()),
+            "forward": float(r[K * n : 2 * K * n].max()),
+            "terminal": float(r[(2 * K + 1) * n :].max()),
+            "mass_drift": max(abs(mk - mass[0]) for mk in mass),
+        }
+
+    def _solve_rows(self, x: np.ndarray, rhs: np.ndarray, order) -> None:
+        """Block-triangular solve in place: each row block in `order` sets
+        its pivot slot from the current values of its other slots."""
+        X, R = x.reshape(-1, self.n), rhs.reshape(-1, self.n)
+        sshape = self.grid.spatial_shape
+        for r in order:
+            (p, pivot), *rest = self.rows[r]
+            val = R[r] - sum(B @ X[s] for s, B in rest)
+            if pivot is self._diag:
+                # (I/dt - Lap)^-1 = dt (I - dt Lap)^-1
+                val = self._heat.step((self.grid.dt * val).reshape(sshape)).reshape(-1)
+            X[p] = val
+
+    def _backward_sweep(self, x: np.ndarray, rhs: np.ndarray) -> None:
+        """v^K' .. v^0 from the terminal and backward rows, mu held fixed."""
+        self._solve_rows(x, rhs, [2 * self.K + 1, *range(self.K - 1, -1, -1)])
+
+    def _forward_sweep(self, x: np.ndarray, rhs: np.ndarray) -> None:
+        """mu^0 .. mu^K' from the initial and forward rows, v held fixed."""
+        self._solve_rows(x, rhs, [2 * self.K, *range(self.K, 2 * self.K)])
+
+    # -- materialization -----------------------------------------------------
+    def to_sparse(self) -> sp.csr_matrix:
+        if self.n_unknowns > SIZE_GUARD:
+            raise MemoryError(
+                f"{self.n_unknowns} unknowns exceed the materialization guard "
+                f"({SIZE_GUARD}); use the matrix-free products instead"
+            )
+        if self._sparse is not None:
+            return self._sparse
+        n = self.n
+        blocks = [
+            (r, s, sp.coo_matrix(B))
+            for r, terms in enumerate(self.rows)
+            for s, B in terms
+        ]
+        rows = np.concatenate([blk.row + r * n for r, _, blk in blocks])
+        cols = np.concatenate([blk.col + s * n for _, s, blk in blocks])
+        vals = np.concatenate([blk.data for _, _, blk in blocks])
+        M = self.n_unknowns
+        self._sparse = sp.csr_matrix((vals, (rows, cols)), shape=(M, M))
+        return self._sparse
+
+    def row_scaling(self) -> np.ndarray:
+        """Boundary rows weighted 1/sqrt(dt): fields measured in L2(dx dt),
+        boundary data in L2(dx), equation rows in raw PDE units."""
+        K, n, dt = self.K, self.n, self.grid.dt
+        w = np.ones(self.n_unknowns)
+        w[2 * K * n :] = 1.0 / math.sqrt(dt)
+        return w
+
+    def scaled_sparse(self) -> sp.csr_matrix:
+        return sp.diags(self.row_scaling()) @ self.to_sparse()
+
+    def rhs_vector(self, problem: LinearizedProblem) -> np.ndarray:
+        K = self.K
+        rows = (
+            [problem.a[k + 1] for k in range(K)]
+            + [divergence(self.grid, problem.b_src[k]) for k in range(K)]
+            + [problem.mu0, problem.c]
+        )
+        return np.concatenate([r.reshape(-1) for r in rows])
+
+    def direct_solve(self, problem: LinearizedProblem) -> np.ndarray:
+        return spla.spsolve(self.to_sparse().tocsc(), self.rhs_vector(problem))
 
 
-def _forward_sweep(data: _LinearizedData, v: np.ndarray, b_src, mu0) -> np.ndarray:
-    grid = data.grid
-    K, dt = grid.n_time, grid.dt
-    heat = PeriodicHeatSolver(grid)
-    mu = np.empty_like(v)
-    mu[0] = mu0
-    for k in range(K):
-        gv = gradient(grid, v[k])
-        flux = (
-            mu[k][..., None] * data.b[k]
-            + np.einsum("...ij,...j->...i", data.mA[k], gv)
-            + b_src[k]
-        )
-        mu[k + 1] = heat.step(mu[k] + dt * divergence(grid, flux))
-    return mu
+def assemble_operator(
+    model: MfgModel, base: MfgSolution, t1_index: int = 0
+) -> AssembledOperator:
+    return AssembledOperator(model, base, t1_index)
 
 
-def _residuals(data: _LinearizedData, v, mu, a, b_src, c) -> dict:
-    grid = data.grid
-    K, dt = grid.n_time, grid.dt
-    back = fwd = 0.0
-    for k in range(K):
-        adv = np.sum(data.b[k + 1] * gradient(grid, v[k + 1]), axis=-1)
-        d_back = (
-            -(v[k + 1] - v[k]) / dt
-            - laplacian(grid, v[k])
-            + adv
-            - data.apply_kernel(data.Kf[k + 1], mu[k + 1])
-            - a[k + 1]
-        )
-        back = max(back, sup_norm(d_back))
-        gv = gradient(grid, v[k])
-        flux = (
-            mu[k][..., None] * data.b[k]
-            + np.einsum("...ij,...j->...i", data.mA[k], gv)
-            + b_src[k]
-        )
-        d_fwd = (
-            (mu[k + 1] - mu[k]) / dt
-            - laplacian(grid, mu[k + 1])
-            - divergence(grid, flux)
-        )
-        fwd = max(fwd, sup_norm(d_fwd))
-    term = sup_norm(v[K] - data.apply_kernel(data.Kg, mu[K]) - c)
-    mass0 = integrate(grid, mu[0])
-    mass = max(abs(integrate(grid, mu[k]) - mass0) for k in range(K + 1))
-    return {"backward": back, "forward": fwd, "terminal": term, "mass_drift": mass}
+# ---------------------------------------------------------------------------
+# linearized solves
+# ---------------------------------------------------------------------------
 
 
 def solve_linearized(
@@ -256,31 +347,31 @@ def solve_linearized(
     max_iter: int = 400,
     damping: float = 1.0,
 ) -> LinearizedSolution:
-    """Damped Picard on mu through the backward/forward pair.
+    """Damped Picard on mu through the backward/forward sweeps.
 
     Divergence triggers a direct solve of the assembled sparse system; the
     fallback is recorded in the result.
     """
-    data = _LinearizedData(model, problem.base, problem.t1_index)
-    grid = data.grid
-    K = grid.n_time
+    op = assemble_operator(model, problem.base, problem.t1_index)
+    grid, K = op.grid, op.K
     a, b_src, c, mu0 = problem.a, problem.b_src, problem.c, problem.mu0
+    rhs = op.rhs_vector(problem)
 
-    mu = np.zeros((K + 1, *grid.spatial_shape))
-    mu[0] = mu0
+    x = np.zeros(op.n_unknowns)
+    mu = x.reshape(-1, op.n)[K + 1 :]  # view: the mu slots of x
+    mu[0] = mu0.reshape(-1)
     scale = max(sup_norm(a), sup_norm(b_src), sup_norm(c), sup_norm(mu0), 1.0)
     gaps: list[float] = []
-    v = None
     converged = False
     fallback = False
     it = 0
     for it in range(1, max_iter + 1):
-        v = _backward_sweep(data, mu, a, c)
-        mu_new = _forward_sweep(data, v, b_src, mu0)
-        gap = max(l2_norm(grid, mu_new[k] - mu[k]) for k in range(K + 1))
+        op._backward_sweep(x, rhs)
+        mu_prev = mu.copy()
+        op._forward_sweep(x, rhs)
+        gap = max(l2_norm(grid, mu[k] - mu_prev[k]) for k in range(K + 1))
         gaps.append(gap)
-        mu = (1.0 - damping) * mu + damping * mu_new
-        mu[0] = mu0
+        mu[1:] = (1.0 - damping) * mu_prev[1:] + damping * mu[1:]
         if gap <= tol * scale:
             converged = True
             break
@@ -289,17 +380,16 @@ def solve_linearized(
         ):
             break
     if not converged:
-        op = assemble_operator(model, problem.base, problem.t1_index)
         x = op.direct_solve(problem)
-        v, mu = op.unstack(x)
         fallback = True
         converged = True
     # final consistency: recompute v from the accepted mu
-    v = _backward_sweep(data, mu, a, c)
+    op._backward_sweep(x, rhs)
+    v, mu = op.unstack(x)
     return LinearizedSolution(
         v=ScalarField(grid, v),
         mu=ScalarField(grid, mu),
-        residuals=_residuals(data, v, mu, a, b_src, c),
+        residuals=op._residuals(x, rhs),
         source_norms={
             "a": sup_norm(a),
             "b": sup_norm(b_src),
@@ -321,11 +411,11 @@ def backward_response(
     c: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Backward linear solve for v given a density direction mu."""
-    data = _LinearizedData(model, base, t1_index)
-    K = data.grid.n_time
-    a = _shaped(a, (K + 1, *data.grid.spatial_shape))
-    c = _shaped(c, data.grid.spatial_shape)
-    return _backward_sweep(data, mu_values, a, c)
+    problem = LinearizedProblem(base=base, t1_index=t1_index, a=a, c=c)
+    op = assemble_operator(model, base, t1_index)
+    x = op.stack(np.zeros_like(mu_values), mu_values)
+    op._backward_sweep(x, op.rhs_vector(problem))
+    return op.unstack(x)[0]
 
 
 def flux_from_value_direction(
@@ -336,213 +426,15 @@ def flux_from_value_direction(
     mu_values: np.ndarray,
 ) -> np.ndarray:
     """z = -mu D_pH(x,Du) - m D2_ppH(x,Du) Dv on every slice of [t1, T]."""
-    data = _LinearizedData(model, base, t1_index)
-    grid = data.grid
-    K = grid.n_time
-    z = np.empty((K + 1, *grid.spatial_shape, grid.dim))
-    for k in range(K + 1):
-        gv = gradient(grid, v_values[k])
-        z[k] = -mu_values[k][..., None] * data.b[k] - np.einsum(
-            "...ij,...j->...i", data.mA[k], gv
-        )
-    return z
-
-
-# ---------------------------------------------------------------------------
-# assembled operator
-# ---------------------------------------------------------------------------
-
-
-class AssembledOperator:
-    """Space-time matrix of the homogeneous linearized system.
-
-    Unknowns are stacked [v^0..v^K', mu^0..mu^K'] with one spatial block of
-    n = N^d nodes per slice; rows are the K'n backward equations, K'n
-    forward equations, n initial rows (mu^0) and n terminal rows
-    (v^K' - Kg mu^K').  Matrix-vector and transpose products are available
-    at any size; sparse materialization is guarded.
-    """
-
-    def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int = 0):
-        self.data = _LinearizedData(model, base, t1_index)
-        grid = self.data.grid
-        self.grid = grid
-        self.n = grid.n_nodes
-        self.K = grid.n_time
-        self.n_unknowns = 2 * (self.K + 1) * self.n
-        self._sparse: Optional[sp.csr_matrix] = None
-
-    # -- layout helpers ----------------------------------------------------
-    def _v_off(self, k: int) -> int:
-        return k * self.n
-
-    def _mu_off(self, k: int) -> int:
-        return (self.K + 1) * self.n + k * self.n
-
-    def unstack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        K, n = self.K, self.n
-        v = x[: (K + 1) * n].reshape(K + 1, *self.grid.spatial_shape)
-        mu = x[(K + 1) * n :].reshape(K + 1, *self.grid.spatial_shape)
-        return v.copy(), mu.copy()
-
-    def stack(self, v_values: np.ndarray, mu_values: np.ndarray) -> np.ndarray:
-        return np.concatenate([v_values.reshape(-1), mu_values.reshape(-1)])
-
-    # -- matrix-free products ------------------------------------------------
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        data, grid = self.data, self.grid
-        K, n, dt = self.K, self.n, grid.dt
-        v, mu = self.unstack(x)
-        out = np.empty(self.n_unknowns)
-        for k in range(K):
-            adv = np.sum(data.b[k + 1] * gradient(grid, v[k + 1]), axis=-1)
-            row_v = (
-                (v[k] - v[k + 1]) / dt
-                - laplacian(grid, v[k])
-                + adv
-                - data.apply_kernel(data.Kf[k + 1], mu[k + 1])
-            )
-            out[k * n : (k + 1) * n] = row_v.reshape(-1)
-            gv = gradient(grid, v[k])
-            flux = mu[k][..., None] * data.b[k] + np.einsum(
-                "...ij,...j->...i", data.mA[k], gv
-            )
-            row_m = (
-                (mu[k + 1] - mu[k]) / dt
-                - laplacian(grid, mu[k + 1])
-                - divergence(grid, flux)
-            )
-            out[(K + k) * n : (K + k + 1) * n] = row_m.reshape(-1)
-        out[2 * K * n : (2 * K + 1) * n] = mu[0].reshape(-1)
-        term = v[K] - data.apply_kernel(data.Kg, mu[K])
-        out[(2 * K + 1) * n :] = term.reshape(-1)
-        return out
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        data, grid = self.data, self.grid
-        K, n, dt, vol = self.K, self.n, grid.dt, grid.cell_volume
-        sshape = grid.spatial_shape
-        yv = y[: K * n].reshape(K, *sshape)
-        ym = y[K * n : 2 * K * n].reshape(K, *sshape)
-        yb0 = y[2 * K * n : (2 * K + 1) * n].reshape(sshape)
-        ybT = y[(2 * K + 1) * n :].reshape(sshape)
-        gv_out = np.zeros((K + 1, *sshape))
-        gm_out = np.zeros((K + 1, *sshape))
-        for k in range(K):
-            # backward row k hits v^k, v^{k+1}, mu^{k+1}
-            gv_out[k] += yv[k] / dt - laplacian(grid, yv[k])
-            gv_out[k + 1] += -yv[k] / dt - divergence(
-                grid, yv[k][..., None] * data.b[k + 1]
-            )
-            kf = data.Kf[k + 1]
-            gm_out[k + 1] += -(vol * (kf.T @ yv[k].reshape(-1))).reshape(sshape)
-            # forward row k hits mu^{k+1}, mu^k, v^k
-            gm_out[k + 1] += ym[k] / dt - laplacian(grid, ym[k])
-            gym = gradient(grid, ym[k])
-            # (-div(. b))^T = +b.G
-            gm_out[k] += -ym[k] / dt + np.sum(data.b[k] * gym, axis=-1)
-            # E is symmetric: E^T y = E y
-            flux = np.einsum("...ij,...j->...i", data.mA[k], gym)
-            gv_out[k] += -divergence(grid, flux)
-        gm_out[0] += yb0
-        gv_out[K] += ybT
-        gm_out[K] += -(vol * (data.Kg.T @ ybT.reshape(-1))).reshape(sshape)
-        return self.stack(gv_out, gm_out)
-
-    # -- materialization -----------------------------------------------------
-    def to_sparse(self) -> sp.csr_matrix:
-        if self.n_unknowns > SIZE_GUARD:
-            raise MemoryError(
-                f"{self.n_unknowns} unknowns exceed the materialization guard "
-                f"({SIZE_GUARD}); use the matrix-free products instead"
-            )
-        if self._sparse is not None:
-            return self._sparse
-        data, grid = self.data, self.grid
-        K, n, dt, vol = self.K, self.n, grid.dt, grid.cell_volume
-        Gs = _grad_matrices(grid)
-        Lap = _laplacian_matrix(grid)
-        eye = sp.identity(n, format="csr")
-        rows, cols, vals = [], [], []
-
-        def add(r0, c0, mat):
-            coo = sp.coo_matrix(mat)
-            rows.append(coo.row + r0)
-            cols.append(coo.col + c0)
-            vals.append(coo.data)
-
-        for k in range(K):
-            rv = k * n
-            badv = sum(
-                sp.diags(data.b[k + 1][..., a].reshape(-1)) @ Gs[a]
-                for a in range(grid.dim)
-            )
-            add(rv, self._v_off(k), eye / dt - Lap)
-            add(rv, self._v_off(k + 1), -eye / dt + badv)
-            add(rv, self._mu_off(k + 1), -vol * data.Kf[k + 1])
-            rm = (K + k) * n
-            dtr = sum(
-                Gs[a] @ sp.diags(data.b[k][..., a].reshape(-1))
-                for a in range(grid.dim)
-            )
-            emat = sum(
-                Gs[a]
-                @ sp.diags(data.mA[k][..., a, c].reshape(-1))
-                @ Gs[c]
-                for a in range(grid.dim)
-                for c in range(grid.dim)
-            )
-            add(rm, self._mu_off(k + 1), eye / dt - Lap)
-            add(rm, self._mu_off(k), -eye / dt - dtr)
-            add(rm, self._v_off(k), -emat)
-        add(2 * K * n, self._mu_off(0), eye)
-        add((2 * K + 1) * n, self._v_off(K), eye)
-        add((2 * K + 1) * n, self._mu_off(K), -vol * data.Kg)
-        M = self.n_unknowns
-        self._sparse = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(M, M),
-        )
-        return self._sparse
-
-    def to_dense(self) -> np.ndarray:
-        if self.n_unknowns > DENSE_GUARD:
-            raise MemoryError(
-                f"{self.n_unknowns} unknowns exceed the dense guard ({DENSE_GUARD})"
-            )
-        return self.to_sparse().toarray()
-
-    def row_scaling(self) -> np.ndarray:
-        """Boundary rows weighted 1/sqrt(dt): fields measured in L2(dx dt),
-        boundary data in L2(dx), equation rows in raw PDE units."""
-        K, n, dt = self.K, self.n, self.grid.dt
-        w = np.ones(self.n_unknowns)
-        w[2 * K * n :] = 1.0 / math.sqrt(dt)
-        return w
-
-    def scaled_sparse(self) -> sp.csr_matrix:
-        return sp.diags(self.row_scaling()) @ self.to_sparse()
-
-    def rhs_vector(self, problem: LinearizedProblem) -> np.ndarray:
-        K, n = self.K, self.n
-        out = np.empty(self.n_unknowns)
-        for k in range(K):
-            out[k * n : (k + 1) * n] = problem.a[k + 1].reshape(-1)
-            out[(K + k) * n : (K + k + 1) * n] = divergence(
-                self.grid, problem.b_src[k]
-            ).reshape(-1)
-        out[2 * K * n : (2 * K + 1) * n] = problem.mu0.reshape(-1)
-        out[(2 * K + 1) * n :] = problem.c.reshape(-1)
-        return out
-
-    def direct_solve(self, problem: LinearizedProblem) -> np.ndarray:
-        return spla.spsolve(self.to_sparse().tocsc(), self.rhs_vector(problem))
-
-
-def assemble_operator(
-    model: MfgModel, base: MfgSolution, t1_index: int = 0
-) -> AssembledOperator:
-    return AssembledOperator(model, base, t1_index)
+    op = assemble_operator(model, base, t1_index)
+    grid, K = op.grid, op.K
+    z = np.stack(
+        [
+            -(op.flux_mu[k] @ mu.reshape(-1) + op.flux_v[k] @ v.reshape(-1))
+            for k, (v, mu) in enumerate(zip(v_values, mu_values))
+        ]
+    )
+    return np.moveaxis(z.reshape(K + 1, grid.dim, *grid.spatial_shape), 1, -1).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +451,8 @@ class StabilityCertificate:
     method: str
     n_unknowns: int
     t1_index: int
+    iterations: int  # inverse power iterations run
+    converged: bool  # the iteration met its tolerance before its cap
     witness_residual: Optional[float] = None
     witness_v: Optional[np.ndarray] = field(default=None, repr=False)
     witness_mu: Optional[np.ndarray] = field(default=None, repr=False)
@@ -573,6 +467,8 @@ class StabilityCertificate:
                 "method": self.method,
                 "n_unknowns": self.n_unknowns,
                 "t1_index": self.t1_index,
+                "iterations": self.iterations,
+                "converged": self.converged,
                 "witness_residual": self.witness_residual,
                 "witness_file": witness_file,
             },
@@ -582,15 +478,18 @@ class StabilityCertificate:
 
 def _inverse_power_sigma_min(
     A: sp.csr_matrix, iters: int = 200, tol: float = 1e-11, seed: int = 0
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, int, bool]:
     """Smallest singular value and right singular vector via (A^T A)^-1 power
-    iteration with a sparse LU of A."""
+    iteration with a sparse LU of A, plus the iterations run and whether the
+    eigenvalue estimate settled to `tol` before the cap."""
     lu = spla.splu(A.tocsc())
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(A.shape[0])
     x /= np.linalg.norm(x)
     lam_prev = 0.0
-    for _ in range(iters):
+    converged = False
+    it = 0
+    for it in range(1, iters + 1):
         y = lu.solve(x, trans="T")
         z = lu.solve(y)
         lam = float(x @ z)
@@ -600,10 +499,11 @@ def _inverse_power_sigma_min(
         x = z / nz
         if lam_prev > 0 and abs(lam - lam_prev) <= tol * lam:
             lam_prev = lam
+            converged = True
             break
         lam_prev = lam
     sigma = 1.0 / math.sqrt(lam_prev) if lam_prev > 0 else 0.0
-    return sigma, x
+    return sigma, x, it, converged
 
 
 def certify_stability(
@@ -611,30 +511,20 @@ def certify_stability(
     base: MfgSolution,
     t1_index: int = 0,
     tol: float = 1e-6,
-    method: str = "auto",
-    dense_limit: int = 11_000,
     seed: int = 0,
 ) -> StabilityCertificate:
     """Certificate from sigma_min of the scaled homogeneous operator.
 
-    STABLE requires sigma_min > tol; otherwise the near-null singular vector
-    is extracted as a witness, and the verdict is UNSTABLE-DIRECTION-FOUND
-    when its (scaled) equation residual is itself below tol, INCONCLUSIVE
-    when even that cannot be certified.  Discretization cannot prove
-    continuum instability, so no stronger claim is made.
+    STABLE requires a converged inverse power iteration with sigma_min > tol;
+    otherwise its last iterate is the witness, and the verdict is
+    UNSTABLE-DIRECTION-FOUND when the witness's (scaled) equation residual is
+    itself below tol, INCONCLUSIVE when even that cannot be certified.
+    Discretization cannot prove continuum instability, so no stronger claim
+    is made.
     """
     op = assemble_operator(model, base, t1_index)
     A = op.scaled_sparse()
-    use_dense = method == "dense" or (method == "auto" and op.n_unknowns <= dense_limit)
-    if use_dense:
-        import scipy.linalg as sla
-
-        sigma = float(sla.svdvals(A.toarray())[-1])
-        used = "dense-svd"
-    else:
-        sigma, _ = _inverse_power_sigma_min(A, seed=seed)
-        used = "inverse-power"
-
+    sigma, x, iterations, converged = _inverse_power_sigma_min(A, seed=seed)
     g = op.grid
     signature = f"d{g.dim}-N{g.n_space}-K{g.n_time}-t0{g.t0:.6g}-T{g.T:.6g}"
     cert = StabilityCertificate(
@@ -642,14 +532,14 @@ def certify_stability(
         grid_signature=signature,
         tolerance=tol,
         verdict="STABLE",
-        method=used,
+        method="inverse-power",
         n_unknowns=op.n_unknowns,
         t1_index=t1_index,
+        iterations=iterations,
+        converged=converged,
     )
-    if sigma > tol:
+    if converged and sigma > tol:
         return cert
-    _, x = _inverse_power_sigma_min(A, seed=seed)
-    x = x / np.linalg.norm(x)
     resid = float(np.linalg.norm(A @ x))
     v, mu = op.unstack(x)
     cert.witness_residual = resid

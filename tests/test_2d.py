@@ -31,7 +31,7 @@ def test_2d_monotone_solve_and_certificate():
     sol = solve_picard(model, grid, damping=0.5, tol=1e-11, max_iter=300)
     assert sol.converged
     assert max(sol.residuals.values()) <= 1e-9
-    cert = certify_stability(model, sol, 0, method="iterative")
+    cert = certify_stability(model, sol, 0)
     assert cert.verdict == "STABLE" and cert.sigma_min > 1e-6
 
 

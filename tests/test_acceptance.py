@@ -336,17 +336,15 @@ def test_criterion_08_stability_certification():
     certs = {}
     for frac in (0.10, 0.25, 0.50):
         t1 = int(round(frac * grid.n_time))
-        certs[frac] = certify_stability(model, limit, t1, method="iterative")
-    base_cert = certify_stability(model, limit, 0, method="iterative")
+        certs[frac] = certify_stability(model, limit, t1)
+    base_cert = certify_stability(model, limit, 0)
     dm = builtin_quadratic(0.0, coupling="none", T=0.5, m0="cosine")
     dsol = solve_picard(dm, grid, damping=1.0, tol=1e-12, max_iter=20)
-    dec_cert = certify_stability(dm, dsol, 0, method="iterative")
+    dec_cert = certify_stability(dm, dsol, 0)
     # one refinement of the 25% restriction certificate
     fine = model.make_grid(96, 192)
     fine_sol = solve_picard(model, fine, damping=0.5, tol=1e-11, max_iter=400)
-    fine_cert = certify_stability(
-        model, fine_sol, int(round(0.25 * fine.n_time)), method="iterative"
-    )
+    fine_cert = certify_stability(model, fine_sol, int(round(0.25 * fine.n_time)))
     change = abs(fine_cert.sigma_min - certs[0.25].sigma_min) / certs[0.25].sigma_min
     all_stable = (
         all(c.verdict == "STABLE" and c.sigma_min > 1e-6 for c in certs.values())
@@ -405,7 +403,7 @@ def test_criterion_10_local_attractor():
     model = builtin_quadratic(coupling="monotone_local", T=0.5, m0="cosine")
     grid = model.make_grid(32, 64)
     ref = solve_picard(model, grid, damping=0.5, tol=1e-11, max_iter=400)
-    cert = certify_stability(model, ref, 0, method="iterative")
+    cert = certify_stability(model, ref, 0)
     assert cert.verdict == "STABLE"
     delta = 1e-2  # discovered radius: success rate 1.0 at this value
     report = local_attractor_experiment(

@@ -138,7 +138,6 @@ def test_threads_do_not_change_results(tmp_path):
         "experiment.kind = stability\nmodel.name = monotone_local\n"
         "model.m0 = cosine\ngrid.n_space = 16\ngrid.n_time = 16\ngrid.T = 0.5\n"
         "solver.tol = 1e-11\nstability.t1_fractions = 0.0,0.25,0.5\n"
-        "stability.method = iterative\n"
     )
     s1 = run_experiment(cfg, tmp_path / "serial", threads=1)
     s2 = run_experiment(cfg, tmp_path / "pooled", threads=3)
@@ -170,7 +169,6 @@ def test_run_stability_writes_certificates(tmp_path):
         "experiment.kind = stability\nmodel.name = monotone_local\n"
         "model.m0 = cosine\ngrid.n_space = 16\ngrid.n_time = 16\ngrid.T = 0.5\n"
         "solver.tol = 1e-11\nstability.t1_fractions = 0.0,0.5\n"
-        "stability.method = iterative\n"
     )
     out = tmp_path / "out"
     summary = run_experiment(cfg, out)

@@ -1,6 +1,7 @@
 """Learning dynamics: averaging rule identities, convergence, attractor."""
 
 import numpy as np
+import pytest
 
 from mfg_lab.fictitious_play import (
     fp_start,
@@ -10,6 +11,7 @@ from mfg_lab.fictitious_play import (
 )
 from mfg_lab.grid import sup_norm
 from mfg_lab.mfg import solution_distance
+from mfg_lab.stability import LinearizedProblem
 
 
 def test_first_round_average_is_first_play(monotone_model, monotone_grid):
@@ -114,3 +116,11 @@ def test_attractor_monotone(monotone_model, monotone_grid, monotone_solution):
     assert report.success_rate(1e-2) == 1.0
     rec = report.records[1]
     assert rec["max_final_error"] <= 5e-4
+
+
+def test_unconverged_run_is_not_a_converged_solution(monotone_model):
+    grid = monotone_model.make_grid(24, 32)
+    trace = run_fp(monotone_model, grid, n_max=1, gap_tol=1e-9)
+    assert not trace.converged and not trace.final.converged
+    with pytest.raises(ValueError):
+        LinearizedProblem(base=trace.final)

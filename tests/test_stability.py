@@ -1,9 +1,12 @@
 """Linearized system, assembled operator, certificates, isolation."""
 
+import functools
+
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
-from mfg_lab.grid import gradient, inner, sup_norm
+from mfg_lab.grid import divergence, gradient, inner, laplacian, sup_norm
 from mfg_lab.mfg import drift_field, solve_picard
 from mfg_lab.models import builtin_quadratic
 from mfg_lab.nonuniqueness import find_symmetric_branch
@@ -87,6 +90,62 @@ def test_operator_consistency(monotone_model, monotone_solution):
     assert abs(ax_y - x_aty) <= 1e-11 * max(1.0, scale)
 
 
+def _scheme_defects(model, grid, u, m, m0):
+    """Nonlinear scheme defects in the operator's row order: backward HJB
+    rows with the running coupling, forward Kolmogorov rows, m^0 - m0 and
+    u^K - g(m^K)."""
+    coords = grid.coordinates()
+    ham, coup = model.hamiltonian, model.coupling
+    K, dt = grid.n_time, grid.dt
+    f = coup.f_field(grid, m)
+    back = [
+        (u[k] - u[k + 1]) / dt
+        - laplacian(grid, u[k])
+        + ham.value(coords, gradient(grid, u[k + 1]))
+        - f[k + 1]
+        for k in range(K)
+    ]
+    fwd = [
+        (m[k + 1] - m[k]) / dt
+        - laplacian(grid, m[k + 1])
+        - divergence(grid, m[k][..., None] * ham.grad_p(coords, gradient(grid, u[k])))
+        for k in range(K)
+    ]
+    rows = back + fwd + [m[0] - m0, u[K] - coup.g(grid, m[K])]
+    return np.concatenate([r.reshape(-1) for r in rows])
+
+
+@pytest.mark.parametrize(
+    "model_kw, n_space, n_time, t1",
+    [
+        (dict(coupling="monotone_local", T=0.5, m0="cosine"), 16, 16, 0),
+        (dict(coupling="monotone_local", T=0.5, m0="cosine"), 16, 16, 8),
+        (dict(theta=16.0, coupling="antimonotone_symmetric", m0="bump"), 16, 32, 4),
+        (dict(coupling="monotone_smoothed", T=0.5, m0="cosine", hamiltonian="quadratic_xdep"), 16, 16, 0),
+        (dict(coupling="monotone_local", dim=2, T=0.25, m0="cosine", hamiltonian="quadratic_xdep"), 8, 12, 3),
+    ],
+)
+def test_operator_is_frechet_derivative(model_kw, n_space, n_time, t1):
+    # independent of the operator's blocks: central differences of the
+    # nonlinear schemes along random v and zero-mass mu
+    model = builtin_quadratic(**model_kw)
+    base = solve_picard(model, model.make_grid(n_space, n_time), damping=0.5, max_iter=50)
+    op = assemble_operator(model, base, t1)
+    grid = op.grid
+    u, m = base.u.values[t1:], base.m.values[t1:]
+    rng = rng_from_seed(27)
+    v = rng.standard_normal(u.shape)
+    mu = rng.standard_normal(m.shape)
+    mu -= mu.mean(axis=tuple(range(1, mu.ndim)), keepdims=True)
+    eps = 1e-5
+    fd = (
+        _scheme_defects(model, grid, u + eps * v, m + eps * mu, m[0])
+        - _scheme_defects(model, grid, u - eps * v, m - eps * mu, m[0])
+    ) / (2 * eps)
+    ax = op.matvec(op.stack(v, mu))
+    assert np.linalg.norm(fd - ax) <= 1e-8 * np.linalg.norm(ax)
+
+
 def test_operator_reproduces_solver(monotone_model, monotone_solution):
     grid = monotone_solution.grid
     rng = rng_from_seed(24)
@@ -114,21 +173,36 @@ def test_direct_solve_matches_picard(monotone_model, monotone_solution):
 def test_certificates_stable(
     monotone_model, monotone_solution, decoupled_model, decoupled_solution
 ):
-    cm = certify_stability(monotone_model, monotone_solution, 0, method="iterative")
-    cd = certify_stability(decoupled_model, decoupled_solution, 0, method="iterative")
+    cm = certify_stability(monotone_model, monotone_solution, 0)
+    cd = certify_stability(decoupled_model, decoupled_solution, 0)
     assert cm.verdict == "STABLE" and cm.sigma_min > 1e-6
     assert cd.verdict == "STABLE" and cd.sigma_min > 1e-6
     assert "N32" in cm.grid_signature
 
 
 def test_dense_and_iterative_agree(monotone_model):
+    # dense SVD is the oracle for the inverse-power sigma_min, on the full
+    # horizon and on a restriction
     model = monotone_model
     grid = model.make_grid(16, 16)
     base = solve_picard(model, grid, damping=0.5, tol=1e-12, max_iter=400)
-    cd = certify_stability(model, base, 0, method="dense")
-    ci = certify_stability(model, base, 0, method="iterative")
-    assert cd.method == "dense-svd" and ci.method == "inverse-power"
-    assert abs(cd.sigma_min - ci.sigma_min) <= 1e-8 * cd.sigma_min
+    for t1 in (0, 8):
+        dense = svdvals(assemble_operator(model, base, t1).scaled_sparse().toarray())[-1]
+        ci = certify_stability(model, base, t1)
+        assert ci.method == "inverse-power" and ci.converged
+        assert abs(dense - ci.sigma_min) <= 1e-8 * dense
+
+
+def test_unconverged_sigma_min_is_inconclusive(
+    monkeypatch, monotone_model, monotone_solution
+):
+    import mfg_lab.stability as st
+
+    capped = functools.partial(st._inverse_power_sigma_min, iters=3)
+    monkeypatch.setattr(st, "_inverse_power_sigma_min", capped)
+    cert = certify_stability(monotone_model, monotone_solution, 0)
+    assert cert.iterations == 3 and not cert.converged
+    assert cert.verdict == "INCONCLUSIVE"
 
 
 def test_block_triangular_decoupled(decoupled_model, decoupled_solution):
@@ -138,7 +212,7 @@ def test_block_triangular_decoupled(decoupled_model, decoupled_solution):
     A = op.to_sparse()
     coupling_block = A[: K * n, (op.K + 1) * n :]
     assert coupling_block.nnz == 0  # no mu-dependence in the backward rows
-    cert = certify_stability(decoupled_model, decoupled_solution, 0, method="iterative")
+    cert = certify_stability(decoupled_model, decoupled_solution, 0)
     assert cert.sigma_min > 1e-6
 
 
@@ -146,7 +220,7 @@ def test_witness_extraction_path(monotone_model, monotone_solution):
     # a loose tolerance forces the near-null branch: the witness must be a
     # unit vector whose scaled residual equals sigma_min
     cert = certify_stability(
-        monotone_model, monotone_solution, 0, tol=10.0, method="iterative"
+        monotone_model, monotone_solution, 0, tol=10.0
     )
     assert cert.verdict == "UNSTABLE-DIRECTION-FOUND"
     assert cert.witness_v is not None and cert.witness_mu is not None
@@ -209,7 +283,7 @@ def test_symmetric_branch_sigma_reported():
     )
     grid = model.make_grid(16, 64)
     sym, _ = find_symmetric_branch(model, grid)
-    cert = certify_stability(model, sym, 0, method="iterative")
+    cert = certify_stability(model, sym, 0)
     assert np.isfinite(cert.sigma_min) and cert.sigma_min >= 0.0
     assert cert.verdict in ("STABLE", "INCONCLUSIVE", "UNSTABLE-DIRECTION-FOUND")
 
