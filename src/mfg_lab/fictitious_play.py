@@ -22,25 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import (
-    DensityField,
-    FluxField,
-    ScalarField,
-    TorusGrid,
-    c10_norm_field,
-    l2_norm,
-    sup_norm,
-)
-from .mfg import MfgSolution, drift_field, heat_flow_of_initial
+from .grid import TorusGrid, c10_norm_field, max_slice_l2_norm, sup_norm
+from .mfg import MfgSolution, _package_solution, drift_field, heat_flow_of_initial
 from .models import MfgModel
-from .pde import (
-    HjbProblem,
-    KolmogorovProblem,
-    hjb_residual,
-    kolmogorov_residual,
-    solve_hjb,
-    solve_kolmogorov,
-)
+from .pde import HjbProblem, KolmogorovProblem, solve_hjb, solve_kolmogorov
 from .perturb import perturb_density_values, spawn_rngs
 
 __all__ = [
@@ -96,7 +81,7 @@ def fp_step(state: FpState) -> FpState:
     m_new = solve_kolmogorov(
         KolmogorovProblem(grid, drift_field(model, grid, u_new), state.m0)
     ).m.values
-    gap = max(l2_norm(grid, m_new[k] - mu[k]) for k in range(grid.n_time + 1))
+    gap = max_slice_l2_norm(grid, m_new - mu)
     sum_m = m_new.copy() if state.sum_m is None else state.sum_m + m_new
     return FpState(
         model=model,
@@ -141,24 +126,8 @@ class FpTrace:
 def _as_solution(state: FpState, converged: bool) -> MfgSolution:
     model, grid = state.model, state.grid
     source_used = model.coupling.f_field(grid, state.mu)
-    source_of_m = model.coupling.f_field(grid, state.last_m)
-    residuals = {
-        "hjb": hjb_residual(model, grid, state.last_u, source_of_m),
-        "kolmogorov": kolmogorov_residual(
-            grid, state.last_m, drift_field(model, grid, state.last_u)
-        ),
-        "coupling_consistency": sup_norm(source_used - source_of_m),
-    }
-    w = -state.last_m[..., None] * drift_field(model, grid, state.last_u)
-    return MfgSolution(
-        model=model,
-        grid=grid,
-        u=ScalarField(grid, state.last_u),
-        m=DensityField(grid, state.last_m),
-        w=FluxField(grid, w),
-        residuals=residuals,
-        iterations=state.n,
-        converged=converged,
+    return _package_solution(
+        model, grid, state.last_u, state.last_m, source_used, state.n, converged, [], []
     )
 
 
@@ -183,12 +152,7 @@ def run_fp(
         mu_before = state.mu.copy()
         state = fp_step(state)
         gaps.append(state.last_gap)
-        steps.append(
-            max(
-                l2_norm(grid, state.mu[k] - mu_before[k])
-                for k in range(grid.n_time + 1)
-            )
-        )
+        steps.append(max_slice_l2_norm(grid, state.mu - mu_before))
         if reference is not None:
             errors.append(
                 c10_norm_field(grid, state.last_u - reference.u.values)

@@ -5,8 +5,10 @@ axis, dx = 1/N, and periodic index arithmetic.  Time lives on [t0, T] with K
 steps of size dt = (T - t0)/K; fields are stored time-major, one contiguous
 spatial slice per time node t_k = t0 + k*dt, k = 0..K.
 
-The three stencil operators are built as an exact adjoint pair plus their
-composition:
+The stencils and the slice norms act on the trailing spatial axes of any
+leading stack, so a whole (K+1, *spatial) trajectory goes through one call
+and gives bitwise the values of the per-slice calls.  The three stencil
+operators are built as an exact adjoint pair plus their composition:
 
 * ``gradient``    -- centered periodic difference per axis, O(dx^2);
 * ``divergence``  -- the exact negative adjoint of ``gradient`` under the
@@ -22,6 +24,7 @@ stencils with one-sided or limited variants.
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
 from dataclasses import dataclass, field
@@ -39,6 +42,7 @@ __all__ = [
     "integrate",
     "inner",
     "l2_norm",
+    "max_slice_l2_norm",
     "sup_norm",
     "h1_norm",
     "c10_norm",
@@ -101,6 +105,11 @@ class TorusGrid:
     @property
     def n_nodes(self) -> int:
         return self.n_space**self.dim
+
+    @property
+    def spatial_axes(self) -> tuple[int, ...]:
+        """Axes of the spatial slice, counted from the end of a stacked field."""
+        return tuple(range(-self.dim, 0))
 
     @property
     def times(self) -> np.ndarray:
@@ -242,43 +251,51 @@ class FluxField:
 
 
 # ---------------------------------------------------------------------------
-# stencil operators (per spatial slice)
+# stencil operators (on the trailing spatial axes of any leading stack)
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _neighbours(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic index arrays of the next and the previous node."""
+    i = np.arange(n)
+    return (i + 1) % n, (i - 1) % n
+
+
 def _centered_diff(u: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2.0 * dx)
+    nxt, prev = _neighbours(u.shape[axis])
+    return (u.take(nxt, axis=axis) - u.take(prev, axis=axis)) / (2.0 * dx)
 
 
-def gradient(grid: TorusGrid, u_slice: np.ndarray) -> np.ndarray:
-    """Centered periodic gradient of a spatial slice; output (*spatial, d)."""
-    u = np.asarray(u_slice)
+def gradient(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
+    """Centered periodic gradient of u (..., *spatial); output (..., *spatial, d)."""
+    u = np.asarray(u)
     out = np.empty((*u.shape, grid.dim))
-    for a in range(grid.dim):
-        out[..., a] = _centered_diff(u, a, grid.dx)
+    for a, axis in enumerate(grid.spatial_axes):
+        out[..., a] = _centered_diff(u, axis, grid.dx)
     return out
 
 
-def divergence(grid: TorusGrid, w_slice: np.ndarray) -> np.ndarray:
+def divergence(grid: TorusGrid, w: np.ndarray) -> np.ndarray:
     """Exact negative adjoint of ``gradient``: sum of centered differences.
 
-    Telescoping of the periodic stencil makes integrate(divergence(w)) = 0
-    to roundoff for every w.
+    w has shape (..., *spatial, d).  Telescoping of the periodic stencil
+    makes integrate(divergence(w)) = 0 to roundoff for every w.
     """
-    w = np.asarray(w_slice)
+    w = np.asarray(w)
     out = np.zeros(w.shape[:-1])
-    for a in range(grid.dim):
-        out += _centered_diff(w[..., a], a, grid.dx)
+    for a, axis in enumerate(grid.spatial_axes):
+        out += _centered_diff(w[..., a], axis, grid.dx)
     return out
 
 
-def laplacian(grid: TorusGrid, u_slice: np.ndarray) -> np.ndarray:
+def laplacian(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
     """divergence(gradient(u)): the width-2 centered stencil per axis.
 
     Implemented as the literal composition so the stencil identity
     div(grad u) == laplacian(u) holds bitwise, not merely to roundoff.
     """
-    return divergence(grid, gradient(grid, u_slice))
+    return divergence(grid, gradient(grid, u))
 
 
 def laplacian_symbol(grid: TorusGrid) -> np.ndarray:
@@ -323,15 +340,22 @@ def h1_norm(grid: TorusGrid, u_slice: np.ndarray) -> float:
     )
 
 
+def max_slice_l2_norm(grid: TorusGrid, values: np.ndarray) -> float:
+    """Largest ``l2_norm`` over the leading slices of values (..., *spatial)."""
+    sq = np.sum(np.asarray(values) ** 2, axis=grid.spatial_axes)
+    return float(np.sqrt(grid.cell_volume * np.max(sq)))
+
+
 def c10_norm(grid: TorusGrid, u_slice: np.ndarray) -> float:
     """sup|u| + sup|Du| on one slice (Du in the Euclidean norm over axes)."""
-    g = gradient(grid, u_slice)
-    gmag = np.sqrt(np.sum(g**2, axis=-1))
-    return float(np.max(np.abs(u_slice)) + np.max(gmag))
+    return c10_norm_field(grid, u_slice)
 
 
 def c10_norm_field(grid: TorusGrid, values: np.ndarray) -> float:
-    return max(c10_norm(grid, values[k]) for k in range(values.shape[0]))
+    """Largest ``c10_norm`` over the leading slices of values (..., *spatial)."""
+    axes = grid.spatial_axes
+    gmag = np.sqrt(np.sum(gradient(grid, values) ** 2, axis=-1))
+    return float(np.max(np.max(np.abs(values), axis=axes) + np.max(gmag, axis=axes)))
 
 
 # ---------------------------------------------------------------------------

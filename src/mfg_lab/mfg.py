@@ -25,7 +25,7 @@ from .grid import (
     TorusGrid,
     c10_norm_field,
     gradient,
-    l2_norm,
+    max_slice_l2_norm,
     sup_norm,
 )
 from .models import MfgModel
@@ -50,13 +50,7 @@ __all__ = [
 
 def drift_field(model: MfgModel, grid: TorusGrid, u_values: np.ndarray) -> np.ndarray:
     """D_pH(x, Du) on every time slice; shape (K+1, *spatial, d)."""
-    coords = grid.coordinates()
-    return np.stack(
-        [
-            model.hamiltonian.grad_p(coords, gradient(grid, u_values[k]))
-            for k in range(grid.n_time + 1)
-        ]
-    )
+    return model.hamiltonian.grad_p(grid.coordinates(), gradient(grid, u_values))
 
 
 def heat_flow_of_initial(model: MfgModel, grid: TorusGrid, m0=None) -> np.ndarray:
@@ -85,20 +79,16 @@ class MfgSolution:
         return drift_field(self.model, self.grid, self.u.values)
 
 
-def _flux_from(model, grid, u_values, m_values) -> np.ndarray:
-    return -m_values[..., None] * drift_field(model, grid, u_values)
-
-
 def _package_solution(
     model, grid, u_values, m_values, source_used, iterations, converged, gaps, warns
 ) -> MfgSolution:
-    coup = model.coupling
-    source_of_m = coup.f_field(grid, m_values)
+    """Solution with its residuals: the backward and forward defects of
+    (u, m), and how far the source the backward leg used is from f(m)."""
+    source_of_m = model.coupling.f_field(grid, m_values)
+    drift = drift_field(model, grid, u_values)
     residuals = {
         "hjb": hjb_residual(model, grid, u_values, source_of_m),
-        "kolmogorov": kolmogorov_residual(
-            grid, m_values, drift_field(model, grid, u_values)
-        ),
+        "kolmogorov": kolmogorov_residual(grid, m_values, drift),
         "coupling_consistency": sup_norm(source_used - source_of_m),
     }
     return MfgSolution(
@@ -106,7 +96,7 @@ def _package_solution(
         grid=grid,
         u=ScalarField(grid, u_values),
         m=DensityField(grid, m_values),
-        w=FluxField(grid, _flux_from(model, grid, u_values, m_values)),
+        w=FluxField(grid, -m_values[..., None] * drift),
         residuals=residuals,
         iterations=iterations,
         converged=converged,
@@ -152,15 +142,13 @@ def solve_picard(
         terminal = coup.g(grid, m_values[-1])
         hjb = solve_hjb(HjbProblem(model, grid, source, terminal))
         u_values = hjb.u.values
-        warns.extend(hjb.warnings)
         kol = solve_kolmogorov(
             KolmogorovProblem(grid, drift_field(model, grid, u_values), m0_slice)
         )
-        warns.extend(w for w in kol.warnings if w not in warns)
+        # one entry per distinct message, however many iterations repeat it
+        warns.extend(w for w in (*hjb.warnings, *kol.warnings) if w not in warns)
         m_new = kol.m.values
-        gap = max(
-            l2_norm(grid, m_new[k] - m_values[k]) for k in range(grid.n_time + 1)
-        )
+        gap = max_slice_l2_norm(grid, m_new - m_values)
         gaps.append(gap)
         if best is None or gap <= best[0]:
             best = (gap, u_values, m_new, source)

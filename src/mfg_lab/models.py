@@ -83,7 +83,9 @@ class Coupling:
 
     All callables take (grid, m_slice) with m_slice of spatial shape;
     kernels return (n_nodes, n_nodes) matrices acting through
-    ``dx^d * K @ mu_flat``.
+    ``dx^d * K @ mu_flat``.  f and g must also accept a leading stack
+    (..., *spatial), acting slice by slice (sums over the spatial axes
+    only): ``f_field`` passes a whole trajectory to f in one call.
     """
 
     name: str
@@ -96,9 +98,7 @@ class Coupling:
     G: Optional[Callable]
 
     def f_field(self, grid, m_values: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [self.f(grid, m_values[k]) for k in range(m_values.shape[0])]
-        )
+        return self.f(grid, m_values)
 
 
 @dataclass(frozen=True)
@@ -267,19 +267,24 @@ def _flatten(grid: TorusGrid, slc: np.ndarray) -> np.ndarray:
     return np.asarray(slc).reshape(grid.n_nodes)
 
 
+def _slice_sum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Sum over the spatial axes of each slice, kept broadcastable."""
+    return np.sum(values, axis=grid.spatial_axes, keepdims=True)
+
+
+def _zero_f(grid, m):
+    return np.zeros(np.shape(m))
+
+
 def zero_coupling() -> Coupling:
     zk = ZeroKernel()
-
-    def zero_f(grid, m_slice):
-        return np.zeros(grid.spatial_shape)
-
     return Coupling(
         name="none",
         is_potential=True,
-        f=zero_f,
+        f=_zero_f,
         kernel_f=zk,
         F=lambda grid, m: 0.0,
-        g=zero_f,
+        g=_zero_f,
         kernel_g=zk,
         G=lambda grid, m: 0.0,
     )
@@ -290,7 +295,7 @@ def monotone_local_coupling() -> Coupling:
 
     def f(grid, m):
         m = np.asarray(m)
-        return m - grid.cell_volume * np.sum(m * m)
+        return m - grid.cell_volume * _slice_sum(grid, m * m)
 
     def F(grid, m):
         return 0.5 * grid.cell_volume * float(np.sum(np.asarray(m) ** 2))
@@ -306,17 +311,13 @@ def monotone_local_coupling() -> Coupling:
         return K
 
     zk = ZeroKernel()
-
-    def zero_f(grid, m_slice):
-        return np.zeros(grid.spatial_shape)
-
     return Coupling(
         name="monotone_local",
         is_potential=True,
         f=f,
         kernel_f=kernel,
         F=F,
-        g=zero_f,
+        g=_zero_f,
         kernel_g=zk,
         G=lambda grid, m: 0.0,
     )
@@ -332,7 +333,7 @@ def _smoothing_profile(grid: TorusGrid) -> np.ndarray:
 
 
 def _circular_convolve(grid: TorusGrid, rho: np.ndarray, m: np.ndarray) -> np.ndarray:
-    axes = tuple(range(grid.dim))
+    axes = grid.spatial_axes
     out = np.fft.ifftn(
         np.fft.fftn(rho, axes=axes) * np.fft.fftn(m, axes=axes), axes=axes
     ).real
@@ -347,7 +348,7 @@ def monotone_smoothed_coupling() -> Coupling:
 
     def f(grid, m):
         rm = conv(grid, m)
-        return rm - grid.cell_volume * np.sum(rm * np.asarray(m))
+        return rm - grid.cell_volume * _slice_sum(grid, rm * np.asarray(m))
 
     def F(grid, m):
         rm = conv(grid, m)
@@ -374,27 +375,24 @@ def monotone_smoothed_coupling() -> Coupling:
         return K
 
     zk = ZeroKernel()
-
-    def zero_f(grid, m_slice):
-        return np.zeros(grid.spatial_shape)
-
     return Coupling(
         name="monotone_smoothed",
         is_potential=True,
         f=f,
         kernel_f=kernel,
         F=F,
-        g=zero_f,
+        g=_zero_f,
         kernel_g=zk,
         G=lambda grid, m: 0.0,
     )
 
 
-def _sine_moment(grid: TorusGrid, m: np.ndarray) -> tuple[float, np.ndarray]:
-    """First odd Fourier moment along x1 and its integrand sin(2 pi x1)."""
+def _sine_moment(grid: TorusGrid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First odd Fourier moment along x1 of each slice (kept broadcastable)
+    and its integrand sin(2 pi x1)."""
     coords = grid.coordinates()
     s_x = np.sin(2.0 * np.pi * coords[0])
-    return float(grid.cell_volume * np.sum(s_x * np.asarray(m))), s_x
+    return grid.cell_volume * _slice_sum(grid, s_x * np.asarray(m)), s_x
 
 
 def _phi(s: float) -> float:
@@ -427,26 +425,23 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
 
     def F(grid, m):
         S, _ = _sine_moment(grid, m)
-        return theta * _phi(S)
+        return theta * _phi(S.item())
 
     def kernel(grid, m):
         S, s_x = _sine_moment(grid, m)
+        S = S.item()
         sf = _flatten(grid, s_x)
         coeff = _phi_second(S) * (sf - S)[:, None] - _phi_prime(S)
         return theta * (sf - S)[None, :] * coeff
 
     zk = ZeroKernel()
-
-    def zero_f(grid, m_slice):
-        return np.zeros(grid.spatial_shape)
-
     return Coupling(
         name="antimonotone_symmetric",
         is_potential=True,
         f=f,
         kernel_f=kernel,
         F=F,
-        g=zero_f,
+        g=_zero_f,
         kernel_g=zk,
         G=lambda grid, m: 0.0,
     )

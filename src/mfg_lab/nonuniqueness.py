@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TorusGrid, gradient, l2_norm, laplacian_symbol, sup_norm
+from .grid import TorusGrid, gradient, laplacian_symbol, max_slice_l2_norm, sup_norm
 from .mfg import MfgSolution, drift_field, heat_flow_of_initial, solve_picard
 from .models import MfgModel, builtin_quadratic
 from .pde import HjbProblem, KolmogorovProblem, solve_hjb, solve_kolmogorov
@@ -78,9 +78,7 @@ def find_symmetric_branch(
         m_new = solve_kolmogorov(
             KolmogorovProblem(grid, drift_field(model, grid, u_values), m0)
         ).m.values
-        gap = max(
-            l2_norm(grid, m_new[k] - m_values[k]) for k in range(grid.n_time + 1)
-        )
+        gap = max_slice_l2_norm(grid, m_new - m_values)
         m_values = (1.0 - damping) * m_values + damping * m_new
         m_values = 0.5 * (m_values + reflect_values(m_values))
         m_values[0] = m0
@@ -312,18 +310,12 @@ def build_competitor(
     phi = _poisson_solve(grid, m0 - mbar)
     dphi = gradient(grid, phi)
 
-    K = grid.n_time
-    m = np.empty((K + 1, *grid.spatial_shape))
-    w = np.zeros((K + 1, *grid.spatial_shape, grid.dim))
-    for k in range(K + 1):
-        s = min(1.0, k / k1)
-        m[k] = (1.0 - s) * m0 + s * mbar
-    for k in range(K):
-        if k < k1:
-            w[k] = gradient(grid, m[k + 1]) - dphi
-        else:
-            w[k] = gradient(grid, mbar)
-    w[K] = gradient(grid, mbar)
+    s = np.minimum(1.0, np.arange(grid.n_time + 1) / k1)
+    s = s.reshape(-1, *(1,) * grid.dim)
+    m = (1.0 - s) * m0 + s * mbar
+    w = np.empty((grid.n_time + 1, *grid.spatial_shape, grid.dim))
+    w[:k1] = gradient(grid, m[1 : k1 + 1]) - dphi
+    w[k1:] = gradient(grid, mbar)
     return AdmissiblePair.from_values(grid, m, w)
 
 

@@ -46,8 +46,7 @@ from .grid import (
     c10_norm_field,
     divergence,
     gradient,
-    integrate,
-    l2_norm,
+    max_slice_l2_norm,
     sup_norm,
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
@@ -189,21 +188,23 @@ class AssembledOperator:
         u = base.u.values[t1_index:]
         m = base.m.values[t1_index:]
         grad = _gradient_matrix(grid)
+        grad_t = grad.T
         eye = sp.identity(n, format="csr")
-        self._diag = (eye / dt + grad.T @ grad).tocsr()  # I/dt - Lap, Lap = -G^T G
+        eye_dt = eye / dt
+        self._diag = (eye_dt + grad_t @ grad).tocsr()  # I/dt - Lap, Lap = -G^T G
 
         # per slice: the flux blocks mu -> mu b and v -> m A G v,
         # T = -I/dt + b.G and E = -div(m A G .); div = -G^T exactly, so
         # T^T = -I/dt - div(. b)
+        du = gradient(grid, u)
+        b = ham.grad_p(coords, du).reshape(K + 1, n, d, 1)
+        mA = (m[..., None, None] * ham.hess_pp(coords, du)).reshape(K + 1, n, d, d)
         T, E, self.flux_mu, self.flux_v = [], [], [], []
         for k in range(K + 1):
-            du = gradient(grid, u[k])
-            b = ham.grad_p(coords, du).reshape(n, d, 1)
-            mA = (m[k][..., None, None] * ham.hess_pp(coords, du)).reshape(n, d, d)
-            self.flux_mu.append(_diag_blocks(b))
-            self.flux_v.append(_diag_blocks(mA) @ grad)
-            T.append(self.flux_mu[k].T @ grad - eye / dt)
-            E.append(grad.T @ self.flux_v[k])
+            self.flux_mu.append(_diag_blocks(b[k]))
+            self.flux_v.append(_diag_blocks(mA[k]) @ grad)
+            T.append(self.flux_mu[k].T @ grad - eye_dt)
+            E.append(grad_t @ self.flux_v[k])
 
         def v_slot(k):
             return k
@@ -254,12 +255,12 @@ class AssembledOperator:
         """Sup of A x - rhs per row kind, and the drift of the mass of mu."""
         K, n = self.K, self.n
         r = np.abs(self.matvec(x) - rhs)
-        mass = [integrate(self.grid, s) for s in x.reshape(-1, n)[K + 1 :]]
+        mass = self.grid.cell_volume * x.reshape(-1, n)[K + 1 :].sum(axis=1)
         return {
             "backward": float(r[: K * n].max()),
             "forward": float(r[K * n : 2 * K * n].max()),
             "terminal": float(r[(2 * K + 1) * n :].max()),
-            "mass_drift": max(abs(mk - mass[0]) for mk in mass),
+            "mass_drift": float(np.max(np.abs(mass - mass[0]))),
         }
 
     def _solve_rows(self, x: np.ndarray, rhs: np.ndarray, order) -> None:
@@ -319,9 +320,10 @@ class AssembledOperator:
     def rhs_vector(self, problem: LinearizedProblem) -> np.ndarray:
         K = self.K
         rows = (
-            [problem.a[k + 1] for k in range(K)]
-            + [divergence(self.grid, problem.b_src[k]) for k in range(K)]
-            + [problem.mu0, problem.c]
+            problem.a[1:],
+            divergence(self.grid, problem.b_src[:K]),
+            problem.mu0,
+            problem.c,
         )
         return np.concatenate([r.reshape(-1) for r in rows])
 
@@ -369,7 +371,7 @@ def solve_linearized(
         op._backward_sweep(x, rhs)
         mu_prev = mu.copy()
         op._forward_sweep(x, rhs)
-        gap = max(l2_norm(grid, mu[k] - mu_prev[k]) for k in range(K + 1))
+        gap = max_slice_l2_norm(grid, (mu - mu_prev).reshape(-1, *grid.spatial_shape))
         gaps.append(gap)
         mu[1:] = (1.0 - damping) * mu_prev[1:] + damping * mu[1:]
         if gap <= tol * scale:

@@ -1,5 +1,6 @@
 """Coupled-system fixed point and the uniqueness-given-gradient probe."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from mfg_lab.mfg import (
     solution_distance,
     solve_picard,
 )
+from mfg_lab.models import builtin_quadratic
 from mfg_lab.perturb import perturb_density_values, spawn_rngs
 
 
@@ -132,3 +134,20 @@ def test_invalid_damping(monotone_model, monotone_grid):
         solve_picard(monotone_model, monotone_grid, damping=0.0)
     with pytest.raises(ValueError):
         solve_picard(monotone_model, monotone_grid, damping=1.5)
+
+
+def test_repeated_warnings_are_kept_once():
+    # a strong m-independent source: every iteration repeats the same HJB
+    # CFL warning (and the same Kolmogorov step-size warning)
+    base = builtin_quadratic(coupling="none", T=0.5)
+
+    def f(grid, m):
+        source = 50.0 * np.cos(2.0 * np.pi * grid.coordinates()[0])
+        return source + np.zeros(np.shape(m))
+
+    model = dataclasses.replace(base, coupling=dataclasses.replace(base.coupling, f=f))
+    sol = solve_picard(model, model.make_grid(32, 8), max_iter=6)
+    assert sol.iterations == 6
+    cfl = [w for w in sol.warnings if w.startswith("hjb cfl quality")]
+    assert len(cfl) == 1
+    assert len(sol.warnings) == len(set(sol.warnings))

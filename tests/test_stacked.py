@@ -1,0 +1,168 @@
+"""Whole-trajectory calls: stencils, heat step, residuals and couplings act
+on a leading stack exactly as slice by slice, and a Picard iteration makes
+only the stencil calls of its two sweeps plus a fixed number."""
+
+import sys
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mfg_lab.grid as grid_module
+from mfg_lab.grid import TorusGrid, divergence, gradient, laplacian
+from mfg_lab.mfg import heat_flow_of_initial, solve_picard
+from mfg_lab.models import builtin_quadratic
+from mfg_lab.pde import (
+    PeriodicHeatSolver,
+    continuity_residual,
+    hjb_residual,
+    kolmogorov_residual,
+)
+from mfg_lab.stability import _gradient_matrix
+
+
+@st.composite
+def grids(draw, max_time=6):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(4, 33 if dim == 1 else 12))
+    return TorusGrid(dim, n, draw(st.integers(2, max_time)))
+
+
+stacks = st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple)
+seeds = st.integers(0, 2**32 - 1)
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@SETTINGS
+@given(grids(), stacks, seeds)
+def test_stacked_stencils_equal_per_slice_calls_bitwise(grid, stack, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((*stack, *grid.spatial_shape))
+    w = rng.standard_normal((*stack, *grid.spatial_shape, grid.dim))
+    du, divw, lapu = gradient(grid, u), divergence(grid, w), laplacian(grid, u)
+    for idx in np.ndindex(*stack):
+        assert np.array_equal(du[idx], gradient(grid, u[idx]))
+        assert np.array_equal(divw[idx], divergence(grid, w[idx]))
+        assert np.array_equal(lapu[idx], laplacian(grid, u[idx]))
+
+
+@SETTINGS
+@given(grids(), stacks, seeds, st.floats(1e-3, 0.25))
+def test_heat_step_matches_dense_solve(grid, stack, seed, dt):
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal((*stack, *grid.spatial_shape))
+    G = _gradient_matrix(grid)
+    dense = (sp.identity(grid.n_nodes) + dt * (G.T @ G)).toarray()  # I - dt Lap
+    exact = np.linalg.solve(dense, rhs.reshape(-1, grid.n_nodes).T).T
+    out = PeriodicHeatSolver(grid, dt).step(rhs)
+    assert out.shape == rhs.shape
+    assert np.max(np.abs(out.reshape(-1, grid.n_nodes) - exact)) <= 1e-12
+
+
+# per-slice reference loops: the residuals as one step at a time
+
+
+def _hjb_residual_loop(model, grid, u, source):
+    coords = grid.coordinates()
+    worst = 0.0
+    for k in range(grid.n_time):
+        defect = (
+            -(u[k + 1] - u[k]) / grid.dt
+            - laplacian(grid, u[k])
+            + model.hamiltonian.value(coords, gradient(grid, u[k + 1]))
+            - source[k + 1]
+        )
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
+
+
+def _kolmogorov_residual_loop(grid, m, drift):
+    worst = 0.0
+    for k in range(grid.n_time):
+        defect = (
+            (m[k + 1] - m[k]) / grid.dt
+            - laplacian(grid, m[k + 1])
+            - divergence(grid, m[k][..., None] * drift[k])
+        )
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
+
+
+def _continuity_residual_loop(grid, m, w):
+    worst = 0.0
+    for k in range(grid.n_time):
+        defect = (
+            (m[k + 1] - m[k]) / grid.dt
+            - laplacian(grid, m[k + 1])
+            + divergence(grid, w[k])
+        )
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
+
+
+@SETTINGS
+@given(grids(), seeds)
+def test_stacked_residuals_equal_per_slice_loops(grid, seed):
+    rng = np.random.default_rng(seed)
+    model = builtin_quadratic(0.0, coupling="none", dim=grid.dim, hamiltonian="quadratic_xdep")
+    shape = (grid.n_time + 1, *grid.spatial_shape)
+    u, src, m = (rng.standard_normal(shape) for _ in range(3))
+    b, w = (rng.standard_normal((*shape, grid.dim)) for _ in range(2))
+    assert hjb_residual(model, grid, u, src) == _hjb_residual_loop(model, grid, u, src)
+    assert kolmogorov_residual(grid, m, b) == _kolmogorov_residual_loop(grid, m, b)
+    assert continuity_residual(grid, m, w) == _continuity_residual_loop(grid, m, w)
+
+
+@pytest.mark.parametrize(
+    "coupling,theta",
+    [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
+     ("antimonotone_symmetric", 16.0)],
+)
+@SETTINGS
+@given(grid=grids(), seed=seeds)
+def test_coupling_on_a_stack_acts_slice_by_slice(coupling, theta, grid, seed):
+    coup = builtin_quadratic(theta, coupling=coupling, dim=grid.dim).coupling
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 1.5, (grid.n_time + 1, *grid.spatial_shape))
+    stacked = coup.f_field(grid, m)
+    assert stacked.shape == m.shape
+    for k in range(grid.n_time + 1):
+        assert np.array_equal(stacked[k], coup.f(grid, m[k]))
+        assert np.array_equal(coup.g(grid, m)[k], coup.g(grid, m[k]))
+
+
+def _count_stencil_calls(monkeypatch) -> dict:
+    """Replace gradient and divergence by counters at every import site
+    (laplacian calls both through the grid module)."""
+    counter = {"calls": 0}
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "mfg_lab"]
+    for name in ("gradient", "divergence"):
+        original = getattr(grid_module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            counter["calls"] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return counter
+
+
+def test_picard_iteration_stencil_calls_are_two_sweeps_plus_constant(monkeypatch):
+    # a per-slice loop outside the two sweeps adds about K calls per use
+    model = builtin_quadratic(coupling="monotone_local", m0="cosine", T=0.5)
+    calls = {}
+    for K in (16, 32):
+        grid = model.make_grid(32, K)
+        init = heat_flow_of_initial(model, grid)
+        with monkeypatch.context() as mp:
+            counter = _count_stencil_calls(mp)
+            solve_picard(model, grid, init_m=init, tol=0.0, max_iter=1)
+        calls[K] = counter["calls"]
+        assert calls[K] <= 2 * K + 16
+    assert calls[32] - calls[16] <= 2 * (32 - 16)
