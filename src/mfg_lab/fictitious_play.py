@@ -10,22 +10,29 @@ The average is stored as a running sum divided on read, so the unrolled
 identity mu^n = (1/n) sum_k m^k holds to rounding regardless of n, and
 ||mu^{n+1} - mu^n|| = gap_n / (n+1) exactly with gap_n = ||m^{n+1} - mu^n||.
 
-Fixed points are discrete MFG solutions: a round with zero gap reproduces
-the Picard map's legs, so the returned pair carries the same residual
-diagnostics as the direct solver.
+Each round is one `mfg.best_response` against mu^n, the map Picard iterates
+too.  Fixed points are discrete MFG solutions: a round with zero gap is a
+Picard fixed point, and the returned pair is the last round's record with
+the same residual diagnostics as the direct solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .grid import TorusGrid, c10_norm_field, max_slice_l2_norm, sup_norm
-from .mfg import MfgSolution, _package_solution, drift_field, heat_flow_of_initial
+from .mfg import (
+    BestResponse,
+    MfgSolution,
+    _keep_distinct,
+    _package_solution,
+    best_response,
+    heat_flow_of_initial,
+)
 from .models import MfgModel
-from .pde import HjbProblem, KolmogorovProblem, solve_hjb, solve_kolmogorov
 from .perturb import perturb_density_values, spawn_rngs
 
 __all__ = [
@@ -49,9 +56,7 @@ class FpState:
     mu0: np.ndarray  # initial belief; weight 0 in every average
     n: int = 0
     sum_m: np.ndarray | None = None
-    last_u: np.ndarray | None = None
-    last_m: np.ndarray | None = None
-    last_gap: float | None = None
+    last: BestResponse | None = None  # the round played against mu^(n-1)
 
     @property
     def mu(self) -> np.ndarray:
@@ -72,28 +77,9 @@ def fp_start(model: MfgModel, grid: TorusGrid, mu0=None, m0=None) -> FpState:
 
 def fp_step(state: FpState) -> FpState:
     """One round: best response to mu^n, play it, average it in."""
-    model, grid = state.model, state.grid
-    mu = state.mu
-    coup = model.coupling
-    source = coup.f_field(grid, mu)
-    terminal = coup.g(grid, mu[-1])
-    u_new = solve_hjb(HjbProblem(model, grid, source, terminal)).u.values
-    m_new = solve_kolmogorov(
-        KolmogorovProblem(grid, drift_field(model, grid, u_new), state.m0)
-    ).m.values
-    gap = max_slice_l2_norm(grid, m_new - mu)
-    sum_m = m_new.copy() if state.sum_m is None else state.sum_m + m_new
-    return FpState(
-        model=model,
-        grid=grid,
-        m0=state.m0,
-        mu0=state.mu0,
-        n=state.n + 1,
-        sum_m=sum_m,
-        last_u=u_new,
-        last_m=m_new,
-        last_gap=gap,
-    )
+    played = best_response(state.model, state.grid, state.mu, state.m0)
+    sum_m = played.m.copy() if state.sum_m is None else state.sum_m + played.m
+    return replace(state, n=state.n + 1, sum_m=sum_m, last=played)
 
 
 @dataclass
@@ -123,14 +109,6 @@ class FpTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-def _as_solution(state: FpState, converged: bool) -> MfgSolution:
-    model, grid = state.model, state.grid
-    source_used = model.coupling.f_field(grid, state.mu)
-    return _package_solution(
-        model, grid, state.last_u, state.last_m, source_used, state.n, converged, [], []
-    )
-
-
 def run_fp(
     model: MfgModel,
     grid: TorusGrid,
@@ -146,19 +124,21 @@ def run_fp(
     per-round error ||u^n - u||_{C^{1,0}} + ||m^n - m||_sup is recorded.
     """
     state = fp_start(model, grid, mu0=mu0, m0=m0)
-    gaps, steps, errors = [], [], []
+    gaps, steps, errors, warns = [], [], [], []
     converged = False
     for _ in range(n_max):
         mu_before = state.mu.copy()
         state = fp_step(state)
-        gaps.append(state.last_gap)
+        played = state.last
+        gaps.append(played.gap)
+        _keep_distinct(warns, played.warnings)
         steps.append(max_slice_l2_norm(grid, state.mu - mu_before))
         if reference is not None:
             errors.append(
-                c10_norm_field(grid, state.last_u - reference.u.values)
-                + sup_norm(state.last_m - reference.m.values)
+                c10_norm_field(grid, played.u - reference.u.values)
+                + sup_norm(played.m - reference.m.values)
             )
-        if state.last_gap <= gap_tol:
+        if played.gap <= gap_tol:
             converged = True
             break
     return FpTrace(
@@ -167,7 +147,7 @@ def run_fp(
         errors=errors,
         n_iterations=state.n,
         converged=converged,
-        final=_as_solution(state, converged),
+        final=_package_solution(model, grid, state.last, state.n, converged, [], warns),
         state=state,
     )
 

@@ -1,11 +1,11 @@
 """Fixed-point solution of the coupled MFG system and the uniqueness probe.
 
-The map iterated is density trajectory -> backward value solve sourced by
-the coupling -> forward density solve along the induced drift, with a damped
-update m <- (1-lambda) m + lambda m~.  The returned pair is re-polished so
-the forward leg holds exactly: m is the last exact Kolmogorov output and u
-the backward response to the last averaged trajectory, making the recorded
-residuals honest measures of the remaining fixed-point defect.
+`best_response` is the one map that Picard, fictitious play and the
+symmetric-branch search iterate: belief mu -> source f(mu) -> backward value
+solve -> forward density solve along the drift it returns -> gap to mu.
+They differ only in the belief update; Picard's is the damped
+m <- (1-lambda) m + lambda m~.  A returned solution is one round's record,
+so its residuals are honest measures of the remaining fixed-point defect.
 
 Newton on the coupled system is deliberately not provided here: its linear
 system is exactly the linearized forward-backward system owned by the
@@ -40,6 +40,8 @@ from .pde import (
 
 __all__ = [
     "MfgSolution",
+    "BestResponse",
+    "best_response",
     "solve_picard",
     "drift_field",
     "heat_flow_of_initial",
@@ -61,6 +63,42 @@ def heat_flow_of_initial(model: MfgModel, grid: TorusGrid, m0=None) -> np.ndarra
 
 
 @dataclass
+class BestResponse:
+    """One round of the forward-backward map against a belief mu."""
+
+    source: np.ndarray  # f(mu), the running source of the backward leg
+    u: np.ndarray
+    drift: np.ndarray  # D_pH(x, Du) on every slice
+    m: np.ndarray  # forward flow of m0 along the drift
+    gap: float  # max over slices of the l2 distance of m to mu
+    warnings: list
+
+
+def best_response(
+    model: MfgModel, grid: TorusGrid, belief: np.ndarray, m0: np.ndarray
+) -> BestResponse:
+    """Backward solve against the belief, then play its drift forward from m0."""
+    coup = model.coupling
+    source = coup.f_field(grid, belief)
+    hjb = solve_hjb(HjbProblem(model, grid, source, coup.g(grid, belief[-1])))
+    kol = solve_kolmogorov(KolmogorovProblem(grid, hjb.drift, m0))
+    m = kol.m.values
+    return BestResponse(
+        source=source,
+        u=hjb.u.values,
+        drift=hjb.drift,
+        m=m,
+        gap=max_slice_l2_norm(grid, m - belief),
+        warnings=[*hjb.warnings, *kol.warnings],
+    )
+
+
+def _keep_distinct(warns: list, new) -> None:
+    """Append new's messages to warns once each, however many rounds repeat them."""
+    warns.extend(w for w in new if w not in warns)
+
+
+@dataclass
 class MfgSolution:
     """Solver output with diagnostics; w = -m * D_pH(x,Du) is derived data."""
 
@@ -75,28 +113,25 @@ class MfgSolution:
     gap_history: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def drift(self) -> np.ndarray:
-        return drift_field(self.model, self.grid, self.u.values)
-
 
 def _package_solution(
-    model, grid, u_values, m_values, source_used, iterations, converged, gaps, warns
+    model, grid, played: BestResponse, iterations, converged, gaps, warns
 ) -> MfgSolution:
-    """Solution with its residuals: the backward and forward defects of
-    (u, m), and how far the source the backward leg used is from f(m)."""
-    source_of_m = model.coupling.f_field(grid, m_values)
-    drift = drift_field(model, grid, u_values)
+    """The round's (u, m) with its residuals: the backward and forward
+    defects, and how far the source the backward leg used is from f(m)."""
+    u, m = played.u, played.m
+    source_of_m = model.coupling.f_field(grid, m)
     residuals = {
-        "hjb": hjb_residual(model, grid, u_values, source_of_m),
-        "kolmogorov": kolmogorov_residual(grid, m_values, drift),
-        "coupling_consistency": sup_norm(source_used - source_of_m),
+        "hjb": hjb_residual(model, grid, u, source_of_m),
+        "kolmogorov": kolmogorov_residual(grid, m, played.drift),
+        "coupling_consistency": sup_norm(played.source - source_of_m),
     }
     return MfgSolution(
         model=model,
         grid=grid,
-        u=ScalarField(grid, u_values),
-        m=DensityField(grid, m_values),
-        w=FluxField(grid, -m_values[..., None] * drift),
+        u=ScalarField(grid, u),
+        m=DensityField(grid, m),
+        w=FluxField(grid, -m[..., None] * played.drift),
         residuals=residuals,
         iterations=iterations,
         converged=converged,
@@ -129,44 +164,25 @@ def solve_picard(
     else:
         m_values = np.array(init_m, dtype=float)
         m_values[0] = m0_slice
-    coup = model.coupling
-
     gaps: list[float] = []
     warns: list[str] = []
     best = None
-    u_values = None
-    source = None
-    m_new = m_values
     for it in range(1, max_iter + 1):
-        source = coup.f_field(grid, m_values)
-        terminal = coup.g(grid, m_values[-1])
-        hjb = solve_hjb(HjbProblem(model, grid, source, terminal))
-        u_values = hjb.u.values
-        kol = solve_kolmogorov(
-            KolmogorovProblem(grid, drift_field(model, grid, u_values), m0_slice)
-        )
-        # one entry per distinct message, however many iterations repeat it
-        warns.extend(w for w in (*hjb.warnings, *kol.warnings) if w not in warns)
-        m_new = kol.m.values
-        gap = max_slice_l2_norm(grid, m_new - m_values)
-        gaps.append(gap)
-        if best is None or gap <= best[0]:
-            best = (gap, u_values, m_new, source)
-        if gap <= tol:
+        played = best_response(model, grid, m_values, m0_slice)
+        _keep_distinct(warns, played.warnings)
+        gaps.append(played.gap)
+        if best is None or played.gap <= best.gap:
+            best = played
+        if played.gap <= tol:
             # the l2 stop alone can leave sup-norm coupling defects near
             # 100*tol; require the source mismatch small too so converged
             # solutions carry residuals <= 10*tol
-            source_gap = sup_norm(source - coup.f_field(grid, m_new))
-            if source_gap <= 5.0 * tol:
-                return _package_solution(
-                    model, grid, u_values, m_new, source, it, True, gaps, warns
-                )
-        m_values = (1.0 - damping) * m_values + damping * m_new
+            f_of_m = model.coupling.f_field(grid, played.m)
+            if sup_norm(played.source - f_of_m) <= 5.0 * tol:
+                return _package_solution(model, grid, played, it, True, gaps, warns)
+        m_values = (1.0 - damping) * m_values + damping * played.m
         m_values[0] = m0_slice
-    _, u_b, m_b, src_b = best
-    return _package_solution(
-        model, grid, u_b, m_b, src_b, max_iter, False, gaps, warns
-    )
+    return _package_solution(model, grid, best, max_iter, False, gaps, warns)
 
 
 @dataclass

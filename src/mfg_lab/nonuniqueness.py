@@ -20,10 +20,16 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TorusGrid, gradient, laplacian_symbol, max_slice_l2_norm, sup_norm
-from .mfg import MfgSolution, drift_field, heat_flow_of_initial, solve_picard
+from .grid import TorusGrid, gradient, laplacian_symbol, sup_norm
+from .mfg import (
+    MfgSolution,
+    _keep_distinct,
+    _package_solution,
+    best_response,
+    heat_flow_of_initial,
+    solve_picard,
+)
 from .models import MfgModel, builtin_quadratic
-from .pde import HjbProblem, KolmogorovProblem, solve_hjb, solve_kolmogorov
 from .potential import AdmissiblePair, JBreakdown, evaluate_J
 
 __all__ = [
@@ -69,20 +75,12 @@ def find_symmetric_branch(
     if reflection_defect(m0[None, ...]) > 1e-10:
         raise ValueError("symmetric branch requires a reflection-symmetric m0")
     m_values = heat_flow_of_initial(model, grid, m0)
-    coup = model.coupling
     for _ in range(max_iter):
-        source = coup.f_field(grid, m_values)
-        u_values = solve_hjb(
-            HjbProblem(model, grid, source, coup.g(grid, m_values[-1]))
-        ).u.values
-        m_new = solve_kolmogorov(
-            KolmogorovProblem(grid, drift_field(model, grid, u_values), m0)
-        ).m.values
-        gap = max_slice_l2_norm(grid, m_new - m_values)
-        m_values = (1.0 - damping) * m_values + damping * m_new
+        played = best_response(model, grid, m_values, m0)
+        m_values = (1.0 - damping) * m_values + damping * played.m
         m_values = 0.5 * (m_values + reflect_values(m_values))
         m_values[0] = m0
-        if gap <= tol:
+        if played.gap <= tol:
             break
     # unprojected polish: the symmetric solution must hold on its own
     polished = solve_picard(
@@ -144,23 +142,28 @@ def find_asymmetric_branch(
     these parameters (that outcome steers the sweep), never as an error; a
     collapsing sine moment ends the run early.
     """
-    from .fictitious_play import _as_solution, fp_start, fp_step
+    from .fictitious_play import fp_start, fp_step
     from .pde import SolverError
 
+    warns = []
     try:
         state = fp_start(model, grid, mu0=asymmetric_initial_belief(grid))
         for _ in range(fp_rounds):
             state = fp_step(state)
+            _keep_distinct(warns, state.last.warnings)
             if state.n == collapse_check_round:
-                if _max_sine_moment(grid, state.last_m) < collapse_moment:
+                if _max_sine_moment(grid, state.last.m) < collapse_moment:
                     return AsymmetricSearch(
                         False,
                         None,
                         "converged to the symmetric branch",
                         state.n,
-                        reflection_defect(state.last_m),
+                        reflection_defect(state.last.m),
                     )
-        candidate = _as_solution(state, state.last_gap <= tol)
+        converged = state.last.gap <= tol
+        candidate = _package_solution(
+            model, grid, state.last, state.n, converged, [], warns
+        )
         for damping in (0.5, 0.25):
             polished = solve_picard(
                 model,
@@ -222,7 +225,7 @@ class BranchPair:
 def make_branch_pair(
     model: MfgModel, grid: TorusGrid, tol: float = 1e-8, fp_rounds: int = 150
 ) -> tuple[Optional[BranchPair], str]:
-    sym, sym_drift = find_symmetric_branch(model, grid)
+    sym, _ = find_symmetric_branch(model, grid)
     sym_defect = reflection_defect(sym.m.values)
     search = find_asymmetric_branch(
         model, grid, tol=tol, fp_rounds=fp_rounds, symmetric_defect=sym_defect
@@ -242,7 +245,6 @@ def make_branch_pair(
         reflection_defect_symmetric=sym_defect,
         reflection_defect_asymmetric=search.reflection_defect,
     )
-    _ = sym_drift
     return pair, "ok"
 
 

@@ -18,17 +18,17 @@ def test_first_round_average_is_first_play(monotone_model, monotone_grid):
     state = fp_start(monotone_model, monotone_grid)
     state = fp_step(state)
     assert state.n == 1
-    assert np.array_equal(state.mu, state.last_m)  # mu^1 = m^1, belief weight 0
+    assert np.array_equal(state.mu, state.last.m)  # mu^1 = m^1, belief weight 0
 
 
 def test_decoupled_constant_after_first_round(decoupled_model, monotone_grid):
     state = fp_start(decoupled_model, monotone_grid)
     state = fp_step(state)
-    first = state.last_m.copy()
+    first = state.last.m.copy()
     for _ in range(3):
         state = fp_step(state)
-        assert state.last_gap <= 1e-14  # averaging roundoff only
-        assert np.array_equal(state.last_m, first)
+        assert state.last.gap <= 1e-14  # averaging roundoff only
+        assert np.array_equal(state.last.m, first)
 
 
 def test_unrolled_average_identity(monotone_model, monotone_grid):
@@ -36,7 +36,7 @@ def test_unrolled_average_identity(monotone_model, monotone_grid):
     plays = []
     for _ in range(5):
         state = fp_step(state)
-        plays.append(state.last_m)
+        plays.append(state.last.m)
     unrolled = sum(plays) / 5.0
     assert sup_norm(state.mu - unrolled) <= 1e-13
 
@@ -46,7 +46,7 @@ def test_averaging_rule_identity(monotone_model, monotone_grid):
     for _ in range(6):
         mu_old, n_old = state.mu.copy(), state.n
         state = fp_step(state)
-        rule = (n_old * mu_old + state.last_m) / (n_old + 1)
+        rule = (n_old * mu_old + state.last.m) / (n_old + 1)
         assert sup_norm(state.mu - rule) <= 1e-14
 
 
@@ -88,6 +88,19 @@ def test_fixed_point_is_solution(monotone_model, monotone_grid):
     assert trace.converged
     gap = trace.gaps[-1]
     assert max(trace.final.residuals.values()) <= max(10 * gap, 1e-9)
+
+
+def test_coupling_consistency_measures_the_source_the_last_round_used(
+    monotone_model, monotone_grid
+):
+    # the last backward leg ran against mu^(n-1), not against mu^n, which
+    # already averages in the last play
+    coup = monotone_model.coupling
+    trace = run_fp(monotone_model, monotone_grid, n_max=6)
+    belief = run_fp(monotone_model, monotone_grid, n_max=5).state.mu
+    used = coup.f_field(monotone_grid, belief)
+    expected = sup_norm(used - coup.f_field(monotone_grid, trace.final.m.values))
+    assert trace.final.residuals["coupling_consistency"] == expected
 
 
 def test_trace_csv(tmp_path, monotone_model, monotone_grid):

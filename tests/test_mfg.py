@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mfg_lab.fictitious_play import fp_start, fp_step, run_fp
 from mfg_lab.grid import sup_norm
 from mfg_lab.mfg import (
     drift_field,
@@ -137,8 +138,8 @@ def test_invalid_damping(monotone_model, monotone_grid):
 
 
 def test_repeated_warnings_are_kept_once():
-    # a strong m-independent source: every iteration repeats the same HJB
-    # CFL warning (and the same Kolmogorov step-size warning)
+    # a strong m-independent source: every round of Picard and of fictitious
+    # play repeats the same HJB CFL warning (and Kolmogorov step-size warning)
     base = builtin_quadratic(coupling="none", T=0.5)
 
     def f(grid, m):
@@ -146,8 +147,35 @@ def test_repeated_warnings_are_kept_once():
         return source + np.zeros(np.shape(m))
 
     model = dataclasses.replace(base, coupling=dataclasses.replace(base.coupling, f=f))
-    sol = solve_picard(model, model.make_grid(32, 8), max_iter=6)
-    assert sol.iterations == 6
-    cfl = [w for w in sol.warnings if w.startswith("hjb cfl quality")]
-    assert len(cfl) == 1
-    assert len(sol.warnings) == len(set(sol.warnings))
+    grid = model.make_grid(32, 8)
+    # fictitious play stops in round 2: its belief no longer moves the source
+    for sol, rounds in (
+        (solve_picard(model, grid, max_iter=6), 6),
+        (run_fp(model, grid, n_max=6).final, 2),
+    ):
+        assert sol.iterations == rounds
+        cfl = [w for w in sol.warnings if w.startswith("hjb cfl quality")]
+        assert len(cfl) == 1
+        assert len(sol.warnings) == len(set(sol.warnings))
+
+
+def test_one_round_evaluates_the_drift_once():
+    # the backward sweep returns the drift it computes for its CFL
+    # diagnostic; the forward leg and the packaged solution reuse it
+    base = builtin_quadratic(coupling="monotone_local", m0="cosine", T=0.5)
+    calls = {"grad_p": 0}
+
+    def grad_p(x, p):
+        calls["grad_p"] += 1
+        return base.hamiltonian.grad_p(x, p)
+
+    model = dataclasses.replace(
+        base, hamiltonian=dataclasses.replace(base.hamiltonian, grad_p=grad_p)
+    )
+    grid = model.make_grid(32, 16)
+    solve_picard(model, grid, init_m=heat_flow_of_initial(model, grid), max_iter=1)
+    assert calls["grad_p"] == 1
+    state = fp_start(model, grid)
+    calls["grad_p"] = 0
+    fp_step(state)
+    assert calls["grad_p"] == 1
