@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +179,7 @@ def _solve_base(cfg: ExperimentConfig):
     return model, grid, sol
 
 
-def _run_solve(cfg, outdir: Path, seed: int, threads: int) -> dict:
+def _run_solve(cfg, outdir: Path, seed: int) -> dict:
     from .potential import AdmissiblePair, evaluate_J
 
     model, grid, sol = _solve_base(cfg)
@@ -205,7 +203,7 @@ def _run_solve(cfg, outdir: Path, seed: int, threads: int) -> dict:
     return summary
 
 
-def _run_fictitious_play(cfg, outdir: Path, seed: int, threads: int) -> dict:
+def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
     from .fictitious_play import local_attractor_experiment, run_fp
     from .mfg import solve_picard
     from .stability import certify_stability
@@ -263,7 +261,7 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int, threads: int) -> dict:
     return summary
 
 
-def _run_stability(cfg, outdir: Path, seed: int, threads: int) -> dict:
+def _run_stability(cfg, outdir: Path, seed: int) -> dict:
     from .stability import certify_stability
 
     model, grid, sol = _solve_base(cfg)
@@ -273,12 +271,9 @@ def _run_stability(cfg, outdir: Path, seed: int, threads: int) -> dict:
     K = grid.n_time
     t1s = sorted({min(max(int(round(f * K)), 0), K - 1) for f in fracs})
 
-    def one(t1):
-        return certify_stability(model, sol, t1, tol=cfg["stability.tol"])
-
-    certs = list(_mapper(threads)(one, t1s))
     summary = {"kind": "stability", "base_residuals": sol.residuals, "certificates": {}}
-    for t1, cert in zip(t1s, certs):
+    for t1 in t1s:
+        cert = certify_stability(model, sol, t1, tol=cfg["stability.tol"])
         name = f"t1_index_{t1}"
         witness_file = None
         if cert.witness_v is not None:
@@ -301,7 +296,7 @@ def _run_stability(cfg, outdir: Path, seed: int, threads: int) -> dict:
     return summary
 
 
-def _run_isolation(cfg, outdir: Path, seed: int, threads: int) -> dict:
+def _run_isolation(cfg, outdir: Path, seed: int) -> dict:
     from .stability import certify_stability, isolation_experiment
 
     model, grid, sol = _solve_base(cfg)
@@ -329,7 +324,7 @@ def _run_isolation(cfg, outdir: Path, seed: int, threads: int) -> dict:
     }
 
 
-def _run_nonuniqueness(cfg, outdir: Path, seed: int, threads: int) -> dict:
+def _run_nonuniqueness(cfg, outdir: Path, seed: int) -> dict:
     from .nonuniqueness import build_competitor, sweep_nonuniqueness, _cell_model
     from .potential import evaluate_J
 
@@ -342,7 +337,6 @@ def _run_nonuniqueness(cfg, outdir: Path, seed: int, threads: int) -> dict:
         tol=cfg["nonuniqueness.tol"],
         fp_rounds=cfg["nonuniqueness.fp_rounds"],
         refine_best=cfg["nonuniqueness.refine"] == 1,
-        mapper=_mapper(threads),
     )
     res.to_csv(outdir / "sweep.csv")
     summary = {
@@ -369,7 +363,7 @@ def _run_nonuniqueness(cfg, outdir: Path, seed: int, threads: int) -> dict:
     return summary
 
 
-def _run_convergence_study(cfg, outdir: Path, seed: int, threads: int) -> dict:
+def _run_convergence_study(cfg, outdir: Path, seed: int) -> dict:
     from .verification import run_convergence_study
 
     study = run_convergence_study(
@@ -400,19 +394,7 @@ _RUNNERS = {
 }
 
 
-def _mapper(threads: int):
-    if threads <= 1:
-        return map
-
-    def tmap(fn, items):
-        items = list(items)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-
-    return tmap
-
-
-def run_experiment(cfg: ExperimentConfig, outdir, seed=None, threads: int = 1) -> dict:
+def run_experiment(cfg: ExperimentConfig, outdir, seed=None) -> dict:
     """Run one experiment; writes manifest, summary, and artifact files."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -425,7 +407,7 @@ def run_experiment(cfg: ExperimentConfig, outdir, seed=None, threads: int = 1) -
     }
     _write_json(outdir / "manifest.json", manifest)
     try:
-        summary = _RUNNERS[cfg.kind](cfg, outdir, seed, threads)
+        summary = _RUNNERS[cfg.kind](cfg, outdir, seed)
     except Exception:
         manifest["status"] = "failed"
         _write_json(outdir / "manifest.json", manifest)
@@ -451,15 +433,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True)
     parser.add_argument("--output", default="mfg_lab_out")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MFG_LAB_THREADS", "1"))
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -484,7 +462,7 @@ def main(argv=None) -> int:
         )
         return 2
     try:
-        run_experiment(cfg, args.output, seed=args.seed, threads=threads)
+        run_experiment(cfg, args.output, seed=args.seed)
     except ComputeError as exc:
         print(f"compute error: {exc} (partial outputs flagged in manifest)", file=sys.stderr)
         return 1

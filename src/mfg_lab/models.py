@@ -5,12 +5,14 @@ Sign convention used everywhere: the Lagrangian is the conjugate
 ``w = -m * D_pH(x, Du)``, and the maximizer satisfies ``p* = -D_qL(q)``,
 ``q = -D_pH(p*)``, hence ``D2_qqL(x, w/m) @ D2_ppH(x, Du) = I``.
 
-Couplings ship with their flat (measure) derivatives as grid kernels
-``K(x_i, m, y_j)`` acting by dx^d-weighted matrix-vector products.  Both the
-coupling value f and its kernel are the normalized representatives
-(integral against m vanishes); adding slice-constants to f does not change
-the game, but only the normalized pair satisfies the kernel symmetry
-relation ``K(x,y) - K(y,x) = f(x) - f(y)`` exactly.
+Couplings ship with their flat (measure) derivatives ``K(x_i, m, y_j)`` as
+actions ``mu -> dx^d K(m) mu``, written with FFTs and slice moments; no
+coupling builds an n x n matrix, and `kernel_matrix` forms one from the
+action where a matrix is needed.  Both the coupling value f and its kernel
+are the normalized representatives (integral against m vanishes); adding
+slice-constants to f does not change the game, but only the normalized pair
+satisfies the kernel symmetry relation ``K(x,y) - K(y,x) = f(x) - f(y)``
+exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "check_legendre",
     "check_symmetry_relation",
     "check_coupling_normalization",
+    "kernel_matrix",
     "legendre_transform_newton",
     "COUPLINGS",
     "HAMILTONIANS",
@@ -69,23 +72,15 @@ class Lagrangian:
     hess_qq: Callable
 
 
-class ZeroKernel:
-    """Placeholder for couplings without a terminal of running kernel."""
-
-    def __call__(self, grid, m_slice):
-        n = grid.n_nodes
-        return np.zeros((n, n))
-
-
 @dataclass(frozen=True)
 class Coupling:
     """Running coupling f with potential F and kernel, plus terminal (g, G).
 
-    All callables take (grid, m_slice) with m_slice of spatial shape;
-    kernels return (n_nodes, n_nodes) matrices acting through
-    ``dx^d * K @ mu_flat``.  f and g must also accept a leading stack
-    (..., *spatial), acting slice by slice (sums over the spatial axes
-    only): ``f_field`` passes a whole trajectory to f in one call.
+    f, g, F and G take (grid, m_slice) with m_slice of spatial shape;
+    kernels are actions ``kernel(grid, m, mu) -> dx^d K(m) mu``.  f, g and
+    the kernels also accept a leading stack (..., *spatial), acting slice
+    by slice (sums over the spatial axes only; a kernel broadcasts m
+    against mu): ``f_field`` passes a whole trajectory to f in one call.
     """
 
     name: str
@@ -263,10 +258,6 @@ def abs_hamiltonian() -> Hamiltonian:
 # ---------------------------------------------------------------------------
 
 
-def _flatten(grid: TorusGrid, slc: np.ndarray) -> np.ndarray:
-    return np.asarray(slc).reshape(grid.n_nodes)
-
-
 def _slice_sum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Sum over the spatial axes of each slice, kept broadcastable."""
     return np.sum(values, axis=grid.spatial_axes, keepdims=True)
@@ -276,51 +267,70 @@ def _zero_f(grid, m):
     return np.zeros(np.shape(m))
 
 
+def _zero_kernel(grid, m, mu):
+    return np.zeros(np.shape(mu))
+
+
+def _zero_potential(grid, m):
+    return 0.0
+
+
 def zero_coupling() -> Coupling:
-    zk = ZeroKernel()
     return Coupling(
         name="none",
         is_potential=True,
         f=_zero_f,
-        kernel_f=zk,
-        F=lambda grid, m: 0.0,
+        kernel_f=_zero_kernel,
+        F=_zero_potential,
         g=_zero_f,
-        kernel_g=zk,
-        G=lambda grid, m: 0.0,
+        kernel_g=_zero_kernel,
+        G=_zero_potential,
     )
 
 
-def monotone_local_coupling() -> Coupling:
-    """f(x,m) = m(x) up to normalization; F(m) = 1/2 int m^2."""
+def _quadratic_coupling(name: str, smooth: Callable) -> Coupling:
+    """f(m) = S m normalized, F(m) = 1/2 int (S m) m, for a self-adjoint
+    linear smoothing S acting on the spatial axes of each slice.
+
+    Kernel action: S mu minus the rank-2 normalization terms, which need
+    only the slice moments int mu, int (S m) mu and int (S m) m.
+    """
 
     def f(grid, m):
         m = np.asarray(m)
-        return m - grid.cell_volume * _slice_sum(grid, m * m)
+        sm = smooth(grid, m)
+        return sm - grid.cell_volume * _slice_sum(grid, sm * m)
 
     def F(grid, m):
-        return 0.5 * grid.cell_volume * float(np.sum(np.asarray(m) ** 2))
+        m = np.asarray(m)
+        return 0.5 * grid.cell_volume * float(np.sum(smooth(grid, m) * m))
 
-    def kernel(grid, m):
-        mf = _flatten(grid, m)
-        n = grid.n_nodes
+    def kernel(grid, m, mu):
         vol = grid.cell_volume
-        K = np.full((n, n), 2.0 * vol * np.sum(mf * mf))
-        K -= 2.0 * mf[None, :]
-        K -= mf[:, None]
-        K[np.arange(n), np.arange(n)] += 1.0 / vol
-        return K
+        m, mu = np.asarray(m), np.asarray(mu)
+        sm = smooth(grid, m)
+        mass = vol * _slice_sum(grid, mu)
+        return (
+            smooth(grid, mu)
+            + mass * (2.0 * vol * _slice_sum(grid, sm * m) - sm)
+            - 2.0 * vol * _slice_sum(grid, sm * mu)
+        )
 
-    zk = ZeroKernel()
     return Coupling(
-        name="monotone_local",
+        name=name,
         is_potential=True,
         f=f,
         kernel_f=kernel,
         F=F,
         g=_zero_f,
-        kernel_g=zk,
-        G=lambda grid, m: 0.0,
+        kernel_g=_zero_kernel,
+        G=_zero_potential,
     )
+
+
+def monotone_local_coupling() -> Coupling:
+    """f(x,m) = m(x) up to normalization; F(m) = 1/2 int m^2."""
+    return _quadratic_coupling("monotone_local", lambda grid, m: m)
 
 
 def _smoothing_profile(grid: TorusGrid) -> np.ndarray:
@@ -342,48 +352,9 @@ def _circular_convolve(grid: TorusGrid, rho: np.ndarray, m: np.ndarray) -> np.nd
 
 def monotone_smoothed_coupling() -> Coupling:
     """f(x,m) = (rho * m)(x) with an even kernel; F(m) = 1/2 int (rho*m) m."""
-
-    def conv(grid, m):
-        return _circular_convolve(grid, _smoothing_profile(grid), np.asarray(m))
-
-    def f(grid, m):
-        rm = conv(grid, m)
-        return rm - grid.cell_volume * _slice_sum(grid, rm * np.asarray(m))
-
-    def F(grid, m):
-        rm = conv(grid, m)
-        return 0.5 * grid.cell_volume * float(np.sum(rm * np.asarray(m)))
-
-    def kernel(grid, m):
-        rho = _smoothing_profile(grid)
-        rm = _flatten(grid, conv(grid, m))
-        mf = _flatten(grid, m)
-        n = grid.n_nodes
-        # circulant block: rho evaluated at x_i - y_j
-        if grid.dim == 1:
-            idx = np.arange(n)
-            K = rho[(idx[:, None] - idx[None, :]) % n].astype(float)
-        else:
-            N = grid.n_space
-            i1, i2 = np.divmod(np.arange(n), N)
-            d1 = (i1[:, None] - i1[None, :]) % N
-            d2 = (i2[:, None] - i2[None, :]) % N
-            K = rho[d1, d2].astype(float)
-        K -= 2.0 * rm[None, :]
-        K -= rm[:, None]
-        K += 2.0 * grid.cell_volume * np.sum(rm * mf)
-        return K
-
-    zk = ZeroKernel()
-    return Coupling(
-        name="monotone_smoothed",
-        is_potential=True,
-        f=f,
-        kernel_f=kernel,
-        F=F,
-        g=_zero_f,
-        kernel_g=zk,
-        G=lambda grid, m: 0.0,
+    return _quadratic_coupling(
+        "monotone_smoothed",
+        lambda grid, m: _circular_convolve(grid, _smoothing_profile(grid), m),
     )
 
 
@@ -395,15 +366,15 @@ def _sine_moment(grid: TorusGrid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return grid.cell_volume * _slice_sum(grid, s_x * np.asarray(m)), s_x
 
 
-def _phi(s: float) -> float:
+def _phi(s):
     return (1.0 - s * s) ** 2
 
 
-def _phi_prime(s: float) -> float:
+def _phi_prime(s):
     return -4.0 * s * (1.0 - s * s)
 
 
-def _phi_second(s: float) -> float:
+def _phi_second(s):
     return -4.0 + 12.0 * s * s
 
 
@@ -427,14 +398,12 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
         S, _ = _sine_moment(grid, m)
         return theta * _phi(S.item())
 
-    def kernel(grid, m):
+    def kernel(grid, m, mu):
         S, s_x = _sine_moment(grid, m)
-        S = S.item()
-        sf = _flatten(grid, s_x)
-        coeff = _phi_second(S) * (sf - S)[:, None] - _phi_prime(S)
-        return theta * (sf - S)[None, :] * coeff
+        S_mu, _ = _sine_moment(grid, mu)
+        mass = grid.cell_volume * _slice_sum(grid, np.asarray(mu))
+        return theta * (S_mu - S * mass) * (_phi_second(S) * (s_x - S) - _phi_prime(S))
 
-    zk = ZeroKernel()
     return Coupling(
         name="antimonotone_symmetric",
         is_potential=True,
@@ -442,8 +411,8 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
         kernel_f=kernel,
         F=F,
         g=_zero_f,
-        kernel_g=zk,
-        G=lambda grid, m: 0.0,
+        kernel_g=_zero_kernel,
+        G=_zero_potential,
     )
 
 
@@ -647,8 +616,8 @@ def check_symmetry_relation(
 
     samples=None brute-forces all pairs.
     """
-    K = coupling.kernel_f(grid, m_slice)
-    fv = _flatten(grid, coupling.f(grid, m_slice))
+    K = kernel_matrix(coupling.kernel_f, grid, m_slice) / grid.cell_volume
+    fv = np.asarray(coupling.f(grid, m_slice)).reshape(-1)
     defect = K - K.T - (fv[:, None] - fv[None, :])
     if samples is None:
         return float(np.max(np.abs(defect)))
@@ -663,10 +632,15 @@ def check_coupling_normalization(
     coupling: Coupling, grid: TorusGrid, m_slice: np.ndarray
 ) -> tuple[float, float]:
     """(|int f dm|, max_x |int K(x,.) dm|) for the running coupling."""
-    mf = _flatten(grid, m_slice)
-    fv = _flatten(grid, coupling.f(grid, m_slice))
-    vol = grid.cell_volume
-    f_defect = abs(float(vol * np.sum(fv * mf)))
-    K = coupling.kernel_f(grid, m_slice)
-    k_defect = float(np.max(np.abs(vol * K @ mf)))
+    m = np.asarray(m_slice)
+    f_defect = abs(float(grid.cell_volume * np.sum(coupling.f(grid, m) * m)))
+    k_defect = float(np.max(np.abs(coupling.kernel_f(grid, m, m))))
     return f_defect, k_defect
+
+
+def kernel_matrix(kernel: Callable, grid: TorusGrid, m_slice: np.ndarray) -> np.ndarray:
+    """(n_nodes, n_nodes) matrix of the action mu -> dx^d K(m) mu at one
+    slice: the action applied to the identity stack, one column per node."""
+    n = grid.n_nodes
+    eye = np.eye(n).reshape(n, *grid.spatial_shape)
+    return kernel(grid, m_slice, eye).reshape(n, n).T

@@ -364,14 +364,11 @@ def sweep_nonuniqueness(
     tol: float = 1e-6,
     fp_rounds: int = 150,
     refine_best: bool = True,
-    mapper=map,
 ) -> SweepResult:
     """Geometric (theta, T) sweep; each cell hunts for a branch pair.
 
     The best cell (largest separation with a verified J ordering) is re-run
     once at doubled resolution to guard against discretization phantoms.
-    Cells are independent; `mapper` may evaluate them concurrently, results
-    are collected in cell order either way.
     """
     params = [(theta, horizon) for theta in thetas for horizon in horizons]
 
@@ -385,7 +382,7 @@ def sweep_nonuniqueness(
     cells = []
     best_pair: Optional[BranchPair] = None
     best_key = None
-    for (theta, horizon), (pair, reason) in zip(params, mapper(run_cell, params)):
+    for (theta, horizon), (pair, reason) in zip(params, map(run_cell, params)):
         found = pair is not None and pair.j_asymmetric.total < pair.j_symmetric.total
         cells.append(
             {

@@ -13,6 +13,9 @@ constraint (for the shipped terminal data g = 0):
 With this pairing, criticality of a converged solution and the vanishing of
 the second variation on linearized solutions hold to solver precision, not
 just to O(dt).
+
+Every term is evaluated over the whole trajectory in one call; per-slice
+values are then added in slice order, as a slice-by-slice loop would.
 """
 
 from __future__ import annotations
@@ -106,20 +109,29 @@ class JBreakdown:
         )
 
 
-def _kinetic_slice(model, grid, coords, m_slice, w_slice) -> float:
-    """<m L(x, w/m)> with the 0/infinity convention at exact zeros of m."""
-    m = np.asarray(m_slice)
-    w = np.asarray(w_slice)
+def _slice_sums(values: np.ndarray) -> np.ndarray:
+    """Sum over each slice of a (slices, *spatial) stack, as np.sum of that
+    slice alone."""
+    return values.reshape(len(values), -1).sum(axis=1)
+
+
+def _accumulate(terms) -> float:
+    """Left-to-right sum of per-slice terms in slice order (cumsum adds
+    sequentially, where np.sum would pair them up)."""
+    return float(np.cumsum(terms)[-1])
+
+
+def _kinetic_slices(model, grid, m, w) -> np.ndarray:
+    """<m^k L(x, w^k/m^k)> of every slice: m L(w/m) is 0 where m = w = 0 and
+    +infinity where m = 0 < |w|."""
     floored = np.maximum(m, DIVISION_FLOOR)
     q = w / floored[..., None]
-    contrib = m * model.lagrangian.value(coords, q)
+    contrib = m * model.lagrangian.value(grid.coordinates(), q)
     at_zero = m == 0.0
     if np.any(at_zero):
-        w_there = np.max(np.abs(w), axis=-1)[at_zero]
-        if np.any(w_there != 0.0):
-            return math.inf
-        contrib = np.where(at_zero, 0.0, contrib)
-    return float(grid.cell_volume * np.sum(contrib))
+        moving = np.max(np.abs(w), axis=-1) != 0.0
+        contrib = np.where(at_zero, np.where(moving, math.inf, 0.0), contrib)
+    return grid.cell_volume * _slice_sums(contrib)
 
 
 def evaluate_J(model: MfgModel, pair: AdmissiblePair) -> JBreakdown:
@@ -127,16 +139,13 @@ def evaluate_J(model: MfgModel, pair: AdmissiblePair) -> JBreakdown:
     grid = pair.grid
     if grid.dim != model.dim:
         raise ValueError("pair dimension does not match the model")
-    coords = grid.coordinates()
     coup = model.coupling
     K, dt = grid.n_time, grid.dt
 
-    kinetic = 0.0
-    for k in range(K):
-        part = _kinetic_slice(model, grid, coords, pair.m.values[k], pair.w.values[k])
-        if math.isinf(part):
-            return JBreakdown(math.inf, 0.0, 0.0, math.inf, finite=False)
-        kinetic += dt * part
+    parts = _kinetic_slices(model, grid, pair.m.values[:K], pair.w.values[:K])
+    if np.any(np.isinf(parts)):
+        return JBreakdown(math.inf, 0.0, 0.0, math.inf, finite=False)
+    kinetic = _accumulate(dt * parts)
     running = dt * sum(float(coup.F(grid, pair.m.values[k])) for k in range(1, K + 1))
     terminal = float(coup.G(grid, pair.m.values[K]))
     return JBreakdown(
@@ -164,24 +173,21 @@ def first_variation(
     coords = grid.coordinates()
     coup = model.coupling
     K, dt, vol = grid.n_time, grid.dt, grid.cell_volume
+    m, w = pair.m.values, pair.w.values
 
-    total = 0.0
-    for k in range(K):
-        m = pair.m.values[k]
-        w = pair.w.values[k]
-        mu = mu_values[k]
-        z = z_values[k]
-        q = w / np.maximum(m, DIVISION_FLOOR)[..., None]
-        lval = model.lagrangian.value(coords, q)
-        dql = model.lagrangian.grad_q(coords, q)
-        node = mu * (lval - np.sum(dql * q, axis=-1)) + np.sum(dql * z, axis=-1)
-        total += dt * vol * float(np.sum(node))
-    for k in range(1, K + 1):
-        total += dt * vol * float(
-            np.sum(coup.f(grid, pair.m.values[k]) * mu_values[k])
+    q = w[:K] / np.maximum(m[:K], DIVISION_FLOOR)[..., None]
+    lval = model.lagrangian.value(coords, q)
+    dql = model.lagrangian.grad_q(coords, q)
+    node = mu_values[:K] * (lval - np.sum(dql * q, axis=-1)) + np.sum(
+        dql * z_values[:K], axis=-1
+    )
+    running = coup.f(grid, m[1:]) * mu_values[1:]
+    terminal = vol * float(np.sum(coup.g(grid, m[K]) * mu_values[K]))
+    return _accumulate(
+        np.concatenate(
+            [dt * vol * _slice_sums(node), dt * vol * _slice_sums(running), [terminal]]
         )
-    total += vol * float(np.sum(coup.g(grid, pair.m.values[K]) * mu_values[K]))
-    return total
+    )
 
 
 def admissible_direction(
@@ -285,28 +291,20 @@ def second_variation_parts(
 ) -> tuple[float, float, float]:
     """(kinetic, running-kernel, terminal-kernel) pieces of the quadratic form."""
     grid = sol.grid
-    coords = grid.coordinates()
     coup = model.coupling
     K, dt, vol = grid.n_time, grid.dt, grid.cell_volume
-    b = drift_field(model, grid, sol.u.values)
+    m = sol.m.values
+    b = drift_field(model, grid, sol.u.values[:K])
 
-    kin = 0.0
-    for k in range(K):
-        m = sol.m.values[k]
-        floored = np.maximum(m, DIVISION_FLOOR)
-        q = sol.w.values[k] / floored[..., None]
-        d2l = model.lagrangian.hess_qq(coords, q)
-        vec = z_values[k] + mu_values[k][..., None] * b[k]
-        quad = np.einsum("...ij,...i,...j->...", d2l, vec, vec)
-        kin += dt * vol * float(np.sum(quad / floored))
-    run = 0.0
-    for k in range(1, K + 1):
-        Kf = coup.kernel_f(grid, sol.m.values[k])
-        muf = mu_values[k].reshape(-1)
-        run += dt * vol * vol * float(muf @ Kf @ muf)
-    Kg = coup.kernel_g(grid, sol.m.values[K])
-    muK = mu_values[K].reshape(-1)
-    term = vol * vol * float(muK @ Kg @ muK)
+    floored = np.maximum(m[:K], DIVISION_FLOOR)
+    q = sol.w.values[:K] / floored[..., None]
+    d2l = model.lagrangian.hess_qq(grid.coordinates(), q)
+    vec = z_values[:K] + mu_values[:K, ..., None] * b
+    quad = np.einsum("...ij,...i,...j->...", d2l, vec, vec)
+    kin = _accumulate(dt * vol * _slice_sums(quad / floored))
+    k_mu = coup.kernel_f(grid, m[1:], mu_values[1:])
+    run = _accumulate(dt * vol * _slice_sums(mu_values[1:] * k_mu))
+    term = vol * float(np.sum(mu_values[K] * coup.kernel_g(grid, m[K], mu_values[K])))
     return kin, run, term
 
 

@@ -16,7 +16,9 @@ with b = D_pH(x,Du), A = D2_ppH(x,Du), Kf/Kg the coupling kernels at the
 base density.  These rows are written once, as per-slice blocks built by
 `AssembledOperator`; the matrix-free products, the residuals, the sparse
 matrix and the Picard sweeps of `solve_linearized` (block-triangular solves
-with I/dt - Lap inverted by the FFT) all apply the same blocks.
+with I/dt - Lap inverted by the FFT) all apply the same blocks.  The kernel
+blocks are the n x n matrices of the couplings' kernel actions
+(`models.kernel_matrix`), formed one slice at a time.
 
 Stability is decided by the smallest singular value of the assembled
 homogeneous operator (uniqueness of solutions of a finite linear system is
@@ -50,7 +52,7 @@ from .grid import (
     sup_norm,
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
-from .models import MfgModel
+from .models import MfgModel, kernel_matrix
 from .pde import PeriodicHeatSolver
 from .perturb import low_frequency_field, perturb_density_values, spawn_rngs
 
@@ -182,7 +184,7 @@ class AssembledOperator:
         self.n_unknowns = 2 * (K + 1) * n
         self._sparse: Optional[sp.csr_matrix] = None
         self._heat = PeriodicHeatSolver(grid)
-        dt, vol, d = grid.dt, grid.cell_volume, grid.dim
+        dt, d = grid.dt, grid.dim
         coords = grid.coordinates()
         ham, coup = model.hamiltonian, model.coupling
         u = base.u.values[t1_index:]
@@ -216,7 +218,7 @@ class AssembledOperator:
             [
                 (v_slot(k), self._diag),
                 (v_slot(k + 1), T[k + 1]),
-                (mu_slot(k + 1), -vol * coup.kernel_f(grid, m[k + 1])),
+                (mu_slot(k + 1), -kernel_matrix(coup.kernel_f, grid, m[k + 1])),
             ]
             for k in range(K)
         ]
@@ -225,7 +227,10 @@ class AssembledOperator:
             for k in range(K)
         ]
         initial = [(mu_slot(0), eye)]
-        terminal = [(v_slot(K), eye), (mu_slot(K), -vol * coup.kernel_g(grid, m[K]))]
+        terminal = [
+            (v_slot(K), eye),
+            (mu_slot(K), -kernel_matrix(coup.kernel_g, grid, m[K])),
+        ]
         self.rows = backward + forward + [initial, terminal]
 
     # -- layout helpers ----------------------------------------------------
@@ -455,6 +460,9 @@ class StabilityCertificate:
     t1_index: int
     iterations: int  # inverse power iterations run
     converged: bool  # the iteration met its tolerance before its cap
+    # |A^T A x - sigma^2 x| / sigma^2 of the final unit iterate x: how far
+    # (sigma, x) is from a singular pair of the scaled operator A
+    eigen_residual: float
     witness_residual: Optional[float] = None
     witness_v: Optional[np.ndarray] = field(default=None, repr=False)
     witness_mu: Optional[np.ndarray] = field(default=None, repr=False)
@@ -471,6 +479,7 @@ class StabilityCertificate:
                 "t1_index": self.t1_index,
                 "iterations": self.iterations,
                 "converged": self.converged,
+                "eigen_residual": self.eigen_residual,
                 "witness_residual": self.witness_residual,
                 "witness_file": witness_file,
             },
@@ -527,6 +536,8 @@ def certify_stability(
     op = assemble_operator(model, base, t1_index)
     A = op.scaled_sparse()
     sigma, x, iterations, converged = _inverse_power_sigma_min(A, seed=seed)
+    gap = A.T @ (A @ x) - sigma**2 * x
+    eigen_residual = float(np.linalg.norm(gap) / sigma**2)
     g = op.grid
     signature = f"d{g.dim}-N{g.n_space}-K{g.n_time}-t0{g.t0:.6g}-T{g.T:.6g}"
     cert = StabilityCertificate(
@@ -539,6 +550,7 @@ def certify_stability(
         t1_index=t1_index,
         iterations=iterations,
         converged=converged,
+        eigen_residual=eigen_residual,
     )
     if converged and sigma > tol:
         return cert

@@ -7,13 +7,24 @@ when every criterion recorded a line, so a partial run (-k, or a criterion
 that errors before recording) leaves the last full report in place.
 """
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mfg_lab.mfg import solve_picard
 from mfg_lab.models import builtin_quadratic
+
+# property tests draw the same examples on every run and keep no example
+# database; the cache hypothesis still writes (source constants) goes to a
+# temporary directory removed at exit, not to .hypothesis/
+settings.register_profile("mfg_lab", deadline=None, derandomize=True, database=None)
+settings.load_profile("mfg_lab")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="mfg_lab-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 ACCEPTANCE_LINES: list[str] = []
 N_CRITERIA = 12

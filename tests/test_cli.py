@@ -133,20 +133,6 @@ def test_summary_byte_identical(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
-def test_threads_do_not_change_results(tmp_path):
-    cfg = parse_config(
-        "experiment.kind = stability\nmodel.name = monotone_local\n"
-        "model.m0 = cosine\ngrid.n_space = 16\ngrid.n_time = 16\ngrid.T = 0.5\n"
-        "solver.tol = 1e-11\nstability.t1_fractions = 0.0,0.25,0.5\n"
-    )
-    s1 = run_experiment(cfg, tmp_path / "serial", threads=1)
-    s2 = run_experiment(cfg, tmp_path / "pooled", threads=3)
-    assert s1["certificates"] == s2["certificates"]
-    assert (tmp_path / "serial" / "summary.json").read_bytes() == (
-        tmp_path / "pooled" / "summary.json"
-    ).read_bytes()
-
-
 def test_seed_changes_are_reflected(tmp_path):
     cfg = load_config(CONFIG_DIR / "isolation_monotone.cfg")
     s1 = run_experiment(cfg, tmp_path / "a", seed=1)
@@ -172,11 +158,13 @@ def test_run_stability_writes_certificates(tmp_path):
     )
     out = tmp_path / "out"
     summary = run_experiment(cfg, out)
-    assert (out / "certificate_0.json").exists()
-    assert (out / "certificate_8.json").exists()
+    for t1 in (0, 8):
+        cert = json.loads((out / f"certificate_{t1}.json").read_text())
+        assert cert["eigen_residual"] >= 0.0
     for rec in summary["certificates"].values():
         assert rec["verdict"] == "STABLE"
         assert rec["sigma_min"] > 1e-6
+        assert "eigen_residual" not in rec
 
 
 def test_failed_run_flags_manifest(tmp_path):

@@ -122,16 +122,16 @@ def test_coupling_normalization(coup, rng):
     ids=lambda c: c.name,
 )
 def test_kernel_is_derivative_of_f(coup, rng):
-    """dx^d K @ mu must match the directional derivative of f for zero-mean mu."""
-    grid = TorusGrid(1, 32, 2)
-    m = random_density(grid, rng)
-    mu = rng.standard_normal(32)
-    mu -= mu.mean()
-    eps = 1e-6
-    fd = (coup.f(grid, m + eps * mu) - coup.f(grid, m - eps * mu)) / (2 * eps)
-    K = coup.kernel_f(grid, m)
-    action = grid.cell_volume * (K @ mu)
-    assert np.max(np.abs(fd - action)) <= 1e-6
+    """The action dx^d K mu must match the directional derivative of f for
+    zero-mean mu, in 1D and in 2D."""
+    for grid in (TorusGrid(1, 32, 2), TorusGrid(2, 12, 2)):
+        m = random_density(grid, rng)
+        mu = rng.standard_normal(grid.spatial_shape)
+        mu -= mu.mean()
+        eps = 1e-6
+        fd = (coup.f(grid, m + eps * mu) - coup.f(grid, m - eps * mu)) / (2 * eps)
+        action = coup.kernel_f(grid, m, mu)
+        assert np.max(np.abs(fd - action)) <= 1e-6
 
 
 def test_kernel_potential_consistency(rng):

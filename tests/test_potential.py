@@ -7,7 +7,7 @@ import pytest
 
 from mfg_lab.grid import DensityField, FluxField, sup_norm
 from mfg_lab.mfg import heat_flow_of_initial, solve_picard
-from mfg_lab.models import Coupling, ZeroKernel, builtin_quadratic
+from mfg_lab.models import Coupling, builtin_quadratic
 from mfg_lab.potential import (
     AdmissiblePair,
     admissible_direction,
@@ -25,24 +25,23 @@ from mfg_lab.perturb import rng_from_seed
 def _square_potential_coupling() -> Coupling:
     """F(m) = int m^2 dx (not the shipped 1/2-scaled one); used by the
     closed-form J example."""
-    zk = ZeroKernel()
 
     def f(grid, m):
         m = np.asarray(m)
         return 2.0 * m - 2.0 * grid.cell_volume * np.sum(m * m)
 
-    def kernel(grid, m):
-        mf = np.asarray(m).reshape(-1)
-        n = grid.n_nodes
+    def kernel(grid, m, mu):
+        # dx K mu with K(x,y) = 4 int m^2 - 4 m(y) - 2 m(x) + 2 delta(x-y)/dx
         vol = grid.cell_volume
-        K = np.full((n, n), 4.0 * vol * np.sum(mf * mf))
-        K -= 4.0 * mf[None, :]
-        K -= 2.0 * mf[:, None]
-        K[np.arange(n), np.arange(n)] += 2.0 / vol
-        return K
+        m, mu = np.asarray(m), np.asarray(mu)
+        mass, moment = vol * np.sum(mu), vol * np.sum(m * mu)
+        return 2.0 * mu + mass * (4.0 * vol * np.sum(m * m) - 2.0 * m) - 4.0 * moment
 
     def zero_f(grid, m):
         return np.zeros(grid.spatial_shape)
+
+    def zero_kernel(grid, m, mu):
+        return np.zeros(np.shape(mu))
 
     return Coupling(
         name="square",
@@ -51,7 +50,7 @@ def _square_potential_coupling() -> Coupling:
         kernel_f=kernel,
         F=lambda grid, m: grid.cell_volume * float(np.sum(np.asarray(m) ** 2)),
         g=zero_f,
-        kernel_g=zk,
+        kernel_g=zero_kernel,
         G=lambda grid, m: 0.0,
     )
 

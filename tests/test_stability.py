@@ -1,9 +1,13 @@
 """Linearized system, assembled operator, certificates, isolation."""
 
 import functools
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from mfg_lab.grid import divergence, gradient, inner, laplacian, sup_norm
@@ -115,6 +119,22 @@ def _scheme_defects(model, grid, u, m, m0):
     return np.concatenate([r.reshape(-1) for r in rows])
 
 
+def _frechet_pair(model, base, op, t1, rng):
+    """Central differences of the nonlinear schemes along random v and
+    zero-mass mu (independent of the operator's blocks), and that direction
+    stacked as x."""
+    u, m = base.u.values[t1:], base.m.values[t1:]
+    v = rng.standard_normal(u.shape)
+    mu = rng.standard_normal(m.shape)
+    mu -= mu.mean(axis=tuple(range(1, mu.ndim)), keepdims=True)
+    eps = 1e-5
+    fd = (
+        _scheme_defects(model, op.grid, u + eps * v, m + eps * mu, m[0])
+        - _scheme_defects(model, op.grid, u - eps * v, m - eps * mu, m[0])
+    ) / (2 * eps)
+    return fd, op.stack(v, mu)
+
+
 @pytest.mark.parametrize(
     "model_kw, n_space, n_time, t1",
     [
@@ -126,24 +146,50 @@ def _scheme_defects(model, grid, u, m, m0):
     ],
 )
 def test_operator_is_frechet_derivative(model_kw, n_space, n_time, t1):
-    # independent of the operator's blocks: central differences of the
-    # nonlinear schemes along random v and zero-mass mu
     model = builtin_quadratic(**model_kw)
     base = solve_picard(model, model.make_grid(n_space, n_time), damping=0.5, max_iter=50)
     op = assemble_operator(model, base, t1)
-    grid = op.grid
-    u, m = base.u.values[t1:], base.m.values[t1:]
-    rng = rng_from_seed(27)
-    v = rng.standard_normal(u.shape)
-    mu = rng.standard_normal(m.shape)
-    mu -= mu.mean(axis=tuple(range(1, mu.ndim)), keepdims=True)
-    eps = 1e-5
-    fd = (
-        _scheme_defects(model, grid, u + eps * v, m + eps * mu, m[0])
-        - _scheme_defects(model, grid, u - eps * v, m - eps * mu, m[0])
-    ) / (2 * eps)
-    ax = op.matvec(op.stack(v, mu))
+    fd, x = _frechet_pair(model, base, op, t1, rng_from_seed(27))
+    ax = op.matvec(x)
     assert np.linalg.norm(fd - ax) <= 1e-8 * np.linalg.norm(ax)
+
+
+@st.composite
+def operator_cases(draw):
+    """Random small grid (odd N included), shipped coupling, Hamiltonian and
+    restriction time."""
+    dim = draw(st.sampled_from([1, 2]))
+    n_space = draw(st.integers(5, 17 if dim == 1 else 9))
+    n_time = draw(st.integers(3, 10))
+    coupling, theta = draw(
+        st.sampled_from(
+            [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
+             ("antimonotone_symmetric", 16.0)]
+        )
+    )
+    model = builtin_quadratic(
+        theta, coupling=coupling, dim=dim, T=0.5, m0="cosine",
+        hamiltonian=draw(st.sampled_from(["quadratic", "quadratic_xdep"])),
+    )
+    return model, model.make_grid(n_space, n_time), draw(st.integers(0, n_time - 2))
+
+
+@settings(max_examples=100)
+@given(operator_cases(), st.integers(0, 2**32 - 1))
+def test_operator_on_random_grids(case, seed):
+    # Frechet derivative of the schemes and exact adjointness of the
+    # products, at a few-iteration Picard base (the derivative holds at any
+    # base)
+    model, grid, t1 = case
+    base = solve_picard(model, grid, damping=0.5, max_iter=3)
+    op = assemble_operator(model, base, t1)
+    rng = np.random.default_rng(seed)
+    fd, x = _frechet_pair(model, base, op, t1, rng)
+    ax = op.matvec(x)
+    assert np.linalg.norm(fd - ax) <= 1e-8 * np.linalg.norm(ax)
+    y = rng.standard_normal(op.n_unknowns)
+    scale = np.linalg.norm(ax) * np.linalg.norm(y)
+    assert abs(float(ax @ y) - float(x @ op.rmatvec(y))) <= 1e-11 * max(1.0, scale)
 
 
 def test_operator_reproduces_solver(monotone_model, monotone_solution):
@@ -196,13 +242,29 @@ def test_dense_and_iterative_agree(monotone_model):
 def test_unconverged_sigma_min_is_inconclusive(
     monkeypatch, monotone_model, monotone_solution
 ):
-    import mfg_lab.stability as st
+    import mfg_lab.stability as stab
 
-    capped = functools.partial(st._inverse_power_sigma_min, iters=3)
-    monkeypatch.setattr(st, "_inverse_power_sigma_min", capped)
+    capped = functools.partial(stab._inverse_power_sigma_min, iters=3)
+    monkeypatch.setattr(stab, "_inverse_power_sigma_min", capped)
     cert = certify_stability(monotone_model, monotone_solution, 0)
     assert cert.iterations == 3 and not cert.converged
     assert cert.verdict == "INCONCLUSIVE"
+
+
+def test_eigen_residual_shrinks_as_the_iteration_converges(
+    monkeypatch, monotone_model, monotone_solution
+):
+    import mfg_lab.stability as stab
+
+    converged = certify_stability(monotone_model, monotone_solution, 0)
+    three = functools.partial(stab._inverse_power_sigma_min, iters=3)
+    monkeypatch.setattr(stab, "_inverse_power_sigma_min", three)
+    capped = certify_stability(monotone_model, monotone_solution, 0)
+    assert converged.converged and not capped.converged
+    assert math.isfinite(converged.eigen_residual)
+    assert math.isfinite(capped.eigen_residual)
+    assert converged.eigen_residual < capped.eigen_residual
+    assert json.loads(converged.to_json())["eigen_residual"] == converged.eigen_residual
 
 
 def test_block_triangular_decoupled(decoupled_model, decoupled_solution):

@@ -1,6 +1,7 @@
-"""Whole-trajectory calls: stencils, heat step, residuals and couplings act
-on a leading stack exactly as slice by slice, and a Picard iteration makes
-only the stencil calls of its two sweeps plus a fixed number."""
+"""Whole-trajectory calls: stencils, heat step, residuals, couplings and
+their kernel actions act on a leading stack exactly as slice by slice, and a
+Picard iteration makes only the stencil calls of its two sweeps plus a fixed
+number."""
 
 import sys
 
@@ -33,7 +34,7 @@ def grids(draw, max_time=6):
 stacks = st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple)
 seeds = st.integers(0, 2**32 - 1)
 
-SETTINGS = settings(max_examples=40, deadline=None)
+SETTINGS = settings(max_examples=40)
 
 
 @SETTINGS
@@ -132,6 +133,25 @@ def test_coupling_on_a_stack_acts_slice_by_slice(coupling, theta, grid, seed):
     for k in range(grid.n_time + 1):
         assert np.array_equal(stacked[k], coup.f(grid, m[k]))
         assert np.array_equal(coup.g(grid, m)[k], coup.g(grid, m[k]))
+
+
+@pytest.mark.parametrize(
+    "coupling,theta",
+    [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
+     ("antimonotone_symmetric", 16.0)],
+)
+@SETTINGS
+@given(grid=grids(), stack=stacks, seed=seeds)
+def test_kernel_action_on_a_stack_acts_slice_by_slice(coupling, theta, grid, stack, seed):
+    coup = builtin_quadratic(theta, coupling=coupling, dim=grid.dim).coupling
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 1.5, (*stack, *grid.spatial_shape))
+    mu = rng.standard_normal(m.shape)
+    for kernel in (coup.kernel_f, coup.kernel_g):
+        stacked = kernel(grid, m, mu)
+        assert stacked.shape == m.shape
+        for idx in np.ndindex(*stack):
+            assert np.array_equal(stacked[idx], kernel(grid, m[idx], mu[idx]))
 
 
 def _count_stencil_calls(monkeypatch) -> dict:
