@@ -6,9 +6,11 @@ Sign convention used everywhere: the Lagrangian is the conjugate
 ``q = -D_pH(p*)``, hence ``D2_qqL(x, w/m) @ D2_ppH(x, Du) = I``.
 
 Couplings ship with their flat (measure) derivatives ``K(x_i, m, y_j)`` as
-actions ``mu -> dx^d K(m) mu``, written with FFTs and slice moments; no
-coupling builds an n x n matrix, and `kernel_matrix` forms one from the
-action where a matrix is needed.  Both the coupling value f and its kernel
+actions ``mu -> dx^d K(m) mu``, written with FFTs and slice moments, and in
+the factored form ``dx^d K(m) = c I + U W^T`` of small rank r
+(`KernelFactors`) that the linearized operator uses; no coupling builds an
+n x n matrix, and `kernel_matrix` forms one from the action only for
+`check_symmetry_relation`.  Both the coupling value f and its kernel
 are the normalized representatives (integral against m vanishes); adding
 slice-constants to f does not change the game, but only the normalized pair
 satisfies the kernel symmetry relation ``K(x,y) - K(y,x) = f(x) - f(y)``
@@ -28,6 +30,7 @@ __all__ = [
     "Hamiltonian",
     "Lagrangian",
     "Coupling",
+    "KernelFactors",
     "MfgModel",
     "builtin_quadratic",
     "quadratic_hamiltonian",
@@ -73,6 +76,28 @@ class Lagrangian:
 
 
 @dataclass(frozen=True)
+class KernelFactors:
+    """``dx^d K(m) = c I + U W^T`` on every slice of a stack of densities.
+
+    U and W have shape (..., n, r), n the nodes of a slice flattened; c does
+    not depend on m.  ``factors @ mu`` applies it to mu of shape (..., n),
+    and ``factors.T`` is the transposed map.
+    """
+
+    c: float
+    U: np.ndarray
+    W: np.ndarray
+
+    def __matmul__(self, mu: np.ndarray) -> np.ndarray:
+        moments = np.swapaxes(self.W, -1, -2) @ mu[..., None]
+        return self.c * mu + (self.U @ moments)[..., 0]
+
+    @property
+    def T(self) -> "KernelFactors":
+        return KernelFactors(self.c, self.W, self.U)
+
+
+@dataclass(frozen=True)
 class Coupling:
     """Running coupling f with potential F and kernel, plus terminal (g, G).
 
@@ -81,6 +106,9 @@ class Coupling:
     the kernels also accept a leading stack (..., *spatial), acting slice
     by slice (sums over the spatial axes only; a kernel broadcasts m
     against mu): ``f_field`` passes a whole trajectory to f in one call.
+    ``kernel_f_factors(grid, m)`` and ``kernel_g_factors`` give the same
+    kernels as `KernelFactors` of a stack m; the linearized operator needs
+    them, the other layers do not.
     """
 
     name: str
@@ -91,6 +119,8 @@ class Coupling:
     g: Callable
     kernel_g: Callable
     G: Optional[Callable]
+    kernel_f_factors: Optional[Callable] = None
+    kernel_g_factors: Optional[Callable] = None
 
     def f_field(self, grid, m_values: np.ndarray) -> np.ndarray:
         return self.f(grid, m_values)
@@ -263,12 +293,23 @@ def _slice_sum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return np.sum(values, axis=grid.spatial_axes, keepdims=True)
 
 
+def _columns(grid: TorusGrid, *fields) -> np.ndarray:
+    """Stack of (..., *spatial) fields as the columns of (..., n, r)."""
+    flat = [np.reshape(f, (*np.shape(f)[: np.ndim(f) - grid.dim], -1)) for f in fields]
+    return np.stack(np.broadcast_arrays(*flat), axis=-1)
+
+
 def _zero_f(grid, m):
     return np.zeros(np.shape(m))
 
 
 def _zero_kernel(grid, m, mu):
     return np.zeros(np.shape(mu))
+
+
+def _zero_factors(grid, m):
+    shape = (*np.shape(m)[: np.ndim(m) - grid.dim], grid.n_nodes, 0)
+    return KernelFactors(0.0, np.zeros(shape), np.zeros(shape))
 
 
 def _zero_potential(grid, m):
@@ -285,15 +326,19 @@ def zero_coupling() -> Coupling:
         g=_zero_f,
         kernel_g=_zero_kernel,
         G=_zero_potential,
+        kernel_f_factors=_zero_factors,
+        kernel_g_factors=_zero_factors,
     )
 
 
-def _quadratic_coupling(name: str, smooth: Callable) -> Coupling:
+def _quadratic_coupling(name: str, smooth: Callable, modes: Callable) -> Coupling:
     """f(m) = S m normalized, F(m) = 1/2 int (S m) m, for a self-adjoint
-    linear smoothing S acting on the spatial axes of each slice.
+    linear smoothing S acting on the spatial axes of each slice, with
+    ``modes(grid) -> (c, Phi)`` such that ``S = c I + dx^d Phi Phi^T``.
 
     Kernel action: S mu minus the rank-2 normalization terms, which need
-    only the slice moments int mu, int (S m) mu and int (S m) m.
+    only the slice moments int mu, int (S m) mu and int (S m) m; its factors
+    are those of S plus the two normalization terms.
     """
 
     def f(grid, m):
@@ -316,6 +361,19 @@ def _quadratic_coupling(name: str, smooth: Callable) -> Coupling:
             - 2.0 * vol * _slice_sum(grid, sm * mu)
         )
 
+    def factors(grid, m):
+        vol = grid.cell_volume
+        m = np.asarray(m)
+        sm = smooth(grid, m)
+        c, phi = modes(grid)
+        ones = np.ones(grid.spatial_shape)
+        U = _columns(grid, 2.0 * vol * _slice_sum(grid, sm * m) - sm, -2.0 * ones)
+        W = _columns(grid, vol * ones, vol * sm)
+        phi = np.broadcast_to(phi, (*U.shape[:-1], phi.shape[-1]))
+        return KernelFactors(
+            c, np.concatenate([phi, U], axis=-1), np.concatenate([vol * phi, W], axis=-1)
+        )
+
     return Coupling(
         name=name,
         is_potential=True,
@@ -325,12 +383,16 @@ def _quadratic_coupling(name: str, smooth: Callable) -> Coupling:
         g=_zero_f,
         kernel_g=_zero_kernel,
         G=_zero_potential,
+        kernel_f_factors=factors,
+        kernel_g_factors=_zero_factors,
     )
 
 
 def monotone_local_coupling() -> Coupling:
     """f(x,m) = m(x) up to normalization; F(m) = 1/2 int m^2."""
-    return _quadratic_coupling("monotone_local", lambda grid, m: m)
+    return _quadratic_coupling(
+        "monotone_local", lambda grid, m: m, lambda grid: (1.0, np.zeros((grid.n_nodes, 0)))
+    )
 
 
 def _smoothing_profile(grid: TorusGrid) -> np.ndarray:
@@ -340,6 +402,17 @@ def _smoothing_profile(grid: TorusGrid) -> np.ndarray:
     if grid.dim == 1:
         return rho1
     return rho1[:, None] * rho1[None, :]
+
+
+def _smoothing_modes(grid: TorusGrid) -> tuple[float, np.ndarray]:
+    """(0, Phi) with rho(x - y) = sum_q Phi_q(x) Phi_q(y) at the nodes: rho
+    holds only the Fourier modes 0 and +-1 of each axis, so the 3^d columns
+    are the products of 1, cos 2 pi x_a and sin 2 pi x_a."""
+    x = 2.0 * np.pi * grid.axis_coordinates()
+    phi = np.stack([np.ones_like(x), np.cos(x), np.sin(x)], axis=-1)
+    if grid.dim == 2:
+        phi = np.einsum("ip,jq->ijpq", phi, phi).reshape(grid.n_nodes, 9)
+    return 0.0, phi
 
 
 def _circular_convolve(grid: TorusGrid, rho: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -355,6 +428,7 @@ def monotone_smoothed_coupling() -> Coupling:
     return _quadratic_coupling(
         "monotone_smoothed",
         lambda grid, m: _circular_convolve(grid, _smoothing_profile(grid), m),
+        _smoothing_modes,
     )
 
 
@@ -404,6 +478,13 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
         mass = grid.cell_volume * _slice_sum(grid, np.asarray(mu))
         return theta * (S_mu - S * mass) * (_phi_second(S) * (s_x - S) - _phi_prime(S))
 
+    def factors(grid, m):
+        S, s_x = _sine_moment(grid, m)
+        U = theta * (_phi_second(S) * (s_x - S) - _phi_prime(S))
+        return KernelFactors(
+            0.0, _columns(grid, U), _columns(grid, grid.cell_volume * (s_x - S))
+        )
+
     return Coupling(
         name="antimonotone_symmetric",
         is_potential=True,
@@ -413,6 +494,8 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
         g=_zero_f,
         kernel_g=_zero_kernel,
         G=_zero_potential,
+        kernel_f_factors=factors,
+        kernel_g_factors=_zero_factors,
     )
 
 

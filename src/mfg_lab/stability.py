@@ -15,19 +15,22 @@ boundary rows:
 with b = D_pH(x,Du), A = D2_ppH(x,Du), Kf/Kg the coupling kernels at the
 base density.  These rows are written once, as per-slice blocks built by
 `AssembledOperator`; the matrix-free products, the residuals, the sparse
-matrix and the Picard sweeps of `solve_linearized` (block-triangular solves
-with I/dt - Lap inverted by the FFT) all apply the same blocks.  The kernel
-blocks are the n x n matrices of the couplings' kernel actions
-(`models.kernel_matrix`), formed one slice at a time.
+matrices and the Picard sweeps of `solve_linearized` (block-triangular solves
+with I/dt - Lap inverted by the FFT) all apply the same blocks.  A kernel
+block stays in the coupling's factored form c I + U W^T of small rank r
+(`models.KernelFactors`); no n x n kernel matrix is formed, except in the
+unbordered `to_sparse` kept as a test oracle.
 
 Stability is decided by the smallest singular value of the assembled
 homogeneous operator (uniqueness of solutions of a finite linear system is
 injectivity), after row scaling that makes sigma_min approximate a
 grid-independent quantity: measuring fields in the L2(dx dt) norm turns the
 equation rows into their raw PDE units and weights the boundary rows by
-1/sqrt(dt).  sigma_min comes from inverse power iteration on one sparse LU;
-an iteration that stops at its cap without converging never certifies
-STABLE.
+1/sqrt(dt).  sigma_min comes from inverse power iteration on one sparse LU
+of the operator bordered by r moment unknowns W^T mu per slice
+(`AssembledOperator.factorize`), which `direct_solve` shares; an iteration
+that stops at its cap without converging never certifies STABLE, and a
+byte estimate of the LU is checked against a guard before it is built.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .grid import (
     sup_norm,
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
-from .models import MfgModel, kernel_matrix
+from .models import KernelFactors, MfgModel
 from .pde import PeriodicHeatSolver
 from .perturb import low_frequency_field, perturb_density_values, spawn_rngs
 
@@ -70,7 +73,24 @@ __all__ = [
     "response_bound_estimate",
 ]
 
-SIZE_GUARD = 200_000
+# Memory guard of the sparse LU, checked before `splu` (and before the
+# unbordered matrix, which is smaller).  The bordered LU of a restriction
+# with K' steps and n nodes per slice stores about 1.1-1.4 (K'+1)(2n)^2
+# nonzeros; the growth of peak RSS across `splu` per unit of (K'+1)(2n)^2,
+# monotone_local base at T=0.5 (scipy 1.17 SuperLU, one BLAS thread):
+#   d=2 N=12 K'=18:  1.58M units, LU nnz  2.26M, 17.5 bytes/unit
+#   d=2 N=16 K'=24:  6.55M units, LU nnz  8.25M, 14.3 bytes/unit
+#   d=2 N=20 K'=30: 19.8M  units, LU nnz 25.9M,  16.9 bytes/unit
+#   d=2 N=24 K'=36: 49.1M  units, LU nnz 57.9M,  13.7 bytes/unit
+#   d=1 N=64 K'=128: 2.11M units, LU nnz  2.67M, 16.8 bytes/unit
+#   d=1 N=96 K'=192: 7.11M units, LU nnz 10.2M,  17.1 bytes/unit
+#   d=1 N=128 K'=256: 16.8M units, LU nnz 19.2M, 13.2 bytes/unit
+LU_BYTES_PER_UNIT = 20.0
+LU_BYTES_GUARD = 2 * 2**30
+
+
+def _signature(grid: TorusGrid) -> str:
+    return f"d{grid.dim}-N{grid.n_space}-K{grid.n_time}-t0{grid.t0:.6g}-T{grid.T:.6g}"
 
 
 @functools.lru_cache(maxsize=16)
@@ -90,18 +110,24 @@ def _gradient_matrix(grid: TorusGrid) -> sp.csr_matrix:
     return sp.vstack([sp.kron(G1d, eye), sp.kron(eye, G1d)], format="csr")
 
 
-def _diag_blocks(w: np.ndarray) -> sp.csr_matrix:
-    """Block matrix [diag(w[:, a, c])]_{a, c} for w of shape (n, p, q)."""
-    n, p, q = w.shape
-    cols = np.arange(q) * n + np.arange(n)[:, None]
+def _csr(parts, shape) -> sp.csr_matrix:
+    """CSR matrix from (rows, cols, values) triplets whose index arrays
+    broadcast against their values; duplicates add up, and entries whose
+    value is zero stay stored."""
+    rows, cols, vals = [], [], []
+    for r, c, v in parts:
+        rows.append(np.broadcast_to(r, v.shape).ravel())
+        cols.append(np.broadcast_to(c, v.shape).ravel())
+        vals.append(v.ravel())
     return sp.csr_matrix(
-        (
-            w.transpose(1, 0, 2).ravel(),
-            np.broadcast_to(cols, (p, n, q)).ravel(),
-            np.arange(0, p * n * q + 1, q),
-        ),
-        shape=(p * n, q * n),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     )
+
+
+def _triplets(B: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the stored entries of a CSR or CSC block."""
+    major = np.repeat(np.arange(len(B.indptr) - 1), np.diff(B.indptr))
+    return (major, B.indices, B.data) if B.format == "csr" else (B.indices, major, B.data)
 
 
 # ---------------------------------------------------------------------------
@@ -178,35 +204,58 @@ class AssembledOperator:
     def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int = 0):
         if not 0 <= t1_index < base.grid.n_time:
             raise ValueError("t1_index out of range")
+        coup = model.coupling
+        if coup.kernel_f_factors is None or coup.kernel_g_factors is None:
+            raise ValueError(f"coupling {coup.name!r} has no factored kernels")
         self.grid = grid = base.grid.restrict(t1_index)
         self.n = n = grid.n_nodes
         self.K = K = grid.n_time
         self.n_unknowns = 2 * (K + 1) * n
-        self._sparse: Optional[sp.csr_matrix] = None
+        self._parts: Optional[tuple] = None
+        self._lu: Optional[BorderedLU] = None
         self._heat = PeriodicHeatSolver(grid)
         dt, d = grid.dt, grid.dim
         coords = grid.coordinates()
-        ham, coup = model.hamiltonian, model.coupling
+        ham = model.hamiltonian
         u = base.u.values[t1_index:]
         m = base.m.values[t1_index:]
         grad = _gradient_matrix(grid)
-        grad_t = grad.T
         eye = sp.identity(n, format="csr")
-        eye_dt = eye / dt
-        self._diag = (eye_dt + grad_t @ grad).tocsr()  # I/dt - Lap, Lap = -G^T G
+        self._diag = (eye / dt + grad.T @ grad).tocsr()  # I/dt - Lap, Lap = -G^T G
 
-        # per slice: the flux blocks mu -> mu b and v -> m A G v,
+        # per slice: the drift b (the flux block mu -> mu b), v -> m A G v,
         # T = -I/dt + b.G and E = -div(m A G .); div = -G^T exactly, so
-        # T^T = -I/dt - div(. b)
+        # T^T = -I/dt - div(. b).  They are written entry by entry from the
+        # stencil of G (row a n + i holds the two neighbours of node i along
+        # axis a), not by sparse products, which drop entries that come out
+        # zero: every base then gives the LU ordering the same pattern.  (A
+        # 2D cosine m0 has a drift with an exactly zero x2 component; with
+        # that pattern thinned, the LU at N=16 K'=24 filled 5x more.)
+        gcol = grad.indices.reshape(d, n, 2)
+        gval = grad.data.reshape(d, n, 2)
+        gcol_ics, gval_ics = gcol.transpose(1, 0, 2), gval.transpose(1, 0, 2)
+        node = np.arange(n)
         du = gradient(grid, u)
-        b = ham.grad_p(coords, du).reshape(K + 1, n, d, 1)
-        mA = (m[..., None, None] * ham.hess_pp(coords, du)).reshape(K + 1, n, d, d)
-        T, E, self.flux_mu, self.flux_v = [], [], [], []
-        for k in range(K + 1):
-            self.flux_mu.append(_diag_blocks(b[k]))
-            self.flux_v.append(_diag_blocks(mA[k]) @ grad)
-            T.append(self.flux_mu[k].T @ grad - eye_dt)
-            E.append(grad_t @ self.flux_v[k])
+        self.drift = b = ham.grad_p(coords, du).reshape(K + 1, n, d)
+        mA = m[..., None, None] * ham.hess_pp(coords, du)
+        mA = mA.reshape(K + 1, n, d, d).transpose(0, 2, 1, 3)  # (k, a, i, c)
+        # flux_v, entries (a, i, c, s): m A[a, c](i) times neighbour s along c
+        rows_v = (np.arange(d)[:, None] * n + node)[..., None, None]
+        self.flux_v = [
+            _csr([(rows_v, gcol_ics, w)], (d * n, n)) for w in mA[..., None] * gval_ics
+        ]
+        # E = G^T m A G, entries (a, i, s, c, t): one per pair of neighbours
+        E = [
+            _csr([(gcol[..., None, None], gcol_ics[:, None], w)], (n, n))
+            for w in gval[..., None, None] * (mA[:, :, :, None, :, None] * gval_ics[:, None])
+        ]
+        # T, entries -1/dt on the diagonal and (a, i, s): b_a(i) times
+        # neighbour s along a
+        diag_dt = (node, node, np.full(n, -1.0 / dt))
+        T = [
+            _csr([diag_dt, (node[:, None], gcol, w)], (n, n))
+            for w in b.transpose(0, 2, 1)[..., None] * gval
+        ]
 
         def v_slot(k):
             return k
@@ -214,11 +263,13 @@ class AssembledOperator:
         def mu_slot(k):
             return K + 1 + k
 
+        kf = coup.kernel_f_factors(grid, m[1:])
+        kg = coup.kernel_g_factors(grid, m[K])
         backward = [
             [
                 (v_slot(k), self._diag),
                 (v_slot(k + 1), T[k + 1]),
-                (mu_slot(k + 1), -kernel_matrix(coup.kernel_f, grid, m[k + 1])),
+                (mu_slot(k + 1), KernelFactors(-kf.c, -kf.U[k], kf.W[k])),
             ]
             for k in range(K)
         ]
@@ -227,10 +278,7 @@ class AssembledOperator:
             for k in range(K)
         ]
         initial = [(mu_slot(0), eye)]
-        terminal = [
-            (v_slot(K), eye),
-            (mu_slot(K), -kernel_matrix(coup.kernel_g, grid, m[K])),
-        ]
+        terminal = [(v_slot(K), eye), (mu_slot(K), KernelFactors(-kg.c, -kg.U, kg.W))]
         self.rows = backward + forward + [initial, terminal]
 
     # -- layout helpers ----------------------------------------------------
@@ -290,26 +338,54 @@ class AssembledOperator:
         self._solve_rows(x, rhs, [2 * self.K, *range(self.K, 2 * self.K)])
 
     # -- materialization -----------------------------------------------------
-    def to_sparse(self) -> sp.csr_matrix:
-        if self.n_unknowns > SIZE_GUARD:
+    def lu_bytes_estimate(self) -> int:
+        """Predicted bytes of the bordered sparse LU (see LU_BYTES_PER_UNIT)."""
+        return int(LU_BYTES_PER_UNIT * (self.K + 1) * (2 * self.n) ** 2)
+
+    def _check_lu_size(self) -> None:
+        estimate = self.lu_bytes_estimate()
+        if estimate > LU_BYTES_GUARD:
             raise MemoryError(
-                f"{self.n_unknowns} unknowns exceed the materialization guard "
-                f"({SIZE_GUARD}); use the matrix-free products instead"
+                f"sparse LU on grid {_signature(self.grid)} ({self.n_unknowns} "
+                f"unknowns) needs about {estimate / 2**20:.0f} MiB, over the "
+                f"{LU_BYTES_GUARD / 2**20:.0f} MiB guard; use the matrix-free "
+                "products instead"
             )
-        if self._sparse is not None:
-            return self._sparse
-        n = self.n
-        blocks = [
-            (r, s, sp.coo_matrix(B))
-            for r, terms in enumerate(self.rows)
-            for s, B in terms
-        ]
-        rows = np.concatenate([blk.row + r * n for r, _, blk in blocks])
-        cols = np.concatenate([blk.col + s * n for _, s, blk in blocks])
-        vals = np.concatenate([blk.data for _, _, blk in blocks])
-        M = self.n_unknowns
-        self._sparse = sp.csr_matrix((vals, (rows, cols)), shape=(M, M))
-        return self._sparse
+
+    def _split(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """(A0, U~, W~^T) with A = A0 + U~ W~^T: A0 holds every block with
+        each kernel block cut to its c I part; each rank-one kernel term
+        owns one column of U~ and one row of W~^T (a moment unknown)."""
+        if self._parts is None:
+            n, M = self.n, self.n_unknowns
+            nodes = np.arange(n)
+            a0, u_t, w_t = [], [], []
+            r_border = 0
+            for r, terms in enumerate(self.rows):
+                for s, B in terms:
+                    if not isinstance(B, KernelFactors):
+                        rows, cols, vals = _triplets(B)
+                        a0.append((rows + r * n, cols + s * n, vals))
+                        continue
+                    if B.c:
+                        a0.append((r * n + nodes, s * n + nodes, np.full(n, B.c)))
+                    moments = r_border + np.arange(B.U.shape[1])
+                    u_t.append(((r * n + nodes)[:, None], moments, B.U))
+                    w_t.append((moments, (s * n + nodes)[:, None], B.W))
+                    r_border += B.U.shape[1]
+            self._parts = (
+                _csr(a0, (M, M)),
+                _csr(u_t, (M, r_border)),
+                _csr(w_t, (r_border, M)),
+            )
+        return self._parts
+
+    def to_sparse(self) -> sp.csr_matrix:
+        """The unbordered matrix A = A0 + U~ W~^T, kernel blocks dense: an
+        oracle for tests; certificates and solves use `factorize`."""
+        self._check_lu_size()
+        A0, U, Wt = self._split()
+        return (A0 + U @ Wt).tocsr()
 
     def row_scaling(self) -> np.ndarray:
         """Boundary rows weighted 1/sqrt(dt): fields measured in L2(dx dt),
@@ -322,6 +398,36 @@ class AssembledOperator:
     def scaled_sparse(self) -> sp.csr_matrix:
         return sp.diags(self.row_scaling()) @ self.to_sparse()
 
+    def factorize(self) -> "BorderedLU":
+        """One sparse LU of the row-scaled operator D A, bordered by its
+        moment unknowns s = W~^T x:
+
+            [[D A0, D U~], [W~^T, -I]] [x; s] = [D b; 0]  <=>  A x = b.
+
+        Row blocks are permuted so that each row's pivot slot sits on the
+        diagonal (the border's -I already does), which lets the symmetric
+        minimum-degree ordering of A + A^T see the block-banded structure.
+        """
+        if self._lu is None:
+            self._check_lu_size()
+            A0, U, Wt = self._split()
+            r_border = Wt.shape[0]
+            bordered = sp.bmat([[A0, U], [Wt, -sp.identity(r_border)]], format="csr")
+            # D on the operator's rows, scaling the stored entries: a sparse
+            # product would drop the zeros that keep the pattern fixed
+            w = np.concatenate([self.row_scaling(), np.ones(r_border)])
+            bordered.data *= np.repeat(w, np.diff(bordered.indptr))
+            blocks = np.argsort([terms[0][0] for terms in self.rows])
+            order = np.concatenate(
+                [
+                    (blocks[:, None] * self.n + np.arange(self.n)).ravel(),
+                    self.n_unknowns + np.arange(r_border),
+                ]
+            )
+            lu = spla.splu(bordered[order].tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._lu = BorderedLU(lu, order, self.n_unknowns)
+        return self._lu
+
     def rhs_vector(self, problem: LinearizedProblem) -> np.ndarray:
         K = self.K
         rows = (
@@ -333,7 +439,27 @@ class AssembledOperator:
         return np.concatenate([r.reshape(-1) for r in rows])
 
     def direct_solve(self, problem: LinearizedProblem) -> np.ndarray:
-        return spla.spsolve(self.to_sparse().tocsc(), self.rhs_vector(problem))
+        return self.factorize().solve(self.row_scaling() * self.rhs_vector(problem))
+
+
+class BorderedLU:
+    """The LU that `AssembledOperator.factorize` returns: solve(b) =
+    (D A)^-1 b and solve(b, "T") = (D A)^-T b for b of the operator's size,
+    through the bordered LU with b padded by zeros on the moment rows."""
+
+    def __init__(self, lu, order: np.ndarray, size: int):
+        self._lu, self._order, self.size = lu, order, size
+        self.nnz = int(lu.nnz)  # fill of L + U, read without forming them
+        self.border = len(order) - size
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        padded = np.zeros(len(self._order))
+        padded[: self.size] = b
+        if trans == "N":
+            return self._lu.solve(padded[self._order])[: self.size]
+        out = np.empty_like(padded)
+        out[self._order] = self._lu.solve(padded, trans="T")
+        return out[: self.size]
 
 
 def assemble_operator(
@@ -435,13 +561,12 @@ def flux_from_value_direction(
     """z = -mu D_pH(x,Du) - m D2_ppH(x,Du) Dv on every slice of [t1, T]."""
     op = assemble_operator(model, base, t1_index)
     grid, K = op.grid, op.K
-    z = np.stack(
-        [
-            -(op.flux_mu[k] @ mu.reshape(-1) + op.flux_v[k] @ v.reshape(-1))
-            for k, (v, mu) in enumerate(zip(v_values, mu_values))
-        ]
+    flux_v = np.stack([B @ v.reshape(-1) for B, v in zip(op.flux_v, v_values)])
+    z = -(
+        op.drift * mu_values.reshape(K + 1, -1, 1)
+        + flux_v.reshape(K + 1, grid.dim, -1).transpose(0, 2, 1)
     )
-    return np.moveaxis(z.reshape(K + 1, grid.dim, *grid.spatial_shape), 1, -1).copy()
+    return z.reshape(K + 1, *grid.spatial_shape, grid.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +588,8 @@ class StabilityCertificate:
     # |A^T A x - sigma^2 x| / sigma^2 of the final unit iterate x: how far
     # (sigma, x) is from a singular pair of the scaled operator A
     eigen_residual: float
+    lu_nnz: int  # nonzeros of the sparse LU's factors
+    border: int  # moment unknowns bordering the operator
     witness_residual: Optional[float] = None
     witness_v: Optional[np.ndarray] = field(default=None, repr=False)
     witness_mu: Optional[np.ndarray] = field(default=None, repr=False)
@@ -480,6 +607,8 @@ class StabilityCertificate:
                 "iterations": self.iterations,
                 "converged": self.converged,
                 "eigen_residual": self.eigen_residual,
+                "lu_nnz": self.lu_nnz,
+                "border": self.border,
                 "witness_residual": self.witness_residual,
                 "witness_file": witness_file,
             },
@@ -488,14 +617,14 @@ class StabilityCertificate:
 
 
 def _inverse_power_sigma_min(
-    A: sp.csr_matrix, iters: int = 200, tol: float = 1e-11, seed: int = 0
+    lu: BorderedLU, iters: int = 200, tol: float = 1e-11, seed: int = 0
 ) -> tuple[float, np.ndarray, int, bool]:
-    """Smallest singular value and right singular vector via (A^T A)^-1 power
-    iteration with a sparse LU of A, plus the iterations run and whether the
-    eigenvalue estimate settled to `tol` before the cap."""
-    lu = spla.splu(A.tocsc())
+    """Smallest singular value and right singular vector of the scaled
+    operator via (A^T A)^-1 power iteration with its sparse LU, plus the
+    iterations run and whether the eigenvalue estimate settled to `tol`
+    before the cap."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(A.shape[0])
+    x = rng.standard_normal(lu.size)
     x /= np.linalg.norm(x)
     lam_prev = 0.0
     converged = False
@@ -534,15 +663,15 @@ def certify_stability(
     is made.
     """
     op = assemble_operator(model, base, t1_index)
-    A = op.scaled_sparse()
-    sigma, x, iterations, converged = _inverse_power_sigma_min(A, seed=seed)
-    gap = A.T @ (A @ x) - sigma**2 * x
+    lu = op.factorize()
+    sigma, x, iterations, converged = _inverse_power_sigma_min(lu, seed=seed)
+    w = op.row_scaling()
+    ax = w * op.matvec(x)
+    gap = op.rmatvec(w * ax) - sigma**2 * x
     eigen_residual = float(np.linalg.norm(gap) / sigma**2)
-    g = op.grid
-    signature = f"d{g.dim}-N{g.n_space}-K{g.n_time}-t0{g.t0:.6g}-T{g.T:.6g}"
     cert = StabilityCertificate(
         sigma_min=sigma,
-        grid_signature=signature,
+        grid_signature=_signature(op.grid),
         tolerance=tol,
         verdict="STABLE",
         method="inverse-power",
@@ -551,10 +680,12 @@ def certify_stability(
         iterations=iterations,
         converged=converged,
         eigen_residual=eigen_residual,
+        lu_nnz=lu.nnz,
+        border=lu.border,
     )
     if converged and sigma > tol:
         return cert
-    resid = float(np.linalg.norm(A @ x))
+    resid = float(np.linalg.norm(ax))
     v, mu = op.unstack(x)
     cert.witness_residual = resid
     cert.witness_v = v

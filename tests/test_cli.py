@@ -161,10 +161,14 @@ def test_run_stability_writes_certificates(tmp_path):
     for t1 in (0, 8):
         cert = json.loads((out / f"certificate_{t1}.json").read_text())
         assert cert["eigen_residual"] >= 0.0
+        # monotone_local: two moment unknowns per running-kernel slice
+        assert cert["border"] == 2 * (16 - t1)
+        assert cert["lu_nnz"] > 0
     for rec in summary["certificates"].values():
         assert rec["verdict"] == "STABLE"
         assert rec["sigma_min"] > 1e-6
-        assert "eigen_residual" not in rec
+        for key in ("eigen_residual", "lu_nnz", "border"):
+            assert key not in rec
 
 
 def test_failed_run_flags_manifest(tmp_path):

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -369,7 +370,7 @@ def test_isolation_monotone_no_distinct_pairs(monotone_model, monotone_solution)
     assert rep.distinct_pairs_total == 0
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     model = builtin_quadratic(coupling="monotone_local", T=0.5, m0="cosine")
     grid = model.make_grid(16, 8)
     base = solve_picard(model, grid, damping=0.5, tol=1e-11, max_iter=300)
@@ -377,14 +378,53 @@ def test_size_guard():
     op.to_sparse()
     import mfg_lab.stability as st
 
-    old = st.SIZE_GUARD
-    try:
-        st.SIZE_GUARD = 10
-        op2 = assemble_operator(model, base, 0)
-        with pytest.raises(MemoryError):
-            op2.to_sparse()
-        # matrix-free products remain available past the guard
-        x = np.ones(op2.n_unknowns)
-        assert np.all(np.isfinite(op2.matvec(x)))
-    finally:
-        st.SIZE_GUARD = old
+    monkeypatch.setattr(st, "LU_BYTES_GUARD", 10)
+    op2 = assemble_operator(model, base, 0)
+    with pytest.raises(MemoryError):
+        op2.to_sparse()
+    # matrix-free products remain available past the guard
+    x = np.ones(op2.n_unknowns)
+    assert np.all(np.isfinite(op2.matvec(x)))
+
+
+def test_lu_guard_fires_before_splu(monkeypatch, monotone_model, monotone_solution):
+    import mfg_lab.stability as stab
+
+    real_spla = stab.spla
+    calls = []
+
+    def splu(*args, **kwargs):
+        calls.append(args)
+        return real_spla.splu(*args, **kwargs)
+
+    monkeypatch.setattr(stab, "spla", types.SimpleNamespace(splu=splu))
+    estimate = assemble_operator(monotone_model, monotone_solution, 0).lu_bytes_estimate()
+    monkeypatch.setattr(stab, "LU_BYTES_GUARD", estimate - 1)
+    with pytest.raises(MemoryError) as err:
+        certify_stability(monotone_model, monotone_solution, 0)
+    assert not calls
+    message = str(err.value)
+    assert "d1-N32-K48" in message
+    assert f"{estimate / 2**20:.0f} MiB" in message
+    assert f"{(estimate - 1) / 2**20:.0f} MiB guard" in message
+    # at the estimate itself the guard lets the LU through
+    monkeypatch.setattr(stab, "LU_BYTES_GUARD", estimate)
+    assert certify_stability(monotone_model, monotone_solution, 0).verdict == "STABLE"
+    assert len(calls) == 1
+
+
+@settings(max_examples=30)
+@given(operator_cases(), st.integers(0, 2**32 - 1))
+def test_bordered_lu_solves_the_scaled_operator(case, seed):
+    # a zero-padded right-hand side through the bordered LU gives exactly
+    # (D A)^-1 b and, transposed, (D A)^-T b
+    model, grid, t1 = case
+    base = solve_picard(model, grid, damping=0.5, max_iter=3)
+    op = assemble_operator(model, base, t1)
+    lu = op.factorize()
+    dense = op.scaled_sparse().toarray()
+    b = np.random.default_rng(seed).standard_normal(op.n_unknowns)
+    for trans, matrix in (("N", dense), ("T", dense.T)):
+        want = np.linalg.solve(matrix, b)
+        got = lu.solve(b, trans=trans)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -1,5 +1,6 @@
 """Whole-trajectory calls: stencils, heat step, residuals, couplings and
-their kernel actions act on a leading stack exactly as slice by slice, and a
+their kernel actions (and factors) act on a leading stack exactly as slice
+by slice, and a
 Picard iteration makes only the stencil calls of its two sweeps plus a fixed
 number."""
 
@@ -152,6 +153,31 @@ def test_kernel_action_on_a_stack_acts_slice_by_slice(coupling, theta, grid, sta
         assert stacked.shape == m.shape
         for idx in np.ndindex(*stack):
             assert np.array_equal(stacked[idx], kernel(grid, m[idx], mu[idx]))
+
+
+@pytest.mark.parametrize(
+    "coupling, theta",
+    [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
+     ("antimonotone_symmetric", 16.0)],
+)
+@SETTINGS
+@given(grid=grids(), stack=stacks, seed=seeds)
+def test_kernel_factors_equal_the_kernel_action(coupling, theta, grid, stack, seed):
+    # c mu + U (W^T mu) is the same map as the action, of small rank
+    coup = builtin_quadratic(theta, coupling=coupling, dim=grid.dim).coupling
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 1.5, (*stack, *grid.spatial_shape))
+    mu = rng.standard_normal(m.shape)
+    pairs = ((coup.kernel_f, coup.kernel_f_factors), (coup.kernel_g, coup.kernel_g_factors))
+    for kernel, factors in pairs:
+        fac = factors(grid, m)
+        assert fac.U.shape == fac.W.shape == (*stack, grid.n_nodes, fac.U.shape[-1])
+        assert fac.U.shape[-1] <= 3**grid.dim + 2
+        action = kernel(grid, m, mu).reshape(*stack, grid.n_nodes)
+        factored = fac @ mu.reshape(*stack, grid.n_nodes)
+        assert np.max(np.abs(factored - action), initial=0.0) <= 1e-12 * max(
+            1.0, np.max(np.abs(action), initial=0.0)
+        )
 
 
 def _count_stencil_calls(monkeypatch) -> dict:
