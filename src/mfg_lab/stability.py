@@ -14,23 +14,26 @@ boundary rows:
 
 with b = D_pH(x,Du), A = D2_ppH(x,Du), Kf/Kg the coupling kernels at the
 base density.  These rows are written once, as per-slice blocks built by
-`AssembledOperator`; the matrix-free products, the residuals, the sparse
-matrices and the Picard sweeps of `solve_linearized` (block-triangular solves
-with I/dt - Lap inverted by the FFT) all apply the same blocks.  A kernel
-block stays in the coupling's factored form c I + U W^T of small rank r
-(`models.KernelFactors`); no n x n kernel matrix is formed, except in the
-unbordered `to_sparse` kept as a test oracle.
+`AssembledOperator`; the matrix-free products, the residuals, the
+factorization and the Picard sweeps of `solve_linearized` (block-triangular
+solves with I/dt - Lap inverted by the FFT) all apply the same blocks.  A
+kernel block stays in the coupling's factored form c I + U W^T of small rank
+r (`models.KernelFactors`); no n x n kernel matrix is formed, except in
+`to_sparse`, the sparse matrix kept as a test oracle.
 
 Stability is decided by the smallest singular value of the assembled
 homogeneous operator (uniqueness of solutions of a finite linear system is
 injectivity), after row scaling that makes sigma_min approximate a
 grid-independent quantity: measuring fields in the L2(dx dt) norm turns the
 equation rows into their raw PDE units and weights the boundary rows by
-1/sqrt(dt).  sigma_min comes from inverse power iteration on one sparse LU
-of the operator bordered by r moment unknowns W^T mu per slice
-(`AssembledOperator.factorize`), which `direct_solve` shares; an iteration
-that stops at its cap without converging never certifies STABLE, and a
-byte estimate of the LU is checked against a guard before it is built.
+1/sqrt(dt).  sigma_min comes from inverse power iteration on one
+factorization of the operator (`AssembledOperator.factorize`, shared with
+`direct_solve`): block elimination forward in time, the scheme's own
+structure (v solved backward, mu forward), with dense n x n Schur blocks per
+slice and pivoting only inside them (`TimeBlockLU`).  An iteration that
+stops at its cap without converging never certifies STABLE, and the bytes
+the factorization stores are checked against a guard before any is
+allocated.
 """
 
 from __future__ import annotations
@@ -38,12 +41,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (perfbench's tracer rebinds this name)
+from scipy.linalg import lapack
+from scipy.linalg.blas import dgemv
 
 from .grid import (
     ScalarField,
@@ -73,19 +79,9 @@ __all__ = [
     "response_bound_estimate",
 ]
 
-# Memory guard of the sparse LU, checked before `splu` (and before the
-# unbordered matrix, which is smaller).  The bordered LU of a restriction
-# with K' steps and n nodes per slice stores about 1.1-1.4 (K'+1)(2n)^2
-# nonzeros; the growth of peak RSS across `splu` per unit of (K'+1)(2n)^2,
-# monotone_local base at T=0.5 (scipy 1.17 SuperLU, one BLAS thread):
-#   d=2 N=12 K'=18:  1.58M units, LU nnz  2.26M, 17.5 bytes/unit
-#   d=2 N=16 K'=24:  6.55M units, LU nnz  8.25M, 14.3 bytes/unit
-#   d=2 N=20 K'=30: 19.8M  units, LU nnz 25.9M,  16.9 bytes/unit
-#   d=2 N=24 K'=36: 49.1M  units, LU nnz 57.9M,  13.7 bytes/unit
-#   d=1 N=64 K'=128: 2.11M units, LU nnz  2.67M, 16.8 bytes/unit
-#   d=1 N=96 K'=192: 7.11M units, LU nnz 10.2M,  17.1 bytes/unit
-#   d=1 N=128 K'=256: 16.8M units, LU nnz 19.2M, 13.2 bytes/unit
-LU_BYTES_PER_UNIT = 20.0
+# Memory guard of the block factorization, checked against the bytes of the
+# dense blocks it stores before any is allocated (and before the sparse
+# oracle `to_sparse`, which stores fewer).
 LU_BYTES_GUARD = 2 * 2**30
 
 
@@ -122,6 +118,20 @@ def _csr(parts, shape) -> sp.csr_matrix:
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     )
+
+
+def _row_blocks(tall: sp.csr_matrix, m: int) -> list:
+    """The consecutive m-row blocks of a tall CSR matrix, as CSR matrices
+    that share its arrays."""
+    ptr = tall.indptr
+    return [
+        sp.csr_matrix(
+            (tall.data[ptr[i] : ptr[i + m]], tall.indices[ptr[i] : ptr[i + m]],
+             ptr[i : i + m + 1] - ptr[i]),
+            shape=(m, tall.shape[1]),
+        )
+        for i in range(0, tall.shape[0], m)
+    ]
 
 
 def _triplets(B: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,9 +206,9 @@ class AssembledOperator:
     s <= K' and mu^{s-K'-1} after.  Row block r is backward row r for
     r < K', forward row r - K' for r < 2K', then the initial rows (mu^0)
     and the terminal rows (v^K' - Kg mu^K').  ``rows[r]`` lists the
-    (slot, block) terms of row block r, pivot first: the unknown that row
-    determines in a sweep.  Products apply the blocks at any size; sparse
-    materialization is guarded.
+    (slot, block, transposed block) terms of row block r, pivot first: the
+    unknown that row determines in a sweep.  Products apply the blocks at any
+    size; the factorization and the sparse oracle are guarded.
     """
 
     def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int = 0):
@@ -211,8 +221,7 @@ class AssembledOperator:
         self.n = n = grid.n_nodes
         self.K = K = grid.n_time
         self.n_unknowns = 2 * (K + 1) * n
-        self._parts: Optional[tuple] = None
-        self._lu: Optional[BorderedLU] = None
+        self._lu: Optional["TimeBlockLU"] = None
         self._heat = PeriodicHeatSolver(grid)
         dt, d = grid.dt, grid.dim
         coords = grid.coordinates()
@@ -225,37 +234,42 @@ class AssembledOperator:
 
         # per slice: the drift b (the flux block mu -> mu b), v -> m A G v,
         # T = -I/dt + b.G and E = -div(m A G .); div = -G^T exactly, so
-        # T^T = -I/dt - div(. b).  They are written entry by entry from the
-        # stencil of G (row a n + i holds the two neighbours of node i along
-        # axis a), not by sparse products, which drop entries that come out
-        # zero: every base then gives the LU ordering the same pattern.  (A
-        # 2D cosine m0 has a drift with an exactly zero x2 component; with
-        # that pattern thinned, the LU at N=16 K'=24 filled 5x more.)
+        # T^T = -I/dt - div(. b).  Each kind is written for all slices at
+        # once, entry by entry from the stencil of G (row a n + i holds the
+        # two neighbours of node i along axis a), as one tall matrix that
+        # `_row_blocks` cuts into the per-slice blocks.
         gcol = grad.indices.reshape(d, n, 2)
         gval = grad.data.reshape(d, n, 2)
         gcol_ics, gval_ics = gcol.transpose(1, 0, 2), gval.transpose(1, 0, 2)
         node = np.arange(n)
+        first = np.arange(K + 1).reshape(-1, 1, 1, 1) * n  # k n, slice k's first row
         du = gradient(grid, u)
         self.drift = b = ham.grad_p(coords, du).reshape(K + 1, n, d)
         mA = m[..., None, None] * ham.hess_pp(coords, du)
         mA = mA.reshape(K + 1, n, d, d).transpose(0, 2, 1, 3)  # (k, a, i, c)
-        # flux_v, entries (a, i, c, s): m A[a, c](i) times neighbour s along c
+        # flux_v, entries (k, a, i, c, s): m A[a, c](i) times neighbour s along c
         rows_v = (np.arange(d)[:, None] * n + node)[..., None, None]
-        self.flux_v = [
-            _csr([(rows_v, gcol_ics, w)], (d * n, n)) for w in mA[..., None] * gval_ics
-        ]
-        # E = G^T m A G, entries (a, i, s, c, t): one per pair of neighbours
-        E = [
-            _csr([(gcol[..., None, None], gcol_ics[:, None], w)], (n, n))
-            for w in gval[..., None, None] * (mA[:, :, :, None, :, None] * gval_ics[:, None])
-        ]
-        # T, entries -1/dt on the diagonal and (a, i, s): b_a(i) times
+        flux = _csr(
+            [(d * first[..., None] + rows_v, gcol_ics, mA[..., None] * gval_ics)],
+            ((K + 1) * d * n, n),
+        )
+        self.flux_v = _row_blocks(flux, d * n)
+        # E = G^T m A G, entries (k, a, i, s, c, t): one per pair of neighbours
+        w = gval[..., None, None] * (mA[:, :, :, None, :, None] * gval_ics[:, None])
+        E = _row_blocks(
+            _csr(
+                [(first[..., None, None] + gcol[..., None, None], gcol_ics[:, None], w)],
+                ((K + 1) * n, n),
+            ),
+            n,
+        )
+        # T, entries -1/dt on the diagonal and (k, a, i, s): b_a(i) times
         # neighbour s along a
-        diag_dt = (node, node, np.full(n, -1.0 / dt))
-        T = [
-            _csr([diag_dt, (node[:, None], gcol, w)], (n, n))
-            for w in b.transpose(0, 2, 1)[..., None] * gval
-        ]
+        diag_dt = (first[:, 0, 0] + node, node, np.full((K + 1, n), -1.0 / dt))
+        w = b.transpose(0, 2, 1)[..., None] * gval
+        T = _row_blocks(
+            _csr([diag_dt, (first + node[:, None], gcol, w)], ((K + 1) * n, n)), n
+        )
 
         def v_slot(k):
             return k
@@ -263,22 +277,32 @@ class AssembledOperator:
         def mu_slot(k):
             return K + 1 + k
 
+        # each term is (slot, block, its transpose): the transposes are built
+        # once, here, for rmatvec and the transposed solves
+        diag_t = self._diag.T
+        T_t = [t.T for t in T]
         kf = coup.kernel_f_factors(grid, m[1:])
         kg = coup.kernel_g_factors(grid, m[K])
+        kernel_f = [KernelFactors(-kf.c, -kf.U[k], kf.W[k]) for k in range(K)]
+        kernel_g = KernelFactors(-kg.c, -kg.U, kg.W)
         backward = [
             [
-                (v_slot(k), self._diag),
-                (v_slot(k + 1), T[k + 1]),
-                (mu_slot(k + 1), KernelFactors(-kf.c, -kf.U[k], kf.W[k])),
+                (v_slot(k), self._diag, diag_t),
+                (v_slot(k + 1), T[k + 1], T_t[k + 1]),
+                (mu_slot(k + 1), kernel_f[k], kernel_f[k].T),
             ]
             for k in range(K)
         ]
         forward = [
-            [(mu_slot(k + 1), self._diag), (mu_slot(k), T[k].T), (v_slot(k), E[k])]
+            [
+                (mu_slot(k + 1), self._diag, diag_t),
+                (mu_slot(k), T_t[k], T[k]),
+                (v_slot(k), E[k], E[k].T),
+            ]
             for k in range(K)
         ]
-        initial = [(mu_slot(0), eye)]
-        terminal = [(v_slot(K), eye), (mu_slot(K), KernelFactors(-kg.c, -kg.U, kg.W))]
+        initial = [(mu_slot(0), eye, eye)]
+        terminal = [(v_slot(K), eye, eye), (mu_slot(K), kernel_g, kernel_g.T)]
         self.rows = backward + forward + [initial, terminal]
 
     # -- layout helpers ----------------------------------------------------
@@ -294,14 +318,14 @@ class AssembledOperator:
     # -- products, residuals, sweeps -----------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
         X = x.reshape(-1, self.n)
-        return np.concatenate([sum(B @ X[s] for s, B in terms) for terms in self.rows])
+        return np.concatenate([sum(B @ X[s] for s, B, _ in terms) for terms in self.rows])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         Y = y.reshape(-1, self.n)
         out = np.zeros(Y.shape)
         for r, terms in enumerate(self.rows):
-            for s, B in terms:
-                out[s] += B.T @ Y[r]
+            for s, _, Bt in terms:
+                out[s] += Bt @ Y[r]
         return out.reshape(-1)
 
     def _residuals(self, x: np.ndarray, rhs: np.ndarray) -> dict:
@@ -322,8 +346,8 @@ class AssembledOperator:
         X, R = x.reshape(-1, self.n), rhs.reshape(-1, self.n)
         sshape = self.grid.spatial_shape
         for r in order:
-            (p, pivot), *rest = self.rows[r]
-            val = R[r] - sum(B @ X[s] for s, B in rest)
+            (p, pivot, _), *rest = self.rows[r]
+            val = R[r] - sum(B @ X[s] for s, B, _ in rest)
             if pivot is self._diag:
                 # (I/dt - Lap)^-1 = dt (I - dt Lap)^-1
                 val = self._heat.step((self.grid.dt * val).reshape(sshape)).reshape(-1)
@@ -339,93 +363,56 @@ class AssembledOperator:
 
     # -- materialization -----------------------------------------------------
     def lu_bytes_estimate(self) -> int:
-        """Predicted bytes of the bordered sparse LU (see LU_BYTES_PER_UNIT)."""
-        return int(LU_BYTES_PER_UNIT * (self.K + 1) * (2 * self.n) ** 2)
+        """Bytes of the dense blocks `factorize` stores, from their shapes."""
+        return 8 * TimeBlockLU.stored_entries(self.K, self.n)
 
     def _check_lu_size(self) -> None:
         estimate = self.lu_bytes_estimate()
         if estimate > LU_BYTES_GUARD:
             raise MemoryError(
-                f"sparse LU on grid {_signature(self.grid)} ({self.n_unknowns} "
-                f"unknowns) needs about {estimate / 2**20:.0f} MiB, over the "
+                f"block factorization on grid {_signature(self.grid)} ({self.n_unknowns} "
+                f"unknowns) needs {estimate / 2**20:.0f} MiB, over the "
                 f"{LU_BYTES_GUARD / 2**20:.0f} MiB guard; use the matrix-free "
                 "products instead"
             )
 
-    def _split(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """(A0, U~, W~^T) with A = A0 + U~ W~^T: A0 holds every block with
-        each kernel block cut to its c I part; each rank-one kernel term
-        owns one column of U~ and one row of W~^T (a moment unknown)."""
-        if self._parts is None:
-            n, M = self.n, self.n_unknowns
-            nodes = np.arange(n)
-            a0, u_t, w_t = [], [], []
-            r_border = 0
-            for r, terms in enumerate(self.rows):
-                for s, B in terms:
-                    if not isinstance(B, KernelFactors):
-                        rows, cols, vals = _triplets(B)
-                        a0.append((rows + r * n, cols + s * n, vals))
-                        continue
-                    if B.c:
-                        a0.append((r * n + nodes, s * n + nodes, np.full(n, B.c)))
-                    moments = r_border + np.arange(B.U.shape[1])
-                    u_t.append(((r * n + nodes)[:, None], moments, B.U))
-                    w_t.append((moments, (s * n + nodes)[:, None], B.W))
-                    r_border += B.U.shape[1]
-            self._parts = (
-                _csr(a0, (M, M)),
-                _csr(u_t, (M, r_border)),
-                _csr(w_t, (r_border, M)),
-            )
-        return self._parts
-
     def to_sparse(self) -> sp.csr_matrix:
-        """The unbordered matrix A = A0 + U~ W~^T, kernel blocks dense: an
-        oracle for tests; certificates and solves use `factorize`."""
+        """The assembled matrix A, kernel blocks dense: an oracle for tests
+        and the benchmark's references; certificates and solves use
+        `factorize`."""
         self._check_lu_size()
-        A0, U, Wt = self._split()
-        return (A0 + U @ Wt).tocsr()
+        n, M = self.n, self.n_unknowns
+        parts = []
+        for r, terms in enumerate(self.rows):
+            for s, B, _ in terms:
+                if isinstance(B, KernelFactors):
+                    B = sp.csr_matrix(B.c * np.eye(n) + B.U @ B.W.T)
+                rows, cols, vals = _triplets(B)
+                parts.append((rows + r * n, cols + s * n, vals))
+        return _csr(parts, (M, M))
+
+    @property
+    def boundary_weight(self) -> float:
+        """Row weight of the initial and terminal rows, 1/sqrt(dt)."""
+        return 1.0 / math.sqrt(self.grid.dt)
 
     def row_scaling(self) -> np.ndarray:
         """Boundary rows weighted 1/sqrt(dt): fields measured in L2(dx dt),
         boundary data in L2(dx), equation rows in raw PDE units."""
-        K, n, dt = self.K, self.n, self.grid.dt
         w = np.ones(self.n_unknowns)
-        w[2 * K * n :] = 1.0 / math.sqrt(dt)
+        w[2 * self.K * self.n :] = self.boundary_weight
         return w
 
     def scaled_sparse(self) -> sp.csr_matrix:
         return sp.diags(self.row_scaling()) @ self.to_sparse()
 
-    def factorize(self) -> "BorderedLU":
-        """One sparse LU of the row-scaled operator D A, bordered by its
-        moment unknowns s = W~^T x:
-
-            [[D A0, D U~], [W~^T, -I]] [x; s] = [D b; 0]  <=>  A x = b.
-
-        Row blocks are permuted so that each row's pivot slot sits on the
-        diagonal (the border's -I already does), which lets the symmetric
-        minimum-degree ordering of A + A^T see the block-banded structure.
-        """
+    def factorize(self) -> "TimeBlockLU":
+        """The row-scaled operator D A factored by block elimination forward
+        in time (`TimeBlockLU`), once; certificates and `direct_solve` share
+        it."""
         if self._lu is None:
             self._check_lu_size()
-            A0, U, Wt = self._split()
-            r_border = Wt.shape[0]
-            bordered = sp.bmat([[A0, U], [Wt, -sp.identity(r_border)]], format="csr")
-            # D on the operator's rows, scaling the stored entries: a sparse
-            # product would drop the zeros that keep the pattern fixed
-            w = np.concatenate([self.row_scaling(), np.ones(r_border)])
-            bordered.data *= np.repeat(w, np.diff(bordered.indptr))
-            blocks = np.argsort([terms[0][0] for terms in self.rows])
-            order = np.concatenate(
-                [
-                    (blocks[:, None] * self.n + np.arange(self.n)).ravel(),
-                    self.n_unknowns + np.arange(r_border),
-                ]
-            )
-            lu = spla.splu(bordered[order].tocsc(), permc_spec="MMD_AT_PLUS_A")
-            self._lu = BorderedLU(lu, order, self.n_unknowns)
+            self._lu = TimeBlockLU(self)
         return self._lu
 
     def rhs_vector(self, problem: LinearizedProblem) -> np.ndarray:
@@ -442,24 +429,217 @@ class AssembledOperator:
         return self.factorize().solve(self.row_scaling() * self.rhs_vector(problem))
 
 
-class BorderedLU:
-    """The LU that `AssembledOperator.factorize` returns: solve(b) =
-    (D A)^-1 b and solve(b, "T") = (D A)^-T b for b of the operator's size,
-    through the bordered LU with b padded by zeros on the moment rows."""
+def _block_diagonal(blocks: list) -> sp.spmatrix:
+    """Block-diagonal matrix of square blocks of one shape and one compressed
+    format (CSR or CSC), by concatenating their arrays."""
+    n = blocks[0].shape[0]
+    offsets = np.cumsum([0] + [B.nnz for B in blocks])
+    indptr = np.concatenate(
+        [B.indptr[:-1] + o for B, o in zip(blocks, offsets)] + [offsets[-1:]]
+    )
+    indices = np.concatenate([B.indices + i * n for i, B in enumerate(blocks)])
+    data = np.concatenate([B.data for B in blocks])
+    size = n * len(blocks)
+    return type(blocks[0])((data, indices, indptr), shape=(size, size))
 
-    def __init__(self, lu, order: np.ndarray, size: int):
-        self._lu, self._order, self.size = lu, order, size
-        self.nnz = int(lu.nnz)  # fill of L + U, read without forming them
-        self.border = len(order) - size
+
+def _inverse(a: np.ndarray, slice_index: int) -> np.ndarray:
+    """a^-1 through LAPACK's partially pivoted LU; a block that is singular to
+    working precision raises LinAlgError naming its time slice."""
+    lu, piv, info = lapack.dgetrf(a)
+    rcond = lapack.dgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
+    if not rcond > np.finfo(float).eps:
+        raise np.linalg.LinAlgError(
+            f"Schur block of time slice {slice_index} is singular "
+            f"(reciprocal condition number {rcond:.3g})"
+        )
+    return lapack.dgetri(lu, piv)[0]
+
+
+def _recurse(blocks: list, sources: list, targets: list, trans: int) -> None:
+    """targets[j] -= blocks[j] sources[j] for j in order, in place by BLAS
+    gemv, so a target may be a later source.  The blocks are the
+    Fortran-ordered transposed views of C-ordered arrays: trans=1 applies the
+    array, trans=0 its transpose.  Positional arguments: keywords double the
+    cost of a call on small slices."""
+    for a, x, y in zip(blocks, sources, targets):
+        dgemv(-1.0, a, x, 1.0, y, 0, 1, 0, 1, trans, 1)
+
+
+class TimeBlockLU:
+    """(D A)^-1 of the row-scaled operator by block elimination forward in
+    time: what `AssembledOperator.factorize` returns.
+
+    Slice k holds the unknowns (v^k, mu^k) and the two rows that pivot on
+    them: backward row k (the terminal row at K') and forward row k-1 (the
+    initial row at 0).  The operator is then block tridiagonal in time, with
+    upper blocks [[T_{k+1}, B_{k+1}], [0, 0]] (B_k the kernel block of mu^k
+    in backward row k-1) and lower blocks [[0, 0], [E_k, T_k^T]].  Forward
+    elimination leaves Schur complements that are block lower triangular,
+    D0 = I/dt - Lap on the v rows and one dense M_k on the mu rows:
+
+        H_k = E_{k-1} D0^-1 + T_{k-1}^T P_{k-1},    M_k = D0 - H_k B_k,
+        P_k = M_k^-1 H_k T_k D0^-1,
+
+    with M_0 the scaled initial block and P_0 = 0.  At K' the terminal row
+    s (v + B_g mu), s the boundary weight, pivots on v with s I; eliminating
+    v adds H T_K' B_g to M_K' and makes P_K' = M_K'^-1 H T_K' / s.
+
+    Stored, all n x n: D0^-1, M_k^-1, P_k, and the one-step maps of the
+    recursions, Q_k = T_k^T M_k^-1 (mu forward; its transpose runs the
+    transposed solve backward) and R_k = T_k D0^-1 + B_k P_k (v backward;
+    its transpose runs forward).  A solve is two recursions over the slices
+    of one BLAS call each; every other product is batched over the slices.
+    Pivoting happens inside each n x n block (LAPACK) and nowhere else; a
+    Schur block singular to working precision raises LinAlgError.
+    """
+
+    @staticmethod
+    def stored_shapes(K: int, n: int) -> dict:
+        return {
+            "d0_inv": (n, n),
+            "m_inv": (K + 1, n, n),
+            "p": (K + 1, n, n),
+            "q": (K, n, n),
+            "r": (K - 1, n, n),
+        }
+
+    @staticmethod
+    def stored_entries(K: int, n: int) -> int:
+        return sum(math.prod(s) for s in TimeBlockLU.stored_shapes(K, n).values())
+
+    def __init__(self, op: AssembledOperator):
+        start = time.process_time()
+        K, n = op.K, op.n
+        self.K, self.n, self.size = K, n, op.n_unknowns
+        self.nnz = self.stored_entries(K, n)
+        self._s = s = op.boundary_weight
+        # the blocks of the rows, per slice: T[k] = (T_k, T_k^T), E[k] =
+        # (E_k, E_k^T) and the kernel block B[k] = B_k
+        T, E, B = {}, {}, {}
+        for k, (_, (_, t, t_t), (_, b, _)) in enumerate(op.rows[:K], start=1):
+            T[k], B[k] = (t, t_t), b
+        for k, (_, (_, t_t, t), (_, e, e_t)) in enumerate(op.rows[K : 2 * K]):
+            T[k], E[k] = (t, t_t), (e, e_t)
+        [(_, initial, _)] = op.rows[2 * K]
+        [_, (_, self._kg, self._kg_t)] = op.rows[2 * K + 1]
+        kg = self._kg
+
+        # products over all slices at once: block-diagonal stacks of the
+        # sparse blocks, and the kernel blocks B_1..B_K' as (c, U, W) stacks
+        self._t_up = _block_diagonal([T[k][0] for k in range(1, K + 1)])
+        self._t_lo = _block_diagonal([T[k][0] for k in range(K)])
+        self._t_lo_t = _block_diagonal([T[k][1] for k in range(K)])
+        self._e = _block_diagonal([E[k][0] for k in range(K)])
+        self._e_t = _block_diagonal([E[k][1] for k in range(K)])
+        self._tk_t = T[K][1]
+        self._kc = np.array([B[k].c for k in range(1, K + 1)])[:, None]
+        self._ku = np.stack([B[k].U for k in range(1, K + 1)])
+        self._kw = np.stack([B[k].W for k in range(1, K + 1)])
+
+        shapes = self.stored_shapes(K, n)
+        # D0^-1 = dt (I - dt Lap)^-1 from the heat step applied to the
+        # identity (rows of the result are columns of D0^-1), symmetrized
+        d0_inv = op._heat.step(
+            (op.grid.dt * np.eye(n)).reshape(n, *op.grid.spatial_shape)
+        ).reshape(shapes["d0_inv"])
+        self._d0_inv = d0_inv = 0.5 * (d0_inv + d0_inv.T)
+        d0 = op._diag.toarray()
+        self._m_inv = m_inv = np.empty(shapes["m_inv"])
+        self._p = p = np.empty(shapes["p"])
+        r = np.empty(shapes["r"])
+        m_inv[0] = _inverse(s * initial.toarray(), 0)
+        p[0] = 0.0
+        for k in range(1, K + 1):
+            h = E[k - 1][0] @ d0_inv
+            if k > 1:
+                h += T[k - 1][1] @ p[k - 1]
+            b = B[k]
+            m = d0 - b.c * h - (h @ b.U) @ b.W.T
+            if k < K:
+                r[k - 1] = T[k][0] @ d0_inv  # the first term of R_k
+                x = h @ r[k - 1]
+            else:
+                ht = (T[K][1] @ h.T).T
+                m += kg.c * ht + (ht @ kg.U) @ kg.W.T
+                x = ht / s
+            m_inv[k] = _inverse(m, k)
+            np.matmul(m_inv[k], x, out=p[k])
+            if k < K:
+                r[k - 1] += b.c * p[k] + b.U @ (b.W.T @ p[k])
+        q = (self._t_lo_t @ m_inv[:K].reshape(K * n, n)).reshape(shapes["q"])
+        # Q_k and R_k as Fortran-ordered views, the layout BLAS reads in place
+        self._q_f = [a.T for a in q]
+        self._r_f = [a.T for a in r]
+        self._p_t, self._m_inv_t = np.swapaxes(p, 1, 2), np.swapaxes(m_inv, 1, 2)
+        self._ku_t, self._kw_t = np.swapaxes(self._ku, 1, 2), np.swapaxes(self._kw, 1, 2)
+        self._v_rows = np.r_[0:K, 2 * K + 1]
+        self._mu_rows = np.r_[2 * K, K : 2 * K]
+        self.factor_s = time.process_time() - start
+
+    def _kernels(self, x: np.ndarray) -> np.ndarray:
+        """B_k x_k for the stack x of slices 1..K'."""
+        return self._kc * x + (self._ku @ (self._kw_t @ x[..., None]))[..., 0]
+
+    def _kernels_t(self, x: np.ndarray) -> np.ndarray:
+        """B_k^T x_k for the stack x of slices 1..K'."""
+        return self._kc * x + (self._kw @ (self._ku_t @ x[..., None]))[..., 0]
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        padded = np.zeros(len(self._order))
-        padded[: self.size] = b
-        if trans == "N":
-            return self._lu.solve(padded[self._order])[: self.size]
-        out = np.empty_like(padded)
-        out[self._order] = self._lu.solve(padded, trans="T")
-        return out[: self.size]
+        """(D A)^-1 b, or (D A)^-T b for trans="T"."""
+        return self._solve(b) if trans == "N" else self._solve_t(b)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        K, n, s = self.K, self.n, self._s
+        rows = b.reshape(-1, n)
+        bv, c = rows[self._v_rows], rows[self._mu_rows]
+        x = np.empty((2, K + 1, n))
+        zv, zm = x  # forward pass z = L^-1-side values, then x in place
+        # forward: zv_k = D0^-1 bv_k, and t_k = c_k - T_{k-1}^T zm_{k-1}
+        # with c_k = bm_k - E_{k-1} zv_{k-1}, so that zm_k = M_k^-1 t_k + P_k bv_k
+        np.matmul(bv[:K], self._d0_inv, out=zv[:K])
+        c[1:] -= (self._e @ zv[:K].reshape(-1)).reshape(K, n)
+        e = np.matmul(self._p, bv[..., None])[..., 0]
+        t = c
+        t[1:] -= (self._t_lo_t @ e[:K].reshape(-1)).reshape(K, n)
+        t_k = list(t)
+        _recurse(self._q_f, t_k, t_k[1:], trans=1)
+        np.matmul(self._m_inv, t[..., None], out=zm[..., None])
+        zm += e
+        zv[K] = bv[K] / s - self._kg @ zm[K]
+        # backward: w_k = T_k xv_k + B_k xm_k, and x_k = z_k - (D0^-1, P_k) w_{k+1}
+        w = (self._t_up @ zv[1:].reshape(-1)).reshape(K, n) + self._kernels(zm[1:])
+        w_k = list(w)  # w_k[j] holds w_{j+1}
+        _recurse(self._r_f[::-1], w_k[:0:-1], w_k[-2::-1], trans=1)
+        zv[:K] -= w @ self._d0_inv
+        zm[1:K] -= np.matmul(self._p[1:K], w[1:, :, None])[..., 0]
+        return x.reshape(-1)
+
+    def _solve_t(self, b: np.ndarray) -> np.ndarray:
+        K, n, s = self.K, self.n, self._s
+        bv, bm = b.reshape(2, K + 1, n)
+        p_t = self._p_t
+        # forward: yv_k = D0^-1 bv_k + P_k^T bm_k - R_k^T yv_{k-1}
+        yv = bv @ self._d0_inv
+        yv[1:K] += np.matmul(p_t[1:K], bm[1:K, :, None])[..., 0]
+        yv_k = list(yv)
+        _recurse(self._r_f, yv_k, yv_k[1:K], trans=0)
+        rm = bm.copy()
+        rm[1:] -= self._kernels_t(yv[:K])
+        rv = bv[K] - self._tk_t @ yv[K - 1]
+        rm[K] -= self._kg_t @ rv
+        ym = np.matmul(self._m_inv_t, rm[..., None])[..., 0]
+        yv[K] = rv / s + p_t[K] @ rm[K]
+        # backward: xm_k = ym_k - Q_k^T xm_{k+1}, and
+        # xv_k = yv_k - D0^-1 E_k^T xm_{k+1} - P_k^T T_k xm_{k+1}
+        ym_k = list(ym)
+        _recurse(self._q_f[::-1], ym_k[:0:-1], ym_k[-2::-1], trans=0)
+        xm_next = ym[1:].reshape(-1)
+        yv[:K] -= (self._e_t @ xm_next).reshape(K, n) @ self._d0_inv
+        u = (self._t_lo @ xm_next).reshape(K, n)
+        yv[1:K] -= np.matmul(p_t[1:K], u[1:, :, None])[..., 0]
+        # back to the row order: backward rows, forward rows, initial, terminal
+        return np.concatenate([yv[:K], ym[1:], ym[:1], yv[K:]]).reshape(-1)
 
 
 def assemble_operator(
@@ -482,8 +662,9 @@ def solve_linearized(
 ) -> LinearizedSolution:
     """Damped Picard on mu through the backward/forward sweeps.
 
-    Divergence triggers a direct solve of the assembled sparse system; the
-    fallback is recorded in the result.
+    Divergence triggers a direct solve with the operator's block
+    factorization (`AssembledOperator.direct_solve`); the fallback is
+    recorded in the result.
     """
     op = assemble_operator(model, problem.base, problem.t1_index)
     grid, K = op.grid, op.K
@@ -588,8 +769,8 @@ class StabilityCertificate:
     # |A^T A x - sigma^2 x| / sigma^2 of the final unit iterate x: how far
     # (sigma, x) is from a singular pair of the scaled operator A
     eigen_residual: float
-    lu_nnz: int  # nonzeros of the sparse LU's factors
-    border: int  # moment unknowns bordering the operator
+    lu_nnz: int  # entries the block factorization stores
+    factor_s: float  # CPU seconds of the factorization
     witness_residual: Optional[float] = None
     witness_v: Optional[np.ndarray] = field(default=None, repr=False)
     witness_mu: Optional[np.ndarray] = field(default=None, repr=False)
@@ -608,7 +789,7 @@ class StabilityCertificate:
                 "converged": self.converged,
                 "eigen_residual": self.eigen_residual,
                 "lu_nnz": self.lu_nnz,
-                "border": self.border,
+                "factor_s": self.factor_s,
                 "witness_residual": self.witness_residual,
                 "witness_file": witness_file,
             },
@@ -617,10 +798,10 @@ class StabilityCertificate:
 
 
 def _inverse_power_sigma_min(
-    lu: BorderedLU, iters: int = 200, tol: float = 1e-11, seed: int = 0
+    lu: TimeBlockLU, iters: int = 200, tol: float = 1e-11, seed: int = 0
 ) -> tuple[float, np.ndarray, int, bool]:
     """Smallest singular value and right singular vector of the scaled
-    operator via (A^T A)^-1 power iteration with its sparse LU, plus the
+    operator via (A^T A)^-1 power iteration with its factorization, plus the
     iterations run and whether the eigenvalue estimate settled to `tol`
     before the cap."""
     rng = np.random.default_rng(seed)
@@ -681,7 +862,7 @@ def certify_stability(
         converged=converged,
         eigen_residual=eigen_residual,
         lu_nnz=lu.nnz,
-        border=lu.border,
+        factor_s=lu.factor_s,
     )
     if converged and sigma > tol:
         return cert

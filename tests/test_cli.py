@@ -161,13 +161,14 @@ def test_run_stability_writes_certificates(tmp_path):
     for t1 in (0, 8):
         cert = json.loads((out / f"certificate_{t1}.json").read_text())
         assert cert["eigen_residual"] >= 0.0
-        # monotone_local: two moment unknowns per running-kernel slice
-        assert cert["border"] == 2 * (16 - t1)
-        assert cert["lu_nnz"] > 0
+        # 4K'+2 dense 16 x 16 blocks of the block factorization
+        assert cert["lu_nnz"] == (4 * (16 - t1) + 2) * 16**2
+        assert cert["factor_s"] >= 0.0
+        assert "border" not in cert
     for rec in summary["certificates"].values():
         assert rec["verdict"] == "STABLE"
         assert rec["sigma_min"] > 1e-6
-        for key in ("eigen_residual", "lu_nnz", "border"):
+        for key in ("eigen_residual", "lu_nnz", "factor_s"):
             assert key not in rec
 
 

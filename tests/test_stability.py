@@ -3,7 +3,6 @@
 import functools
 import json
 import math
-import types
 
 import numpy as np
 import pytest
@@ -156,20 +155,22 @@ def test_operator_is_frechet_derivative(model_kw, n_space, n_time, t1):
 
 
 @st.composite
-def operator_cases(draw):
+def operator_cases(draw, wide=False):
     """Random small grid (odd N included), shipped coupling, Hamiltonian and
-    restriction time."""
+    restriction time; `wide` adds a strongly antimonotone coupling, the
+    uniform m0 and a short horizon."""
     dim = draw(st.sampled_from([1, 2]))
     n_space = draw(st.integers(5, 17 if dim == 1 else 9))
     n_time = draw(st.integers(3, 10))
-    coupling, theta = draw(
-        st.sampled_from(
-            [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
-             ("antimonotone_symmetric", 16.0)]
-        )
-    )
+    couplings = [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
+                 ("antimonotone_symmetric", 16.0)]
+    if wide:
+        couplings.append(("antimonotone_symmetric", 64.0))
+    coupling, theta = draw(st.sampled_from(couplings))
     model = builtin_quadratic(
-        theta, coupling=coupling, dim=dim, T=0.5, m0="cosine",
+        theta, coupling=coupling, dim=dim,
+        T=draw(st.sampled_from([0.04, 0.5])) if wide else 0.5,
+        m0=draw(st.sampled_from(["cosine", "uniform"])) if wide else "cosine",
         hamiltonian=draw(st.sampled_from(["quadratic", "quadratic_xdep"])),
     )
     return model, model.make_grid(n_space, n_time), draw(st.integers(0, n_time - 2))
@@ -387,17 +388,19 @@ def test_size_guard(monkeypatch):
     assert np.all(np.isfinite(op2.matvec(x)))
 
 
-def test_lu_guard_fires_before_splu(monkeypatch, monotone_model, monotone_solution):
+def test_lu_guard_fires_before_factorization(
+    monkeypatch, monotone_model, monotone_solution
+):
     import mfg_lab.stability as stab
 
-    real_spla = stab.spla
     calls = []
 
-    def splu(*args, **kwargs):
-        calls.append(args)
-        return real_spla.splu(*args, **kwargs)
+    class CountedLU(stab.TimeBlockLU):
+        def __init__(self, op):
+            calls.append(op)
+            super().__init__(op)
 
-    monkeypatch.setattr(stab, "spla", types.SimpleNamespace(splu=splu))
+    monkeypatch.setattr(stab, "TimeBlockLU", CountedLU)
     estimate = assemble_operator(monotone_model, monotone_solution, 0).lu_bytes_estimate()
     monkeypatch.setattr(stab, "LU_BYTES_GUARD", estimate - 1)
     with pytest.raises(MemoryError) as err:
@@ -407,17 +410,20 @@ def test_lu_guard_fires_before_splu(monkeypatch, monotone_model, monotone_soluti
     assert "d1-N32-K48" in message
     assert f"{estimate / 2**20:.0f} MiB" in message
     assert f"{(estimate - 1) / 2**20:.0f} MiB guard" in message
-    # at the estimate itself the guard lets the LU through
+    # at the estimate itself the guard lets the factorization through, and
+    # the estimate is exactly the bytes of the entries it stores
     monkeypatch.setattr(stab, "LU_BYTES_GUARD", estimate)
-    assert certify_stability(monotone_model, monotone_solution, 0).verdict == "STABLE"
+    cert = certify_stability(monotone_model, monotone_solution, 0)
+    assert cert.verdict == "STABLE"
     assert len(calls) == 1
+    assert 8 * cert.lu_nnz == estimate
 
 
 @settings(max_examples=30)
-@given(operator_cases(), st.integers(0, 2**32 - 1))
-def test_bordered_lu_solves_the_scaled_operator(case, seed):
-    # a zero-padded right-hand side through the bordered LU gives exactly
-    # (D A)^-1 b and, transposed, (D A)^-T b
+@given(operator_cases(wide=True), st.integers(0, 2**32 - 1))
+def test_block_lu_solves_the_scaled_operator(case, seed):
+    # the time-marching block factorization gives (D A)^-1 b and,
+    # transposed, (D A)^-T b
     model, grid, t1 = case
     base = solve_picard(model, grid, damping=0.5, max_iter=3)
     op = assemble_operator(model, base, t1)
@@ -428,3 +434,24 @@ def test_bordered_lu_solves_the_scaled_operator(case, seed):
         want = np.linalg.solve(matrix, b)
         got = lu.solve(b, trans=trans)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("t1", [0, 3])
+def test_2d_sigma_min_matches_dense_svd(t1):
+    model = builtin_quadratic(coupling="monotone_local", dim=2, T=0.5, m0="cosine")
+    base = solve_picard(model, model.make_grid(8, 8), damping=0.5, tol=1e-12, max_iter=400)
+    dense = svdvals(assemble_operator(model, base, t1).scaled_sparse().toarray())[-1]
+    cert = certify_stability(model, base, t1)
+    assert cert.converged
+    assert abs(dense - cert.sigma_min) <= 1e-8 * dense
+
+
+def test_singular_schur_block_names_its_slice(monotone_model, monotone_solution):
+    # a zero initial block leaves mu^0 undetermined: the Schur block of
+    # slice 0 is singular, and the factorization refuses it
+    op = assemble_operator(monotone_model, monotone_solution, 0)
+    (slot, eye, _), = op.rows[2 * op.K]
+    zero = 0.0 * eye
+    op.rows[2 * op.K] = [(slot, zero, zero.T)]
+    with pytest.raises(np.linalg.LinAlgError, match="time slice 0 is singular"):
+        op.factorize()
