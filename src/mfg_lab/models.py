@@ -182,10 +182,13 @@ def _coef(eps: float):
     def a_of_x(x):
         return 1.0 + eps * np.cos(2.0 * np.pi * x[0])
 
+    def unit(x):
+        return np.float64(1.0)  # eps = 0: multiplying or dividing by 1.0 is exact
+
     def da_of_x(x):
         return -2.0 * np.pi * eps * np.sin(2.0 * np.pi * x[0])
 
-    return a_of_x, da_of_x
+    return (unit if eps == 0.0 else a_of_x), da_of_x
 
 
 def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:

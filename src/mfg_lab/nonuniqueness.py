@@ -355,6 +355,10 @@ def _cell_model(theta: float, horizon: float, dim: int) -> MfgModel:
     )
 
 
+# relative gap below which two cells' separations count as equal
+SEPARATION_TIE_RTOL = 1e-9
+
+
 def sweep_nonuniqueness(
     thetas=(1.0, 4.0, 16.0, 64.0),
     horizons=(0.5, 1.0, 2.0, 4.0, 8.0),
@@ -367,8 +371,9 @@ def sweep_nonuniqueness(
 ) -> SweepResult:
     """Geometric (theta, T) sweep; each cell hunts for a branch pair.
 
-    The best cell (largest separation with a verified J ordering) is re-run
-    once at doubled resolution to guard against discretization phantoms.
+    The best cell (largest separation with a verified J ordering; a tie
+    goes to the longest horizon) is re-run once at doubled resolution to
+    guard against discretization phantoms.
     """
     params = [(theta, horizon) for theta in thetas for horizon in horizons]
 
@@ -380,8 +385,7 @@ def sweep_nonuniqueness(
         return make_branch_pair(model, grid, tol=tol, fp_rounds=fp_rounds)
 
     cells = []
-    best_pair: Optional[BranchPair] = None
-    best_key = None
+    verified: list[BranchPair] = []
     for (theta, horizon), (pair, reason) in zip(params, map(run_cell, params)):
         found = pair is not None and pair.j_asymmetric.total < pair.j_symmetric.total
         cells.append(
@@ -395,9 +399,16 @@ def sweep_nonuniqueness(
                 "reason": reason if not found else "ok",
             }
         )
-        if found and (best_key is None or pair.separation > best_key):
-            best_key = pair.separation
-            best_pair = pair
+        if found:
+            verified.append(pair)
+    best_pair = None
+    if verified:
+        # separations within SEPARATION_TIE_RTOL of the largest tie; the
+        # longest horizon, then the largest theta, wins, so a roundoff-level
+        # change of a separation cannot move the best cell
+        top = max(p.separation for p in verified)
+        ties = [p for p in verified if p.separation >= top * (1.0 - SEPARATION_TIE_RTOL)]
+        best_pair = max(ties, key=lambda p: (p.horizon, p.theta))
     refined = None
     change = None
     if best_pair is not None and refine_best:

@@ -1,9 +1,10 @@
 """Backward HJB and forward Kolmogorov sweeps on the torus grid.
 
-Time scheme: backward Euler for diffusion (solved exactly per step through
-the real-FFT diagonalization of the periodic stencil), explicit evaluation of
-the Hamiltonian / transport flux at the previous-in-sweep slice.  Concretely,
-with G the centered gradient, div its exact negative adjoint and Lap = div G:
+Time scheme: backward Euler for diffusion (solved exactly per step in the
+real orthonormal Fourier basis of each axis, which diagonalizes the periodic
+stencil), explicit evaluation of the Hamiltonian / transport flux at the
+previous-in-sweep slice.  Concretely, with G the centered gradient, div its
+exact negative adjoint and Lap = div G:
 
 backward sweep, k = K-1 .. 0:
     (I - dt Lap) u^k = u^{k+1} - dt H(x, G u^{k+1}) + dt r^{k+1}
@@ -18,7 +19,13 @@ on; monotonicity is instead recovered through a step-size restriction
 dt <= dx^2 / (2 d + dx max|b|), reported as a quality flag rather than
 enforced.
 
-The forward sweep is conservative: the FFT solve leaves the zero mode
+Each step of a sweep is a few small dense products on one slice: the
+per-axis difference matrix C (``grid.gradient`` of the identity) for G and
+div, and the basis Q with the inverse heat symbol for the implicit solve.
+The whole-trajectory stencils of ``grid`` stay the definition that the
+residuals use.
+
+The forward sweep is conservative: the heat solve leaves the constant mode
 untouched and the divergence telescopes, so the discrete mass of m is
 preserved to roundoff at every step.
 """
@@ -64,36 +71,105 @@ class SolverError(RuntimeError):
     """Linear-solve failure or invariant violation inside a sweep."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only: the caches below hand one array to every caller."""
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _fourier_basis(n: int) -> np.ndarray:
+    """Real orthonormal Fourier basis of one periodic axis of n nodes.
+
+    Columns: the constant, then cos/sin pairs of wavenumbers 1..(n-1)//2,
+    then the Nyquist mode (-1)^j for even n.  Column c has wavenumber
+    (c + 1) // 2.  Angles are 2 pi (k j mod n) / n with k j reduced in
+    integers, so every entry is accurate to the last bit.
+    """
+    j = np.arange(n)
+    wave = (np.arange(n) + 1) // 2
+    angle = 2.0 * np.pi * (np.outer(j, wave) % n) / n
+    q = np.sqrt(2.0 / n) * np.where(np.arange(n) % 2 == 1, np.cos(angle), np.sin(angle))
+    q[:, 0] = 1.0 / np.sqrt(n)
+    if n % 2 == 0:
+        q[:, -1] = (1.0 - 2.0 * (j % 2)) / np.sqrt(n)
+    return _frozen(q)
+
+
 @functools.lru_cache(maxsize=64)
-def _heat_symbol(grid: TorusGrid, dt: float) -> np.ndarray:
-    """Symbol of I - dt*Lap on the half spectrum of the real FFT (last axis)."""
-    return 1.0 - dt * laplacian_symbol(grid)[..., : grid.n_space // 2 + 1]
+def _heat_operators(n: int, dt: float, dim: int) -> tuple:
+    """(Q, 1/(1 - dt lambda)) of one axis and grid shape (dx = 1/n), lambda
+    the symbol of Lap on the basis Q; in 1D also the symmetric
+    S = Q diag(1/(1 - dt lambda)) Q^T, else None."""
+    q = _fourier_basis(n)
+    wave = (np.arange(n) + 1) // 2
+    lam = laplacian_symbol(TorusGrid(dim, n, 2))[np.ix_(*(wave,) * dim)]
+    inv_symbol = 1.0 / (1.0 - dt * lam)
+    if dim != 1:
+        return q, _frozen(inv_symbol), None
+    s = (q * inv_symbol) @ q.T
+    return q, _frozen(inv_symbol), _frozen(0.5 * (s + s.T))
 
 
 class PeriodicHeatSolver:
-    """Applies (I - dt*Lap)^(-1) exactly via the real FFT; reused across sweeps.
+    """Applies (I - dt*Lap)^(-1) exactly in the real Fourier basis; reused
+    across sweeps.
 
-    The last spatial axis goes through rfft/irfft, the other spatial axes
-    (2D) through a complex FFT; any leading stack is carried along.
+    The basis Q of one axis diagonalizes the periodic stencil, so the solve
+    is Q^T along each spatial axis, the inverse heat symbol, then Q.  In 1D
+    the three fold into one symmetric n x n matrix.  Any leading stack is
+    carried along.
     """
 
     def __init__(self, grid: TorusGrid, dt: float | None = None):
         self.grid = grid
         self.dt = grid.dt if dt is None else dt
-        self._denom = _heat_symbol(grid, self.dt)
-        self._complex_axes = grid.spatial_axes[:-1]
+        self._q, self._inv_symbol, self._s = _heat_operators(
+            grid.n_space, self.dt, grid.dim
+        )
+
+    def apply(self, rhs: np.ndarray) -> np.ndarray:
+        """The solve without a finiteness check; sweeps check their whole
+        trajectory once instead."""
+        if self._s is not None:
+            return rhs @ self._s
+        q = self._q
+        return q @ ((q.T @ rhs @ q) * self._inv_symbol) @ q.T
 
     def step(self, rhs: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfft(rhs, axis=-1)
-        for axis in self._complex_axes:
-            spec = np.fft.fft(spec, axis=axis)
-        spec /= self._denom
-        for axis in self._complex_axes:
-            spec = np.fft.ifft(spec, axis=axis)
-        out = np.fft.irfft(spec, n=self.grid.n_space, axis=-1)
-        if not np.isfinite(out).all():
-            raise SolverError("implicit diffusion produced non-finite values")
+        """The solve; non-finite output raises SolverError."""
+        out = self.apply(rhs)
+        _check_finite(out, "implicit diffusion")
         return out
+
+
+@functools.lru_cache(maxsize=16)
+def _difference_matrix(n: int) -> np.ndarray:
+    """Per-axis centered difference C as a right factor: row i is
+    ``gradient`` of the i-th unit vector, so u @ C differentiates the last
+    axis of u and C^T @ u the second to last."""
+    return _frozen(gradient(TorusGrid(1, n, 2), np.eye(n))[..., 0])
+
+
+def _slice_stencils(grid: TorusGrid):
+    """Gradient and divergence of one slice (or a stack) as products with C."""
+    c = _difference_matrix(grid.n_space)
+    if grid.dim == 1:
+        return (lambda u: (u @ c)[..., None]), (lambda w: w[..., 0] @ c)
+    ct = c.T
+
+    def grad(u):
+        return np.stack((ct @ u, u @ c), axis=-1)
+
+    def div(w):
+        return ct @ w[..., 0] + w[..., 1] @ c
+
+    return grad, div
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise SolverError(f"{what} produced non-finite values")
 
 
 @dataclass
@@ -160,17 +236,16 @@ def solve_hjb(problem: HjbProblem) -> HjbResult:
     model = problem.model
     coords = grid.coordinates()
     heat = PeriodicHeatSolver(grid)
+    grad, _ = _slice_stencils(grid)
+    value = model.hamiltonian.value
     K, dt = grid.n_time, grid.dt
 
     u = np.empty((K + 1, *grid.spatial_shape))
     u[K] = problem.terminal
     for k in range(K - 1, -1, -1):
-        du = gradient(grid, u[k + 1])
-        ham = model.hamiltonian.value(coords, du)
-        rhs = u[k + 1] - dt * ham + dt * problem.source[k + 1]
-        u[k] = heat.step(rhs)
-    if not np.all(np.isfinite(u)):
-        raise SolverError("HJB sweep produced non-finite values")
+        rhs = u[k + 1] - dt * value(coords, grad(u[k + 1])) + dt * problem.source[k + 1]
+        u[k] = heat.apply(rhs)
+    _check_finite(u, "HJB sweep")
 
     # CFL-quality indicator: dt * Lipschitz constant of the induced drift
     b = model.hamiltonian.grad_p(coords, gradient(grid, u))
@@ -202,12 +277,12 @@ def solve_kolmogorov(problem: KolmogorovProblem) -> KolmogorovResult:
             f"kolmogorov step size: dt = {dt:.3g} exceeds monotone bound {limit:.3g}"
         )
 
+    _, div = _slice_stencils(grid)
     m = np.empty((K + 1, *grid.spatial_shape))
     m[0] = problem.m0
     for k in range(K):
-        w = m[k][..., None] * problem.drift[k]
-        rhs = m[k] + dt * divergence(grid, w)
-        m[k + 1] = heat.step(rhs)
+        m[k + 1] = heat.apply(m[k] + dt * div(m[k][..., None] * problem.drift[k]))
+    _check_finite(m, "Kolmogorov sweep")  # before the sign test, which NaN passes
     low = float(m.min())
     if low < NEG_DENSITY_ERROR:
         raise SolverError(f"density went negative: min = {low:.3e}")
@@ -225,11 +300,13 @@ def solve_continuity(
     implicit), so outputs have continuity residual at roundoff level.
     """
     heat = PeriodicHeatSolver(grid)
+    _, div = _slice_stencils(grid)
     K, dt = grid.n_time, grid.dt
     m = np.empty((K + 1, *grid.spatial_shape))
     m[0] = np.asarray(m0_slice, dtype=float)
     for k in range(K):
-        m[k + 1] = heat.step(m[k] - dt * divergence(grid, w_values[k]))
+        m[k + 1] = heat.apply(m[k] - dt * div(w_values[k]))
+    _check_finite(m, "continuity sweep")
     return m
 
 

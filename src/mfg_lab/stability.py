@@ -16,10 +16,10 @@ with b = D_pH(x,Du), A = D2_ppH(x,Du), Kf/Kg the coupling kernels at the
 base density.  These rows are written once, as per-slice blocks built by
 `AssembledOperator`; the matrix-free products, the residuals, the
 factorization and the Picard sweeps of `solve_linearized` (block-triangular
-solves with I/dt - Lap inverted by the FFT) all apply the same blocks.  A
-kernel block stays in the coupling's factored form c I + U W^T of small rank
-r (`models.KernelFactors`); no n x n kernel matrix is formed, except in
-`to_sparse`, the sparse matrix kept as a test oracle.
+solves with I/dt - Lap inverted by `pde.PeriodicHeatSolver`) all apply the
+same blocks.  A kernel block stays in the coupling's factored form
+c I + U W^T of small rank r (`models.KernelFactors`); no n x n kernel matrix
+is formed, except in `to_sparse`, the sparse matrix kept as a test oracle.
 
 Stability is decided by the smallest singular value of the assembled
 homogeneous operator (uniqueness of solutions of a finite linear system is
@@ -232,12 +232,12 @@ class AssembledOperator:
         eye = sp.identity(n, format="csr")
         self._diag = (eye / dt + grad.T @ grad).tocsr()  # I/dt - Lap, Lap = -G^T G
 
-        # per slice: the drift b (the flux block mu -> mu b), v -> m A G v,
-        # T = -I/dt + b.G and E = -div(m A G .); div = -G^T exactly, so
-        # T^T = -I/dt - div(. b).  Each kind is written for all slices at
-        # once, entry by entry from the stencil of G (row a n + i holds the
-        # two neighbours of node i along axis a), as one tall matrix that
-        # `_row_blocks` cuts into the per-slice blocks.
+        # per slice: the drift b (the flux block mu -> mu b), m A with
+        # A = D2_ppH(x, Du), T = -I/dt + b.G and E = -div(m A G .);
+        # div = -G^T exactly, so T^T = -I/dt - div(. b).  Each kind is
+        # written for all slices at once, entry by entry from the stencil of
+        # G (row a n + i holds the two neighbours of node i along axis a), as
+        # one tall matrix that `_row_blocks` cuts into the per-slice blocks.
         gcol = grad.indices.reshape(d, n, 2)
         gval = grad.data.reshape(d, n, 2)
         gcol_ics, gval_ics = gcol.transpose(1, 0, 2), gval.transpose(1, 0, 2)
@@ -246,14 +246,8 @@ class AssembledOperator:
         du = gradient(grid, u)
         self.drift = b = ham.grad_p(coords, du).reshape(K + 1, n, d)
         mA = m[..., None, None] * ham.hess_pp(coords, du)
-        mA = mA.reshape(K + 1, n, d, d).transpose(0, 2, 1, 3)  # (k, a, i, c)
-        # flux_v, entries (k, a, i, c, s): m A[a, c](i) times neighbour s along c
-        rows_v = (np.arange(d)[:, None] * n + node)[..., None, None]
-        flux = _csr(
-            [(d * first[..., None] + rows_v, gcol_ics, mA[..., None] * gval_ics)],
-            ((K + 1) * d * n, n),
-        )
-        self.flux_v = _row_blocks(flux, d * n)
+        # (k, a, i, c), m A[a, c](i); `flux_from_value_direction` reads it too
+        self.mA = mA = mA.reshape(K + 1, n, d, d).transpose(0, 2, 1, 3)
         # E = G^T m A G, entries (k, a, i, s, c, t): one per pair of neighbours
         w = gval[..., None, None] * (mA[:, :, :, None, :, None] * gval_ics[:, None])
         E = _row_blocks(
@@ -741,13 +735,23 @@ def flux_from_value_direction(
 ) -> np.ndarray:
     """z = -mu D_pH(x,Du) - m D2_ppH(x,Du) Dv on every slice of [t1, T]."""
     op = assemble_operator(model, base, t1_index)
-    grid, K = op.grid, op.K
-    flux_v = np.stack([B @ v.reshape(-1) for B, v in zip(op.flux_v, v_values)])
+    grid, K, n, d = op.grid, op.K, op.n, op.grid.dim
+    # v -> m A G v on all slices as one block-diagonal matrix, entries
+    # (k, a, i, c, s): m A[a, c](i) times neighbour s along c
+    grad = _gradient_matrix(grid)
+    gcol = grad.indices.reshape(d, n, 2).transpose(1, 0, 2)
+    gval = grad.data.reshape(d, n, 2).transpose(1, 0, 2)
+    first = np.arange(K + 1).reshape(-1, 1, 1, 1, 1) * n
+    rows = d * first + (np.arange(d)[:, None] * n + np.arange(n))[..., None, None]
+    flux = _csr(
+        [(rows, first + gcol, op.mA[..., None] * gval)], ((K + 1) * d * n, (K + 1) * n)
+    )
+    flux_v = flux @ v_values.reshape(-1)
     z = -(
         op.drift * mu_values.reshape(K + 1, -1, 1)
-        + flux_v.reshape(K + 1, grid.dim, -1).transpose(0, 2, 1)
+        + flux_v.reshape(K + 1, d, -1).transpose(0, 2, 1)
     )
-    return z.reshape(K + 1, *grid.spatial_shape, grid.dim)
+    return z.reshape(K + 1, *grid.spatial_shape, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Backward/forward solver verification: trivial fixed points, manufactured
-solution, heat-flow reference, conservation, residuals, comparison."""
+solution, heat-flow reference, conservation, residuals, comparison, the
+Fourier basis of the heat step and non-finite sweeps."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfg_lab.grid import TorusGrid, inner, l2_norm
+from mfg_lab.grid import TorusGrid, inner, l2_norm, laplacian, laplacian_symbol
 from mfg_lab.models import builtin_quadratic
 from mfg_lab.pde import (
     HjbProblem,
     KolmogorovProblem,
     SolverError,
+    _fourier_basis,
     continuity_residual,
     hjb_residual,
     kolmogorov_residual,
@@ -208,3 +212,68 @@ def test_solve_continuity_matches_residual(rng):
     # zero-mass initial data stays zero-mass
     masses = grid.cell_volume * m.sum(axis=1)
     assert np.max(np.abs(masses)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-slice operators of the sweeps, and what the sweeps guarantee
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def grids(draw):
+    # odd and even N, and enough steps for roundoff in the mass to add up
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(4, 33 if dim == 1 else 12))
+    return TorusGrid(dim, n, draw(st.integers(2, 24)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 16, 17, 24, 33, 64])
+def test_fourier_basis_is_orthonormal_and_diagonalizes_the_laplacian(n):
+    grid = TorusGrid(1, n, 2)
+    q = _fourier_basis(n)
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
+    lap = laplacian(grid, np.eye(n)).T  # columns are Lap of the unit vectors
+    wave = (np.arange(n) + 1) // 2  # wavenumber of each basis column
+    expected = np.diag(laplacian_symbol(grid)[wave])
+    assert np.max(np.abs(q.T @ lap @ q - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@settings(max_examples=40)
+@given(grids(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
+def test_kolmogorov_sweep_conserves_mass_under_random_drifts(grid, seed, ratio):
+    rng = np.random.default_rng(seed)
+    d, dx, K = grid.dim, grid.dx, grid.n_time
+    grid = TorusGrid(d, grid.n_space, K, 0.0, K * ratio * dx**2 / (2 * d))
+    # m0 within a factor 2 of its mean; drifts with rho = dt d max|b| / dx
+    # = 1 / (8K), so each explicit transport step moves m by at most rho
+    # max m and the heat solve obeys the maximum principle: m stays positive
+    # and the sweep's sign test never fires.  Such drifts are inside the
+    # step limit.
+    m0 = rng.uniform(0.5, 1.0, grid.spatial_shape)
+    m0 /= grid.cell_volume * m0.sum()
+    bmax = dx / (8 * K * grid.dt * d)
+    drift = bmax * rng.uniform(-1.0, 1.0, (K + 1, *grid.spatial_shape, d))
+    out = solve_kolmogorov(KolmogorovProblem(grid, drift, m0))
+    assert out.step_size_ok
+    assert np.max(np.abs(out.m.mass() - 1.0)) <= 1e-13
+
+
+def test_hjb_sweep_with_overflowing_hamiltonian_raises(model):
+    grid = model.make_grid(16, 8)
+    terminal = 1e200 * np.cos(2 * np.pi * grid.axis_coordinates())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        SolverError, match="non-finite"
+    ):
+        solve_hjb(HjbProblem(model, grid, np.zeros((9, 16)), terminal))
+
+
+def test_kolmogorov_sweep_with_huge_finite_drift_raises():
+    # the finiteness check runs before the sign test, which NaN would pass
+    grid = TorusGrid(1, 16, 8, 0.0, 0.25)
+    x = grid.axis_coordinates()
+    drift = np.zeros((9, 16, 1))
+    drift[..., 0] = 1e300 * np.sin(2 * np.pi * x)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        SolverError, match="non-finite"
+    ):
+        solve_kolmogorov(KolmogorovProblem(grid, drift, np.ones(16)))
