@@ -202,7 +202,7 @@ def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
     a_of_x, da_of_x = _coef(eps)
 
     def h_val(x, p):
-        return 0.5 * a_of_x(x) * np.sum(p**2, axis=-1)
+        return 0.5 * a_of_x(x) * (p * p).sum(axis=-1)
 
     def h_grad_p(x, p):
         return a_of_x(x)[..., None] * p
@@ -217,11 +217,11 @@ def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
     def h_grad_x(x, p):
         d = p.shape[-1]
         out = np.zeros((*p.shape[:-1], d))
-        out[..., 0] = 0.5 * da_of_x(x) * np.sum(p**2, axis=-1)
+        out[..., 0] = 0.5 * da_of_x(x) * (p * p).sum(axis=-1)
         return out
 
     def l_val(x, q):
-        return 0.5 * np.sum(q**2, axis=-1) / a_of_x(x)
+        return 0.5 * (q * q).sum(axis=-1) / a_of_x(x)
 
     def l_grad_q(x, q):
         return q / a_of_x(x)[..., None]

@@ -15,9 +15,12 @@ forward sweep, k = 0 .. K-1, drift b^k = D_pH(x, G u^k):
 Keeping the Hamiltonian term centered (no upwinding) makes the discrete
 linearization of the backward equation the exact transpose of the forward
 one, which the stability certificates and the variational identities rely
-on; monotonicity is instead recovered through a step-size restriction
-dt <= dx^2 / (2 d + dx max|b|), reported as a quality flag rather than
-enforced.
+on.  The price is a Kolmogorov step that is not monotone: the explicit
+centered transport step gives a neighbour a negative weight for every dt.
+The bound dt <= dx^2 / (2 d + dx max|b|) is reported as a heuristic quality
+flag only; it does not keep the density nonnegative (random grids with dt
+at the bound still went negative).  What guards the density is the sweep's
+own sign test, which raises when a value falls below NEG_DENSITY_ERROR.
 
 Each step of a sweep is a few small dense products on one slice: the
 per-axis difference matrix C (``grid.gradient`` of the identity) for G and
@@ -45,6 +48,7 @@ from .grid import (
     gradient,
     laplacian,
     laplacian_symbol,
+    max_abs_gradient,
 )
 from .models import MfgModel
 
@@ -227,7 +231,7 @@ class HjbResult:
 class KolmogorovResult:
     m: DensityField
     min_value: float
-    step_size_ok: bool
+    step_size_ok: bool  # dt within kolmogorov_step_limit: a heuristic flag, no sign guarantee
     warnings: list = field(default_factory=list)
 
 
@@ -249,7 +253,7 @@ def solve_hjb(problem: HjbProblem) -> HjbResult:
 
     # CFL-quality indicator: dt * Lipschitz constant of the induced drift
     b = model.hamiltonian.grad_p(coords, gradient(grid, u))
-    lip = float(np.max(np.abs(gradient(grid, np.moveaxis(b, -1, 0)))))
+    lip = max(max_abs_gradient(grid, b[..., c]) for c in range(grid.dim))
     warns = []
     if dt * lip > 1.0:
         warns.append(f"hjb cfl quality: dt*Lip(drift) = {dt * lip:.3g} > 1")
@@ -259,7 +263,10 @@ def solve_hjb(problem: HjbProblem) -> HjbResult:
 
 
 def kolmogorov_step_limit(grid: TorusGrid, drift: np.ndarray) -> float:
-    """Step bound dx^2 / (2 d + dx max|b|) for monotone transport quality."""
+    """The heuristic step bound dx^2 / (2 d + dx max|b|) of the transport
+    quality flag.  It does not make the sweep monotone: random grids with dt
+    at this bound still drive the density negative (the sign test of
+    `solve_kolmogorov` catches that)."""
     bmax = float(np.max(np.abs(drift))) if drift.size else 0.0
     return grid.dx**2 / (2.0 * grid.dim + grid.dx * bmax)
 
