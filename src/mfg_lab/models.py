@@ -34,6 +34,7 @@ __all__ = [
     "MfgModel",
     "builtin_quadratic",
     "quadratic_hamiltonian",
+    "squared_norm",
     "abs_hamiltonian",
     "zero_coupling",
     "monotone_local_coupling",
@@ -191,6 +192,17 @@ def _coef(eps: float):
     return (unit if eps == 0.0 else a_of_x), da_of_x
 
 
+def squared_norm(p: np.ndarray) -> np.ndarray:
+    """|p|^2 over the trailing axis, summed component by component in order:
+    the bits of ``(p * p).sum(axis=-1)`` without a reduction call."""
+    p_a = p[..., 0]
+    sq = p_a * p_a
+    for a in range(1, p.shape[-1]):
+        p_a = p[..., a]
+        sq += p_a * p_a
+    return sq
+
+
 def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
     """H(x,p) = (1 + eps*cos(2 pi x1)) |p|^2 / 2 and its conjugate.
 
@@ -202,7 +214,7 @@ def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
     a_of_x, da_of_x = _coef(eps)
 
     def h_val(x, p):
-        return 0.5 * a_of_x(x) * (p * p).sum(axis=-1)
+        return 0.5 * a_of_x(x) * squared_norm(p)
 
     def h_grad_p(x, p):
         return a_of_x(x)[..., None] * p
@@ -217,11 +229,11 @@ def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
     def h_grad_x(x, p):
         d = p.shape[-1]
         out = np.zeros((*p.shape[:-1], d))
-        out[..., 0] = 0.5 * da_of_x(x) * (p * p).sum(axis=-1)
+        out[..., 0] = 0.5 * da_of_x(x) * squared_norm(p)
         return out
 
     def l_val(x, q):
-        return 0.5 * (q * q).sum(axis=-1) / a_of_x(x)
+        return 0.5 * squared_norm(q) / a_of_x(x)
 
     def l_grad_q(x, q):
         return q / a_of_x(x)[..., None]
@@ -256,16 +268,16 @@ def abs_hamiltonian() -> Hamiltonian:
     """
 
     def h_val(x, p):
-        return np.sqrt(np.sum(p**2, axis=-1))
+        return np.sqrt(squared_norm(p))
 
     def h_grad_p(x, p):
-        nrm = np.sqrt(np.sum(p**2, axis=-1))
+        nrm = np.sqrt(squared_norm(p))
         safe = np.where(nrm == 0.0, 1.0, nrm)
         return p / safe[..., None]
 
     def h_hess(x, p):
         d = p.shape[-1]
-        nrm2 = np.sum(p**2, axis=-1)
+        nrm2 = squared_norm(p)
         safe = np.where(nrm2 == 0.0, 1.0, nrm2)
         idx = np.arange(d)
         out = -p[..., :, None] * p[..., None, :] / safe[..., None, None]

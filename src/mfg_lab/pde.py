@@ -24,9 +24,23 @@ own sign test, which raises when a value falls below NEG_DENSITY_ERROR.
 
 Each step of a sweep is a few small dense products on one slice: the
 per-axis difference matrix C (``grid.gradient`` of the identity) for G and
-div, and the basis Q with the inverse heat symbol for the implicit solve.
-The whole-trajectory stencils of ``grid`` stay the definition that the
-residuals use.
+div, and the basis Q with the inverse heat symbol for the implicit solve
+(in 1D, the one symmetric matrix S they fold into).  A step does only its
+products and updates.  What depends on the whole trajectory is formed once
+per sweep (dt r for the backward sweep, row views of u, m and the drift),
+and the heat solve writes each new slice in place
+(``PeriodicHeatSolver.apply(rhs, out=...)``).  The contract is bitwise: a
+sweep returns the same bits as the plain loops
+
+    u^k     = heat(u^{k+1} - dt H(x, grad u^{k+1}) + dt r^{k+1})
+    m^{k+1} = heat(m^k + dt div(m^k b^k))
+    m^{k+1} = heat(m^k - dt div(w^k))                 (`solve_continuity`)
+
+with grad, div and heat the per-slice products of `_slice_stencils` and
+`PeriodicHeatSolver.apply`, evaluated as written (products first, then
+left to right).  The whole-trajectory stencils of ``grid`` stay the
+definition that the residuals use; the sweeps' products agree with them to
+roundoff.
 
 The forward sweep is conservative: the heat solve leaves the constant mode
 untouched and the divergence telescopes, so the discrete mass of m is
@@ -132,13 +146,14 @@ class PeriodicHeatSolver:
             grid.n_space, self.dt, grid.dim
         )
 
-    def apply(self, rhs: np.ndarray) -> np.ndarray:
+    def apply(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The solve without a finiteness check; sweeps check their whole
-        trajectory once instead."""
+        trajectory once instead.  A C-contiguous ``out`` of the result's
+        shape receives the result in place, with the same bits."""
         if self._s is not None:
-            return rhs @ self._s
+            return rhs.dot(self._s, out)
         q = self._q
-        return q @ ((q.T @ rhs @ q) * self._inv_symbol) @ q.T
+        return np.matmul(q @ ((q.T @ rhs @ q) * self._inv_symbol), q.T, out=out)
 
     def step(self, rhs: np.ndarray) -> np.ndarray:
         """The solve; non-finite output raises SolverError."""
@@ -156,17 +171,25 @@ def _difference_matrix(n: int) -> np.ndarray:
 
 
 def _slice_stencils(grid: TorusGrid):
-    """Gradient and divergence of one slice (or a stack) as products with C."""
+    """Gradient and divergence of one slice (or a stack) as products with C.
+
+    Products on the right use ``ndarray.dot``, which gives the bits of ``@``
+    with less call overhead; C^T on the left keeps ``@``, which broadcasts
+    over a stack where ``dot`` would not.
+    """
     c = _difference_matrix(grid.n_space)
     if grid.dim == 1:
-        return (lambda u: (u @ c)[..., None]), (lambda w: w[..., 0] @ c)
+        return (lambda u: u.dot(c)[..., None]), (lambda w: w[..., 0].dot(c))
     ct = c.T
 
     def grad(u):
-        return np.stack((ct @ u, u @ c), axis=-1)
+        p = np.empty((*u.shape, 2))
+        p[..., 0] = ct @ u
+        p[..., 1] = u.dot(c)
+        return p
 
     def div(w):
-        return ct @ w[..., 0] + w[..., 1] @ c
+        return ct @ w[..., 0] + w[..., 1].dot(c)
 
     return grad, div
 
@@ -246,9 +269,12 @@ def solve_hjb(problem: HjbProblem) -> HjbResult:
 
     u = np.empty((K + 1, *grid.spatial_shape))
     u[K] = problem.terminal
-    for k in range(K - 1, -1, -1):
-        rhs = u[k + 1] - dt * value(coords, grad(u[k + 1])) + dt * problem.source[k + 1]
-        u[k] = heat.apply(rhs)
+    dt_source = dt * problem.source
+    # u^k from u^{k+1} and dt r^{k+1}, k = K-1 .. 0, as row views
+    for u_k, u_next, dt_r in zip(u[-2::-1], u[:0:-1], dt_source[:0:-1]):
+        rhs = u_next - dt * value(coords, grad(u_next))
+        rhs += dt_r
+        heat.apply(rhs, out=u_k)
     _check_finite(u, "HJB sweep")
 
     # CFL-quality indicator: dt * Lipschitz constant of the induced drift
@@ -287,8 +313,13 @@ def solve_kolmogorov(problem: KolmogorovProblem) -> KolmogorovResult:
     _, div = _slice_stencils(grid)
     m = np.empty((K + 1, *grid.spatial_shape))
     m[0] = problem.m0
-    for k in range(K):
-        m[k + 1] = heat.apply(m[k] + dt * div(m[k][..., None] * problem.drift[k]))
+    # m^{k+1} from m^k and b^k, k = 0 .. K-1, as row views; m_col is m^k
+    # with a trailing axis against the drift's components
+    for m_k, m_col, m_next, b_k in zip(m[:-1], m[:-1, ..., None], m[1:], problem.drift):
+        rhs = div(m_col * b_k)
+        rhs *= dt
+        rhs += m_k
+        heat.apply(rhs, out=m_next)
     _check_finite(m, "Kolmogorov sweep")  # before the sign test, which NaN passes
     low = float(m.min())
     if low < NEG_DENSITY_ERROR:
@@ -311,8 +342,8 @@ def solve_continuity(
     K, dt = grid.n_time, grid.dt
     m = np.empty((K + 1, *grid.spatial_shape))
     m[0] = np.asarray(m0_slice, dtype=float)
-    for k in range(K):
-        m[k + 1] = heat.apply(m[k] - dt * div(w_values[k]))
+    for k in range(K):  # indexing w_values raises if it has too few slices
+        heat.apply(m[k] - dt * div(w_values[k]), out=m[k + 1])
     _check_finite(m, "continuity sweep")
     return m
 

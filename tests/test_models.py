@@ -19,6 +19,7 @@ from mfg_lab.models import (
     monotone_smoothed_coupling,
     m0_preset,
     quadratic_hamiltonian,
+    squared_norm,
     zero_coupling,
 )
 
@@ -86,6 +87,24 @@ def test_legendre_identities(eps, dim):
     assert rep.conjugacy_defect <= 1e-8
     assert rep.hessian_identity_defect <= 1e-8
     assert rep.argmax_defect <= 1e-8
+
+
+@pytest.mark.parametrize("stack", [(), (7,), (5, 6), (2, 3, 4)])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_squared_norm_forms_equal_the_reduction_bitwise(dim, eps, stack, rng):
+    # |p|^2 summed component by component is the reduction, bit for bit
+    p = rng.standard_normal((*stack, dim)) * 10.0 ** rng.integers(-4, 5, (*stack, dim))
+    x = tuple(rng.uniform(0.0, 1.0, stack) for _ in range(dim))
+    sq = (p * p).sum(axis=-1)
+    a = 1.0 + eps * np.cos(2.0 * np.pi * x[0])
+    da = -2.0 * np.pi * eps * np.sin(2.0 * np.pi * x[0])
+    ham, lag = quadratic_hamiltonian(eps)
+    assert np.array_equal(squared_norm(p), sq)
+    assert np.array_equal(ham.value(x, p), 0.5 * a * sq)
+    assert np.array_equal(ham.grad_x(x, p)[..., 0], 0.5 * da * sq)
+    assert np.array_equal(lag.value(x, p), 0.5 * sq / a)
+    assert np.array_equal(abs_hamiltonian().value(x, p), np.sqrt(np.sum(p**2, axis=-1)))
 
 
 def test_legendre_newton_maximizer():

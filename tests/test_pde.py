@@ -1,7 +1,9 @@
 """Backward/forward solver verification: trivial fixed points, manufactured
 solution, heat-flow reference, conservation, residuals, comparison, the
-Fourier basis of the heat step and non-finite sweeps."""
+Fourier basis of the heat step, non-finite sweeps, and the sweeps bit for bit
+against plain step loops."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfg_lab.grid import TorusGrid, inner, l2_norm, laplacian, laplacian_symbol
-from mfg_lab.models import builtin_quadratic
+from mfg_lab.grid import (
+    TorusGrid,
+    gradient,
+    inner,
+    l2_norm,
+    laplacian,
+    laplacian_symbol,
+    max_abs_gradient,
+)
+from mfg_lab.models import builtin_quadratic, quadratic_hamiltonian
 from mfg_lab.pde import (
+    NEG_DENSITY_ERROR,
     HjbProblem,
     KolmogorovProblem,
     SolverError,
+    _difference_matrix,
     _fourier_basis,
+    _heat_operators,
     continuity_residual,
     hjb_residual,
     kolmogorov_residual,
@@ -277,3 +290,96 @@ def test_kolmogorov_sweep_with_huge_finite_drift_raises():
         SolverError, match="non-finite"
     ):
         solve_kolmogorov(KolmogorovProblem(grid, drift, np.ones(16)))
+
+
+# ---------------------------------------------------------------------------
+# the sweeps bit for bit against plain step loops
+# ---------------------------------------------------------------------------
+
+
+def _plain_operators(grid):
+    """Slice gradient, divergence and heat solve as plain ``@`` products."""
+    c = _difference_matrix(grid.n_space)
+    q, inv_symbol, s = _heat_operators(grid.n_space, grid.dt, grid.dim)
+    if grid.dim == 1:
+        return (lambda u: (u @ c)[..., None]), (lambda w: w[..., 0] @ c), (lambda r: r @ s)
+    ct = c.T
+    return (
+        lambda u: np.stack((ct @ u, u @ c), axis=-1),
+        lambda w: ct @ w[..., 0] + w[..., 1] @ c,
+        lambda r: q @ ((q.T @ r @ q) * inv_symbol) @ q.T,
+    )
+
+
+def _plain_hjb(model, grid, source, terminal):
+    """u, the drift D_pH(x, Du) and dt Lip(drift) from one step at a time."""
+    coords, (grad, _, heat) = grid.coordinates(), _plain_operators(grid)
+    value, K, dt = model.hamiltonian.value, grid.n_time, grid.dt
+    u = np.empty((K + 1, *grid.spatial_shape))
+    u[K] = terminal
+    for k in range(K - 1, -1, -1):
+        rhs = u[k + 1] - dt * value(coords, grad(u[k + 1])) + dt * source[k + 1]
+        u[k] = heat(rhs)
+    b = model.hamiltonian.grad_p(coords, gradient(grid, u))
+    lip = max(max_abs_gradient(grid, b[..., c]) for c in range(grid.dim))
+    return u, b, dt * lip
+
+
+def _plain_kolmogorov(grid, drift, m0):
+    _, div, heat = _plain_operators(grid)
+    m = np.empty((grid.n_time + 1, *grid.spatial_shape))
+    m[0] = m0
+    for k in range(grid.n_time):
+        m[k + 1] = heat(m[k] + grid.dt * div(m[k][..., None] * drift[k]))
+    return m
+
+
+def _plain_continuity(grid, w, m0):
+    _, div, heat = _plain_operators(grid)
+    m = np.empty((grid.n_time + 1, *grid.spatial_shape))
+    m[0] = m0
+    for k in range(grid.n_time):
+        m[k + 1] = heat(m[k] - grid.dt * div(w[k]))
+    return m
+
+
+@settings(max_examples=60)
+@given(
+    grids(),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.01, 1.0),
+    st.floats(1e-3, 1.0),
+    st.sampled_from([0.0, 0.3]),
+)
+def test_sweeps_equal_plain_step_loops_bitwise(grid, seed, horizon, scale, eps):
+    rng = np.random.default_rng(seed)
+    grid = TorusGrid(grid.dim, grid.n_space, grid.n_time, 0.0, horizon)
+    ham, lag = quadratic_hamiltonian(eps)
+    model = dataclasses.replace(
+        builtin_quadratic(0.0, coupling="none", dim=grid.dim),
+        hamiltonian=ham,
+        lagrangian=lag,
+    )
+    shape = (grid.n_time + 1, *grid.spatial_shape)
+    source = rng.standard_normal(shape)
+    terminal = scale * rng.standard_normal(grid.spatial_shape)
+
+    hjb = solve_hjb(HjbProblem(model, grid, source, terminal))
+    u, b, dt_lip = _plain_hjb(model, grid, source, terminal)
+    assert np.array_equal(hjb.u.values, u)
+    assert np.array_equal(hjb.drift, b)
+    assert hjb.dt_drift_lipschitz == dt_lip
+
+    m0 = rng.uniform(0.5, 1.5, grid.spatial_shape)
+    m0 /= grid.cell_volume * m0.sum()
+    m = _plain_kolmogorov(grid, b, m0)
+    if m.min() < NEG_DENSITY_ERROR:
+        with pytest.raises(SolverError, match="negative"):
+            solve_kolmogorov(KolmogorovProblem(grid, b, m0))
+    else:
+        kol = solve_kolmogorov(KolmogorovProblem(grid, b, m0))
+        assert np.array_equal(kol.m.values, m)
+        assert kol.min_value == m.min()
+
+    w = rng.standard_normal((*shape, grid.dim))
+    assert np.array_equal(solve_continuity(grid, w, m0), _plain_continuity(grid, w, m0))

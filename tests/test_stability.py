@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
+from scipy.optimize import brentq
 
 from mfg_lab.grid import divergence, gradient, inner, laplacian, sup_norm
 from mfg_lab.mfg import drift_field, solve_picard
@@ -474,3 +475,83 @@ def test_singular_schur_block_names_its_slice(monotone_model, monotone_solution)
     op.rows[2 * op.K] = [(slot, zero, zero.T)]
     with pytest.raises(np.linalg.LinAlgError, match="time slice 0 is singular"):
         op.factorize()
+
+
+# ---------------------------------------------------------------------------
+# closed form: the critical horizons of the uniform state
+# ---------------------------------------------------------------------------
+
+THETA, N_SPACE, N_TIME = 64.0, 16, 32
+
+
+def _sine_mode_defect(T: float) -> float:
+    """alpha_K of the sin(2 pi x) mode of the linearized system at the
+    uniform state of antimonotone_symmetric(theta), from alpha_0 = 1.
+
+    With a uniform m0 the base is u = 0, m = 1, so b = 0, A = I, Kg = 0 and
+    Kf = -4 theta dx s s^T with s = sin(2 pi x), c = 0 and rank 1.  Every
+    other Fourier mode decouples with zero data; on v = alpha s, mu = beta s
+    the backward and forward rows are the 2x2 step
+        (1/dt + w) beta_{k+1} = beta_k / dt - w alpha_k
+        (1/dt + w) alpha_k = alpha_{k+1} / dt - 2 theta beta_{k+1}
+    with w = sin(2 pi dx)^2 / dx^2 the symbol of -Lap on s and s^T s = N/2.
+    Marched from the initial row beta_0 = 0, the terminal row v^K = 0 holds
+    exactly where alpha_K vanishes: the operator is singular at the roots
+    of this function in T.
+    """
+    dt, dx = T / N_TIME, 1.0 / N_SPACE
+    w = math.sin(2.0 * math.pi * dx) ** 2 / dx**2
+    alpha, beta = 1.0, 0.0
+    for _ in range(N_TIME):
+        beta = (beta / dt - w * alpha) / (1.0 / dt + w)
+        alpha = dt * ((1.0 / dt + w) * alpha + 2.0 * THETA * beta)
+    return alpha
+
+
+@functools.lru_cache(maxsize=1)
+def _critical_horizons() -> list:
+    scan = np.linspace(0.01, 0.25, 241)
+    defect = [_sine_mode_defect(T) for T in scan]
+    return [
+        brentq(_sine_mode_defect, scan[i], scan[i + 1], xtol=1e-16, rtol=1e-15)
+        for i in range(len(scan) - 1)
+        if defect[i] * defect[i + 1] < 0
+    ]
+
+
+def _uniform_state_certificate(T: float):
+    model = builtin_quadratic(THETA, coupling="antimonotone_symmetric", T=T, m0="uniform")
+    base = solve_picard(model, model.make_grid(N_SPACE, N_TIME), tol=1e-12)
+    assert base.converged and sup_norm(base.u.values) <= 1e-14
+    return certify_stability(model, base, 0), base.grid
+
+
+def test_critical_horizons_of_the_sine_mode():
+    assert np.allclose(
+        _critical_horizons(),
+        [0.0369804483017618, 0.0939655588366413, 0.154221977268478, 0.217698978643160],
+        rtol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("root", [0, 1])
+@pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+def test_critical_horizon_gives_the_unstable_verdict(root, offset):
+    # next to the root, not at it: at the root the Schur block of the last
+    # slice can be singular to working precision (it is at the second), and
+    # the factorization refuses it
+    cert, grid = _uniform_state_certificate(_critical_horizons()[root] * (1.0 + offset))
+    assert cert.verdict == "UNSTABLE-DIRECTION-FOUND"
+    assert cert.converged and cert.sigma_min <= 1e-7
+    # the witness lives on the sine mode: mu^0 = 0, then mu^k = beta_k s
+    s = np.sin(2.0 * np.pi * grid.coordinates()[0])
+    mu = cert.witness_mu[1:]
+    beta = mu @ s / (s @ s)
+    assert np.all(np.abs(beta) > 1e-3)
+    assert np.max(np.abs(mu - beta[:, None] * s)) <= 1e-12 * np.max(np.abs(mu))
+
+
+def test_horizon_between_critical_ones_is_stable():
+    first, second = _critical_horizons()[:2]
+    cert, _ = _uniform_state_certificate(0.5 * (first + second))
+    assert cert.verdict == "STABLE" and cert.sigma_min > 1.0
