@@ -68,8 +68,11 @@ def find_symmetric_branch(
 
     The reflection-symmetric subspace is invariant for symmetric data, so
     the projected fixed point is a fixed point of the unprojected map too;
-    this is verified by running `polish_iters` unprojected rounds at the
-    end.  Returns (solution, unprojected drift during the polish).
+    this is verified by running `polish_iters` plain, unprojected rounds
+    (belief <- m~) at the end.  Returns (solution, drift of the lowest-gap
+    polish round from the projected fixed point).  The polish is not
+    accelerated: an accelerated update can converge to fixed points that
+    plain iteration leaves, and the drift would hide that instability.
     """
     m0 = model.initial_density_slice(grid)
     if reflection_defect(m0[None, ...]) > 1e-10:
@@ -83,19 +86,18 @@ def find_symmetric_branch(
         if played.gap <= tol:
             break
     # unprojected polish: the symmetric solution must hold on its own
-    polished = solve_picard(
-        model,
-        grid,
-        m0=m0,
-        init_m=m_values,
-        damping=1.0,
-        tol=0.0,
-        max_iter=polish_iters,
-    )
-    drift = sup_norm(polished.m.values - m_values)
+    belief, polished = m_values, None
+    for _ in range(polish_iters):
+        played = best_response(model, grid, belief, m0)
+        if polished is None or played.gap <= polished.gap:
+            polished = played
+        if played.gap == 0.0:
+            break
+        belief = played.m.copy()
+        belief[0] = m0
+    drift = sup_norm(polished.m - m_values)
     final = solve_picard(
-        model, grid, m0=m0, init_m=polished.m.values, damping=damping,
-        tol=tol, max_iter=50,
+        model, grid, m0=m0, init_m=polished.m, damping=damping, tol=tol, max_iter=50
     )
     return final, drift
 

@@ -58,7 +58,6 @@ from scipy.linalg.blas import dgemm
 from .grid import (
     ScalarField,
     TorusGrid,
-    c10_norm_field,
     divergence,
     gradient,
     max_slice_l2_norm,
@@ -67,7 +66,7 @@ from .grid import (
 from .mfg import MfgSolution, solution_distance, solve_picard
 from .models import KernelFactors, MfgModel
 from .pde import PeriodicHeatSolver
-from .perturb import low_frequency_field, perturb_density_values, spawn_rngs
+from .perturb import perturb_density_values, spawn_rngs
 
 __all__ = [
     "LinearizedProblem",
@@ -80,7 +79,6 @@ __all__ = [
     "isolation_experiment",
     "backward_response",
     "flux_from_value_direction",
-    "response_bound_estimate",
 ]
 
 # Memory guard of the block factorization, checked against the bytes of the
@@ -1017,33 +1015,3 @@ def isolation_experiment(
             }
         )
     return IsolationReport(eta_records=records, distinct_pairs_total=total)
-
-
-def response_bound_estimate(
-    model: MfgModel,
-    base: MfgSolution,
-    trials: int = 20,
-    seed=0,
-    t1_index: int = 0,
-) -> float:
-    """Empirical bound C with ||v||_{C^{1,0}} + ||mu||_sup <= C (||a|| + ||b|| + ||c||)
-    over random unit-norm sources; finite iff the base is linearly stable."""
-    grid = base.grid.restrict(t1_index)
-    rngs = spawn_rngs(seed, trials)
-    worst = 0.0
-    for rng in rngs:
-        a = np.stack(
-            [low_frequency_field(grid, rng) for _ in range(grid.n_time + 1)]
-        )
-        b = np.zeros((grid.n_time + 1, *grid.spatial_shape, grid.dim))
-        for ax in range(grid.dim):
-            b[..., ax] = low_frequency_field(grid, rng)
-        c = low_frequency_field(grid, rng)
-        a /= max(sup_norm(a), 1e-30)
-        b /= max(sup_norm(b), 1e-30)
-        c /= max(sup_norm(c), 1e-30)
-        prob = LinearizedProblem(base=base, t1_index=t1_index, a=a, b_src=b, c=c)
-        out = solve_linearized(model, prob)
-        response = c10_norm_field(grid, out.v.values) + sup_norm(out.mu.values)
-        worst = max(worst, response / 3.0)
-    return worst

@@ -9,6 +9,7 @@ import pytest
 from mfg_lab.fictitious_play import fp_start, fp_step, run_fp
 from mfg_lab.grid import sup_norm
 from mfg_lab.mfg import (
+    best_response,
     drift_field,
     heat_flow_of_initial,
     probe_uniqueness_given_gradient,
@@ -43,6 +44,8 @@ def test_decoupled_converges_in_two_iterations(decoupled_model, monotone_grid, r
 def test_monotone_solution_quality(monotone_solution):
     sol = monotone_solution
     assert sol.converged
+    # Anderson mixing takes 7 rounds here, plain damping 0.5 takes 32
+    assert sol.iterations <= 10
     assert sol.residuals["hjb"] <= 1e-10
     assert sol.residuals["kolmogorov"] <= 1e-10
     assert np.max(np.abs(sol.m.mass() - 1.0)) <= 1e-12
@@ -68,6 +71,50 @@ def test_damping_independent_limit(monotone_model, monotone_grid, monotone_solut
     )
     assert other.converged
     assert solution_distance(other, monotone_solution) <= 1e-8
+
+
+def test_matches_plain_damped_picard(monotone_model, monotone_grid, monotone_solution):
+    grid = monotone_grid
+    m0 = monotone_model.initial_density_slice(grid)
+    m = heat_flow_of_initial(monotone_model, grid, m0)
+    for _ in range(500):
+        played = best_response(monotone_model, grid, m, m0)
+        if played.gap <= 1e-12:
+            break
+        m = 0.5 * m + 0.5 * played.m
+        m[0] = m0
+    assert played.gap <= 1e-12
+    assert sup_norm(played.m - monotone_solution.m.values) <= 1e-10
+
+
+def test_first_two_rounds_are_damped(monotone_model, monotone_grid):
+    # with no history yet the update is exactly the damped one
+    grid = monotone_grid
+    m0 = monotone_model.initial_density_slice(grid)
+    m = heat_flow_of_initial(monotone_model, grid, m0)
+    first = best_response(monotone_model, grid, m, m0)
+    m = (1.0 - 0.3) * m + 0.3 * first.m
+    m[0] = m0
+    second = best_response(monotone_model, grid, m, m0)
+    sol = solve_picard(monotone_model, grid, damping=0.3, tol=0.0, max_iter=2)
+    assert sol.gap_history == [first.gap, second.gap]
+    best = second if second.gap <= first.gap else first
+    assert np.array_equal(sol.m.values, best.m)
+    assert np.array_equal(sol.u.values, best.u)
+
+
+def test_m_independent_source_fixed_in_round_three():
+    # the best response is then a constant map; one mixing step with two
+    # rounds of history lands on its value, where damping only approaches it
+    base = builtin_quadratic(coupling="none", T=0.5)
+
+    def f(grid, m):
+        return np.cos(2.0 * np.pi * grid.coordinates()[0]) + np.zeros(np.shape(m))
+
+    model = dataclasses.replace(base, coupling=dataclasses.replace(base.coupling, f=f))
+    sol = solve_picard(model, model.make_grid(32, 16), damping=0.5, tol=1e-12)
+    assert sol.converged and sol.iterations == 3
+    assert sol.gap_history[1] >= 0.25 * sol.gap_history[0] > 0.0
 
 
 def test_random_inits_agree(monotone_model, monotone_grid, monotone_solution):
@@ -148,9 +195,10 @@ def test_repeated_warnings_are_kept_once():
 
     model = dataclasses.replace(base, coupling=dataclasses.replace(base.coupling, f=f))
     grid = model.make_grid(32, 8)
+    # Picard's mixing reaches the fixed point of the constant map in round 3;
     # fictitious play stops in round 2: its belief no longer moves the source
     for sol, rounds in (
-        (solve_picard(model, grid, max_iter=6), 6),
+        (solve_picard(model, grid, max_iter=6), 3),
         (run_fp(model, grid, n_max=6).final, 2),
     ):
         assert sol.iterations == rounds

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfg_lab.grid import sup_norm
-from mfg_lab.mfg import probe_uniqueness_given_gradient
+from mfg_lab.mfg import best_response, heat_flow_of_initial, probe_uniqueness_given_gradient
 from mfg_lab.models import builtin_quadratic
 from mfg_lab.nonuniqueness import (
     asymmetric_initial_belief,
@@ -59,6 +59,43 @@ def test_symmetric_branch_is_uniform_rest(branch_setup):
     for k in range(0, grid.n_time + 1, 16):
         f = model.coupling.f(grid, sym.m.values[k])
         assert sup_norm(f - reflect_values(f[None, :])[0]) <= 1e-12
+
+
+def _plain_polish_drift(model, grid, max_iter, polish_iters=5, damping=0.5, tol=1e-11):
+    """The projected loop, then plain rounds belief <- m~; drift of the
+    lowest-gap round (the last of equal gaps) from the projected point."""
+    m0 = model.initial_density_slice(grid)
+    m = heat_flow_of_initial(model, grid, m0)
+    for _ in range(max_iter):
+        played = best_response(model, grid, m, m0)
+        m = (1.0 - damping) * m + damping * played.m
+        m = 0.5 * (m + reflect_values(m))
+        m[0] = m0
+        if played.gap <= tol:
+            break
+    belief, rounds = m, []
+    for _ in range(polish_iters):
+        played = best_response(model, grid, belief, m0)
+        rounds.append(played)
+        belief = played.m.copy()
+        belief[0] = m0
+    lowest = min(r.gap for r in rounds)
+    polished = [r for r in rounds if r.gap == lowest][-1]
+    return sup_norm(polished.m - m)
+
+
+@pytest.mark.parametrize("case", ["branch_pair", "monotone_unconverged"])
+def test_symmetric_polish_drift_is_plain_iteration(branch_setup, case):
+    # the polish must measure the plain map: an accelerated update can
+    # settle on a fixed point that plain iteration leaves
+    if case == "branch_pair":
+        (model, grid), max_iter = branch_setup, 400
+    else:
+        # three projected rounds leave the polish something to move
+        model = builtin_quadratic(coupling="monotone_local", T=0.5, m0="cosine")
+        grid, max_iter = model.make_grid(32, 48), 3
+    _, drift = find_symmetric_branch(model, grid, max_iter=max_iter)
+    assert drift == _plain_polish_drift(model, grid, max_iter)
 
 
 def test_theta_zero_not_found():
