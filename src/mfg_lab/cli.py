@@ -256,6 +256,8 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
             success_err=cfg["fp.success_err"],
         )
         summary["attractor"] = report.records
+        if report.failures:
+            summary["attractor_failures"] = report.failures
         summary["reference_sigma_min"] = cert.sigma_min
     _write_solution_fields(outdir, trace.final, cfg["output.write_fields"] == 1)
     return summary

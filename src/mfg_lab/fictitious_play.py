@@ -18,6 +18,7 @@ the same residual diagnostics as the direct solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -33,6 +34,7 @@ from .mfg import (
     heat_flow_of_initial,
 )
 from .models import MfgModel
+from .pde import SolverError
 from .perturb import perturb_density_values, spawn_rngs
 
 __all__ = [
@@ -155,6 +157,8 @@ def run_fp(
 @dataclass
 class AttractorReport:
     records: list
+    # one {"delta", "trial", "cause"} per trial whose run raised SolverError
+    failures: list = field(default_factory=list)
 
     def success_rate(self, delta: float) -> float:
         for rec in self.records:
@@ -178,26 +182,35 @@ def local_attractor_experiment(
     For each delta, fictitious play starts from beliefs within sup-distance
     delta of the reference flow; a trial succeeds when the final error is
     below success_err.  The tail-monotonicity flag records whether err_n
-    was non-increasing (within 5%) over the last third of the rounds.
+    was non-increasing (within 5%) over the last third of the rounds.  A
+    trial whose run raises SolverError (a density gone negative, say) has
+    failed: it is neither a success nor eventually monotone, and its cause
+    goes to the report's `failures`.
     """
     deltas = list(delta_list)
     rngs = spawn_rngs(seed, len(deltas) * trials)
     records = []
+    failures = []
     ri = 0
     for delta in deltas:
         successes = 0
         monotone_flags = []
         final_errors = []
-        for _ in range(trials):
+        for trial in range(trials):
             rng = rngs[ri]
             ri += 1
             if delta == 0.0:
                 mu0 = stable_ref.m.values.copy()
             else:
                 mu0 = perturb_density_values(grid, stable_ref.m.values, delta, rng)
-            trace = run_fp(
-                model, grid, mu0=mu0, n_max=n_max, gap_tol=0.0, reference=stable_ref
-            )
+            try:
+                trace = run_fp(
+                    model, grid, mu0=mu0, n_max=n_max, gap_tol=0.0, reference=stable_ref
+                )
+            except SolverError as err:
+                failures.append({"delta": float(delta), "trial": trial, "cause": str(err)})
+                monotone_flags.append(False)
+                continue
             err_final = trace.errors[-1]
             final_errors.append(err_final)
             if err_final <= success_err:
@@ -211,8 +224,8 @@ def local_attractor_experiment(
                 "delta": float(delta),
                 "trials": trials,
                 "success_rate": successes / trials,
-                "max_final_error": max(final_errors),
+                "max_final_error": max(final_errors, default=math.inf),
                 "eventually_monotone_fraction": sum(monotone_flags) / trials,
             }
         )
-    return AttractorReport(records=records)
+    return AttractorReport(records=records, failures=failures)

@@ -5,12 +5,13 @@ Sign convention used everywhere: the Lagrangian is the conjugate
 ``w = -m * D_pH(x, Du)``, and the maximizer satisfies ``p* = -D_qL(q)``,
 ``q = -D_pH(p*)``, hence ``D2_qqL(x, w/m) @ D2_ppH(x, Du) = I``.
 
-Couplings ship with their flat (measure) derivatives ``K(x_i, m, y_j)`` as
-actions ``mu -> dx^d K(m) mu``, written with FFTs and slice moments, and in
-the factored form ``dx^d K(m) = c I + U W^T`` of small rank r
-(`KernelFactors`) that the linearized operator uses; no coupling builds an
-n x n matrix, and `kernel_matrix` forms one from the action only for
-`check_symmetry_relation`.  Both the coupling value f and its kernel
+Couplings ship with their flat (measure) derivatives ``K(x_i, m, y_j)`` in
+one form only: the factors ``dx^d K(m) = c I + U W^T`` of small rank r
+(`KernelFactors`), built from a few fixed modes and slice moments.  The
+linearized operator, the second variation and the checks all apply
+``factors @ mu``; no coupling builds an n x n matrix, and `kernel_matrix`
+forms one from the factors only for `check_symmetry_relation`.  Both the
+coupling value f and its kernel
 are the normalized representatives (integral against m vanishes); adding
 slice-constants to f does not change the game, but only the normalized pair
 satisfies the kernel symmetry relation ``K(x,y) - K(y,x) = f(x) - f(y)``
@@ -93,6 +94,10 @@ class KernelFactors:
         moments = np.swapaxes(self.W, -1, -2) @ mu[..., None]
         return self.c * mu + (self.U @ moments)[..., 0]
 
+    def toarray(self) -> np.ndarray:
+        """The dense (..., n, n) matrices c I + U W^T."""
+        return self.c * np.eye(self.U.shape[-2]) + self.U @ np.swapaxes(self.W, -1, -2)
+
     @property
     def T(self) -> "KernelFactors":
         return KernelFactors(self.c, self.W, self.U)
@@ -102,14 +107,13 @@ class KernelFactors:
 class Coupling:
     """Running coupling f with potential F and kernel, plus terminal (g, G).
 
-    f, g, F and G take (grid, m_slice) with m_slice of spatial shape;
-    kernels are actions ``kernel(grid, m, mu) -> dx^d K(m) mu``.  f, g and
-    the kernels also accept a leading stack (..., *spatial), acting slice
-    by slice (sums over the spatial axes only; a kernel broadcasts m
-    against mu): ``f_field`` passes a whole trajectory to f in one call.
-    ``kernel_f_factors(grid, m)`` and ``kernel_g_factors`` give the same
-    kernels as `KernelFactors` of a stack m; the linearized operator needs
-    them, the other layers do not.
+    f, g, F and G take (grid, m_slice) with m_slice of spatial shape; the
+    kernels ``kernel_f(grid, m)`` and ``kernel_g`` give the flat derivatives
+    of f and g at m as `KernelFactors`, so ``kernel_f(grid, m) @ mu`` is
+    ``dx^d K(m) mu`` for mu flattened to (..., n).  f, g and the kernels
+    also accept a leading stack (..., *spatial), acting slice by slice (sums
+    over the spatial axes only): ``f_field`` passes a whole trajectory to f
+    in one call.
     """
 
     name: str
@@ -120,8 +124,6 @@ class Coupling:
     g: Callable
     kernel_g: Callable
     G: Optional[Callable]
-    kernel_f_factors: Optional[Callable] = None
-    kernel_g_factors: Optional[Callable] = None
 
     def f_field(self, grid, m_values: np.ndarray) -> np.ndarray:
         return self.f(grid, m_values)
@@ -318,10 +320,6 @@ def _zero_f(grid, m):
     return np.zeros(np.shape(m))
 
 
-def _zero_kernel(grid, m, mu):
-    return np.zeros(np.shape(mu))
-
-
 def _zero_factors(grid, m):
     shape = (*np.shape(m)[: np.ndim(m) - grid.dim], grid.n_nodes, 0)
     return KernelFactors(0.0, np.zeros(shape), np.zeros(shape))
@@ -336,13 +334,11 @@ def zero_coupling() -> Coupling:
         name="none",
         is_potential=True,
         f=_zero_f,
-        kernel_f=_zero_kernel,
+        kernel_f=_zero_factors,
         F=_zero_potential,
         g=_zero_f,
-        kernel_g=_zero_kernel,
+        kernel_g=_zero_factors,
         G=_zero_potential,
-        kernel_f_factors=_zero_factors,
-        kernel_g_factors=_zero_factors,
     )
 
 
@@ -351,9 +347,9 @@ def _quadratic_coupling(name: str, smooth: Callable, modes: Callable) -> Couplin
     linear smoothing S acting on the spatial axes of each slice, with
     ``modes(grid) -> (c, Phi)`` such that ``S = c I + dx^d Phi Phi^T``.
 
-    Kernel action: S mu minus the rank-2 normalization terms, which need
-    only the slice moments int mu, int (S m) mu and int (S m) m; its factors
-    are those of S plus the two normalization terms.
+    Kernel: S minus the rank-2 normalization terms, which need only the
+    slice moments int mu, int (S m) mu and int (S m) m; its factors are
+    those of S plus the two normalization terms.
     """
 
     def f(grid, m):
@@ -364,17 +360,6 @@ def _quadratic_coupling(name: str, smooth: Callable, modes: Callable) -> Couplin
     def F(grid, m):
         m = np.asarray(m)
         return 0.5 * grid.cell_volume * float(np.sum(smooth(grid, m) * m))
-
-    def kernel(grid, m, mu):
-        vol = grid.cell_volume
-        m, mu = np.asarray(m), np.asarray(mu)
-        sm = smooth(grid, m)
-        mass = vol * _slice_sum(grid, mu)
-        return (
-            smooth(grid, mu)
-            + mass * (2.0 * vol * _slice_sum(grid, sm * m) - sm)
-            - 2.0 * vol * _slice_sum(grid, sm * mu)
-        )
 
     def factors(grid, m):
         vol = grid.cell_volume
@@ -393,13 +378,11 @@ def _quadratic_coupling(name: str, smooth: Callable, modes: Callable) -> Couplin
         name=name,
         is_potential=True,
         f=f,
-        kernel_f=kernel,
+        kernel_f=factors,
         F=F,
         g=_zero_f,
-        kernel_g=_zero_kernel,
+        kernel_g=_zero_factors,
         G=_zero_potential,
-        kernel_f_factors=factors,
-        kernel_g_factors=_zero_factors,
     )
 
 
@@ -487,12 +470,6 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
         S, _ = _sine_moment(grid, m)
         return theta * _phi(S.item())
 
-    def kernel(grid, m, mu):
-        S, s_x = _sine_moment(grid, m)
-        S_mu, _ = _sine_moment(grid, mu)
-        mass = grid.cell_volume * _slice_sum(grid, np.asarray(mu))
-        return theta * (S_mu - S * mass) * (_phi_second(S) * (s_x - S) - _phi_prime(S))
-
     def factors(grid, m):
         S, s_x = _sine_moment(grid, m)
         U = theta * (_phi_second(S) * (s_x - S) - _phi_prime(S))
@@ -504,13 +481,11 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
         name="antimonotone_symmetric",
         is_potential=True,
         f=f,
-        kernel_f=kernel,
+        kernel_f=factors,
         F=F,
         g=_zero_f,
-        kernel_g=_zero_kernel,
+        kernel_g=_zero_factors,
         G=_zero_potential,
-        kernel_f_factors=factors,
-        kernel_g_factors=_zero_factors,
     )
 
 
@@ -732,13 +707,11 @@ def check_coupling_normalization(
     """(|int f dm|, max_x |int K(x,.) dm|) for the running coupling."""
     m = np.asarray(m_slice)
     f_defect = abs(float(grid.cell_volume * np.sum(coupling.f(grid, m) * m)))
-    k_defect = float(np.max(np.abs(coupling.kernel_f(grid, m, m))))
+    k_defect = float(np.max(np.abs(coupling.kernel_f(grid, m) @ m.reshape(-1))))
     return f_defect, k_defect
 
 
 def kernel_matrix(kernel: Callable, grid: TorusGrid, m_slice: np.ndarray) -> np.ndarray:
-    """(n_nodes, n_nodes) matrix of the action mu -> dx^d K(m) mu at one
-    slice: the action applied to the identity stack, one column per node."""
-    n = grid.n_nodes
-    eye = np.eye(n).reshape(n, *grid.spatial_shape)
-    return kernel(grid, m_slice, eye).reshape(n, n).T
+    """(n_nodes, n_nodes) matrix c I + U W^T = dx^d K(m) of a kernel's
+    factors at one slice."""
+    return kernel(grid, m_slice).toarray()

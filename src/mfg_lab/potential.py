@@ -302,9 +302,9 @@ def second_variation_parts(
     vec = z_values[:K] + mu_values[:K, ..., None] * b
     quad = np.einsum("...ij,...i,...j->...", d2l, vec, vec)
     kin = _accumulate(dt * vol * _slice_sums(quad / floored))
-    k_mu = coup.kernel_f(grid, m[1:], mu_values[1:])
-    run = _accumulate(dt * vol * _slice_sums(mu_values[1:] * k_mu))
-    term = vol * float(np.sum(mu_values[K] * coup.kernel_g(grid, m[K], mu_values[K])))
+    mu = mu_values.reshape(K + 1, -1)
+    run = _accumulate(dt * vol * _slice_sums(mu[1:] * (coup.kernel_f(grid, m[1:]) @ mu[1:])))
+    term = vol * float(np.sum(mu[K] * (coup.kernel_g(grid, m[K]) @ mu[K])))
     return kin, run, term
 
 

@@ -15,11 +15,12 @@ boundary rows:
 with b = D_pH(x,Du), A = D2_ppH(x,Du), Kf/Kg the coupling kernels at the
 base density.  These rows are written once, as per-slice blocks built by
 `AssembledOperator`; the matrix-free products, the residuals, the
-factorization and the Picard sweeps of `solve_linearized` (block-triangular
-solves with I/dt - Lap inverted by `pde.PeriodicHeatSolver`) all apply the
-same blocks.  A kernel block stays in the coupling's factored form
-c I + U W^T of small rank r (`models.KernelFactors`); no n x n kernel matrix
-is formed, except in `to_sparse`, the sparse matrix kept as a test oracle.
+factorization that `solve_linearized` and the certificates use, and the
+backward sweep of `backward_response` (I/dt - Lap inverted by
+`pde.PeriodicHeatSolver`) all apply the same blocks.  A kernel block is the
+coupling's kernel, which exists only in the factored form c I + U W^T of
+small rank r (`models.KernelFactors`); no n x n kernel matrix is formed,
+except in `to_sparse`, the sparse matrix kept as a test oracle.
 
 Stability is decided by the smallest singular value of the assembled
 homogeneous operator (uniqueness of solutions of a finite linear system is
@@ -37,7 +38,10 @@ right-hand sides as one).  The iteration stops on the residual of the
 smallest Ritz pair, so the witness vector is as settled as sigma_min; one
 that stops at its cap without converging never certifies STABLE, and the
 bytes the factorization stores are checked against a guard before any is
-allocated.
+allocated.  A Schur block singular to working precision leaves no
+factorization to iterate with; its null vector, back-substituted through
+the earlier slices, is the witness instead, so such an operator is never
+certified STABLE either.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from .grid import (
     TorusGrid,
     divergence,
     gradient,
-    max_slice_l2_norm,
     sup_norm,
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
@@ -73,6 +76,7 @@ __all__ = [
     "LinearizedSolution",
     "StabilityCertificate",
     "AssembledOperator",
+    "SingularSchurBlock",
     "solve_linearized",
     "assemble_operator",
     "certify_stability",
@@ -190,9 +194,6 @@ class LinearizedSolution:
     mu: ScalarField
     residuals: dict
     source_norms: dict
-    iterations: int
-    converged: bool
-    used_fallback: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,6 @@ class AssembledOperator:
         if not 0 <= t1_index < base.grid.n_time:
             raise ValueError("t1_index out of range")
         coup = model.coupling
-        if coup.kernel_f_factors is None or coup.kernel_g_factors is None:
-            raise ValueError(f"coupling {coup.name!r} has no factored kernels")
         self.grid = grid = base.grid.restrict(t1_index)
         self.n = n = grid.n_nodes
         self.K = K = grid.n_time
@@ -277,8 +276,8 @@ class AssembledOperator:
         # once, here, for rmatvec and the transposed solves
         diag_t = self._diag.T
         T_t = [t.T for t in T]
-        kf = coup.kernel_f_factors(grid, m[1:])
-        kg = coup.kernel_g_factors(grid, m[K])
+        kf = coup.kernel_f(grid, m[1:])
+        kg = coup.kernel_g(grid, m[K])
         kernel_f = [KernelFactors(-kf.c, -kf.U[k], kf.W[k]) for k in range(K)]
         kernel_g = KernelFactors(-kg.c, -kg.U, kg.W)
         backward = [
@@ -311,7 +310,7 @@ class AssembledOperator:
     def stack(self, v_values: np.ndarray, mu_values: np.ndarray) -> np.ndarray:
         return np.concatenate([v_values.reshape(-1), mu_values.reshape(-1)])
 
-    # -- products, residuals, sweeps -----------------------------------------
+    # -- products, residuals, the backward sweep ------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
         X = x.reshape(-1, self.n)
         return np.concatenate([sum(B @ X[s] for s, B, _ in terms) for terms in self.rows])
@@ -336,26 +335,18 @@ class AssembledOperator:
             "mass_drift": float(np.max(np.abs(mass - mass[0]))),
         }
 
-    def _solve_rows(self, x: np.ndarray, rhs: np.ndarray, order) -> None:
-        """Block-triangular solve in place: each row block in `order` sets
-        its pivot slot from the current values of its other slots."""
+    def _backward_sweep(self, x: np.ndarray, rhs: np.ndarray) -> None:
+        """v^K' .. v^0 in place from the terminal and backward rows, mu held
+        fixed: each row sets its pivot slot from its other slots."""
         X, R = x.reshape(-1, self.n), rhs.reshape(-1, self.n)
         sshape = self.grid.spatial_shape
-        for r in order:
+        for r in [2 * self.K + 1, *range(self.K - 1, -1, -1)]:
             (p, pivot, _), *rest = self.rows[r]
             val = R[r] - sum(B @ X[s] for s, B, _ in rest)
             if pivot is self._diag:
                 # (I/dt - Lap)^-1 = dt (I - dt Lap)^-1
                 val = self._heat.step((self.grid.dt * val).reshape(sshape)).reshape(-1)
             X[p] = val
-
-    def _backward_sweep(self, x: np.ndarray, rhs: np.ndarray) -> None:
-        """v^K' .. v^0 from the terminal and backward rows, mu held fixed."""
-        self._solve_rows(x, rhs, [2 * self.K + 1, *range(self.K - 1, -1, -1)])
-
-    def _forward_sweep(self, x: np.ndarray, rhs: np.ndarray) -> None:
-        """mu^0 .. mu^K' from the initial and forward rows, v held fixed."""
-        self._solve_rows(x, rhs, [2 * self.K, *range(self.K, 2 * self.K)])
 
     # -- materialization -----------------------------------------------------
     def lu_bytes_estimate(self) -> int:
@@ -382,7 +373,7 @@ class AssembledOperator:
         for r, terms in enumerate(self.rows):
             for s, B, _ in terms:
                 if isinstance(B, KernelFactors):
-                    B = sp.csr_matrix(B.c * np.eye(n) + B.U @ B.W.T)
+                    B = sp.csr_matrix(B.toarray())
                 rows, cols, vals = _triplets(B)
                 parts.append((rows + r * n, cols + s * n, vals))
         return _csr(parts, (M, M))
@@ -439,16 +430,32 @@ def _block_diagonal(blocks: list) -> sp.spmatrix:
     return type(blocks[0])((data, indices, indptr), shape=(size, size))
 
 
-def _inverse(a: np.ndarray, slice_index: int) -> np.ndarray:
-    """a^-1 through LAPACK's partially pivoted LU; a block that is singular to
-    working precision raises LinAlgError naming its time slice."""
-    lu, piv, info = lapack.dgetrf(a)
-    rcond = lapack.dgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
-    if not rcond > np.finfo(float).eps:
-        raise np.linalg.LinAlgError(
+class SingularSchurBlock(np.linalg.LinAlgError):
+    """A Schur block of `TimeBlockLU` that is singular to working precision.
+
+    `null_vector` is the block's right singular vector of least singular
+    value.  `TimeBlockLU` adds `witness`, that vector back-substituted
+    through the earlier slices (`TimeBlockLU._null_witness`), and
+    `factor_s`, the CPU seconds spent before the block."""
+
+    def __init__(self, slice_index: int, rcond: float, null_vector: np.ndarray):
+        super().__init__(
             f"Schur block of time slice {slice_index} is singular "
             f"(reciprocal condition number {rcond:.3g})"
         )
+        self.slice_index = slice_index
+        self.null_vector = null_vector
+        self.witness: Optional[np.ndarray] = None
+        self.factor_s = 0.0
+
+
+def _inverse(a: np.ndarray, slice_index: int) -> np.ndarray:
+    """a^-1 through LAPACK's partially pivoted LU; a block that is singular to
+    working precision raises `SingularSchurBlock` naming its time slice."""
+    lu, piv, info = lapack.dgetrf(a)
+    rcond = lapack.dgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
+    if not rcond > np.finfo(float).eps:
+        raise SingularSchurBlock(slice_index, rcond, np.linalg.svd(a)[2][-1])
     return lapack.dgetri(lu, piv)[0]
 
 
@@ -496,7 +503,7 @@ class TimeBlockLU:
     the transposed solve carries the right-hand sides as rows, so that it
     reads each stored block in its own order too.
     Pivoting happens inside each n x n block (LAPACK) and nowhere else; a
-    Schur block singular to working precision raises LinAlgError.
+    Schur block singular to working precision raises `SingularSchurBlock`.
     """
 
     @staticmethod
@@ -555,25 +562,30 @@ class TimeBlockLU:
         self._m_inv = m_inv = np.empty(shapes["m_inv"])
         self._p = p = np.empty(shapes["p"])
         r = np.empty(shapes["r"])
-        m_inv[0] = _inverse(s * initial.toarray(), 0)
-        p[0] = 0.0
-        for k in range(1, K + 1):
-            h = E[k - 1][0] @ d0_inv
-            if k > 1:
-                h += T[k - 1][1] @ p[k - 1]
-            b = B[k]
-            m = d0 - b.c * h - (h @ b.U) @ b.W.T
-            if k < K:
-                r[k - 1] = T[k][0] @ d0_inv  # the first term of R_k
-                x = h @ r[k - 1]
-            else:
-                ht = (T[K][1] @ h.T).T
-                m += kg.c * ht + (ht @ kg.U) @ kg.W.T
-                x = ht / s
-            m_inv[k] = _inverse(m, k)
-            np.matmul(m_inv[k], x, out=p[k])
-            if k < K:
-                r[k - 1] += b.c * p[k] + b.U @ (b.W.T @ p[k])
+        try:
+            m_inv[0] = _inverse(s * initial.toarray(), 0)
+            p[0] = 0.0
+            for k in range(1, K + 1):
+                h = E[k - 1][0] @ d0_inv
+                if k > 1:
+                    h += T[k - 1][1] @ p[k - 1]
+                b = B[k]
+                m = d0 - b.c * h - (h @ b.U) @ b.W.T
+                if k < K:
+                    r[k - 1] = T[k][0] @ d0_inv  # the first term of R_k
+                    x = h @ r[k - 1]
+                else:
+                    ht = (T[K][1] @ h.T).T
+                    m += kg.c * ht + (ht @ kg.U) @ kg.W.T
+                    x = ht / s
+                m_inv[k] = _inverse(m, k)
+                np.matmul(m_inv[k], x, out=p[k])
+                if k < K:
+                    r[k - 1] += b.c * p[k] + b.U @ (b.W.T @ p[k])
+        except SingularSchurBlock as err:
+            err.witness = self._null_witness(T, B, err.slice_index, err.null_vector)
+            err.factor_s = time.process_time() - start
+            raise
         q = (self._t_lo_t @ m_inv[:K].reshape(K * n, n)).reshape(shapes["q"])
         # Q_k and R_k as Fortran-ordered views, the layout BLAS reads in place
         self._q_f = [a.T for a in q]
@@ -581,6 +593,25 @@ class TimeBlockLU:
         self._v_rows = np.r_[0:K, 2 * K + 1]
         self._mu_rows = np.r_[2 * K, K : 2 * K]
         self.factor_s = time.process_time() - start
+
+    def _null_witness(self, T: dict, B: dict, k: int, y: np.ndarray) -> np.ndarray:
+        """Stacked unknowns x, zero after slice k, that solve the homogeneous
+        rows of slices 0..k: the null vector y of the Schur block S_k
+        (mu^k = y, with v^k = -B_g y at k = K', else 0), back-substituted
+        through slices k-1..0 as in `_solve`, x_j = -(D0^-1, P_j) w_{j+1}.
+        At k = K' this is a null vector of the operator; before it the rows
+        of slice k+1 are left over, and matvec shows by how much."""
+        K, n = self.K, self.n
+        x = np.zeros((2, K + 1, n))
+        xv, xm = x
+        xm[k] = y
+        if k == K:
+            xv[K] = -(self._kg @ y)
+        for j in range(k - 1, -1, -1):
+            w = T[j + 1][0] @ xv[j + 1] + B[j + 1] @ xm[j + 1]
+            xv[j] = -(self._d0_inv @ w)
+            xm[j] = -(self._p[j] @ w)
+        return x.reshape(-1)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """(D A)^-1 b, or (D A)^-T b for trans="T"; b of shape (N,) or (N, p),
@@ -673,66 +704,24 @@ def assemble_operator(
 # ---------------------------------------------------------------------------
 
 
-def solve_linearized(
-    model: MfgModel,
-    problem: LinearizedProblem,
-    tol: float = 1e-12,
-    max_iter: int = 400,
-    damping: float = 1.0,
-) -> LinearizedSolution:
-    """Damped Picard on mu through the backward/forward sweeps.
-
-    Divergence triggers a direct solve with the operator's block
-    factorization (`AssembledOperator.direct_solve`); the fallback is
-    recorded in the result.
-    """
+def solve_linearized(model: MfgModel, problem: LinearizedProblem) -> LinearizedSolution:
+    """The linearized system solved with the operator's block factorization
+    (`AssembledOperator.direct_solve`), with the residuals of the solution
+    and the sup norms of the sources; a singular operator raises
+    `SingularSchurBlock`."""
     op = assemble_operator(model, problem.base, problem.t1_index)
-    grid, K = op.grid, op.K
-    a, b_src, c, mu0 = problem.a, problem.b_src, problem.c, problem.mu0
-    rhs = op.rhs_vector(problem)
-
-    x = np.zeros(op.n_unknowns)
-    mu = x.reshape(-1, op.n)[K + 1 :]  # view: the mu slots of x
-    mu[0] = mu0.reshape(-1)
-    scale = max(sup_norm(a), sup_norm(b_src), sup_norm(c), sup_norm(mu0), 1.0)
-    gaps: list[float] = []
-    converged = False
-    fallback = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        op._backward_sweep(x, rhs)
-        mu_prev = mu.copy()
-        op._forward_sweep(x, rhs)
-        gap = max_slice_l2_norm(grid, (mu - mu_prev).reshape(-1, *grid.spatial_shape))
-        gaps.append(gap)
-        mu[1:] = (1.0 - damping) * mu_prev[1:] + damping * mu[1:]
-        if gap <= tol * scale:
-            converged = True
-            break
-        if gap > 1e8 * scale or (
-            len(gaps) > 30 and gaps[-1] > 2.0 * min(gaps[:-1]) and gaps[-1] > gaps[-2]
-        ):
-            break
-    if not converged:
-        x = op.direct_solve(problem)
-        fallback = True
-        converged = True
-    # final consistency: recompute v from the accepted mu
-    op._backward_sweep(x, rhs)
+    x = op.direct_solve(problem)
     v, mu = op.unstack(x)
     return LinearizedSolution(
-        v=ScalarField(grid, v),
-        mu=ScalarField(grid, mu),
-        residuals=op._residuals(x, rhs),
+        v=ScalarField(op.grid, v),
+        mu=ScalarField(op.grid, mu),
+        residuals=op._residuals(x, op.rhs_vector(problem)),
         source_norms={
-            "a": sup_norm(a),
-            "b": sup_norm(b_src),
-            "c": sup_norm(c),
-            "mu0": sup_norm(mu0),
+            "a": sup_norm(problem.a),
+            "b": sup_norm(problem.b_src),
+            "c": sup_norm(problem.c),
+            "mu0": sup_norm(problem.mu0),
         },
-        iterations=it,
-        converged=converged,
-        used_fallback=fallback,
     )
 
 
@@ -759,25 +748,14 @@ def flux_from_value_direction(
     v_values: np.ndarray,
     mu_values: np.ndarray,
 ) -> np.ndarray:
-    """z = -mu D_pH(x,Du) - m D2_ppH(x,Du) Dv on every slice of [t1, T]."""
+    """z = -(b mu + m A Dv) on every slice of [t1, T], with the operator's
+    drift b = D_pH(x,Du) and m A = m D2_ppH(x,Du)."""
     op = assemble_operator(model, base, t1_index)
-    grid, K, n, d = op.grid, op.K, op.n, op.grid.dim
-    # v -> m A G v on all slices as one block-diagonal matrix, entries
-    # (k, a, i, c, s): m A[a, c](i) times neighbour s along c
-    grad = _gradient_matrix(grid)
-    gcol = grad.indices.reshape(d, n, 2).transpose(1, 0, 2)
-    gval = grad.data.reshape(d, n, 2).transpose(1, 0, 2)
-    first = np.arange(K + 1).reshape(-1, 1, 1, 1, 1) * n
-    rows = d * first + (np.arange(d)[:, None] * n + np.arange(n))[..., None, None]
-    flux = _csr(
-        [(rows, first + gcol, op.mA[..., None] * gval)], ((K + 1) * d * n, (K + 1) * n)
-    )
-    flux_v = flux @ v_values.reshape(-1)
-    z = -(
-        op.drift * mu_values.reshape(K + 1, -1, 1)
-        + flux_v.reshape(K + 1, d, -1).transpose(0, 2, 1)
-    )
-    return z.reshape(K + 1, *grid.spatial_shape, d)
+    K, n, d = op.K, op.n, op.grid.dim
+    dv = gradient(op.grid, v_values).reshape(K + 1, n, d)
+    # op.mA is indexed (k, a, i, c): component a at node i takes m A[a, c](i) Dv_c
+    z = -(op.drift * mu_values.reshape(K + 1, n, 1) + np.einsum("kaic,kic->kia", op.mA, dv))
+    return z.reshape(K + 1, *op.grid.spatial_shape, d)
 
 
 # ---------------------------------------------------------------------------
@@ -797,10 +775,12 @@ class StabilityCertificate:
     iterations: int  # block inverse iteration rounds run
     converged: bool  # the iteration met its tolerance before its cap
     # |A^T A x - sigma^2 x| / sigma^2 of the final unit Ritz vector x: how
-    # far (sigma, x) is from a singular pair of the scaled operator A
+    # far (sigma, x) is from a singular pair of the scaled operator A (nan
+    # when no iteration ran)
     eigen_residual: float
     lu_nnz: int  # entries the block factorization stores
     factor_s: float  # CPU seconds of the factorization
+    cause: Optional[str] = None  # why no iteration ran: the singular block
     witness_residual: Optional[float] = None
     witness_v: Optional[np.ndarray] = field(default=None, repr=False)
     witness_mu: Optional[np.ndarray] = field(default=None, repr=False)
@@ -820,6 +800,7 @@ class StabilityCertificate:
                 "eigen_residual": self.eigen_residual,
                 "lu_nnz": self.lu_nnz,
                 "factor_s": self.factor_s,
+                "cause": self.cause,
                 "witness_residual": self.witness_residual,
                 "witness_file": witness_file,
             },
@@ -885,35 +866,47 @@ def certify_stability(
     itself below tol, INCONCLUSIVE when even that cannot be certified.
     Discretization cannot prove continuum instability, so no stronger claim
     is made.
+
+    A Schur block singular to working precision stops the factorization
+    (`SingularSchurBlock`, named in `cause`).  The witness is then its null
+    vector back-substituted through the earlier slices, normalized, and
+    sigma_min reports that witness's scaled residual, an upper bound; the
+    verdict follows the same rule, so it is never STABLE.
     """
     op = assemble_operator(model, base, t1_index)
-    lu = op.factorize()
-    sigma, x, iterations, converged = _block_inverse_sigma_min(lu, seed=seed)
     w = op.row_scaling()
-    ax = w * op.matvec(x)
-    gap = op.rmatvec(w * ax) - sigma**2 * x
-    eigen_residual = float(np.linalg.norm(gap) / sigma**2)
     cert = StabilityCertificate(
-        sigma_min=sigma,
+        sigma_min=math.nan,
         grid_signature=_signature(op.grid),
         tolerance=tol,
         verdict="STABLE",
         method="block-inverse-iteration",
         n_unknowns=op.n_unknowns,
         t1_index=t1_index,
-        iterations=iterations,
-        converged=converged,
-        eigen_residual=eigen_residual,
-        lu_nnz=lu.nnz,
-        factor_s=lu.factor_s,
+        iterations=0,
+        converged=False,
+        eigen_residual=math.nan,
+        lu_nnz=TimeBlockLU.stored_entries(op.K, op.n),
+        factor_s=0.0,
     )
-    if converged and sigma > tol:
-        return cert
+    try:
+        lu = op.factorize()
+    except SingularSchurBlock as err:
+        x = err.witness / np.linalg.norm(err.witness)
+        ax = w * op.matvec(x)
+        cert.sigma_min = float(np.linalg.norm(ax))
+        cert.method, cert.cause, cert.factor_s = "singular-schur-block", str(err), err.factor_s
+    else:
+        sigma, x, cert.iterations, cert.converged = _block_inverse_sigma_min(lu, seed=seed)
+        ax = w * op.matvec(x)
+        gap = op.rmatvec(w * ax) - sigma**2 * x
+        cert.sigma_min, cert.factor_s = sigma, lu.factor_s
+        cert.eigen_residual = float(np.linalg.norm(gap) / sigma**2)
+        if cert.converged and sigma > tol:
+            return cert
     resid = float(np.linalg.norm(ax))
-    v, mu = op.unstack(x)
     cert.witness_residual = resid
-    cert.witness_v = v
-    cert.witness_mu = mu
+    cert.witness_v, cert.witness_mu = op.unstack(x)
     cert.verdict = "UNSTABLE-DIRECTION-FOUND" if resid <= tol else "INCONCLUSIVE"
     return cert
 

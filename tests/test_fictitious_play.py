@@ -11,6 +11,7 @@ from mfg_lab.fictitious_play import (
 )
 from mfg_lab.grid import sup_norm
 from mfg_lab.mfg import solution_distance
+from mfg_lab.pde import SolverError
 from mfg_lab.stability import LinearizedProblem
 
 
@@ -128,6 +129,32 @@ def test_attractor_monotone(monotone_model, monotone_grid, monotone_solution):
     assert report.success_rate(0.0) == 1.0
     assert report.success_rate(1e-2) == 1.0
     rec = report.records[1]
+    assert rec["max_final_error"] <= 5e-4
+
+
+def test_attractor_records_a_solver_error_as_a_failed_trial(
+    monkeypatch, monotone_model, monotone_grid, monotone_solution
+):
+    import mfg_lab.fictitious_play as fp
+
+    runs = []
+
+    def second_run_fails(*args, **kwargs):
+        runs.append(kwargs["mu0"])
+        if len(runs) == 2:
+            raise SolverError("density went negative")
+        return run_fp(*args, **kwargs)
+
+    monkeypatch.setattr(fp, "run_fp", second_run_fails)
+    report = local_attractor_experiment(
+        monotone_model, monotone_grid, monotone_solution,
+        delta_list=[1e-2], trials=3, seed=51, n_max=150,
+    )
+    assert len(runs) == 3
+    assert report.failures == [{"delta": 1e-2, "trial": 1, "cause": "density went negative"}]
+    rec = report.records[0]
+    assert rec["success_rate"] == 2 / 3
+    assert rec["eventually_monotone_fraction"] <= 2 / 3
     assert rec["max_final_error"] <= 5e-4
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from mfg_lab.grid import DensityField, FluxField, sup_norm
 from mfg_lab.mfg import heat_flow_of_initial, solve_picard
-from mfg_lab.models import Coupling, builtin_quadratic
+from mfg_lab.models import Coupling, KernelFactors, builtin_quadratic, check_symmetry_relation
 from mfg_lab.potential import (
     AdmissiblePair,
     admissible_direction,
@@ -30,18 +30,20 @@ def _square_potential_coupling() -> Coupling:
         m = np.asarray(m)
         return 2.0 * m - 2.0 * grid.cell_volume * np.sum(m * m)
 
-    def kernel(grid, m, mu):
-        # dx K mu with K(x,y) = 4 int m^2 - 4 m(y) - 2 m(x) + 2 delta(x-y)/dx
+    def kernel(grid, m):
+        # dx K with K(x,y) = 4 int m^2 - 4 m(y) - 2 m(x) + 2 delta(x-y)/dx:
+        # 2 I + (4 int m^2 - 2 m) (dx 1)^T - 4 (dx m)^T
         vol = grid.cell_volume
-        m, mu = np.asarray(m), np.asarray(mu)
-        mass, moment = vol * np.sum(mu), vol * np.sum(m * mu)
-        return 2.0 * mu + mass * (4.0 * vol * np.sum(m * m) - 2.0 * m) - 4.0 * moment
+        m = np.asarray(m).reshape(-1)
+        U = np.stack([4.0 * vol * np.sum(m * m) - 2.0 * m, np.full(m.size, -4.0)], axis=-1)
+        W = np.stack([np.full(m.size, vol), vol * m], axis=-1)
+        return KernelFactors(2.0, U, W)
 
     def zero_f(grid, m):
         return np.zeros(grid.spatial_shape)
 
-    def zero_kernel(grid, m, mu):
-        return np.zeros(np.shape(mu))
+    def zero_kernel(grid, m):
+        return KernelFactors(0.0, np.zeros((grid.n_nodes, 0)), np.zeros((grid.n_nodes, 0)))
 
     return Coupling(
         name="square",
@@ -53,6 +55,19 @@ def _square_potential_coupling() -> Coupling:
         kernel_g=zero_kernel,
         G=lambda grid, m: 0.0,
     )
+
+
+def test_square_coupling_kernel_is_derivative_of_f(rng):
+    # the test coupling's factors are the flat derivative of its f
+    coup = _square_potential_coupling()
+    grid = builtin_quadratic(0.0, coupling="none").make_grid(16, 2)
+    m = rng.uniform(0.5, 1.5, 16)
+    mu = rng.standard_normal(16)
+    mu -= mu.mean()
+    eps = 1e-6
+    fd = (coup.f(grid, m + eps * mu) - coup.f(grid, m - eps * mu)) / (2 * eps)
+    assert np.max(np.abs(fd - coup.kernel_f(grid, m) @ mu)) <= 1e-8
+    assert check_symmetry_relation(coup, grid, m / (grid.cell_volume * m.sum())) <= 1e-12
 
 
 def test_j_closed_form_uniform_rest():

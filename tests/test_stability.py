@@ -206,18 +206,6 @@ def test_operator_reproduces_solver(monotone_model, monotone_solution):
     assert np.max(np.abs(resid)) <= 1e-9
 
 
-def test_direct_solve_matches_picard(monotone_model, monotone_solution):
-    grid = monotone_solution.grid
-    rng = rng_from_seed(25)
-    a = np.stack([low_frequency_field(grid, rng) for _ in range(grid.n_time + 1)])
-    prob = LinearizedProblem(base=monotone_solution, a=a)
-    picard = solve_linearized(monotone_model, prob)
-    op = assemble_operator(monotone_model, monotone_solution, 0)
-    v_d, mu_d = op.unstack(op.direct_solve(prob))
-    assert sup_norm(picard.v.values - v_d) <= 1e-8
-    assert sup_norm(picard.mu.values - mu_d) <= 1e-8
-
-
 def test_certificates_stable(
     monotone_model, monotone_solution, decoupled_model, decoupled_solution
 ):
@@ -453,15 +441,41 @@ def test_2d_sigma_min_matches_dense_svd(t1):
     assert abs(dense - cert.sigma_min) <= 1e-8 * dense
 
 
-def test_singular_schur_block_names_its_slice(monotone_model, monotone_solution):
-    # a zero initial block leaves mu^0 undetermined: the Schur block of
-    # slice 0 is singular, and the factorization refuses it
-    op = assemble_operator(monotone_model, monotone_solution, 0)
+def _without_initial_rows(op):
+    """The operator with its initial block zeroed: mu^0 is then undetermined
+    and the Schur block of slice 0 singular."""
     (slot, eye, _), = op.rows[2 * op.K]
     zero = 0.0 * eye
     op.rows[2 * op.K] = [(slot, zero, zero.T)]
+    return op
+
+
+def test_singular_schur_block_names_its_slice(monotone_model, monotone_solution):
+    # the factorization, and so the linearized solve, refuse a singular block
+    op = _without_initial_rows(assemble_operator(monotone_model, monotone_solution, 0))
     with pytest.raises(np.linalg.LinAlgError, match="time slice 0 is singular"):
         op.factorize()
+    with pytest.raises(np.linalg.LinAlgError, match="time slice 0 is singular"):
+        op.direct_solve(LinearizedProblem(base=monotone_solution))
+
+
+def test_singular_block_before_the_last_slice_is_inconclusive(
+    monkeypatch, monotone_model, monotone_solution
+):
+    # the null vector of slice 0's block leaves the rows of slice 1 unsolved:
+    # the certificate names the block and gives no verdict either way
+    import mfg_lab.stability as stab
+
+    def assemble(model, base, t1_index=0):
+        return _without_initial_rows(stab.AssembledOperator(model, base, t1_index))
+
+    monkeypatch.setattr(stab, "assemble_operator", assemble)
+    cert = certify_stability(monotone_model, monotone_solution, 0)
+    assert cert.verdict == "INCONCLUSIVE" and cert.method == "singular-schur-block"
+    assert "time slice 0 is singular" in cert.cause
+    assert cert.iterations == 0 and not cert.converged
+    assert cert.witness_residual == cert.sigma_min > cert.tolerance
+    assert json.loads(cert.to_json())["cause"] == cert.cause
 
 
 # ---------------------------------------------------------------------------
@@ -521,21 +535,34 @@ def test_critical_horizons_of_the_sine_mode():
     )
 
 
-@pytest.mark.parametrize("root", [0, 1])
-@pytest.mark.parametrize("offset", [-1e-9, 1e-9])
-def test_critical_horizon_gives_the_unstable_verdict(root, offset):
-    # next to the root, not at it: at the root the Schur block of the last
-    # slice can be singular to working precision (it is at the second), and
-    # the factorization refuses it
-    cert, grid = _uniform_state_certificate(_critical_horizons()[root] * (1.0 + offset))
-    assert cert.verdict == "UNSTABLE-DIRECTION-FOUND"
-    assert cert.converged and cert.sigma_min <= 1e-7
+def _assert_sine_mode_witness(cert, grid):
     # the witness lives on the sine mode: mu^0 = 0, then mu^k = beta_k s
     s = np.sin(2.0 * np.pi * grid.coordinates()[0])
     mu = cert.witness_mu[1:]
     beta = mu @ s / (s @ s)
     assert np.all(np.abs(beta) > 1e-3)
     assert np.max(np.abs(mu - beta[:, None] * s)) <= 1e-12 * np.max(np.abs(mu))
+
+
+@pytest.mark.parametrize("root", [0, 1])
+@pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+def test_critical_horizon_gives_the_unstable_verdict(root, offset):
+    cert, grid = _uniform_state_certificate(_critical_horizons()[root] * (1.0 + offset))
+    assert cert.verdict == "UNSTABLE-DIRECTION-FOUND"
+    assert cert.converged and cert.sigma_min <= 1e-7
+    _assert_sine_mode_witness(cert, grid)
+
+
+@pytest.mark.parametrize("root", [0, 1])
+def test_exact_critical_horizon_gives_the_unstable_verdict(root):
+    # at the second root the Schur block of the last slice is singular to
+    # working precision: its null vector, back-substituted, is the witness
+    cert, grid = _uniform_state_certificate(_critical_horizons()[root])
+    assert cert.verdict == "UNSTABLE-DIRECTION-FOUND" and cert.sigma_min <= 1e-7
+    if root == 1:
+        assert cert.method == "singular-schur-block"
+        assert "time slice 32 is singular" in cert.cause
+    _assert_sine_mode_witness(cert, grid)
 
 
 def test_horizon_between_critical_ones_is_stable():

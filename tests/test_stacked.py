@@ -1,8 +1,8 @@
 """Whole-trajectory calls: stencils, heat step, residuals, couplings and
-their kernel actions (and factors) act on a leading stack exactly as slice
-by slice, the sweeps' difference products match the stencils to roundoff,
-and a Picard iteration makes a fixed number of stencil calls, however many
-time steps its sweeps take."""
+their kernel factors act on a leading stack exactly as slice by slice, the
+sweeps' difference products match the stencils to roundoff, and a Picard
+iteration makes a fixed number of stencil calls, however many time steps its
+sweeps take."""
 
 import sys
 
@@ -132,11 +132,11 @@ def test_stacked_residuals_equal_per_slice_loops(grid, seed):
     assert continuity_residual(grid, m, w) == _continuity_residual_loop(grid, m, w)
 
 
-@pytest.mark.parametrize(
-    "coupling,theta",
-    [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
-     ("antimonotone_symmetric", 16.0)],
-)
+COUPLINGS = [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
+             ("antimonotone_symmetric", 16.0)]
+
+
+@pytest.mark.parametrize("coupling,theta", COUPLINGS)
 @SETTINGS
 @given(grid=grids(), seed=seeds)
 def test_coupling_on_a_stack_acts_slice_by_slice(coupling, theta, grid, seed):
@@ -150,48 +150,47 @@ def test_coupling_on_a_stack_acts_slice_by_slice(coupling, theta, grid, seed):
         assert np.array_equal(coup.g(grid, m)[k], coup.g(grid, m[k]))
 
 
-@pytest.mark.parametrize(
-    "coupling,theta",
-    [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
-     ("antimonotone_symmetric", 16.0)],
-)
+@pytest.mark.parametrize("coupling,theta", COUPLINGS)
 @SETTINGS
 @given(grid=grids(), stack=stacks, seed=seeds)
 def test_kernel_action_on_a_stack_acts_slice_by_slice(coupling, theta, grid, stack, seed):
+    # the factors of a stack are those of its slices, of rank <= 3^d + 2,
+    # and their product acts slice by slice
     coup = builtin_quadratic(theta, coupling=coupling, dim=grid.dim).coupling
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.5, 1.5, (*stack, *grid.spatial_shape))
-    mu = rng.standard_normal(m.shape)
+    mu = rng.standard_normal((*stack, grid.n_nodes))
     for kernel in (coup.kernel_f, coup.kernel_g):
-        stacked = kernel(grid, m, mu)
-        assert stacked.shape == m.shape
-        for idx in np.ndindex(*stack):
-            assert np.array_equal(stacked[idx], kernel(grid, m[idx], mu[idx]))
-
-
-@pytest.mark.parametrize(
-    "coupling, theta",
-    [("none", 0.0), ("monotone_local", 0.0), ("monotone_smoothed", 0.0),
-     ("antimonotone_symmetric", 16.0)],
-)
-@SETTINGS
-@given(grid=grids(), stack=stacks, seed=seeds)
-def test_kernel_factors_equal_the_kernel_action(coupling, theta, grid, stack, seed):
-    # c mu + U (W^T mu) is the same map as the action, of small rank
-    coup = builtin_quadratic(theta, coupling=coupling, dim=grid.dim).coupling
-    rng = np.random.default_rng(seed)
-    m = rng.uniform(0.5, 1.5, (*stack, *grid.spatial_shape))
-    mu = rng.standard_normal(m.shape)
-    pairs = ((coup.kernel_f, coup.kernel_f_factors), (coup.kernel_g, coup.kernel_g_factors))
-    for kernel, factors in pairs:
-        fac = factors(grid, m)
+        fac = kernel(grid, m)
         assert fac.U.shape == fac.W.shape == (*stack, grid.n_nodes, fac.U.shape[-1])
         assert fac.U.shape[-1] <= 3**grid.dim + 2
-        action = kernel(grid, m, mu).reshape(*stack, grid.n_nodes)
-        factored = fac @ mu.reshape(*stack, grid.n_nodes)
-        assert np.max(np.abs(factored - action), initial=0.0) <= 1e-12 * max(
-            1.0, np.max(np.abs(action), initial=0.0)
-        )
+        stacked = fac @ mu
+        assert stacked.shape == mu.shape
+        for idx in np.ndindex(*stack):
+            one = kernel(grid, m[idx])
+            assert one.c == fac.c
+            assert np.array_equal(one.U, fac.U[idx]) and np.array_equal(one.W, fac.W[idx])
+            want = one @ mu[idx]
+            assert np.max(np.abs(stacked[idx] - want), initial=0.0) <= 1e-14 * max(
+                1.0, np.max(np.abs(want), initial=0.0)
+            )
+
+
+@pytest.mark.parametrize("coupling, theta", COUPLINGS)
+@SETTINGS
+@given(grid=grids(), stack=stacks, seed=seeds)
+def test_kernel_factors_satisfy_the_symmetry_relation(coupling, theta, grid, stack, seed):
+    # K(x,y) - K(y,x) = f(x) - f(y) on every slice of a stack of unit-mass
+    # densities, for the running pair (kernel_f, f) and the terminal (kernel_g, g)
+    coup = builtin_quadratic(theta, coupling=coupling, dim=grid.dim).coupling
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 1.5, (*stack, *grid.spatial_shape))
+    m /= grid.cell_volume * m.sum(axis=grid.spatial_axes, keepdims=True)
+    for kernel, f in ((coup.kernel_f, coup.f), (coup.kernel_g, coup.g)):
+        K = kernel(grid, m).toarray() / grid.cell_volume
+        fv = np.reshape(f(grid, m), (*stack, grid.n_nodes))
+        defect = K - np.swapaxes(K, -1, -2) - (fv[..., :, None] - fv[..., None, :])
+        assert np.max(np.abs(defect)) <= 1e-12 * max(1.0, np.max(np.abs(K)))
 
 
 def _count_stencil_calls(monkeypatch) -> dict:
