@@ -125,6 +125,8 @@ def run_fp(
     Non-convergence is data, not an error.  With a reference solution the
     per-round error ||u^n - u||_{C^{1,0}} + ||m^n - m||_sup is recorded.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     state = fp_start(model, grid, mu0=mu0, m0=m0)
     gaps, steps, errors, warns = [], [], [], []
     converged = False

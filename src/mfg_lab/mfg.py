@@ -206,6 +206,8 @@ def solve_picard(
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     m0_slice = model.initial_density_slice(grid) if m0 is None else np.asarray(m0)
     if init_m is None:
         m_values = heat_flow_of_initial(model, grid, m0_slice)

@@ -83,12 +83,16 @@ class KernelFactors:
 
     U and W have shape (..., n, r), n the nodes of a slice flattened; c does
     not depend on m.  ``factors @ mu`` applies it to mu of shape (..., n),
-    and ``factors.T`` is the transposed map.
+    ``factors.T`` is the transposed map, and ``factors[k]`` the factors of
+    slice k of the stack.
     """
 
     c: float
     U: np.ndarray
     W: np.ndarray
+
+    def __getitem__(self, k) -> "KernelFactors":
+        return KernelFactors(self.c, self.U[k], self.W[k])
 
     def __matmul__(self, mu: np.ndarray) -> np.ndarray:
         moments = np.swapaxes(self.W, -1, -2) @ mu[..., None]

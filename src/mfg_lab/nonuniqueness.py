@@ -144,6 +144,8 @@ def find_asymmetric_branch(
     these parameters (that outcome steers the sweep), never as an error; a
     collapsing sine moment ends the run early.
     """
+    if fp_rounds < 1:
+        raise ValueError(f"fp_rounds must be at least 1, got {fp_rounds}")
     from .fictitious_play import fp_start, fp_step
     from .pde import SolverError
 

@@ -13,14 +13,22 @@ boundary rows:
     mu^0 = mu0 (default 0),    v^{K'} - Kg mu^{K'} = c
 
 with b = D_pH(x,Du), A = D2_ppH(x,Du), Kf/Kg the coupling kernels at the
-base density.  These rows are written once, as per-slice blocks built by
-`AssembledOperator`; the matrix-free products, the residuals, the
-factorization that `solve_linearized` and the certificates use, and the
-backward sweep of `backward_response` (I/dt - Lap inverted by
-`pde.PeriodicHeatSolver`) all apply the same blocks.  A kernel block is the
-coupling's kernel, which exists only in the factored form c I + U W^T of
-small rank r (`models.KernelFactors`); no n x n kernel matrix is formed,
-except in `to_sparse`, the sparse matrix kept as a test oracle.
+base density.  `AssembledOperator` keeps these rows as the arrays they are
+made of, stacked over the slices: the drift b and m A of every slice, the
+kernel factors, the initial-row block and the heat solver.  Its four block
+kinds are applied to whole stacks through the per-axis difference products
+of the sweeps (`pde`; the stencils of `grid` to roundoff):
+
+    T_k = -I/dt + b^k.G,    T_k^T = -I/dt - div(b^k .),
+    E_k = -div(m^k A^k G .),    D0 = I/dt - Lap,
+
+and a kernel block is the coupling's kernel in the factored form c I + U W^T
+of small rank r (`models.KernelFactors`).  The matrix-free products, the
+residuals, the factorization that `solve_linearized` and the certificates
+use, and the backward sweep of `backward_response` (D0 inverted by
+`pde.PeriodicHeatSolver`) all call these applies; no matrix of the operator
+is formed, except in `to_sparse`, the sparse matrix kept as a test oracle
+and built from the applies on identity blocks.
 
 Stability is decided by the smallest singular value of the assembled
 homogeneous operator (uniqueness of solutions of a finite linear system is
@@ -46,7 +54,6 @@ certified STABLE either.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -68,7 +75,7 @@ from .grid import (
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
 from .models import KernelFactors, MfgModel
-from .pde import PeriodicHeatSolver
+from .pde import PeriodicHeatSolver, _difference_matrix
 from .perturb import perturb_density_values, spawn_rngs
 
 __all__ = [
@@ -95,55 +102,89 @@ def _signature(grid: TorusGrid) -> str:
     return f"d{grid.dim}-N{grid.n_space}-K{grid.n_time}-t0{grid.t0:.6g}-T{grid.T:.6g}"
 
 
-@functools.lru_cache(maxsize=16)
-def _gradient_matrix(grid: TorusGrid) -> sp.csr_matrix:
-    """Centered periodic gradient, (d n x n) with components stacked
-    axis-major; its negative transpose is the divergence, exactly."""
-    N = grid.n_space
-    e = np.ones(N)
-    up = sp.diags([e[:-1]], [1], shape=(N, N), format="lil")
-    up[N - 1, 0] = 1.0
-    down = sp.diags([e[:-1]], [-1], shape=(N, N), format="lil")
-    down[0, N - 1] = 1.0
-    G1d = ((up - down) / (2.0 * grid.dx)).tocsr()
+# ---------------------------------------------------------------------------
+# the block kinds, applied to stacks of n-vectors (..., n) through the
+# per-axis difference products of the sweeps; a vector field is a list of
+# its d components, and coefficient stacks (..., d, n) and (..., d, d, n)
+# broadcast against the leading axes
+# ---------------------------------------------------------------------------
+
+
+def _diff(grid: TorusGrid, x: np.ndarray, axis: int) -> np.ndarray:
+    """Centered difference of each n-vector of x (..., n) along a spatial
+    axis: component `axis` of ``gradient``, and a term of ``divergence``."""
+    c = _difference_matrix(grid.n_space)
     if grid.dim == 1:
-        return G1d
-    eye = sp.identity(N, format="csr")
-    return sp.vstack([sp.kron(G1d, eye), sp.kron(eye, G1d)], format="csr")
+        return x @ c
+    xs = x.reshape(*x.shape[:-1], grid.n_space, grid.n_space)
+    return (c.T @ xs if axis == 0 else xs @ c).reshape(x.shape)
 
 
-def _csr(parts, shape) -> sp.csr_matrix:
-    """CSR matrix from (rows, cols, values) triplets whose index arrays
-    broadcast against their values; duplicates add up, and entries whose
-    value is zero stay stored."""
-    rows, cols, vals = [], [], []
-    for r, c, v in parts:
-        rows.append(np.broadcast_to(r, v.shape).ravel())
-        cols.append(np.broadcast_to(c, v.shape).ravel())
-        vals.append(v.ravel())
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
+def _grad(grid: TorusGrid, x: np.ndarray) -> list:
+    return [_diff(grid, x, a) for a in range(grid.dim)]
 
 
-def _row_blocks(tall: sp.csr_matrix, m: int) -> list:
-    """The consecutive m-row blocks of a tall CSR matrix, as CSR matrices
-    that share its arrays."""
-    ptr = tall.indptr
-    return [
-        sp.csr_matrix(
-            (tall.data[ptr[i] : ptr[i + m]], tall.indices[ptr[i] : ptr[i + m]],
-             ptr[i : i + m + 1] - ptr[i]),
-            shape=(m, tall.shape[1]),
-        )
-        for i in range(0, tall.shape[0], m)
-    ]
+def _div(grid: TorusGrid, w: list) -> np.ndarray:
+    y = _diff(grid, w[0], 0)
+    for a in range(1, grid.dim):
+        y += _diff(grid, w[a], a)
+    return y
 
 
-def _triplets(B: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of the stored entries of a CSR or CSC block."""
-    major = np.repeat(np.arange(len(B.indptr) - 1), np.diff(B.indptr))
-    return (major, B.indices, B.data) if B.format == "csr" else (B.indices, major, B.data)
+def _d0(grid: TorusGrid, x: np.ndarray) -> np.ndarray:
+    """D0 x = x/dt - Lap x, symmetric."""
+    y = _div(grid, _grad(grid, x))
+    y -= x / grid.dt
+    return np.negative(y, out=y)
+
+
+def _transport(grid: TorusGrid, b: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """T x = -x/dt + b.G x, or T^T x = -x/dt - div(b x) with `trans`."""
+    y = x / -grid.dt
+    for a in range(grid.dim):
+        if trans:
+            y -= _diff(grid, b[..., a, :] * x, a)
+        else:
+            g = _diff(grid, x, a)
+            g *= b[..., a, :]
+            y += g
+    return y
+
+
+def _times_mA(mA: np.ndarray, g: list) -> list:
+    """m A g per node, g given by its components."""
+    out = []
+    for a in range(len(g)):
+        w = mA[..., a, 0, :] * g[0]
+        for c in range(1, len(g)):
+            w += mA[..., a, c, :] * g[c]
+        out.append(w)
+    return out
+
+
+def _diffusion(grid: TorusGrid, mA: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """E x = -div(m A G x), or E^T x with m A transposed (`trans`)."""
+    if trans:
+        mA = np.swapaxes(mA, -3, -2)
+    y = _div(grid, _times_mA(mA, _grad(grid, x)))
+    return np.negative(y, out=y)
+
+
+def _coefficients(
+    model: MfgModel, base: MfgSolution, t1_index: int
+) -> tuple[TorusGrid, np.ndarray, np.ndarray]:
+    """The grid restricted to [t1, T], and on every slice of it the drift
+    b = D_pH(x, Du), shape (K'+1, d, n), and m A = m D2_ppH(x, Du), shape
+    (K'+1, d, d, n)."""
+    grid = base.grid.restrict(t1_index)
+    ham = model.hamiltonian
+    coords = grid.coordinates()
+    du = gradient(grid, base.u.values[t1_index:])
+    m = base.m.values[t1_index:]
+    K, n, d = grid.n_time, grid.n_nodes, grid.dim
+    b = ham.grad_p(coords, du).reshape(K + 1, n, d)
+    mA = (m[..., None, None] * ham.hess_pp(coords, du)).reshape(K + 1, n, d, d)
+    return grid, np.moveaxis(b, 1, -1).copy(), np.moveaxis(mA, 1, -1).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -202,103 +243,39 @@ class LinearizedSolution:
 
 
 class AssembledOperator:
-    """Space-time operator of the homogeneous linearized system, as blocks.
+    """Space-time operator of the homogeneous linearized system, as stacked
+    slice coefficients.
 
     Unknowns are stacked [v^0..v^K', mu^0..mu^K'] with one spatial block of
-    n = N^d nodes per slice, so slot s of the stacked vector holds v^s for
-    s <= K' and mu^{s-K'-1} after.  Row block r is backward row r for
-    r < K', forward row r - K' for r < 2K', then the initial rows (mu^0)
-    and the terminal rows (v^K' - Kg mu^K').  ``rows[r]`` lists the
-    (slot, block, transposed block) terms of row block r, pivot first: the
-    unknown that row determines in a sweep.  Products apply the blocks at any
-    size; the factorization and the sparse oracle are guarded.
+    n = N^d nodes per slice.  Rows are stacked the same way: the backward
+    rows k = 0..K'-1 (D0 v^k + T_{k+1} v^{k+1} + B_{k+1} mu^{k+1}), the
+    forward rows k = 0..K'-1 (D0 mu^{k+1} + T_k^T mu^k + E_k v^k), the
+    initial rows (`initial` mu^0) and the terminal rows (v^K' + B_g mu^K'),
+    with B_k = -Kf^k and B_g = -Kg the kernel blocks.
+
+    Held: `drift` b (K'+1, d, n) and `mA` (K'+1, d, d, n) of every slice,
+    the kernel blocks `kernel_f` (B_1..B_K', one `KernelFactors` stack) and
+    `kernel_g`, and the initial-row block `initial` I.  Products apply the
+    blocks to whole stacks at any size; the factorization and the sparse
+    oracle are guarded.
     """
 
     def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int = 0):
         if not 0 <= t1_index < base.grid.n_time:
             raise ValueError("t1_index out of range")
-        coup = model.coupling
-        self.grid = grid = base.grid.restrict(t1_index)
+        grid, self.drift, self.mA = _coefficients(model, base, t1_index)
+        self.grid = grid
         self.n = n = grid.n_nodes
         self.K = K = grid.n_time
         self.n_unknowns = 2 * (K + 1) * n
         self._lu: Optional["TimeBlockLU"] = None
         self._heat = PeriodicHeatSolver(grid)
-        dt, d = grid.dt, grid.dim
-        coords = grid.coordinates()
-        ham = model.hamiltonian
-        u = base.u.values[t1_index:]
         m = base.m.values[t1_index:]
-        grad = _gradient_matrix(grid)
-        eye = sp.identity(n, format="csr")
-        self._diag = (eye / dt + grad.T @ grad).tocsr()  # I/dt - Lap, Lap = -G^T G
-
-        # per slice: the drift b (the flux block mu -> mu b), m A with
-        # A = D2_ppH(x, Du), T = -I/dt + b.G and E = -div(m A G .);
-        # div = -G^T exactly, so T^T = -I/dt - div(. b).  Each kind is
-        # written for all slices at once, entry by entry from the stencil of
-        # G (row a n + i holds the two neighbours of node i along axis a), as
-        # one tall matrix that `_row_blocks` cuts into the per-slice blocks.
-        gcol = grad.indices.reshape(d, n, 2)
-        gval = grad.data.reshape(d, n, 2)
-        gcol_ics, gval_ics = gcol.transpose(1, 0, 2), gval.transpose(1, 0, 2)
-        node = np.arange(n)
-        first = np.arange(K + 1).reshape(-1, 1, 1, 1) * n  # k n, slice k's first row
-        du = gradient(grid, u)
-        self.drift = b = ham.grad_p(coords, du).reshape(K + 1, n, d)
-        mA = m[..., None, None] * ham.hess_pp(coords, du)
-        # (k, a, i, c), m A[a, c](i); `flux_from_value_direction` reads it too
-        self.mA = mA = mA.reshape(K + 1, n, d, d).transpose(0, 2, 1, 3)
-        # E = G^T m A G, entries (k, a, i, s, c, t): one per pair of neighbours
-        w = gval[..., None, None] * (mA[:, :, :, None, :, None] * gval_ics[:, None])
-        E = _row_blocks(
-            _csr(
-                [(first[..., None, None] + gcol[..., None, None], gcol_ics[:, None], w)],
-                ((K + 1) * n, n),
-            ),
-            n,
-        )
-        # T, entries -1/dt on the diagonal and (k, a, i, s): b_a(i) times
-        # neighbour s along a
-        diag_dt = (first[:, 0, 0] + node, node, np.full((K + 1, n), -1.0 / dt))
-        w = b.transpose(0, 2, 1)[..., None] * gval
-        T = _row_blocks(
-            _csr([diag_dt, (first + node[:, None], gcol, w)], ((K + 1) * n, n)), n
-        )
-
-        def v_slot(k):
-            return k
-
-        def mu_slot(k):
-            return K + 1 + k
-
-        # each term is (slot, block, its transpose): the transposes are built
-        # once, here, for rmatvec and the transposed solves
-        diag_t = self._diag.T
-        T_t = [t.T for t in T]
-        kf = coup.kernel_f(grid, m[1:])
-        kg = coup.kernel_g(grid, m[K])
-        kernel_f = [KernelFactors(-kf.c, -kf.U[k], kf.W[k]) for k in range(K)]
-        kernel_g = KernelFactors(-kg.c, -kg.U, kg.W)
-        backward = [
-            [
-                (v_slot(k), self._diag, diag_t),
-                (v_slot(k + 1), T[k + 1], T_t[k + 1]),
-                (mu_slot(k + 1), kernel_f[k], kernel_f[k].T),
-            ]
-            for k in range(K)
-        ]
-        forward = [
-            [
-                (mu_slot(k + 1), self._diag, diag_t),
-                (mu_slot(k), T_t[k], T[k]),
-                (v_slot(k), E[k], E[k].T),
-            ]
-            for k in range(K)
-        ]
-        initial = [(mu_slot(0), eye, eye)]
-        terminal = [(v_slot(K), eye, eye), (mu_slot(K), kernel_g, kernel_g.T)]
-        self.rows = backward + forward + [initial, terminal]
+        kf = model.coupling.kernel_f(grid, m[1:])
+        kg = model.coupling.kernel_g(grid, m[K])
+        self.kernel_f = KernelFactors(-kf.c, -kf.U, kf.W)
+        self.kernel_g = KernelFactors(-kg.c, -kg.U, kg.W)
+        self.initial = 1.0
 
     # -- layout helpers ----------------------------------------------------
     def unstack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,41 +289,57 @@ class AssembledOperator:
 
     # -- products, residuals, the backward sweep ------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        X = x.reshape(-1, self.n)
-        return np.concatenate([sum(B @ X[s] for s, B, _ in terms) for terms in self.rows])
+        g, K, b = self.grid, self.K, self.drift
+        v, mu = x.reshape(2, K + 1, self.n)
+        rows = (
+            _d0(g, v[:K]) + _transport(g, b[1:], v[1:]) + self.kernel_f @ mu[1:],
+            _d0(g, mu[1:]) + _transport(g, b[:K], mu[:K], True)
+            + _diffusion(g, self.mA[:K], v[:K]),
+            self.initial * mu[0],
+            v[K] + self.kernel_g @ mu[K],
+        )
+        return np.concatenate([r.reshape(-1) for r in rows])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        g, K, b = self.grid, self.K, self.drift
         Y = y.reshape(-1, self.n)
-        out = np.zeros(Y.shape)
-        for r, terms in enumerate(self.rows):
-            for s, _, Bt in terms:
-                out[s] += Bt @ Y[r]
+        back, fwd = Y[:K], Y[K : 2 * K]
+        out = np.zeros((2, K + 1, self.n))
+        ov, om = out
+        ov[:K] += _d0(g, back) + _diffusion(g, self.mA[:K], fwd, True)
+        ov[1:] += _transport(g, b[1:], back, True)
+        ov[K] += Y[2 * K + 1]
+        om[1:] += self.kernel_f.T @ back + _d0(g, fwd)
+        om[:K] += _transport(g, b[:K], fwd)
+        om[0] += self.initial * Y[2 * K]
+        om[K] += self.kernel_g.T @ Y[2 * K + 1]
         return out.reshape(-1)
 
     def _residuals(self, x: np.ndarray, rhs: np.ndarray) -> dict:
         """Sup of A x - rhs per row kind, and the drift of the mass of mu."""
         K, n = self.K, self.n
-        r = np.abs(self.matvec(x) - rhs)
+        r = np.abs(self.matvec(x) - rhs).reshape(-1, n)
         mass = self.grid.cell_volume * x.reshape(-1, n)[K + 1 :].sum(axis=1)
         return {
-            "backward": float(r[: K * n].max()),
-            "forward": float(r[K * n : 2 * K * n].max()),
-            "terminal": float(r[(2 * K + 1) * n :].max()),
+            "backward": float(r[:K].max()),
+            "forward": float(r[K : 2 * K].max()),
+            "initial": float(r[2 * K].max()),
+            "terminal": float(r[2 * K + 1].max()),
             "mass_drift": float(np.max(np.abs(mass - mass[0]))),
         }
 
     def _backward_sweep(self, x: np.ndarray, rhs: np.ndarray) -> None:
         """v^K' .. v^0 in place from the terminal and backward rows, mu held
-        fixed: each row sets its pivot slot from its other slots."""
-        X, R = x.reshape(-1, self.n), rhs.reshape(-1, self.n)
-        sshape = self.grid.spatial_shape
-        for r in [2 * self.K + 1, *range(self.K - 1, -1, -1)]:
-            (p, pivot, _), *rest = self.rows[r]
-            val = R[r] - sum(B @ X[s] for s, B, _ in rest)
-            if pivot is self._diag:
-                # (I/dt - Lap)^-1 = dt (I - dt Lap)^-1
-                val = self._heat.step((self.grid.dt * val).reshape(sshape)).reshape(-1)
-            X[p] = val
+        fixed: v^K' = c - B_g mu^K', then v^k = D0^-1 (a - T v^{k+1} -
+        B mu^{k+1}) with D0^-1 = dt (I - dt Lap)^-1."""
+        g, K = self.grid, self.K
+        v, mu = x.reshape(2, K + 1, self.n)
+        R = rhs.reshape(-1, self.n)
+        v[K] = R[2 * K + 1] - self.kernel_g @ mu[K]
+        coupled = self.kernel_f @ mu[1:]
+        for k in range(K - 1, -1, -1):
+            val = R[k] - (_transport(g, self.drift[k + 1], v[k + 1]) + coupled[k])
+            v[k] = self._heat.step((g.dt * val).reshape(g.spatial_shape)).reshape(-1)
 
     # -- materialization -----------------------------------------------------
     def lu_bytes_estimate(self) -> int:
@@ -366,17 +359,23 @@ class AssembledOperator:
     def to_sparse(self) -> sp.csr_matrix:
         """The assembled matrix A, kernel blocks dense: an oracle for tests
         and the benchmark's references; certificates and solves use
-        `factorize`."""
+        `factorize`.  Each block is its apply to the identity, whose row j
+        is the block's column j."""
         self._check_lu_size()
-        n, M = self.n, self.n_unknowns
-        parts = []
-        for r, terms in enumerate(self.rows):
-            for s, B, _ in terms:
-                if isinstance(B, KernelFactors):
-                    B = sp.csr_matrix(B.toarray())
-                rows, cols, vals = _triplets(B)
-                parts.append((rows + r * n, cols + s * n, vals))
-        return _csr(parts, (M, M))
+        g, K, n = self.grid, self.K, self.n
+        eye = np.eye(n)
+        d0 = sp.csr_matrix(_d0(g, eye).T)
+        blocks = [[None] * (2 * K + 2) for _ in range(2 * K + 2)]
+        for k in range(K):
+            blocks[k][k] = blocks[K + k][K + 2 + k] = d0
+            blocks[k][k + 1] = sp.csr_matrix(_transport(g, self.drift[k + 1], eye).T)
+            blocks[k][K + 2 + k] = sp.csr_matrix(self.kernel_f[k].toarray())
+            blocks[K + k][K + 1 + k] = sp.csr_matrix(_transport(g, self.drift[k], eye, True).T)
+            blocks[K + k][k] = sp.csr_matrix(_diffusion(g, self.mA[k], eye).T)
+        blocks[2 * K][K + 1] = sp.csr_matrix(self.initial * eye)
+        blocks[2 * K + 1][K] = sp.identity(n, format="csr")
+        blocks[2 * K + 1][2 * K + 1] = sp.csr_matrix(self.kernel_g.toarray())
+        return sp.bmat(blocks, format="csr")
 
     @property
     def boundary_weight(self) -> float:
@@ -416,20 +415,6 @@ class AssembledOperator:
         return self.factorize().solve(self.row_scaling() * self.rhs_vector(problem))
 
 
-def _block_diagonal(blocks: list) -> sp.spmatrix:
-    """Block-diagonal matrix of square blocks of one shape and one compressed
-    format (CSR or CSC), by concatenating their arrays."""
-    n = blocks[0].shape[0]
-    offsets = np.cumsum([0] + [B.nnz for B in blocks])
-    indptr = np.concatenate(
-        [B.indptr[:-1] + o for B, o in zip(blocks, offsets)] + [offsets[-1:]]
-    )
-    indices = np.concatenate([B.indices + i * n for i, B in enumerate(blocks)])
-    data = np.concatenate([B.data for B in blocks])
-    size = n * len(blocks)
-    return type(blocks[0])((data, indices, indptr), shape=(size, size))
-
-
 class SingularSchurBlock(np.linalg.LinAlgError):
     """A Schur block of `TimeBlockLU` that is singular to working precision.
 
@@ -451,10 +436,18 @@ class SingularSchurBlock(np.linalg.LinAlgError):
 
 def _inverse(a: np.ndarray, slice_index: int) -> np.ndarray:
     """a^-1 through LAPACK's partially pivoted LU; a block that is singular to
-    working precision raises `SingularSchurBlock` naming its time slice."""
+    working precision raises `SingularSchurBlock` naming its time slice.
+
+    The Schur block of slice k comes out of k elimination steps on n x n
+    blocks, so it carries rounding of order (k+1) n eps relative to its
+    norm; a reciprocal condition number below that cannot be told from
+    zero.  (At the closed-form critical horizons of the uniform state of
+    antimonotone_symmetric, theta=64, N=16, K=32, rcond of the last block
+    reads anywhere from 2e-17 to 2e-14 within three ulps of a horizon, and
+    1e-8 a relative 1e-9 away from it.)"""
     lu, piv, info = lapack.dgetrf(a)
     rcond = lapack.dgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
-    if not rcond > np.finfo(float).eps:
+    if not rcond > (slice_index + 1) * len(a) * np.finfo(float).eps:
         raise SingularSchurBlock(slice_index, rcond, np.linalg.svd(a)[2][-1])
     return lapack.dgetri(lu, piv)[0]
 
@@ -497,11 +490,15 @@ class TimeBlockLU:
     Stored, all n x n: D0^-1, M_k^-1, P_k, and the one-step maps of the
     recursions, Q_k = T_k^T M_k^-1 (mu forward; its transpose runs the
     transposed solve backward) and R_k = T_k D0^-1 + B_k P_k (v backward;
-    its transpose runs forward).  A solve takes p right-hand sides at once:
-    it is two recursions over the slices of one BLAS gemm each, and every
-    other product is batched over the slices.  No stored stack is copied;
-    the transposed solve carries the right-hand sides as rows, so that it
-    reads each stored block in its own order too.
+    its transpose runs forward).  The blocks T_k, E_k and B_k are not
+    stored: the factorization and the solves apply them from the operator's
+    coefficient stacks, one slice at a time while factoring (no temporary
+    spans all slices of n x n blocks), batched over the slices in a solve.
+    A solve takes p right-hand sides at once: it is two recursions over the
+    slices of one BLAS gemm each, and every other product is batched over
+    the slices.  No stored stack is copied; the transposed solve carries the
+    right-hand sides as rows, so that it reads each stored block in its own
+    order too.
     Pivoting happens inside each n x n block (LAPACK) and nowhere else; a
     Schur block singular to working precision raises `SingularSchurBlock`.
     """
@@ -526,67 +523,50 @@ class TimeBlockLU:
         self.K, self.n, self.size = K, n, op.n_unknowns
         self.nnz = self.stored_entries(K, n)
         self._s = s = op.boundary_weight
-        # the blocks of the rows, per slice: T[k] = (T_k, T_k^T), E[k] =
-        # (E_k, E_k^T) and the kernel block B[k] = B_k
-        T, E, B = {}, {}, {}
-        for k, (_, (_, t, t_t), (_, b, _)) in enumerate(op.rows[:K], start=1):
-            T[k], B[k] = (t, t_t), b
-        for k, (_, (_, t_t, t), (_, e, e_t)) in enumerate(op.rows[K : 2 * K]):
-            T[k], E[k] = (t, t_t), (e, e_t)
-        [(_, initial, _)] = op.rows[2 * K]
-        [_, (_, kg, _)] = op.rows[2 * K + 1]
-        self._kg = kg
-
-        # products over all slices at once: block-diagonal stacks of the
-        # sparse blocks, and the kernel blocks B_1..B_K' as one factored stack
-        self._t_up = _block_diagonal([T[k][0] for k in range(1, K + 1)])
-        self._t_lo = _block_diagonal([T[k][0] for k in range(K)])
-        self._t_lo_t = _block_diagonal([T[k][1] for k in range(K)])
-        self._e = _block_diagonal([E[k][0] for k in range(K)])
-        self._e_t = _block_diagonal([E[k][1] for k in range(K)])
-        self._tk = T[K][0]
-        self._kernel = KernelFactors(
-            np.array([B[k].c for k in range(1, K + 1)])[:, None, None],
-            np.stack([B[k].U for k in range(1, K + 1)]),
-            np.stack([B[k].W for k in range(1, K + 1)]),
-        )
+        # the operator's coefficient stacks, which the solves apply as well
+        self._grid, self._b, self._mA = g, b, mA = op.grid, op.drift, op.mA
+        self._kf, self._kg = kf, kg = op.kernel_f, op.kernel_g
 
         shapes = self.stored_shapes(K, n)
         # D0^-1 = dt (I - dt Lap)^-1 from the heat step applied to the
         # identity (rows of the result are columns of D0^-1), symmetrized
-        d0_inv = op._heat.step(
-            (op.grid.dt * np.eye(n)).reshape(n, *op.grid.spatial_shape)
-        ).reshape(shapes["d0_inv"])
+        d0_inv = op._heat.step((g.dt * np.eye(n)).reshape(n, *g.spatial_shape))
+        d0_inv = d0_inv.reshape(shapes["d0_inv"])
         self._d0_inv = d0_inv = 0.5 * (d0_inv + d0_inv.T)
-        d0 = op._diag.toarray()
+        d0_t = _d0(g, np.eye(n))  # D0^T: its rows are the columns of D0
         self._m_inv = m_inv = np.empty(shapes["m_inv"])
         self._p = p = np.empty(shapes["p"])
+        q = np.empty(shapes["q"])
         r = np.empty(shapes["r"])
+        # One slice at a time.  A block kind applied to the rows of Y gives
+        # Y times the block's transpose, so H_k^T and M_k^T come out in C
+        # order and are kept so; D0^-1 is symmetric, and LAPACK returns
+        # M_k^-1 in Fortran order, so the rows of inv.T are its columns.
         try:
-            m_inv[0] = _inverse(s * initial.toarray(), 0)
+            m_inv[0] = inv = _inverse(s * op.initial * np.eye(n), 0)
             p[0] = 0.0
             for k in range(1, K + 1):
-                h = E[k - 1][0] @ d0_inv
+                q[k - 1] = _transport(g, b[k - 1], inv.T, True).T
+                h_t = _diffusion(g, mA[k - 1], d0_inv)
                 if k > 1:
-                    h += T[k - 1][1] @ p[k - 1]
-                b = B[k]
-                m = d0 - b.c * h - (h @ b.U) @ b.W.T
+                    h_t += _transport(g, b[k - 1], np.ascontiguousarray(p[k - 1].T), True)
+                U, W = kf.U[k - 1], kf.W[k - 1]  # B_k
+                m_t = d0_t - kf.c * h_t - W @ (U.T @ h_t)
                 if k < K:
-                    r[k - 1] = T[k][0] @ d0_inv  # the first term of R_k
-                    x = h @ r[k - 1]
+                    r[k - 1] = _transport(g, b[k], d0_inv).T  # the first term of R_k
+                    x = h_t.T @ r[k - 1]
                 else:
-                    ht = (T[K][1] @ h.T).T
-                    m += kg.c * ht + (ht @ kg.U) @ kg.W.T
-                    x = ht / s
-                m_inv[k] = _inverse(m, k)
+                    h_tk = _transport(g, b[K], np.ascontiguousarray(h_t.T), True)  # H T_K'
+                    m_t += (kg.c * h_tk + (h_tk @ kg.U) @ kg.W.T).T
+                    x = h_tk / s
+                m_inv[k] = inv = _inverse(m_t.T, k)
                 np.matmul(m_inv[k], x, out=p[k])
                 if k < K:
-                    r[k - 1] += b.c * p[k] + b.U @ (b.W.T @ p[k])
+                    r[k - 1] += kf.c * p[k] + U @ (W.T @ p[k])
         except SingularSchurBlock as err:
-            err.witness = self._null_witness(T, B, err.slice_index, err.null_vector)
+            err.witness = self._null_witness(err.slice_index, err.null_vector)
             err.factor_s = time.process_time() - start
             raise
-        q = (self._t_lo_t @ m_inv[:K].reshape(K * n, n)).reshape(shapes["q"])
         # Q_k and R_k as Fortran-ordered views, the layout BLAS reads in place
         self._q_f = [a.T for a in q]
         self._r_f = [a.T for a in r]
@@ -594,7 +574,7 @@ class TimeBlockLU:
         self._mu_rows = np.r_[2 * K, K : 2 * K]
         self.factor_s = time.process_time() - start
 
-    def _null_witness(self, T: dict, B: dict, k: int, y: np.ndarray) -> np.ndarray:
+    def _null_witness(self, k: int, y: np.ndarray) -> np.ndarray:
         """Stacked unknowns x, zero after slice k, that solve the homogeneous
         rows of slices 0..k: the null vector y of the Schur block S_k
         (mu^k = y, with v^k = -B_g y at k = K', else 0), back-substituted
@@ -608,7 +588,7 @@ class TimeBlockLU:
         if k == K:
             xv[K] = -(self._kg @ y)
         for j in range(k - 1, -1, -1):
-            w = T[j + 1][0] @ xv[j + 1] + B[j + 1] @ xm[j + 1]
+            w = _transport(self._grid, self._b[j + 1], xv[j + 1]) + self._kf[j] @ xm[j + 1]
             xv[j] = -(self._d0_inv @ w)
             xm[j] = -(self._p[j] @ w)
         return x.reshape(-1)
@@ -623,6 +603,12 @@ class TimeBlockLU:
             x = np.swapaxes(self._solve_t(np.swapaxes(cols, 1, 2)), 1, 2)
         return x.reshape(b.shape)
 
+    def _columns(self, apply, coef: np.ndarray, x: np.ndarray, trans: bool = False):
+        """A block kind applied slice by slice to the columns of x (k, n, p),
+        with the coefficient stack coef (k, ...)."""
+        rows = apply(self._grid, coef[:, None], np.ascontiguousarray(np.swapaxes(x, 1, 2)), trans)
+        return np.swapaxes(rows, 1, 2)
+
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """(D A)^-1 b for b of shape (2K'+2, n, p), one (n, p) block per row
         block of the operator."""
@@ -633,16 +619,16 @@ class TimeBlockLU:
         # forward: zv_k = D0^-1 bv_k, and t_k = c_k - T_{k-1}^T zm_{k-1}
         # with c_k = bm_k - E_{k-1} zv_{k-1}, so that zm_k = M_k^-1 t_k + P_k bv_k
         np.matmul(self._d0_inv, bv[:K], out=zv[:K])
-        c[1:] -= _stacked(self._e, zv[:K])
+        c[1:] -= self._columns(_diffusion, self._mA[:K], zv[:K])
         e = self._p @ bv
         t = c
-        t[1:] -= _stacked(self._t_lo_t, e[:K])
+        t[1:] -= self._columns(_transport, self._b[:K], e[:K], True)
         _recurse(self._q_f, t, t[1:])
         np.matmul(self._m_inv, t, out=zm)
         zm += e
         zv[K] = bv[K] / s - _times(self._kg, zm[K])
         # backward: w_k = T_k xv_k + B_k xm_k, and x_k = z_k - (D0^-1, P_k) w_{k+1}
-        w = _stacked(self._t_up, zv[1:]) + _times(self._kernel, zm[1:])
+        w = self._columns(_transport, self._b[1:], zv[1:]) + _times(self._kf, zm[1:])
         # w[j] holds w_{j+1}
         _recurse(self._r_f[::-1], w[:0:-1], w[-2::-1])
         zv[:K] -= self._d0_inv @ w
@@ -653,34 +639,27 @@ class TimeBlockLU:
         """(D A)^-T b with the columns as rows: b of shape (2K'+2, p, n), one
         (p, n) block per unknown slot, and so is the result (its rows in the
         operator's row order).  Every product is then x^T P instead of P^T x,
-        which reads each stored block in its own order."""
-        K, n, s = self.K, self.n, self._s
+        which reads each stored block in its own order, and x^T B for a block
+        kind B is B^T applied to the rows."""
+        K, n, s, g = self.K, self.n, self._s, self._grid
         bv, bm = b.reshape(2, K + 1, -1, n)
         # forward: yv_k = D0^-1 bv_k + P_k^T bm_k - R_k^T yv_{k-1}
         yv = bv @ self._d0_inv
         yv[1:K] += bm[1:K] @ self._p[1:K]
         _recurse(self._r_f, yv, yv[1:K], by_rows=True)
         rm = bm.copy()
-        rm[1:] -= _times_rows(yv[:K], self._kernel)
-        rv = bv[K] - yv[K - 1] @ self._tk
+        rm[1:] -= _times_rows(yv[:K], self._kf)
+        rv = bv[K] - _transport(g, self._b[K], yv[K - 1], True)
         rm[K] -= _times_rows(rv, self._kg)
         ym = rm @ self._m_inv
         yv[K] = rv / s + rm[K] @ self._p[K]
         # backward: xm_k = ym_k - Q_k^T xm_{k+1}, and
         # xv_k = yv_k - D0^-1 E_k^T xm_{k+1} - P_k^T T_k xm_{k+1}
         _recurse(self._q_f[::-1], ym[:0:-1], ym[-2::-1], by_rows=True)
-        xm_next = np.swapaxes(ym[1:], 1, 2)
-        yv[:K] -= np.swapaxes(_stacked(self._e_t, xm_next), 1, 2) @ self._d0_inv
-        u = np.swapaxes(_stacked(self._t_lo, xm_next), 1, 2)
-        yv[1:K] -= u[1:] @ self._p[1:K]
+        yv[:K] -= _diffusion(g, self._mA[:K, None], ym[1:], True) @ self._d0_inv
+        yv[1:K] -= _transport(g, self._b[1:K, None], ym[2:]) @ self._p[1:K]
         # back to the row order: backward rows, forward rows, initial, terminal
         return np.concatenate([yv[:K], ym[1:], ym[:1], yv[K:]])
-
-
-def _stacked(block_diagonal: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix of n x n blocks applied to the stack x of
-    shape (k, n, p), block j to slice j."""
-    return (block_diagonal @ x.reshape(-1, x.shape[-1])).reshape(x.shape)
 
 
 def _times(f: KernelFactors, x: np.ndarray) -> np.ndarray:
@@ -750,12 +729,13 @@ def flux_from_value_direction(
 ) -> np.ndarray:
     """z = -(b mu + m A Dv) on every slice of [t1, T], with the operator's
     drift b = D_pH(x,Du) and m A = m D2_ppH(x,Du)."""
-    op = assemble_operator(model, base, t1_index)
-    K, n, d = op.K, op.n, op.grid.dim
-    dv = gradient(op.grid, v_values).reshape(K + 1, n, d)
-    # op.mA is indexed (k, a, i, c): component a at node i takes m A[a, c](i) Dv_c
-    z = -(op.drift * mu_values.reshape(K + 1, n, 1) + np.einsum("kaic,kic->kia", op.mA, dv))
-    return z.reshape(K + 1, *op.grid.spatial_shape, d)
+    grid, b, mA = _coefficients(model, base, t1_index)
+    K, n, d = grid.n_time, grid.n_nodes, grid.dim
+    dv = gradient(grid, v_values).reshape(K + 1, n, d)
+    mu = mu_values.reshape(K + 1, n)
+    flux = _times_mA(mA, [dv[..., c] for c in range(d)])
+    z = np.stack([-(b[:, a] * mu + f_a) for a, f_a in enumerate(flux)], axis=-1)
+    return z.reshape(K + 1, *grid.spatial_shape, d)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,11 @@ def test_attractor_records_a_solver_error_as_a_failed_trial(
     assert rec["max_final_error"] <= 5e-4
 
 
+def test_zero_rounds_are_refused(monotone_model, monotone_grid):
+    with pytest.raises(ValueError, match="n_max"):
+        run_fp(monotone_model, monotone_grid, n_max=0)
+
+
 def test_unconverged_run_is_not_a_converged_solution(monotone_model):
     grid = monotone_model.make_grid(24, 32)
     trace = run_fp(monotone_model, grid, n_max=1, gap_tol=1e-9)

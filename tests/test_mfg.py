@@ -184,6 +184,11 @@ def test_invalid_damping(monotone_model, monotone_grid):
         solve_picard(monotone_model, monotone_grid, damping=1.5)
 
 
+def test_zero_max_iter_is_refused(monotone_model, monotone_grid):
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_picard(monotone_model, monotone_grid, max_iter=0)
+
+
 def test_repeated_warnings_are_kept_once():
     # a strong m-independent source: every round of Picard and of fictitious
     # play repeats the same HJB CFL warning (and Kolmogorov step-size warning)

@@ -132,6 +132,14 @@ def test_competitor_beats_symmetric(branch_setup, branch_pair):
     assert j_comp < branch_pair.j_symmetric.total
 
 
+def test_asymmetric_search_refuses_zero_rounds():
+    model = builtin_quadratic(
+        theta=64.0, coupling="antimonotone_symmetric", T=2.0, m0="uniform"
+    )
+    with pytest.raises(ValueError, match="fp_rounds"):
+        find_asymmetric_branch(model, model.make_grid(16, 32), fp_rounds=0)
+
+
 def test_competitor_requires_long_horizon():
     model = builtin_quadratic(
         theta=8.0, coupling="antimonotone_symmetric", T=1.0, m0="uniform"

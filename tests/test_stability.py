@@ -81,19 +81,6 @@ def test_mu_mass_conserved(monotone_model, monotone_solution):
     assert max(abs(m) for m in masses) <= 1e-10
 
 
-def test_operator_consistency(monotone_model, monotone_solution):
-    op = assemble_operator(monotone_model, monotone_solution, 0)
-    A = op.to_sparse()
-    rng = rng_from_seed(23)
-    x = rng.standard_normal(op.n_unknowns)
-    y = rng.standard_normal(op.n_unknowns)
-    assert np.max(np.abs(op.matvec(x) - A @ x)) <= 1e-9
-    ax_y = float((A @ x) @ y)
-    x_aty = float(x @ op.rmatvec(y))
-    scale = np.linalg.norm(A @ x) * np.linalg.norm(y)
-    assert abs(ax_y - x_aty) <= 1e-11 * max(1.0, scale)
-
-
 def _scheme_defects(model, grid, u, m, m0):
     """Nonlinear scheme defects in the operator's row order: backward HJB
     rows with the running coupling, forward Kolmogorov rows, m^0 - m0 and
@@ -176,6 +163,25 @@ def operator_cases(draw, wide=False):
     return model, model.make_grid(n_space, n_time), draw(st.integers(0, n_time - 2))
 
 
+@settings(max_examples=30)
+@given(operator_cases(), st.integers(0, 2**32 - 1))
+def test_operator_consistency(case, seed):
+    # the sparse oracle, built from the block applies on identity blocks,
+    # against the matrix-free products, and its transpose against rmatvec
+    model, grid, t1 = case
+    base = solve_picard(model, grid, damping=0.5, max_iter=3)
+    op = assemble_operator(model, base, t1)
+    A = op.to_sparse()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.n_unknowns)
+    y = rng.standard_normal(op.n_unknowns)
+    assert np.max(np.abs(op.matvec(x) - A @ x)) <= 1e-9
+    ax_y = float((A @ x) @ y)
+    x_aty = float(x @ op.rmatvec(y))
+    scale = np.linalg.norm(A @ x) * np.linalg.norm(y)
+    assert abs(ax_y - x_aty) <= 1e-11 * max(1.0, scale)
+
+
 @settings(max_examples=100)
 @given(operator_cases(), st.integers(0, 2**32 - 1))
 def test_operator_on_random_grids(case, seed):
@@ -192,6 +198,26 @@ def test_operator_on_random_grids(case, seed):
     y = rng.standard_normal(op.n_unknowns)
     scale = np.linalg.norm(ax) * np.linalg.norm(y)
     assert abs(float(ax @ y) - float(x @ op.rmatvec(y))) <= 1e-11 * max(1.0, scale)
+
+
+def test_residuals_report_the_initial_rows(monotone_model, monotone_solution):
+    # the solution of one problem checked against another whose mu0 differs
+    # by eps: only the initial rows see it, by exactly eps
+    grid = monotone_solution.grid
+    mu0 = zero_mean_field(grid, rng_from_seed(28))
+    out = solve_linearized(
+        monotone_model, LinearizedProblem(base=monotone_solution, mu0=mu0)
+    )
+    assert out.residuals["initial"] <= 1e-13
+    eps = 1e-3
+    shifted = LinearizedProblem(base=monotone_solution, mu0=mu0 + eps)
+    op = assemble_operator(monotone_model, monotone_solution, 0)
+    x = op.stack(out.v.values, out.mu.values)
+    res = op._residuals(x, op.rhs_vector(shifted))
+    assert abs(res["initial"] - eps) <= 1e-12
+    assert res["backward"] == out.residuals["backward"]
+    assert res["forward"] == out.residuals["forward"]
+    assert res["terminal"] == out.residuals["terminal"]
 
 
 def test_operator_reproduces_solver(monotone_model, monotone_solution):
@@ -444,9 +470,7 @@ def test_2d_sigma_min_matches_dense_svd(t1):
 def _without_initial_rows(op):
     """The operator with its initial block zeroed: mu^0 is then undetermined
     and the Schur block of slice 0 singular."""
-    (slot, eye, _), = op.rows[2 * op.K]
-    zero = 0.0 * eye
-    op.rows[2 * op.K] = [(slot, zero, zero.T)]
+    op.initial = 0.0
     return op
 
 

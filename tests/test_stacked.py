@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +22,6 @@ from mfg_lab.pde import (
     hjb_residual,
     kolmogorov_residual,
 )
-from mfg_lab.stability import _gradient_matrix
 
 
 @st.composite
@@ -57,8 +55,12 @@ def test_stacked_stencils_equal_per_slice_calls_bitwise(grid, stack, seed):
 def test_heat_step_matches_dense_solve(grid, stack, seed, dt):
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal((*stack, *grid.spatial_shape))
-    G = _gradient_matrix(grid)
-    dense = (sp.identity(grid.n_nodes) + dt * (G.T @ G)).toarray()  # I - dt Lap
+    n = grid.n_nodes
+    # G (d n x n, components stacked axis-major): row j of the gradient of
+    # the identity holds column j of every component
+    g = gradient(grid, np.eye(n).reshape(n, *grid.spatial_shape)).reshape(n, n, grid.dim)
+    G = np.concatenate([g[..., a].T for a in range(grid.dim)])
+    dense = np.eye(n) + dt * (G.T @ G)  # I - dt Lap
     exact = np.linalg.solve(dense, rhs.reshape(-1, grid.n_nodes).T).T
     out = PeriodicHeatSolver(grid, dt).step(rhs)
     assert out.shape == rhs.shape
