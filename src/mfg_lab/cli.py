@@ -109,23 +109,11 @@ def validate_config(cfg: ExperimentConfig, samples: int = 100, seed: int = 0):
     # initial density + coupling checks are Hamiltonian-independent; probe
     # them through a quadratic-H twin so the degenerate-H case still reports
     from .grid import TorusGrid
-    from .models import builtin_quadratic
-
-    def probe_model():
-        name = cfg["model.name"]
-        return builtin_quadratic(
-            theta=cfg["model.theta"],
-            coupling="none" if name == "decoupled" else name,
-            dim=dim,
-            t0=cfg["grid.t0"],
-            T=cfg["grid.T"],
-            m0=cfg["model.m0"],
-            m0_amplitude=cfg["model.m0_amplitude"],
-        )
 
     probe_grid = TorusGrid(dim, 16, 2, 0.0, 1.0)
     try:
-        m0 = probe_model().initial_density_slice(probe_grid)
+        probe = ExperimentConfig({**cfg.values, "model.hamiltonian": "quadratic"}).make_model()
+        m0 = probe.initial_density_slice(probe_grid)
         lines.append("initial density nonnegativity + unit mass: PASS")
     except ValueError as exc:
         ok = False
@@ -136,7 +124,7 @@ def validate_config(cfg: ExperimentConfig, samples: int = 100, seed: int = 0):
         )
 
     if m0 is not None and cfg["model.name"] != "decoupled":
-        coup = probe_model().coupling
+        coup = probe.coupling
         sym = check_symmetry_relation(coup, probe_grid, m0, samples=samples, seed=seed)
         f_norm, k_norm = check_coupling_normalization(coup, probe_grid, m0)
         c_ok = sym <= 1e-10 and f_norm <= 1e-10 and k_norm <= 1e-10
@@ -205,20 +193,12 @@ def _run_solve(cfg, outdir: Path, seed: int) -> dict:
 
 def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
     from .fictitious_play import local_attractor_experiment, run_fp
-    from .mfg import solve_picard
     from .stability import certify_stability
 
-    model = cfg.make_model()
-    grid = cfg.make_grid()
-    reference = None
     if cfg["fp.reference"] == "picard":
-        reference = solve_picard(
-            model,
-            grid,
-            damping=cfg["solver.damping"],
-            tol=cfg["solver.tol"],
-            max_iter=cfg["solver.max_iter"],
-        )
+        model, grid, reference = _solve_base(cfg)
+    else:
+        model, grid, reference = cfg.make_model(), cfg.make_grid(), None
     trace = run_fp(
         model,
         grid,
@@ -327,7 +307,7 @@ def _run_isolation(cfg, outdir: Path, seed: int) -> dict:
 
 
 def _run_nonuniqueness(cfg, outdir: Path, seed: int) -> dict:
-    from .nonuniqueness import build_competitor, sweep_nonuniqueness, _cell_model
+    from .nonuniqueness import build_competitor, sweep_nonuniqueness
     from .potential import evaluate_J
 
     res = sweep_nonuniqueness(
@@ -355,12 +335,8 @@ def _run_nonuniqueness(cfg, outdir: Path, seed: int) -> dict:
         write_field_binary(res.best.symmetric.m, outdir / "m_symmetric.bin")
         write_field_binary(res.best.asymmetric.m, outdir / "m_asymmetric.bin")
         if res.best.horizon > 1.0:
-            model = _cell_model(res.best.theta, res.best.horizon, cfg["grid.dim"])
-            grid = model.make_grid(
-                cfg["grid.n_space"],
-                int(round(res.best.horizon * cfg["nonuniqueness.steps_per_unit_time"])),
-            )
-            comp = build_competitor(model, grid)
+            model = res.best.symmetric.model
+            comp = build_competitor(model, res.best.symmetric.grid)
             summary["competitor_j"] = evaluate_J(model, comp).total
     return summary
 

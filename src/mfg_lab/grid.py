@@ -182,10 +182,6 @@ class ScalarField:
     def zeros(cls, grid: TorusGrid) -> "ScalarField":
         return cls(grid, np.zeros((grid.n_time + 1, *grid.spatial_shape)))
 
-    @classmethod
-    def from_slices(cls, grid: TorusGrid, slices: np.ndarray) -> "ScalarField":
-        return cls(grid, np.array(slices, dtype=float))
-
     def slice(self, k: int) -> np.ndarray:
         return self.values[k]
 

@@ -1,12 +1,12 @@
 """Fixed-point solution of the coupled MFG system and the uniqueness probe.
 
-`best_response` is the one map that Picard, fictitious play and the
-symmetric-branch search iterate: belief mu -> source f(mu) -> backward value
-solve -> forward density solve along the drift it returns -> gap to mu.
-They differ only in the belief update.  Picard's mixes the last rounds by
-type-II Anderson acceleration (Walker & Ni, Anderson acceleration for
-fixed-point iterations, SIAM J. Numer. Anal. 49, 2011): m <- m + lambda f -
-(dX + lambda dF) gamma with f = m~ - m, which is the damped
+`best_response` is the one map that Picard and fictitious play iterate:
+belief mu -> source f(mu) -> backward value solve -> forward density solve
+along the drift it returns -> gap to mu.  They differ only in the belief
+update; the branch search runs on these two solvers.  Picard's mixes the
+last rounds by type-II Anderson acceleration (Walker & Ni, Anderson
+acceleration for fixed-point iterations, SIAM J. Numer. Anal. 49, 2011):
+m <- m + lambda f - (dX + lambda dF) gamma with f = m~ - m, which is the damped
 m <- (1-lambda) m + lambda m~ while there is no history.  On a linear map
 Anderson mixing is GMRES, so it converges fast where I - DPhi is
 nonsingular, at the stable solutions.  A returned solution is one round's

@@ -166,19 +166,6 @@ class MfgModel:
             raise ValueError("m0 must have positive mass")
         return vals / mass
 
-    def with_horizon(self, t0: float, T: float) -> "MfgModel":
-        return MfgModel(
-            self.name,
-            self.dim,
-            self.hamiltonian,
-            self.lagrangian,
-            self.coupling,
-            t0,
-            T,
-            self.m0,
-            self.theta,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Hamiltonian / Lagrangian library
@@ -667,14 +654,13 @@ def check_legendre(
     """
     x, p = _sample_xp(dim, samples, seed, p_max=5.0)
     q = -h.grad_p(x, p)
-    p_star, l_oracle = legendre_transform_newton(h, x, q)
+    p_star, _ = legendre_transform_newton(h, x, q)
     lvals = lag.value(x, q)
     conj = float(np.max(np.abs(lvals + h.value(x, p_star) + np.sum(p_star * q, axis=-1))))
     argmax = float(np.max(np.abs(p_star + lag.grad_q(x, q))))
     prod = np.einsum("...ij,...jk->...ik", lag.hess_qq(x, q), h.hess_pp(x, p))
     eye = np.eye(dim)
     hess_defect = float(np.max(np.abs(prod - eye)))
-    _ = l_oracle
     return LegendreReport(
         conjugacy_defect=conj,
         hessian_identity_defect=hess_defect,

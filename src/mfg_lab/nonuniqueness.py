@@ -9,6 +9,10 @@ large enough the reflection-symmetric equilibrium stops being a minimizer of
 the cost functional and a second, asymmetric equilibrium appears.  The sweep
 searches (theta, T) cells for a residual-verified pair; the parameters where
 this happens are experiment outputs, not assertions.
+
+Both branches come from the shared solvers and no iteration of their own:
+the symmetric one is `solve_picard` from the symmetric m0, the broken one is
+fictitious play from a lopsided belief, polished by `solve_picard`.
 """
 
 from __future__ import annotations
@@ -21,14 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import TorusGrid, gradient, laplacian_symbol, sup_norm
-from .mfg import (
-    MfgSolution,
-    _keep_distinct,
-    _package_solution,
-    best_response,
-    heat_flow_of_initial,
-    solve_picard,
-)
+from .mfg import MfgSolution, _keep_distinct, _package_solution, solve_picard
 from .models import MfgModel, builtin_quadratic
 from .potential import AdmissiblePair, JBreakdown, evaluate_J
 
@@ -56,50 +53,21 @@ def reflection_defect(values: np.ndarray, spatial_axis: int = 1) -> float:
     return sup_norm(values - reflect_values(values, spatial_axis))
 
 
-def find_symmetric_branch(
-    model: MfgModel,
-    grid: TorusGrid,
-    damping: float = 0.5,
-    tol: float = 1e-11,
-    max_iter: int = 400,
-    polish_iters: int = 5,
-) -> tuple[MfgSolution, float]:
-    """Picard with a symmetrization projection after each density update.
+def find_symmetric_branch(model: MfgModel, grid: TorusGrid) -> MfgSolution:
+    """The reflection-symmetric equilibrium: `solve_picard` from a symmetric m0.
 
-    The reflection-symmetric subspace is invariant for symmetric data, so
-    the projected fixed point is a fixed point of the unprojected map too;
-    this is verified by running `polish_iters` plain, unprojected rounds
-    (belief <- m~) at the end.  Returns (solution, drift of the lowest-gap
-    polish round from the projected fixed point).  The polish is not
-    accelerated: an accelerated update can converge to fixed points that
-    plain iteration leaves, and the drift would hide that instability.
+    For a reflection-invariant game the forward-backward map sends symmetric
+    beliefs to symmetric best responses, and every Picard belief is a linear
+    combination of those, so the iterates stay symmetric up to roundoff; no
+    projection is applied, and `reflection_defect` of the result measures
+    what roundoff left.  For `antimonotone_symmetric` the source vanishes on
+    symmetric densities, so u = 0 and m is the heat flow of m0: the first
+    round returns it.
     """
     m0 = model.initial_density_slice(grid)
     if reflection_defect(m0[None, ...]) > 1e-10:
         raise ValueError("symmetric branch requires a reflection-symmetric m0")
-    m_values = heat_flow_of_initial(model, grid, m0)
-    for _ in range(max_iter):
-        played = best_response(model, grid, m_values, m0)
-        m_values = (1.0 - damping) * m_values + damping * played.m
-        m_values = 0.5 * (m_values + reflect_values(m_values))
-        m_values[0] = m0
-        if played.gap <= tol:
-            break
-    # unprojected polish: the symmetric solution must hold on its own
-    belief, polished = m_values, None
-    for _ in range(polish_iters):
-        played = best_response(model, grid, belief, m0)
-        if polished is None or played.gap <= polished.gap:
-            polished = played
-        if played.gap == 0.0:
-            break
-        belief = played.m.copy()
-        belief[0] = m0
-    drift = sup_norm(polished.m - m_values)
-    final = solve_picard(
-        model, grid, m0=m0, init_m=polished.m, damping=damping, tol=tol, max_iter=50
-    )
-    return final, drift
+    return solve_picard(model, grid, m0=m0, tol=1e-11, max_iter=400)
 
 
 @dataclass
@@ -107,7 +75,6 @@ class AsymmetricSearch:
     found: bool
     solution: Optional[MfgSolution]
     reason: str
-    fp_rounds: int
     reflection_defect: float
 
 
@@ -128,21 +95,27 @@ def _max_sine_moment(grid: TorusGrid, values: np.ndarray) -> float:
     return float(np.max(np.abs(moments)))
 
 
+# reflection defect below which a candidate counts as the symmetric branch
+SEPARATION_FLOOR = 1e-2
+# fictitious-play round at which a sine moment below COLLAPSE_MOMENT ends the
+# search as not-found
+COLLAPSE_CHECK_ROUND = 40
+COLLAPSE_MOMENT = 0.02
+
+
 def find_asymmetric_branch(
     model: MfgModel,
     grid: TorusGrid,
     tol: float = 1e-8,
     fp_rounds: int = 150,
     symmetric_defect: float = 0.0,
-    separation_floor: float = 1e-2,
-    collapse_check_round: int = 40,
-    collapse_moment: float = 0.02,
 ) -> AsymmetricSearch:
-    """Fictitious play from an asymmetric belief, polished by damped Picard.
+    """Fictitious play from an asymmetric belief, polished by `solve_picard`.
 
     Convergence back to the symmetric branch is reported as not-found at
     these parameters (that outcome steers the sweep), never as an error; a
-    collapsing sine moment ends the run early.
+    collapsing sine moment ends the run early.  A polish that does not
+    converge leaves the fictitious-play candidate to the residual check.
     """
     if fp_rounds < 1:
         raise ValueError(f"fp_rounds must be at least 1, got {fp_rounds}")
@@ -155,46 +128,38 @@ def find_asymmetric_branch(
         for _ in range(fp_rounds):
             state = fp_step(state)
             _keep_distinct(warns, state.last.warnings)
-            if state.n == collapse_check_round:
-                if _max_sine_moment(grid, state.last.m) < collapse_moment:
+            if state.n == COLLAPSE_CHECK_ROUND:
+                if _max_sine_moment(grid, state.last.m) < COLLAPSE_MOMENT:
                     return AsymmetricSearch(
                         False,
                         None,
                         "converged to the symmetric branch",
-                        state.n,
                         reflection_defect(state.last.m),
                     )
         converged = state.last.gap <= tol
         candidate = _package_solution(
             model, grid, state.last, state.n, converged, [], warns
         )
-        for damping in (0.5, 0.25):
-            polished = solve_picard(
-                model,
-                grid,
-                init_m=candidate.m.values,
-                damping=damping,
-                tol=min(tol * 1e-2, 1e-10),
-                max_iter=400,
-            )
-            if polished.converged:
-                candidate = polished
-                break
+        polished = solve_picard(
+            model,
+            grid,
+            init_m=candidate.m.values,
+            tol=min(tol * 1e-2, 1e-10),
+            max_iter=400,
+        )
+        if polished.converged:
+            candidate = polished
     except SolverError as exc:
         # a transport blow-up at these parameters is a not-found cell,
         # recorded so the sweep can steer around it
-        return AsymmetricSearch(False, None, f"solver failure: {exc}", 0, 0.0)
+        return AsymmetricSearch(False, None, f"solver failure: {exc}", 0.0)
     defect = reflection_defect(candidate.m.values)
     resid = max(candidate.residuals["hjb"], candidate.residuals["kolmogorov"])
     if resid > tol:
-        return AsymmetricSearch(
-            False, None, f"residual {resid:.2e} above {tol:.0e}", state.n, defect
-        )
-    if defect < max(10.0 * symmetric_defect, separation_floor):
-        return AsymmetricSearch(
-            False, None, "converged to the symmetric branch", state.n, defect
-        )
-    return AsymmetricSearch(True, candidate, "ok", state.n, defect)
+        return AsymmetricSearch(False, None, f"residual {resid:.2e} above {tol:.0e}", defect)
+    if defect < max(10.0 * symmetric_defect, SEPARATION_FLOOR):
+        return AsymmetricSearch(False, None, "converged to the symmetric branch", defect)
+    return AsymmetricSearch(True, candidate, "ok", defect)
 
 
 @dataclass
@@ -229,7 +194,7 @@ class BranchPair:
 def make_branch_pair(
     model: MfgModel, grid: TorusGrid, tol: float = 1e-8, fp_rounds: int = 150
 ) -> tuple[Optional[BranchPair], str]:
-    sym, _ = find_symmetric_branch(model, grid)
+    sym = find_symmetric_branch(model, grid)
     sym_defect = reflection_defect(sym.m.values)
     search = find_asymmetric_branch(
         model, grid, tol=tol, fp_rounds=fp_rounds, symmetric_defect=sym_defect
@@ -392,6 +357,8 @@ def sweep_nonuniqueness(
     verified: list[BranchPair] = []
     for (theta, horizon), (pair, reason) in zip(params, map(run_cell, params)):
         found = pair is not None and pair.j_asymmetric.total < pair.j_symmetric.total
+        if pair is not None and not found:
+            reason = "J(asymmetric) not below J(symmetric)"
         cells.append(
             {
                 "theta": theta,
@@ -400,7 +367,7 @@ def sweep_nonuniqueness(
                 "separation": pair.separation if pair else 0.0,
                 "j_symmetric": pair.j_symmetric.total if pair else math.nan,
                 "j_asymmetric": pair.j_asymmetric.total if pair else math.nan,
-                "reason": reason if not found else "ok",
+                "reason": reason,
             }
         )
         if found:

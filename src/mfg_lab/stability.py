@@ -901,9 +901,6 @@ class IsolationReport:
     eta_records: list
     distinct_pairs_total: int
 
-    def found_distinct(self) -> bool:
-        return self.distinct_pairs_total > 0
-
 
 def isolation_experiment(
     model: MfgModel,

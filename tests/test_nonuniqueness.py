@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfg_lab.grid import sup_norm
-from mfg_lab.mfg import best_response, heat_flow_of_initial, probe_uniqueness_given_gradient
+from mfg_lab.mfg import heat_flow_of_initial, probe_uniqueness_given_gradient
 from mfg_lab.models import builtin_quadratic
 from mfg_lab.nonuniqueness import (
     asymmetric_initial_belief,
@@ -48,12 +48,11 @@ def test_reflect_involution(rng):
 
 def test_symmetric_branch_is_uniform_rest(branch_setup):
     model, grid = branch_setup
-    sym, drift = find_symmetric_branch(model, grid)
+    sym = find_symmetric_branch(model, grid)
     # uniform m0 + vanishing coupling on the symmetric set: exact rest state
     assert sup_norm(sym.m.values - 1.0) <= 1e-10
     assert sup_norm(sym.u.values) <= 1e-10
     assert reflection_defect(sym.m.values) <= 1e-8
-    assert drift <= 1e-7  # unprojected rounds do not move it
     assert max(sym.residuals.values()) <= 1e-7
     # the coupling is symmetric along the whole symmetric trajectory
     for k in range(0, grid.n_time + 1, 16):
@@ -61,41 +60,39 @@ def test_symmetric_branch_is_uniform_rest(branch_setup):
         assert sup_norm(f - reflect_values(f[None, :])[0]) <= 1e-12
 
 
-def _plain_polish_drift(model, grid, max_iter, polish_iters=5, damping=0.5, tol=1e-11):
-    """The projected loop, then plain rounds belief <- m~; drift of the
-    lowest-gap round (the last of equal gaps) from the projected point."""
-    m0 = model.initial_density_slice(grid)
-    m = heat_flow_of_initial(model, grid, m0)
-    for _ in range(max_iter):
-        played = best_response(model, grid, m, m0)
-        m = (1.0 - damping) * m + damping * played.m
-        m = 0.5 * (m + reflect_values(m))
-        m[0] = m0
-        if played.gap <= tol:
-            break
-    belief, rounds = m, []
-    for _ in range(polish_iters):
-        played = best_response(model, grid, belief, m0)
-        rounds.append(played)
-        belief = played.m.copy()
-        belief[0] = m0
-    lowest = min(r.gap for r in rounds)
-    polished = [r for r in rounds if r.gap == lowest][-1]
-    return sup_norm(polished.m - m)
+@pytest.mark.parametrize("m0", ["cosine", "bump"])
+def test_symmetric_branch_closed_form(m0):
+    # f = theta phi'(S)(sin 2 pi x - S) vanishes at S = 0 with phi'(0) = 0,
+    # so on a symmetric m0 the branch is u = 0, m = heat flow of m0
+    model = builtin_quadratic(
+        theta=64.0, coupling="antimonotone_symmetric", T=2.0, m0=m0
+    )
+    grid = model.make_grid(24, 256)
+    sym = find_symmetric_branch(model, grid)
+    assert sym.converged and sym.iterations == 1
+    assert sup_norm(sym.u.values) <= 1e-12
+    assert sup_norm(sym.m.values - heat_flow_of_initial(model, grid)) <= 1e-13
 
 
-@pytest.mark.parametrize("case", ["branch_pair", "monotone_unconverged"])
-def test_symmetric_polish_drift_is_plain_iteration(branch_setup, case):
-    # the polish must measure the plain map: an accelerated update can
-    # settle on a fixed point that plain iteration leaves
-    if case == "branch_pair":
-        (model, grid), max_iter = branch_setup, 400
-    else:
-        # three projected rounds leave the polish something to move
-        model = builtin_quadratic(coupling="monotone_local", T=0.5, m0="cosine")
-        grid, max_iter = model.make_grid(32, 48), 3
-    _, drift = find_symmetric_branch(model, grid, max_iter=max_iter)
-    assert drift == _plain_polish_drift(model, grid, max_iter)
+def test_symmetric_branch_of_monotone_game_stays_symmetric():
+    # the source is not zero here: the Anderson-mixed beliefs keep the
+    # symmetry without any projection
+    model = builtin_quadratic(coupling="monotone_local", T=0.5, m0="cosine")
+    sym = find_symmetric_branch(model, model.make_grid(32, 48))
+    assert sym.converged
+    assert reflection_defect(sym.m.values) <= 1e-12
+    assert reflection_defect(sym.u.values) <= 1e-12
+
+
+def test_symmetric_branch_rejects_asymmetric_m0():
+    model = builtin_quadratic(
+        theta=64.0,
+        coupling="antimonotone_symmetric",
+        T=2.0,
+        m0=lambda grid: 1.0 + 0.5 * np.sin(2.0 * np.pi * grid.coordinates()[0]),
+    )
+    with pytest.raises(ValueError, match="reflection-symmetric"):
+        find_symmetric_branch(model, model.make_grid(16, 32))
 
 
 def test_theta_zero_not_found():
@@ -166,3 +163,26 @@ def test_asymmetric_belief_valid():
     assert mu0.min() >= 0
     masses = grid.cell_volume * mu0.sum(axis=1)
     assert np.max(np.abs(masses - 1.0)) <= 1e-12
+
+
+def test_sweep_names_a_failed_j_ordering(monkeypatch):
+    # a residual-verified pair whose asymmetric J is not lower is not found,
+    # and its reason must say why rather than repeat the pair's "ok"
+    from types import SimpleNamespace
+
+    import mfg_lab.nonuniqueness as nu
+
+    def unordered_pair(model, grid, tol, fp_rounds):
+        pair = SimpleNamespace(
+            separation=0.5,
+            j_symmetric=SimpleNamespace(total=1.0),
+            j_asymmetric=SimpleNamespace(total=1.0),
+        )
+        return pair, "ok"
+
+    monkeypatch.setattr(nu, "make_branch_pair", unordered_pair)
+    res = nu.sweep_nonuniqueness(thetas=(64.0,), horizons=(1.0,), n_space=8)
+    (cell,) = res.cells
+    assert not cell["found"]
+    assert cell["reason"] == "J(asymmetric) not below J(symmetric)"
+    assert res.best is None

@@ -349,7 +349,7 @@ def test_symmetric_branch_sigma_reported():
         theta=64.0, coupling="antimonotone_symmetric", T=2.0, m0="uniform"
     )
     grid = model.make_grid(16, 64)
-    sym, _ = find_symmetric_branch(model, grid)
+    sym = find_symmetric_branch(model, grid)
     cert = certify_stability(model, sym, 0)
     assert np.isfinite(cert.sigma_min) and cert.sigma_min >= 0.0
     assert cert.verdict in ("STABLE", "INCONCLUSIVE", "UNSTABLE-DIRECTION-FOUND")
