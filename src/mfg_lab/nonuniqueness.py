@@ -12,7 +12,8 @@ this happens are experiment outputs, not assertions.
 
 Both branches come from the shared solvers and no iteration of their own:
 the symmetric one is `solve_picard` from the symmetric m0, the broken one is
-fictitious play from a lopsided belief, polished by `solve_picard`.
+fictitious play from a lopsided belief, which reaches the basin of the stable
+branch by round COLLAPSE_CHECK_ROUND, polished from there by `solve_picard`.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ def _max_sine_moment(grid: TorusGrid, values: np.ndarray) -> float:
 
 # reflection defect below which a candidate counts as the symmetric branch
 SEPARATION_FLOOR = 1e-2
-# fictitious-play round at which a sine moment below COLLAPSE_MOMENT ends the
-# search as not-found
-COLLAPSE_CHECK_ROUND = 40
+# the asymmetric search's one decision round (or fp_rounds, if fewer): a sine
+# moment below COLLAPSE_MOMENT there is not-found, any other flow is polished;
+# at round 10 every default cell holds too, but the polish takes 13 rounds, not 10
+COLLAPSE_CHECK_ROUND = 20
 COLLAPSE_MOMENT = 0.02
 
 
@@ -112,10 +114,11 @@ def find_asymmetric_branch(
 ) -> AsymmetricSearch:
     """Fictitious play from an asymmetric belief, polished by `solve_picard`.
 
-    Convergence back to the symmetric branch is reported as not-found at
-    these parameters (that outcome steers the sweep), never as an error; a
-    collapsing sine moment ends the run early.  A polish that does not
-    converge leaves the fictitious-play candidate to the residual check.
+    Fictitious play runs min(fp_rounds, COLLAPSE_CHECK_ROUND) rounds.  A
+    collapsed sine moment then reports convergence back to the symmetric
+    branch as not-found (that outcome steers the sweep), never as an error;
+    any other flow starts the polish, and a polish that does not converge
+    leaves the fictitious-play candidate to the residual check.
     """
     if fp_rounds < 1:
         raise ValueError(f"fp_rounds must be at least 1, got {fp_rounds}")
@@ -125,30 +128,26 @@ def find_asymmetric_branch(
     warns = []
     try:
         state = fp_start(model, grid, mu0=asymmetric_initial_belief(grid))
-        for _ in range(fp_rounds):
+        for _ in range(min(fp_rounds, COLLAPSE_CHECK_ROUND)):
             state = fp_step(state)
             _keep_distinct(warns, state.last.warnings)
-            if state.n == COLLAPSE_CHECK_ROUND:
-                if _max_sine_moment(grid, state.last.m) < COLLAPSE_MOMENT:
-                    return AsymmetricSearch(
-                        False,
-                        None,
-                        "converged to the symmetric branch",
-                        reflection_defect(state.last.m),
-                    )
-        converged = state.last.gap <= tol
-        candidate = _package_solution(
-            model, grid, state.last, state.n, converged, [], warns
-        )
+        if _max_sine_moment(grid, state.last.m) < COLLAPSE_MOMENT:
+            return AsymmetricSearch(
+                False,
+                None,
+                "converged to the symmetric branch",
+                reflection_defect(state.last.m),
+            )
         polished = solve_picard(
             model,
             grid,
-            init_m=candidate.m.values,
+            init_m=state.last.m,
             tol=min(tol * 1e-2, 1e-10),
             max_iter=400,
         )
-        if polished.converged:
-            candidate = polished
+        candidate = polished if polished.converged else _package_solution(
+            model, grid, state.last, state.n, state.last.gap <= tol, [], warns
+        )
     except SolverError as exc:
         # a transport blow-up at these parameters is a not-found cell,
         # recorded so the sweep can steer around it

@@ -1,10 +1,13 @@
 """Shared fixtures and the acceptance report hook.
 
 Heavy solves are session-scoped so the suite computes each base solution
-once.  Acceptance tests append one line per criterion to ACCEPTANCE_LINES;
-the terminal-summary hook prints them, and writes acceptance_report.txt only
-when every criterion recorded a line, so a partial run (-k, or a criterion
-that errors before recording) leaves the last full report in place.
+once.  Acceptance tests append one line per criterion, with its wall
+seconds, to ACCEPTANCE_LINES; the terminal-summary hook prints them, and
+writes acceptance_report.txt only when every criterion recorded a line, so a
+partial run (-k, or a criterion that errors before recording) leaves the last
+full report in place.  The seconds stay in the terminal: the report holds
+only what the code determines, so a run on unchanged code rewrites it byte
+for byte.
 """
 
 import tempfile
@@ -26,20 +29,20 @@ settings.load_profile("mfg_lab")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="mfg_lab-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
-ACCEPTANCE_LINES: list[str] = []
+ACCEPTANCE_LINES: list[tuple[str, float]] = []
 N_CRITERIA = 12
 
 
-def record_acceptance(line: str) -> None:
-    ACCEPTANCE_LINES.append(line)
+def record_acceptance(line: str, seconds: float) -> None:
+    ACCEPTANCE_LINES.append((line, seconds))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_LINES:
         return
     terminalreporter.section("acceptance criteria")
-    for line in ACCEPTANCE_LINES:
-        terminalreporter.write_line(line)
+    for line, seconds in ACCEPTANCE_LINES:
+        terminalreporter.write_line(f"{line} [{seconds:.1f} s]")
     if len(ACCEPTANCE_LINES) < N_CRITERIA:
         terminalreporter.write_line(
             f"{len(ACCEPTANCE_LINES)}/{N_CRITERIA} criteria ran: "
@@ -47,7 +50,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         )
         return
     report = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
-    report.write_text("\n".join(ACCEPTANCE_LINES) + "\n", encoding="utf-8")
+    lines = "".join(f"{line}\n" for line, _ in ACCEPTANCE_LINES)
+    report.write_text(lines, encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
-Each test records a PASS/FAIL line (printed in the terminal summary and
-written to acceptance_report.txt) with the measured quantities and runtime.
+Each test records a PASS/FAIL line with the measured quantities (printed in
+the terminal summary and written to acceptance_report.txt) and its runtime
+(printed only).
 Shared solves are module-scoped so criteria reuse the same base solutions.
 """
 
@@ -58,11 +59,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _report(num, name, ok, detail, t0):
-    line = (
-        f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} "
-        f"({detail}; {time.perf_counter() - t0:.1f} s)"
-    )
-    record_acceptance(line)
+    line = f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
+    record_acceptance(line, time.perf_counter() - t0)
     assert ok, line
 
 

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import mfg_lab.fictitious_play as fictitious_play
+import mfg_lab.nonuniqueness as nonuniqueness
 from mfg_lab.grid import sup_norm
-from mfg_lab.mfg import heat_flow_of_initial, probe_uniqueness_given_gradient
+from mfg_lab.mfg import heat_flow_of_initial, probe_uniqueness_given_gradient, solve_picard
 from mfg_lab.models import builtin_quadratic
 from mfg_lab.nonuniqueness import (
+    COLLAPSE_CHECK_ROUND,
     asymmetric_initial_belief,
     best_holding_profile,
     build_competitor,
@@ -127,6 +130,50 @@ def test_competitor_beats_symmetric(branch_setup, branch_pair):
     assert comp.is_admissible()
     j_comp = evaluate_J(model, comp).total
     assert j_comp < branch_pair.j_symmetric.total
+
+
+def _count_rounds_before_polish(monkeypatch):
+    """Count fp_step calls, and record the count at each polish call."""
+    counts = {"rounds": 0, "at_polish": []}
+    fp_step, polish = fictitious_play.fp_step, nonuniqueness.solve_picard
+
+    def counted_step(state):
+        counts["rounds"] += 1
+        return fp_step(state)
+
+    def recorded_polish(*args, **kwargs):
+        counts["at_polish"].append(counts["rounds"])
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(fictitious_play, "fp_step", counted_step)
+    monkeypatch.setattr(nonuniqueness, "solve_picard", recorded_polish)
+    return counts
+
+
+def test_asymmetric_search_hands_over_at_the_collapse_check(branch_setup, monkeypatch):
+    # the polish from round 20 lands on the branch a polish from the last of
+    # 120 rounds finds: fictitious play only has to reach the basin
+    model, grid = branch_setup
+    state = fictitious_play.fp_start(model, grid, mu0=asymmetric_initial_belief(grid))
+    for _ in range(120):
+        state = fictitious_play.fp_step(state)
+    reference = solve_picard(model, grid, init_m=state.last.m, tol=1e-10, max_iter=400)
+    assert reference.converged
+    counts = _count_rounds_before_polish(monkeypatch)
+    search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=120)
+    assert search.found, search.reason
+    assert counts["rounds"] <= COLLAPSE_CHECK_ROUND
+    assert counts["at_polish"] == [counts["rounds"]]
+    assert sup_norm(search.solution.m.values - reference.m.values) <= 1e-9
+
+
+def test_asymmetric_search_short_cap_plays_every_round(branch_setup, monkeypatch):
+    model, grid = branch_setup
+    counts = _count_rounds_before_polish(monkeypatch)
+    search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=5)
+    assert counts["at_polish"] == [5]
+    assert counts["rounds"] == 5
+    assert search.found, search.reason
 
 
 def test_asymmetric_search_refuses_zero_rounds():
