@@ -36,22 +36,24 @@ class ComputeError(RuntimeError):
 
 
 def _jsonable(obj):
+    """Plain JSON values; a non-finite float (NaN, +-inf) becomes null, so
+    every file is strict JSON."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and obj != obj:  # NaN -> null, deterministic
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(
-        json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n",
+        json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 
@@ -179,14 +181,13 @@ def _run_solve(cfg, outdir: Path, seed: int) -> dict:
         "mass_defect": float(np.max(np.abs(sol.m.mass() - 1.0))),
         "min_density": float(sol.m.values.min()),
     }
-    if model.coupling.is_potential:
-        jb = evaluate_J(model, AdmissiblePair.from_solution(sol))
-        summary["j"] = {
-            "kinetic": jb.kinetic,
-            "running_potential": jb.running_potential,
-            "terminal_potential": jb.terminal_potential,
-            "total": jb.total,
-        }
+    jb = evaluate_J(model, AdmissiblePair.from_solution(sol))
+    summary["j"] = {
+        "kinetic": jb.kinetic,
+        "running_potential": jb.running_potential,
+        "terminal_potential": jb.terminal_potential,
+        "total": jb.total,
+    }
     _write_solution_fields(outdir, sol, cfg["output.write_fields"] == 1)
     return summary
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .grid import GridError, TorusGrid
 from .models import COUPLINGS, HAMILTONIANS, M0_PRESETS, builtin_quadratic
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "SCHEMA", "KINDS"]
@@ -139,8 +140,6 @@ class ExperimentConfig:
         )
 
     def make_grid(self):
-        from .grid import TorusGrid
-
         return TorusGrid(
             dim=self.values["grid.dim"],
             n_space=self.values["grid.n_space"],
@@ -150,8 +149,8 @@ class ExperimentConfig:
         )
 
 
-def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Parse and validate config text; overrides are applied after the file."""
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate config text, the grid it describes included."""
     values: dict[str, Any] = {}
     seen: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -173,19 +172,17 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ExperimentConfi
         values[key] = _convert(key, raw, line_no)
     for key, entry in SCHEMA.items():
         if key not in values:
-            if entry.required and not (overrides and key in overrides):
+            if entry.required:
                 raise ConfigError(f"missing required key '{key}'")
             values[key] = entry.default
-    if overrides:
-        for key, val in overrides.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown override key '{key}'")
-            values[key] = val
-    if values["grid.T"] <= values["grid.t0"]:
-        raise ConfigError("grid.T must exceed grid.t0")
-    return ExperimentConfig(values=values)
+    cfg = ExperimentConfig(values=values)
+    try:
+        cfg.make_grid()
+    except GridError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+    return cfg
 
 
-def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+        return parse_config(fh.read())

@@ -67,8 +67,8 @@ class FpState:
         return self.sum_m / self.n
 
 
-def fp_start(model: MfgModel, grid: TorusGrid, mu0=None, m0=None) -> FpState:
-    m0_slice = model.initial_density_slice(grid) if m0 is None else np.asarray(m0)
+def fp_start(model: MfgModel, grid: TorusGrid, mu0=None) -> FpState:
+    m0_slice = model.initial_density_slice(grid)
     if mu0 is None:
         mu0 = heat_flow_of_initial(model, grid, m0_slice)
     mu0 = np.asarray(mu0, dtype=float)
@@ -94,7 +94,7 @@ class FpTrace:
     final: MfgSolution
     state: FpState = field(repr=False, default=None)
 
-    def to_csv(self, path, decimate: bool = True) -> None:
+    def to_csv(self, path) -> None:
         """Columns n, gap_n, mu_step, err_n, plus final residuals in a header
         comment; rows are decimated past 50 to every 10th iterate."""
         lines = [
@@ -103,7 +103,7 @@ class FpTrace:
             "n,gap,mu_step,err",
         ]
         for i, g in enumerate(self.gaps):
-            if decimate and i >= 50 and (i + 1) % 10 != 0 and i != len(self.gaps) - 1:
+            if i >= 50 and (i + 1) % 10 != 0 and i != len(self.gaps) - 1:
                 continue
             err = repr(self.errors[i]) if self.errors else ""
             lines.append(f"{i},{g!r},{self.mu_step_norms[i]!r},{err}")
@@ -118,7 +118,6 @@ def run_fp(
     n_max: int = 500,
     gap_tol: float = 0.0,
     reference: Optional[MfgSolution] = None,
-    m0=None,
 ) -> FpTrace:
     """Iterate fp_step until gap_n <= gap_tol or n_max rounds.
 
@@ -127,7 +126,7 @@ def run_fp(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    state = fp_start(model, grid, mu0=mu0, m0=m0)
+    state = fp_start(model, grid, mu0=mu0)
     gaps, steps, errors, warns = [], [], [], []
     converged = False
     for _ in range(n_max):

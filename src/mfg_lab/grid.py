@@ -178,16 +178,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise GridError("scalar field contains non-finite values")
 
-    @classmethod
-    def zeros(cls, grid: TorusGrid) -> "ScalarField":
-        return cls(grid, np.zeros((grid.n_time + 1, *grid.spatial_shape)))
-
-    def slice(self, k: int) -> np.ndarray:
-        return self.values[k]
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class DensityField(ScalarField):
@@ -213,9 +203,6 @@ class DensityField(ScalarField):
         vol = self.grid.cell_volume
         return vol * self.values.reshape(self.grid.n_time + 1, -1).sum(axis=1)
 
-    def copy(self) -> "DensityField":
-        return DensityField(self.grid, self.values.copy())
-
 
 @dataclass
 class FluxField:
@@ -233,18 +220,6 @@ class FluxField:
             )
         if not np.all(np.isfinite(self.values)):
             raise GridError("flux field contains non-finite values")
-
-    @classmethod
-    def zeros(cls, grid: TorusGrid) -> "FluxField":
-        return cls(
-            grid, np.zeros((grid.n_time + 1, *grid.spatial_shape, grid.dim))
-        )
-
-    def slice(self, k: int) -> np.ndarray:
-        return self.values[k]
-
-    def copy(self) -> "FluxField":
-        return FluxField(self.grid, self.values.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,13 @@ def solve_picard(
     return _package_solution(model, grid, best, max_iter, False, gaps, warns)
 
 
+# The probe's thresholds: initial gradients closer than UNIQUENESS_TOL_GRAD
+# count as equal, trajectories farther apart than UNIQUENESS_TOL_SOL as
+# distinct.
+UNIQUENESS_TOL_GRAD = 1e-8
+UNIQUENESS_TOL_SOL = 1e-5
+
+
 @dataclass
 class UniquenessProbeReport:
     d_grad: float
@@ -246,16 +253,14 @@ class UniquenessProbeReport:
 
 
 def probe_uniqueness_given_gradient(
-    sol1: MfgSolution,
-    sol2: MfgSolution,
-    tol_grad: float = 1e-8,
-    tol_sol: float = 1e-5,
+    sol1: MfgSolution, sol2: MfgSolution
 ) -> UniquenessProbeReport:
     """Probe: equal initial density + equal initial Du should force equality.
 
     Requires both solutions on one grid with matching initial densities; the
-    verdict is INCONSISTENT only when initial gradients agree to tol_grad
-    while the trajectories separate beyond tol_sol.
+    verdict is INCONSISTENT only when initial gradients agree to
+    UNIQUENESS_TOL_GRAD while the trajectories separate beyond
+    UNIQUENESS_TOL_SOL.
     """
     g = sol1.grid
     if not g.compatible(sol2.grid):
@@ -271,13 +276,13 @@ def probe_uniqueness_given_gradient(
         for k in range(g.n_time + 1)
     )
     const_gap = abs(float(np.mean(sol1.u.values[0] - sol2.u.values[0])))
-    consistent = (d_grad > tol_grad) or (d_sol <= tol_sol)
+    consistent = (d_grad > UNIQUENESS_TOL_GRAD) or (d_sol <= UNIQUENESS_TOL_SOL)
     return UniquenessProbeReport(
         d_grad=d_grad,
         d_sol=d_sol,
         constant_gap=const_gap,
-        tol_grad=tol_grad,
-        tol_sol=tol_sol,
+        tol_grad=UNIQUENESS_TOL_GRAD,
+        tol_sol=UNIQUENESS_TOL_SOL,
         verdict="CONSISTENT" if consistent else "INCONSISTENT",
     )
 

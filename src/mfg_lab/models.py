@@ -65,8 +65,6 @@ class Hamiltonian:
     grad_p: Callable
     hess_pp: Callable
     grad_x: Callable
-    c_low: float
-    c_high: float
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,6 @@ class Coupling:
     """
 
     name: str
-    is_potential: bool
     f: Callable
     kernel_f: Callable
     F: Optional[Callable]
@@ -245,8 +242,6 @@ def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
         grad_p=h_grad_p,
         hess_pp=h_hess,
         grad_x=h_grad_x,
-        c_low=(1.0 - abs(eps)),
-        c_high=(1.0 + abs(eps)),
     )
     lag = Lagrangian(
         name=name, value=l_val, grad_q=l_grad_q, hess_qq=l_hess
@@ -286,8 +281,6 @@ def abs_hamiltonian() -> Hamiltonian:
         grad_p=h_grad_p,
         hess_pp=h_hess,
         grad_x=h_grad_x,
-        c_low=0.0,
-        c_high=np.inf,
     )
 
 
@@ -323,7 +316,6 @@ def _zero_potential(grid, m):
 def zero_coupling() -> Coupling:
     return Coupling(
         name="none",
-        is_potential=True,
         f=_zero_f,
         kernel_f=_zero_factors,
         F=_zero_potential,
@@ -333,15 +325,21 @@ def zero_coupling() -> Coupling:
     )
 
 
-def _quadratic_coupling(name: str, smooth: Callable, modes: Callable) -> Coupling:
-    """f(m) = S m normalized, F(m) = 1/2 int (S m) m, for a self-adjoint
-    linear smoothing S acting on the spatial axes of each slice, with
-    ``modes(grid) -> (c, Phi)`` such that ``S = c I + dx^d Phi Phi^T``.
+def _quadratic_coupling(name: str, modes: Callable) -> Coupling:
+    """f(m) = S m normalized, F(m) = 1/2 int (S m) m, for the self-adjoint
+    linear smoothing ``S = c I + dx^d Phi Phi^T`` of each slice, given by
+    ``modes(grid) -> (c, Phi)``.
 
     Kernel: S minus the rank-2 normalization terms, which need only the
     slice moments int mu, int (S m) mu and int (S m) m; its factors are
     those of S plus the two normalization terms.
     """
+
+    def smooth(grid, m):
+        # each slice as one column, so that a stack gets the bits of its slices
+        c, phi = modes(grid)
+        col = m.reshape(*m.shape[: m.ndim - grid.dim], -1, 1)
+        return (c * col + phi @ (grid.cell_volume * (phi.T @ col))).reshape(m.shape)
 
     def f(grid, m):
         m = np.asarray(m)
@@ -367,7 +365,6 @@ def _quadratic_coupling(name: str, smooth: Callable, modes: Callable) -> Couplin
 
     return Coupling(
         name=name,
-        is_potential=True,
         f=f,
         kernel_f=factors,
         F=F,
@@ -380,23 +377,15 @@ def _quadratic_coupling(name: str, smooth: Callable, modes: Callable) -> Couplin
 def monotone_local_coupling() -> Coupling:
     """f(x,m) = m(x) up to normalization; F(m) = 1/2 int m^2."""
     return _quadratic_coupling(
-        "monotone_local", lambda grid, m: m, lambda grid: (1.0, np.zeros((grid.n_nodes, 0)))
+        "monotone_local", lambda grid: (1.0, np.zeros((grid.n_nodes, 0)))
     )
 
 
-def _smoothing_profile(grid: TorusGrid) -> np.ndarray:
-    """Even, positive-definite mollifier: product of 1 + cos(2 pi x_a)."""
-    x = grid.axis_coordinates()
-    rho1 = 1.0 + np.cos(2.0 * np.pi * x)
-    if grid.dim == 1:
-        return rho1
-    return rho1[:, None] * rho1[None, :]
-
-
 def _smoothing_modes(grid: TorusGrid) -> tuple[float, np.ndarray]:
-    """(0, Phi) with rho(x - y) = sum_q Phi_q(x) Phi_q(y) at the nodes: rho
-    holds only the Fourier modes 0 and +-1 of each axis, so the 3^d columns
-    are the products of 1, cos 2 pi x_a and sin 2 pi x_a."""
+    """(0, Phi) with rho(x - y) = sum_q Phi_q(x) Phi_q(y) at the nodes, for
+    the even, positive-definite mollifier rho(x) = prod_a (1 + cos 2 pi x_a):
+    rho holds only the Fourier modes 0 and +-1 of each axis, so the 3^d
+    columns are the products of 1, cos 2 pi x_a and sin 2 pi x_a."""
     x = 2.0 * np.pi * grid.axis_coordinates()
     phi = np.stack([np.ones_like(x), np.cos(x), np.sin(x)], axis=-1)
     if grid.dim == 2:
@@ -404,21 +393,9 @@ def _smoothing_modes(grid: TorusGrid) -> tuple[float, np.ndarray]:
     return 0.0, phi
 
 
-def _circular_convolve(grid: TorusGrid, rho: np.ndarray, m: np.ndarray) -> np.ndarray:
-    axes = grid.spatial_axes
-    out = np.fft.ifftn(
-        np.fft.fftn(rho, axes=axes) * np.fft.fftn(m, axes=axes), axes=axes
-    ).real
-    return grid.cell_volume * out
-
-
 def monotone_smoothed_coupling() -> Coupling:
     """f(x,m) = (rho * m)(x) with an even kernel; F(m) = 1/2 int (rho*m) m."""
-    return _quadratic_coupling(
-        "monotone_smoothed",
-        lambda grid, m: _circular_convolve(grid, _smoothing_profile(grid), m),
-        _smoothing_modes,
-    )
+    return _quadratic_coupling("monotone_smoothed", _smoothing_modes)
 
 
 def _sine_moment(grid: TorusGrid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +447,6 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
 
     return Coupling(
         name="antimonotone_symmetric",
-        is_potential=True,
         f=f,
         kernel_f=factors,
         F=F,
@@ -587,25 +563,24 @@ def _sample_xp(dim: int, samples: int, seed, p_max: float):
 
 
 def check_convexity(
-    h: Hamiltonian, dim: int, samples: int = 100, seed=0, p_max: float = 10.0
+    h: Hamiltonian, dim: int, samples: int = 100, seed=0
 ) -> ConvexityReport:
-    """Extreme eigenvalues of D2_ppH over sampled (x, p) with |p_i| <= p_max.
+    """Extreme eigenvalues of D2_ppH over sampled (x, p) with |p_i| <= 10.
 
     A violation (min_eig <= 0) is reported, not raised.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x, p = _sample_xp(dim, samples, seed, p_max)
+    x, p = _sample_xp(dim, samples, seed, p_max=10.0)
     hess = h.hess_pp(x, p)
     eigs = np.linalg.eigvalsh(hess)
     lo, hi = float(eigs.min()), float(eigs.max())
     return ConvexityReport(min_eig=lo, max_eig=hi, ok=lo > 0.0, samples=samples)
 
 
-def check_hamiltonian_gradient(
-    h: Hamiltonian, dim: int, samples: int = 50, seed=0, step: float = 1e-4
-) -> float:
-    """Max |D_pH - central finite difference of H| over samples."""
+def check_hamiltonian_gradient(h: Hamiltonian, dim: int, samples: int = 50, seed=0) -> float:
+    """Max |D_pH - central finite difference of H, step 1e-4| over samples."""
+    step = 1e-4
     x, p = _sample_xp(dim, samples, seed, p_max=5.0)
     grad = h.grad_p(x, p)
     worst = 0.0
@@ -618,13 +593,14 @@ def check_hamiltonian_gradient(
 
 
 def legendre_transform_newton(
-    h: Hamiltonian, x, q: np.ndarray, iters: int = 30, tol: float = 1e-12
+    h: Hamiltonian, x, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inner maximization of -p.q - H(x,p) by Newton; returns (p*, L values)."""
+    """Inner maximization of -p.q - H(x,p) by Newton, at most 30 steps, until
+    the stationarity residual is below 1e-12; returns (p*, L values)."""
     p = np.zeros_like(q)
-    for _ in range(iters):
+    for _ in range(30):
         r = q + h.grad_p(x, p)  # stationarity residual (negated)
-        if np.max(np.abs(r)) < tol:
+        if np.max(np.abs(r)) < 1e-12:
             break
         hess = h.hess_pp(x, p)
         p = p - np.linalg.solve(hess, r[..., None])[..., 0]

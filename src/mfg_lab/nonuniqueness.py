@@ -43,15 +43,16 @@ __all__ = [
 ]
 
 
-def reflect_values(values: np.ndarray, spatial_axis: int = 1) -> np.ndarray:
-    """Pushforward by x1 -> -x1 (mod 1) along the given array axis."""
-    n = values.shape[spatial_axis]
+def reflect_values(values: np.ndarray) -> np.ndarray:
+    """Pushforward by x1 -> -x1 (mod 1) of a stack of slices (K+1, *spatial):
+    x1 is array axis 1."""
+    n = values.shape[1]
     idx = (-np.arange(n)) % n
-    return np.take(values, idx, axis=spatial_axis)
+    return np.take(values, idx, axis=1)
 
 
-def reflection_defect(values: np.ndarray, spatial_axis: int = 1) -> float:
-    return sup_norm(values - reflect_values(values, spatial_axis))
+def reflection_defect(values: np.ndarray) -> float:
+    return sup_norm(values - reflect_values(values))
 
 
 def find_symmetric_branch(model: MfgModel, grid: TorusGrid) -> MfgSolution:
@@ -79,10 +80,11 @@ class AsymmetricSearch:
     reflection_defect: float
 
 
-def asymmetric_initial_belief(grid: TorusGrid, amplitude: float = 0.8) -> np.ndarray:
-    """Belief with mass shifted toward the sine-favored region (x1 = 1/4)."""
+def asymmetric_initial_belief(grid: TorusGrid) -> np.ndarray:
+    """Belief 1 + 0.8 sin(2 pi x1), normalized: mass shifted toward the
+    sine-favored region (x1 = 1/4)."""
     coords = grid.coordinates()
-    profile = 1.0 + amplitude * np.sin(2.0 * np.pi * coords[0])
+    profile = 1.0 + 0.8 * np.sin(2.0 * np.pi * coords[0])
     profile = profile / (grid.cell_volume * profile.sum())
     return np.broadcast_to(profile, (grid.n_time + 1, *grid.spatial_shape)).copy()
 
@@ -260,10 +262,9 @@ def best_holding_profile(model: MfgModel, grid: TorusGrid) -> tuple[np.ndarray, 
     return mbar, best_rate
 
 
-def build_competitor(
-    model: MfgModel, grid: TorusGrid, mbar: Optional[np.ndarray] = None
-) -> AdmissiblePair:
-    """Admissible pair connecting m0 to a holding profile in unit time.
+def build_competitor(model: MfgModel, grid: TorusGrid) -> AdmissiblePair:
+    """Admissible pair connecting m0 to the best holding profile mbar
+    (`best_holding_profile`) in unit time.
 
     On [t0, t0+1], m interpolates linearly between m0 and mbar with flux
     D m^{k+1} - D phi, where -Lap phi = m0 - mbar; afterwards the pair sits
@@ -275,8 +276,7 @@ def build_competitor(
         raise ValueError("competitor needs a horizon longer than the unit transition")
     k1 = grid.time_index(grid.t0 + 1.0)
     m0 = model.initial_density_slice(grid)
-    if mbar is None:
-        mbar, _ = best_holding_profile(model, grid)
+    mbar, _ = best_holding_profile(model, grid)
     phi = _poisson_solve(grid, m0 - mbar)
     dphi = gradient(grid, phi)
 

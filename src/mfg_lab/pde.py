@@ -139,12 +139,9 @@ class PeriodicHeatSolver:
     carried along.
     """
 
-    def __init__(self, grid: TorusGrid, dt: float | None = None):
+    def __init__(self, grid: TorusGrid):
         self.grid = grid
-        self.dt = grid.dt if dt is None else dt
-        self._q, self._inv_symbol, self._s = _heat_operators(
-            grid.n_space, self.dt, grid.dim
-        )
+        self._q, self._inv_symbol, self._s = _heat_operators(grid.n_space, grid.dt, grid.dim)
 
     def apply(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The solve without a finiteness check; sweeps check their whole

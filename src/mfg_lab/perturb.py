@@ -23,15 +23,17 @@ def rng_from_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def low_frequency_field(
-    grid: TorusGrid, rng: np.random.Generator, n_modes: int = 3
-) -> np.ndarray:
-    """Zero-mean random combination of the first n_modes Fourier modes per axis."""
+# Fourier modes per axis of a low-frequency field
+N_MODES = 3
+
+
+def low_frequency_field(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean random combination of the first N_MODES Fourier modes per axis."""
     coords = grid.coordinates()
     out = np.zeros(grid.spatial_shape)
     for axis in range(grid.dim):
         x = coords[axis]
-        for j in range(1, n_modes + 1):
+        for j in range(1, N_MODES + 1):
             cj, sj = rng.standard_normal(2)
             out += cj * np.cos(2.0 * np.pi * j * x) + sj * np.sin(2.0 * np.pi * j * x)
     peak = np.max(np.abs(out))
@@ -43,7 +45,6 @@ def perturb_density_values(
     m_values: np.ndarray,
     amplitude: float,
     rng: np.random.Generator,
-    n_modes: int = 3,
 ) -> np.ndarray:
     """m * (1 + small low-frequency modes), clipped at 0, renormalized.
 
@@ -53,7 +54,7 @@ def perturb_density_values(
     """
     if amplitude == 0.0:
         return m_values.copy()
-    phi = low_frequency_field(grid, rng, n_modes)
+    phi = low_frequency_field(grid, rng)
     vol = grid.cell_volume
     scale = amplitude / max(float(np.max(np.abs(m_values))), 1e-12)
     for _ in range(8):

@@ -49,6 +49,9 @@ __all__ = [
 
 ADMISSIBLE_DEFECT_TOL = 1e-8
 DIVISION_FLOOR = 1e-12
+# step of the central differences of J that `criticality_defect` checks
+# the first variation against
+FD_STEP = 1e-4
 
 
 @dataclass
@@ -191,19 +194,16 @@ def first_variation(
 
 
 def admissible_direction(
-    grid: TorusGrid,
-    rng: np.random.Generator,
-    n_modes: int = 3,
-    zero_fraction: float = 0.1,
+    grid: TorusGrid, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flux-first probe direction: random smooth z, mu from the continuity solve.
 
-    z vanishes on the first `zero_fraction` of time slices so mu(t0) = 0 and
+    z vanishes on the first tenth of the time slices so mu(t0) = 0 and
     perturbed densities m + h mu stay positive for small h; the pair is
     normalized to unit sup magnitude.
     """
     K = grid.n_time
-    k_zero = max(1, int(round(zero_fraction * K)))
+    k_zero = max(1, int(round(0.1 * K)))
     times = np.arange(K + 1, dtype=float) / K
     ramp = np.zeros(K + 1)
     width = max(1, K // 5)
@@ -220,7 +220,7 @@ def admissible_direction(
     tshape = (-1, *([1] * grid.dim))
     z = np.zeros((K + 1, *grid.spatial_shape, grid.dim))
     for a in range(grid.dim):
-        profile = low_frequency_field(grid, rng, n_modes)
+        profile = low_frequency_field(grid, rng)
         z[..., a] = ramp.reshape(tshape) * mod.reshape(tshape) * profile
     mu = solve_continuity(grid, z, np.zeros(grid.spatial_shape))
     scale = max(sup_norm(mu), sup_norm(z), 1e-30)
@@ -239,11 +239,10 @@ def criticality_defect(
     sol: MfgSolution,
     probes: int,
     rng: np.random.Generator,
-    fd_step: float = 1e-4,
-    check_fd: bool = True,
 ) -> CriticalityReport:
     """Max |dJ/dh| over random admissible directions at a solution pair,
-    cross-checked against central finite differences of evaluate_J."""
+    cross-checked against central finite differences of evaluate_J with
+    step FD_STEP."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     pair = AdmissiblePair.from_solution(sol)
@@ -253,11 +252,10 @@ def criticality_defect(
         mu, z = admissible_direction(sol.grid, rng)
         analytic = first_variation(model, pair, mu, z)
         worst = max(worst, abs(analytic))
-        if check_fd:
-            plus = evaluate_J(model, pair.shifted(fd_step, mu, z)).total
-            minus = evaluate_J(model, pair.shifted(-fd_step, mu, z)).total
-            fd = (plus - minus) / (2.0 * fd_step)
-            worst_fd = max(worst_fd, abs(analytic - fd))
+        plus = evaluate_J(model, pair.shifted(FD_STEP, mu, z)).total
+        minus = evaluate_J(model, pair.shifted(-FD_STEP, mu, z)).total
+        fd = (plus - minus) / (2.0 * FD_STEP)
+        worst_fd = max(worst_fd, abs(analytic - fd))
     return CriticalityReport(max_defect=worst, max_fd_mismatch=worst_fd, probes=probes)
 
 
@@ -342,15 +340,12 @@ def restriction_consistency(
     model: MfgModel,
     sol: MfgSolution,
     t1_index: int,
-    perturbation: float = 1e-2,
-    seed=0,
-    damping: float = 0.5,
-    tol: float = 1e-11,
-    max_iter: int = 400,
 ) -> RestrictionReport:
     """Re-solve on [t1, T] from the restriction's initial density.
 
-    Distances of the re-solves to the restriction of sol are reported in
+    Two Picard solves (tol 1e-11, at most 400 rounds): one from the
+    restriction itself, one from it perturbed by 1e-2 (seed 0).  Distances
+    of the re-solves to the restriction of sol are reported in
     sup(u C^{1,0}) + sup(m) form.
     """
     grid = sol.grid
@@ -366,15 +361,10 @@ def restriction_consistency(
             s.m.values - m_restr
         )
 
-    run_a = solve_picard(
-        model, rgrid, m0=m1, init_m=m_restr, damping=damping, tol=tol, max_iter=max_iter
-    )
-    rng = np.random.default_rng(seed)
-    init_b = perturb_density_values(rgrid, m_restr, perturbation, rng)
+    run_a = solve_picard(model, rgrid, m0=m1, init_m=m_restr, tol=1e-11, max_iter=400)
+    init_b = perturb_density_values(rgrid, m_restr, 1e-2, np.random.default_rng(0))
     init_b[0] = m1
-    run_b = solve_picard(
-        model, rgrid, m0=m1, init_m=init_b, damping=damping, tol=tol, max_iter=max_iter
-    )
+    run_b = solve_picard(model, rgrid, m0=m1, init_m=init_b, tol=1e-11, max_iter=400)
     return RestrictionReport(
         t1_index=t1_index,
         dist_from_restriction_init=dist(run_a),

@@ -709,11 +709,10 @@ def backward_response(
     base: MfgSolution,
     t1_index: int,
     mu_values: np.ndarray,
-    a: Optional[np.ndarray] = None,
-    c: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Backward linear solve for v given a density direction mu."""
-    problem = LinearizedProblem(base=base, t1_index=t1_index, a=a, c=c)
+    """Backward linear solve for v given a density direction mu, with the
+    homogeneous backward and terminal rows."""
+    problem = LinearizedProblem(base=base, t1_index=t1_index)
     op = assemble_operator(model, base, t1_index)
     x = op.stack(np.zeros_like(mu_values), mu_values)
     op._backward_sweep(x, op.rhs_vector(problem))
@@ -766,25 +765,32 @@ class StabilityCertificate:
     witness_mu: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_json(self, witness_file: Optional[str] = None) -> str:
+        """Strict JSON: a non-finite float (eigen_residual when no iteration
+        ran) is written as null."""
+        payload = {
+            "sigma_min": self.sigma_min,
+            "grid_signature": self.grid_signature,
+            "tolerance": self.tolerance,
+            "verdict": self.verdict,
+            "method": self.method,
+            "n_unknowns": self.n_unknowns,
+            "t1_index": self.t1_index,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "eigen_residual": self.eigen_residual,
+            "lu_nnz": self.lu_nnz,
+            "factor_s": self.factor_s,
+            "cause": self.cause,
+            "witness_residual": self.witness_residual,
+            "witness_file": witness_file,
+        }
         return json.dumps(
             {
-                "sigma_min": self.sigma_min,
-                "grid_signature": self.grid_signature,
-                "tolerance": self.tolerance,
-                "verdict": self.verdict,
-                "method": self.method,
-                "n_unknowns": self.n_unknowns,
-                "t1_index": self.t1_index,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "eigen_residual": self.eigen_residual,
-                "lu_nnz": self.lu_nnz,
-                "factor_s": self.factor_s,
-                "cause": self.cause,
-                "witness_residual": self.witness_residual,
-                "witness_file": witness_file,
+                k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in payload.items()
             },
             sort_keys=True,
+            allow_nan=False,
         )
 
 
@@ -803,28 +809,33 @@ BLOCK_WIDTH = 8
 # 1.2e-10 for one more round), and sigma_min agrees with the pool's stored
 # reference values to 5e-12.
 RTOL = 1e-10
+# Cap on the rounds; one that stops here is not converged and never
+# certifies STABLE.  A well-conditioned short restriction needs more than the
+# pool's 8-10: the uniform state of antimonotone_symmetric, theta=64, N=16,
+# K=32, T=0.06, restricted at t1=30 (K'=2), converges at round 62 to
+# sigma_min 12.154893949305121 (a dense SVD gives 12.15489395), and a cap of
+# 50 left it INCONCLUSIVE with eigen_residual 1.16e-8.
+MAX_ROUNDS = 100
 
 
-def _block_inverse_sigma_min(
-    lu: TimeBlockLU, iters: int = 50, rtol: float = RTOL, seed: int = 0
-) -> tuple[float, np.ndarray, int, bool]:
+def _block_inverse_sigma_min(lu: TimeBlockLU) -> tuple[float, np.ndarray, int, bool]:
     """Smallest singular value and right singular vector of the scaled
     operator A by subspace iteration on (A^T A)^-1 with a Rayleigh-Ritz step
     per round (Saad, Numerical Methods for Large Eigenvalue Problems, ch. 5),
     plus the rounds run and whether the smallest Ritz pair's residual met
-    `rtol` before the cap.  A round is one transposed and one plain block
+    RTOL within MAX_ROUNDS.  A round is one transposed and one plain block
     solve with the factorization: Y = A^-T X, eigh(Y^T Y) = (theta, V) with
     theta descending, Z = A^-1 Y V = (A^T A)^-1 X V; it stops when
-    |Z_0 - theta_0 (X V)_0| <= rtol theta_0, else X = qr(Z)."""
-    rng = np.random.default_rng(seed)
+    |Z_0 - theta_0 (X V)_0| <= RTOL theta_0, else X = qr(Z)."""
+    rng = np.random.default_rng(0)
     x = np.linalg.qr(rng.standard_normal((lu.size, min(BLOCK_WIDTH, lu.size))))[0]
-    for it in range(1, iters + 1):
+    for it in range(1, MAX_ROUNDS + 1):
         y = lu.solve(x, trans="T")
         theta, v = np.linalg.eigh(y.T @ y)
         theta, v = theta[::-1], v[:, ::-1]
         ritz = x @ v[:, 0]
         z = lu.solve(y @ v)
-        converged = bool(np.linalg.norm(z[:, 0] - theta[0] * ritz) <= rtol * theta[0])
+        converged = bool(np.linalg.norm(z[:, 0] - theta[0] * ritz) <= RTOL * theta[0])
         if converged:
             break
         x = np.linalg.qr(z)[0]
@@ -836,7 +847,6 @@ def certify_stability(
     base: MfgSolution,
     t1_index: int = 0,
     tol: float = 1e-6,
-    seed: int = 0,
 ) -> StabilityCertificate:
     """Certificate from sigma_min of the scaled homogeneous operator.
 
@@ -877,7 +887,7 @@ def certify_stability(
         cert.sigma_min = float(np.linalg.norm(ax))
         cert.method, cert.cause, cert.factor_s = "singular-schur-block", str(err), err.factor_s
     else:
-        sigma, x, cert.iterations, cert.converged = _block_inverse_sigma_min(lu, seed=seed)
+        sigma, x, cert.iterations, cert.converged = _block_inverse_sigma_min(lu)
         ax = w * op.matvec(x)
         gap = op.rmatvec(w * ax) - sigma**2 * x
         cert.sigma_min, cert.factor_s = sigma, lu.factor_s
@@ -896,6 +906,12 @@ def certify_stability(
 # ---------------------------------------------------------------------------
 
 
+# Picard runs per isolation trial, and the distance above which two
+# converged runs count as distinct solutions
+RUNS_PER_TRIAL = 2
+DISTINCT_TOL = 1e-7
+
+
 @dataclass
 class IsolationReport:
     eta_records: list
@@ -908,24 +924,23 @@ def isolation_experiment(
     eta_list,
     trials: int,
     seed,
-    runs_per_trial: int = 2,
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 400,
-    distinct_tol: float = 1e-7,
 ) -> IsolationReport:
     """Search for distinct solutions near a (certified stable) base.
 
     Each trial fixes one initial density perturbed within eta (C0), then
-    runs Picard several times from random iterates within eta of the base.
-    Distinct converged solutions of that same problem inside the eta-ball
-    around the base would falsify local uniqueness; the report counts them.
+    runs Picard RUNS_PER_TRIAL times from random iterates within eta of the
+    base.  Distinct converged solutions (farther apart than DISTINCT_TOL) of
+    that same problem inside the eta-ball around the base would falsify
+    local uniqueness; the report counts them.
     """
     grid = base.grid
     records = []
     total = 0
     eta_list = list(eta_list)
-    rngs = spawn_rngs(seed, len(eta_list) * trials * (runs_per_trial + 1))
+    rngs = spawn_rngs(seed, len(eta_list) * trials * (RUNS_PER_TRIAL + 1))
     ri = 0
     for eta in eta_list:
         converged_runs = 0
@@ -941,7 +956,7 @@ def isolation_experiment(
             else:
                 m0_new = perturb_density_values(grid, base.m.values[:1], eta, rng_m0)[0]
             in_ball = []
-            for r in range(runs_per_trial):
+            for r in range(RUNS_PER_TRIAL):
                 rng_init = rngs[ri]
                 ri += 1
                 if eta == 0.0 and r == 0:
@@ -969,14 +984,14 @@ def isolation_experiment(
                 for j in range(i + 1, len(in_ball)):
                     d = solution_distance(in_ball[i], in_ball[j])
                     max_pair = max(max_pair, d)
-                    if d > distinct_tol:
+                    if d > DISTINCT_TOL:
                         pairs += 1
         total += pairs
         records.append(
             {
                 "eta": float(eta),
                 "trials": trials,
-                "runs_per_trial": runs_per_trial,
+                "runs_per_trial": RUNS_PER_TRIAL,
                 "converged": converged_runs,
                 "in_ball": in_ball_total,
                 "distinct_pairs": pairs,

@@ -25,17 +25,18 @@ __all__ = [
 ]
 
 
-def manufactured_hjb_error(n_space: int, n_time: int, horizon: float = 0.25) -> float:
-    """Sup error of the backward sweep against u*(x,t) = cos(2 pi x)(T - t).
+def manufactured_hjb_error(n_space: int, n_time: int) -> float:
+    """Sup error of the backward sweep against u*(x,t) = cos(2 pi x)(T - t)
+    on [0, T], T = 0.25.
 
     The source is the analytic defect of u* under -d_t u - Lap u + |Du|^2/2,
     so the discrete error is pure scheme truncation, O(dt + dx^2).
     """
-    model = builtin_quadratic(0.0, coupling="none", T=horizon)
+    T = 0.25
+    model = builtin_quadratic(0.0, coupling="none", T=T)
     grid = model.make_grid(n_space, n_time)
     x = grid.axis_coordinates()
     times = grid.times
-    T = horizon
 
     def exact(t):
         return np.cos(2.0 * np.pi * x) * (T - t)
@@ -96,7 +97,6 @@ class ConvergenceStudy:
 
 def run_convergence_study(
     n_list=(32, 64, 128),
-    horizon: float = 0.25,
     heat_n: int = 64,
     heat_k: int = 256,
     heat_horizon: float = 0.25,
@@ -105,9 +105,7 @@ def run_convergence_study(
     first-order time error refines with the second-order spatial one."""
     n_list = list(n_list)
     k_list = [max(4, n * n // 4) for n in n_list]
-    errors = [
-        manufactured_hjb_error(n, k, horizon) for n, k in zip(n_list, k_list)
-    ]
+    errors = [manufactured_hjb_error(n, k) for n, k in zip(n_list, k_list)]
     heat_err, heat_mass = heat_flow_error(heat_n, heat_k, heat_horizon)
     return ConvergenceStudy(
         n_list=n_list,

@@ -248,7 +248,7 @@ def test_criterion_06_variational_consistency(acc_model, picard_runs):
     t0 = time.perf_counter()
     sol = picard_runs[0]
     rng = rng_from_seed(6)
-    rep = criticality_defect(acc_model, sol, probes=20, rng=rng, fd_step=1e-4)
+    rep = criticality_defect(acc_model, sol, probes=20, rng=rng)
     pert = perturbed_nonsolution_pair(acc_model, sol, 1e-2, rng)
     pert_defect = 0.0
     for _ in range(10):

@@ -1,12 +1,13 @@
 """Config parsing, validation, experiment runs, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfg_lab.cli import main, run_experiment, validate_config
+from mfg_lab.cli import _jsonable, main, run_experiment, validate_config
 from mfg_lab.config import ConfigError, load_config, parse_config
 from mfg_lab.grid import read_field_binary
 
@@ -86,6 +87,19 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", ["grid.n_space = 2", "grid.n_time = 1"])
+def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
+    # a grid TorusGrid refuses is a config error (exit 2) under validate
+    # and under a run, which then writes no manifest
+    path = tmp_path / "c.cfg"
+    path.write_text(f"experiment.kind = solve\n{line}\n")
+    out = tmp_path / "out"
+    for kind in ("validate", "solve"):
+        assert main([kind, "--config", str(path), "--output", str(out)]) == 2
+        assert "config error: grid" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_kind_mismatch(tmp_path, capsys):
     path = tmp_path / "c.cfg"
     path.write_text(SOLVE_SMALL)
@@ -131,6 +145,27 @@ def test_summary_byte_identical(tmp_path):
     run_experiment(cfg, out1)
     run_experiment(cfg, out2)
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def test_shipped_configs_write_strict_json(tmp_path):
+    # NaN and Infinity are not JSON: every file a shipped config writes
+    # (manifest, summary, certificates, branch pair) parses without them
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        out = tmp_path / path.stem
+        run_experiment(load_config(path), out)
+        written = sorted(out.glob("*.json"))
+        assert {"manifest.json", "summary.json"} <= {f.name for f in written}
+        for f in written:
+            json.loads(f.read_text(), parse_constant=refuse)
+
+
+def test_non_finite_summary_values_are_null():
+    # max_final_error is inf when every attractor trial fails
+    payload = {"inf": math.inf, "nan": np.float64("nan"), "list": [-math.inf, 1.5]}
+    assert _jsonable(payload) == {"inf": None, "nan": None, "list": [None, 1.5]}
 
 
 def test_seed_changes_are_reflected(tmp_path):

@@ -140,7 +140,7 @@ def test_density_mass_tracking():
     grid = TorusGrid(1, 16, 4)
     m = DensityField(grid, np.ones((5, 16)))
     assert np.max(np.abs(m.mass() - 1.0)) <= 1e-12
-    assert abs(integrate(grid, m.slice(0)) - 1.0) <= 1e-12
+    assert abs(integrate(grid, m.values[0]) - 1.0) <= 1e-12
 
 
 def test_norms():

@@ -59,8 +59,6 @@ def test_convexity_halved_profile():
         grad_p=lambda x, p: 0.5 * base.grad_p(x, p),
         hess_pp=lambda x, p: 0.5 * base.hess_pp(x, p),
         grad_x=lambda x, p: 0.5 * base.grad_x(x, p),
-        c_low=0.45,
-        c_high=0.55,
     )
     rep = check_convexity(ham, dim=1, samples=500, seed=3)
     assert rep.ok and rep.min_eig >= 0.45 - 1e-9 and rep.max_eig <= 0.55 + 1e-9

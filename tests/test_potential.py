@@ -47,7 +47,6 @@ def _square_potential_coupling() -> Coupling:
 
     return Coupling(
         name="square",
-        is_potential=True,
         f=f,
         kernel_f=kernel,
         F=lambda grid, m: grid.cell_volume * float(np.sum(np.asarray(m) ** 2)),
@@ -154,9 +153,7 @@ def test_criticality_decoupled(decoupled_model, decoupled_solution):
 
 def test_criticality_detects_nonsolution(monotone_model, monotone_solution):
     rng = rng_from_seed(13)
-    at_sol = criticality_defect(
-        monotone_model, monotone_solution, probes=5, rng=rng, check_fd=False
-    ).max_defect
+    at_sol = criticality_defect(monotone_model, monotone_solution, probes=5, rng=rng).max_defect
     pert = perturbed_nonsolution_pair(monotone_model, monotone_solution, 1e-2, rng)
     assert sup_norm(pert.m.values - monotone_solution.m.values) > 1e-4
     worst = 0.0
@@ -228,9 +225,7 @@ def test_restriction_consistency_monotone(monotone_model, monotone_solution):
 
 
 def test_restriction_consistency_decoupled(decoupled_model, decoupled_solution):
-    rep = restriction_consistency(
-        decoupled_model, decoupled_solution, t1_index=24, damping=1.0
-    )
+    rep = restriction_consistency(decoupled_model, decoupled_solution, t1_index=24)
     assert rep.dist_from_restriction_init <= 1e-10
     assert rep.dist_from_perturbed_init <= 1e-10
 

@@ -29,6 +29,15 @@ from mfg_lab.stability import (
 )
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which strict JSON lacks."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def zero_mean_field(grid, rng):
     f = low_frequency_field(grid, rng)
     return f - f.mean()
@@ -260,8 +269,7 @@ def test_unconverged_sigma_min_is_inconclusive(
 ):
     import mfg_lab.stability as stab
 
-    capped = functools.partial(stab._block_inverse_sigma_min, iters=3)
-    monkeypatch.setattr(stab, "_block_inverse_sigma_min", capped)
+    monkeypatch.setattr(stab, "MAX_ROUNDS", 3)
     cert = certify_stability(monotone_model, monotone_solution, 0)
     assert cert.iterations == 3 and not cert.converged
     assert cert.verdict == "INCONCLUSIVE"
@@ -273,8 +281,7 @@ def test_eigen_residual_shrinks_as_the_iteration_converges(
     import mfg_lab.stability as stab
 
     converged = certify_stability(monotone_model, monotone_solution, 0)
-    three = functools.partial(stab._block_inverse_sigma_min, iters=3)
-    monkeypatch.setattr(stab, "_block_inverse_sigma_min", three)
+    monkeypatch.setattr(stab, "MAX_ROUNDS", 3)
     capped = certify_stability(monotone_model, monotone_solution, 0)
     assert converged.converged and not capped.converged
     assert math.isfinite(converged.eigen_residual)
@@ -586,6 +593,10 @@ def test_exact_critical_horizon_gives_the_unstable_verdict(root):
     if root == 1:
         assert cert.method == "singular-schur-block"
         assert "time slice 32 is singular" in cert.cause
+        # no iteration ran, so eigen_residual is nan in memory and null in
+        # the strict JSON of the certificate
+        assert math.isnan(cert.eigen_residual)
+        assert _strict_json(cert.to_json())["eigen_residual"] is None
     _assert_sine_mode_witness(cert, grid)
 
 
@@ -593,3 +604,14 @@ def test_horizon_between_critical_ones_is_stable():
     first, second = _critical_horizons()[:2]
     cert, _ = _uniform_state_certificate(0.5 * (first + second))
     assert cert.verdict == "STABLE" and cert.sigma_min > 1.0
+
+
+def test_short_well_conditioned_restriction_is_stable():
+    # [t1, T] with K' = 2 at T = 0.06: the iteration needs 62 rounds, more
+    # than the certify pool's 8-10, and must not stop INCONCLUSIVE
+    model = builtin_quadratic(THETA, coupling="antimonotone_symmetric", T=0.06, m0="uniform")
+    base = solve_picard(model, model.make_grid(N_SPACE, N_TIME), tol=1e-12)
+    cert = certify_stability(model, base, N_TIME - 2)
+    dense = svdvals(assemble_operator(model, base, N_TIME - 2).scaled_sparse().toarray())[-1]
+    assert cert.verdict == "STABLE" and cert.converged
+    assert abs(cert.sigma_min - dense) <= 1e-8 * dense
