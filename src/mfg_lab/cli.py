@@ -252,7 +252,8 @@ def _run_stability(cfg, outdir: Path, seed: int) -> dict:
         raise ComputeError("base solve did not converge; cannot certify")
     fracs = cfg.float_list("stability.t1_fractions")
     K = grid.n_time
-    t1s = sorted({min(max(int(round(f * K)), 0), K - 1) for f in fracs})
+    # a restriction keeps at least two time steps (`TorusGrid.restrict`)
+    t1s = sorted({min(max(int(round(f * K)), 0), K - 2) for f in fracs})
 
     summary = {"kind": "stability", "base_residuals": sol.residuals, "certificates": {}}
     for t1 in t1s:

@@ -135,9 +135,13 @@ class TorusGrid:
         return ki
 
     def restrict(self, t1_index: int) -> "TorusGrid":
-        """Sub-grid on [t_{t1_index}, T] sharing nodes and dt with self."""
-        if not 0 <= t1_index < self.n_time:
-            raise GridError(f"t1_index {t1_index} out of range")
+        """Sub-grid on [t_{t1_index}, T] sharing nodes and dt with self; it
+        keeps at least two time steps, so t1_index <= n_time - 2."""
+        if not 0 <= t1_index <= self.n_time - 2:
+            raise GridError(
+                f"t1_index {t1_index} out of range: a restriction of {self.n_time} "
+                f"time steps needs 0 <= t1_index <= {self.n_time - 2}"
+            )
         return TorusGrid(
             dim=self.dim,
             n_space=self.n_space,

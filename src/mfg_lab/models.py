@@ -112,10 +112,11 @@ class Coupling:
     f, g, F and G take (grid, m_slice) with m_slice of spatial shape; the
     kernels ``kernel_f(grid, m)`` and ``kernel_g`` give the flat derivatives
     of f and g at m as `KernelFactors`, so ``kernel_f(grid, m) @ mu`` is
-    ``dx^d K(m) mu`` for mu flattened to (..., n).  f, g and the kernels
-    also accept a leading stack (..., *spatial), acting slice by slice (sums
-    over the spatial axes only): ``f_field`` passes a whole trajectory to f
-    in one call.
+    ``dx^d K(m) mu`` for mu flattened to (..., n).  All of them also accept
+    a leading stack (..., *spatial), acting slice by slice (sums over the
+    spatial axes only), and F and G then give one value per slice:
+    ``f_field`` passes a whole trajectory to f in one call, and
+    ``evaluate_J`` one to F.
     """
 
     name: str
@@ -310,7 +311,7 @@ def _zero_factors(grid, m):
 
 
 def _zero_potential(grid, m):
-    return 0.0
+    return np.zeros(np.shape(m)[: np.ndim(m) - grid.dim])
 
 
 def zero_coupling() -> Coupling:
@@ -348,7 +349,7 @@ def _quadratic_coupling(name: str, modes: Callable) -> Coupling:
 
     def F(grid, m):
         m = np.asarray(m)
-        return 0.5 * grid.cell_volume * float(np.sum(smooth(grid, m) * m))
+        return 0.5 * grid.cell_volume * np.sum(smooth(grid, m) * m, axis=grid.spatial_axes)
 
     def factors(grid, m):
         vol = grid.cell_volume
@@ -436,7 +437,7 @@ def antimonotone_symmetric_coupling(theta: float) -> Coupling:
 
     def F(grid, m):
         S, _ = _sine_moment(grid, m)
-        return theta * _phi(S.item())
+        return theta * _phi(S.reshape(S.shape[: S.ndim - grid.dim]))
 
     def factors(grid, m):
         S, s_x = _sine_moment(grid, m)

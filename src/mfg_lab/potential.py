@@ -149,7 +149,7 @@ def evaluate_J(model: MfgModel, pair: AdmissiblePair) -> JBreakdown:
     if np.any(np.isinf(parts)):
         return JBreakdown(math.inf, 0.0, 0.0, math.inf, finite=False)
     kinetic = _accumulate(dt * parts)
-    running = dt * sum(float(coup.F(grid, pair.m.values[k])) for k in range(1, K + 1))
+    running = dt * _accumulate(coup.F(grid, pair.m.values[1:]))
     terminal = float(coup.G(grid, pair.m.values[K]))
     return JBreakdown(
         kinetic=kinetic,

@@ -42,7 +42,10 @@ factorization of the operator (`AssembledOperator.factorize`, shared with
 `direct_solve`): block elimination forward in time, the scheme's own
 structure (v solved backward, mu forward), with dense n x n Schur blocks per
 slice and pivoting only inside them (`TimeBlockLU`, which solves a block of
-right-hand sides as one).  The iteration stops on the residual of the
+right-hand sides as one).  It stores D0^-1 and two dense n x n blocks per
+slice, M_k^-1 and P_k, and nothing else: a solve's two recursions over the
+slices apply T_k, T_k^T and the kernel block B_k from the coefficient stacks
+to the slice they carry.  The iteration stops on the residual of the
 smallest Ritz pair, so the witness vector is as settled as sigma_min; one
 that stops at its cap without converging never certifies STABLE, and the
 bytes the factorization stores are checked against a guard before any is
@@ -112,10 +115,13 @@ def _signature(grid: TorusGrid) -> str:
 
 def _diff(grid: TorusGrid, x: np.ndarray, axis: int) -> np.ndarray:
     """Centered difference of each n-vector of x (..., n) along a spatial
-    axis: component `axis` of ``gradient``, and a term of ``divergence``."""
+    axis: component `axis` of ``gradient``, and a term of ``divergence``.
+    On a matrix, ``ndarray.dot`` gives the bits of ``@`` with less call
+    overhead (the solves apply it to one p x n slice at a time); ``@``
+    broadcasts over a stack."""
     c = _difference_matrix(grid.n_space)
     if grid.dim == 1:
-        return x @ c
+        return x.dot(c) if x.ndim == 2 else x @ c
     xs = x.reshape(*x.shape[:-1], grid.n_space, grid.n_space)
     return (c.T @ xs if axis == 0 else xs @ c).reshape(x.shape)
 
@@ -261,8 +267,6 @@ class AssembledOperator:
     """
 
     def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int = 0):
-        if not 0 <= t1_index < base.grid.n_time:
-            raise ValueError("t1_index out of range")
         grid, self.drift, self.mA = _coefficients(model, base, t1_index)
         self.grid = grid
         self.n = n = grid.n_nodes
@@ -452,22 +456,6 @@ def _inverse(a: np.ndarray, slice_index: int) -> np.ndarray:
     return lapack.dgetri(lu, piv)[0]
 
 
-def _recurse(blocks: list, sources, targets, by_rows: bool = False) -> None:
-    """targets[j] -= blocks[j] sources[j] for (n, p) slices, or, with
-    `by_rows`, targets[j] -= sources[j] blocks[j] for (p, n) slices; in
-    place, for j in order, so a target may be a later source.  One BLAS gemm
-    per slice, which reads every operand in place: the slices are C-ordered
-    and the blocks are the Fortran-ordered transposed views of C-ordered
-    arrays, and each block is read in its own storage order (gemm with a
-    transposed block and a narrow p runs about twice as long).  Positional
-    arguments: keywords double the cost of a call on small slices."""
-    for a, x, y in zip(blocks, sources, targets):
-        if by_rows:
-            dgemm(-1.0, a, x.T, 1.0, y.T, 0, 0, 1)  # y^T -= a x^T
-        else:
-            dgemm(-1.0, x.T, a, 1.0, y.T, 0, 0, 1)  # y^T -= x^T a
-
-
 class TimeBlockLU:
     """(D A)^-1 of the row-scaled operator by block elimination forward in
     time: what `AssembledOperator.factorize` returns.
@@ -487,31 +475,27 @@ class TimeBlockLU:
     s (v + B_g mu), s the boundary weight, pivots on v with s I; eliminating
     v adds H T_K' B_g to M_K' and makes P_K' = M_K'^-1 H T_K' / s.
 
-    Stored, all n x n: D0^-1, M_k^-1, P_k, and the one-step maps of the
-    recursions, Q_k = T_k^T M_k^-1 (mu forward; its transpose runs the
-    transposed solve backward) and R_k = T_k D0^-1 + B_k P_k (v backward;
-    its transpose runs forward).  The blocks T_k, E_k and B_k are not
-    stored: the factorization and the solves apply them from the operator's
-    coefficient stacks, one slice at a time while factoring (no temporary
-    spans all slices of n x n blocks), batched over the slices in a solve.
-    A solve takes p right-hand sides at once: it is two recursions over the
-    slices of one BLAS gemm each, and every other product is batched over
-    the slices.  No stored stack is copied; the transposed solve carries the
-    right-hand sides as rows, so that it reads each stored block in its own
-    order too.
+    Stored, all n x n: D0^-1, M_k^-1 and P_k, (2K'+3) n^2 entries.  The
+    blocks T_k, E_k and B_k are not stored: the factorization and the solves
+    apply them from the operator's coefficient stacks.  While factoring, the
+    gradient of D0^-1 is formed once, so E_{k-1} D0^-1 is one divergence and
+    T_k D0^-1 elementwise per slice, and no temporary spans all slices of
+    n x n blocks.  A solve takes p right-hand sides at once and runs two
+    recursions over the slices, forward and backward in time.  A step reads
+    the stored blocks its slice of the result needs, one gemm each, and
+    applies T_k, T_k^T or B_k to the p-wide slice it carries (the stencils
+    of the drift, the low-rank kernel factors); the products with E_k, and
+    those that act on the right-hand side alone, are batched over the
+    slices.  A solve so streams three stacks: M^-1 once and P twice.  The
+    transposed solve carries the right-hand sides as rows, so that every
+    gemm reads a stored block in its own order.
     Pivoting happens inside each n x n block (LAPACK) and nowhere else; a
     Schur block singular to working precision raises `SingularSchurBlock`.
     """
 
     @staticmethod
     def stored_shapes(K: int, n: int) -> dict:
-        return {
-            "d0_inv": (n, n),
-            "m_inv": (K + 1, n, n),
-            "p": (K + 1, n, n),
-            "q": (K, n, n),
-            "r": (K - 1, n, n),
-        }
+        return {"d0_inv": (n, n), "m_inv": (K + 1, n, n), "p": (K + 1, n, n)}
 
     @staticmethod
     def stored_entries(K: int, n: int) -> int:
@@ -523,9 +507,14 @@ class TimeBlockLU:
         self.K, self.n, self.size = K, n, op.n_unknowns
         self.nnz = self.stored_entries(K, n)
         self._s = s = op.boundary_weight
-        # the operator's coefficient stacks, which the solves apply as well
-        self._grid, self._b, self._mA = g, b, mA = op.grid, op.drift, op.mA
+        # the operator's coefficient stacks, which the solves apply as well,
+        # and per-slice views of them for the recursions of the solves
+        self._grid, self._mA = g, mA = op.grid, op.mA
         self._kf, self._kg = kf, kg = op.kernel_f, op.kernel_g
+        b = op.drift
+        self._b_k = list(b)
+        self._u = list(kf.U)
+        self._wt = [w.T for w in kf.W]
 
         shapes = self.stored_shapes(K, n)
         # D0^-1 = dt (I - dt Lap)^-1 from the heat step applied to the
@@ -533,45 +522,47 @@ class TimeBlockLU:
         d0_inv = op._heat.step((g.dt * np.eye(n)).reshape(n, *g.spatial_shape))
         d0_inv = d0_inv.reshape(shapes["d0_inv"])
         self._d0_inv = d0_inv = 0.5 * (d0_inv + d0_inv.T)
-        d0_t = _d0(g, np.eye(n))  # D0^T: its rows are the columns of D0
         self._m_inv = m_inv = np.empty(shapes["m_inv"])
         self._p = p = np.empty(shapes["p"])
-        q = np.empty(shapes["q"])
-        r = np.empty(shapes["r"])
+        d0_t = _d0(g, np.eye(n))  # D0^T: its rows are the columns of D0
+        # G D0^-1 and -D0^-1/dt, the parts of E_{k-1} D0^-1 and T_k D0^-1
+        # that are the same on every slice
+        grad_d0 = _grad(g, d0_inv)
+        d0_dt = d0_inv / -g.dt
         # One slice at a time.  A block kind applied to the rows of Y gives
         # Y times the block's transpose, so H_k^T and M_k^T come out in C
         # order and are kept so; D0^-1 is symmetric, and LAPACK returns
-        # M_k^-1 in Fortran order, so the rows of inv.T are its columns.
+        # M_k^-1 in Fortran order.
         try:
-            m_inv[0] = inv = _inverse(s * op.initial * np.eye(n), 0)
+            m_inv[0] = _inverse(s * op.initial * np.eye(n), 0)
             p[0] = 0.0
             for k in range(1, K + 1):
-                q[k - 1] = _transport(g, b[k - 1], inv.T, True).T
-                h_t = _diffusion(g, mA[k - 1], d0_inv)
+                h_t = _div(g, _times_mA(mA[k - 1], grad_d0))  # (E_{k-1} D0^-1)^T
+                np.negative(h_t, out=h_t)
                 if k > 1:
                     h_t += _transport(g, b[k - 1], np.ascontiguousarray(p[k - 1].T), True)
                 U, W = kf.U[k - 1], kf.W[k - 1]  # B_k
                 m_t = d0_t - kf.c * h_t - W @ (U.T @ h_t)
                 if k < K:
-                    r[k - 1] = _transport(g, b[k], d0_inv).T  # the first term of R_k
-                    x = h_t.T @ r[k - 1]
+                    tr = d0_dt + grad_d0[0] * b[k, 0]  # (T_k D0^-1)^T
+                    for a in range(1, g.dim):
+                        tr += grad_d0[a] * b[k, a]
+                    x = h_t.T @ tr.T
                 else:
                     h_tk = _transport(g, b[K], np.ascontiguousarray(h_t.T), True)  # H T_K'
                     m_t += (kg.c * h_tk + (h_tk @ kg.U) @ kg.W.T).T
                     x = h_tk / s
-                m_inv[k] = inv = _inverse(m_t.T, k)
+                m_inv[k] = _inverse(m_t.T, k)
                 np.matmul(m_inv[k], x, out=p[k])
-                if k < K:
-                    r[k - 1] += kf.c * p[k] + U @ (W.T @ p[k])
         except SingularSchurBlock as err:
             err.witness = self._null_witness(err.slice_index, err.null_vector)
             err.factor_s = time.process_time() - start
             raise
-        # Q_k and R_k as Fortran-ordered views, the layout BLAS reads in place
-        self._q_f = [a.T for a in q]
-        self._r_f = [a.T for a in r]
-        self._v_rows = np.r_[0:K, 2 * K + 1]
-        self._mu_rows = np.r_[2 * K, K : 2 * K]
+        # the Fortran-ordered transposes of the stored blocks, per slice: the
+        # layout BLAS reads in place
+        self._m_inv_f = [a.T for a in m_inv]
+        self._p_f = [a.T for a in p]
+        self._d0_f = d0_inv.T
         self.factor_s = time.process_time() - start
 
     def _null_witness(self, k: int, y: np.ndarray) -> np.ndarray:
@@ -588,7 +579,7 @@ class TimeBlockLU:
         if k == K:
             xv[K] = -(self._kg @ y)
         for j in range(k - 1, -1, -1):
-            w = _transport(self._grid, self._b[j + 1], xv[j + 1]) + self._kf[j] @ xm[j + 1]
+            w = _transport(self._grid, self._b_k[j + 1], xv[j + 1]) + self._kf[j] @ xm[j + 1]
             xv[j] = -(self._d0_inv @ w)
             xm[j] = -(self._p[j] @ w)
         return x.reshape(-1)
@@ -603,36 +594,47 @@ class TimeBlockLU:
             x = np.swapaxes(self._solve_t(np.swapaxes(cols, 1, 2)), 1, 2)
         return x.reshape(b.shape)
 
-    def _columns(self, apply, coef: np.ndarray, x: np.ndarray, trans: bool = False):
-        """A block kind applied slice by slice to the columns of x (k, n, p),
-        with the coefficient stack coef (k, ...)."""
-        rows = apply(self._grid, coef[:, None], np.ascontiguousarray(np.swapaxes(x, 1, 2)), trans)
-        return np.swapaxes(rows, 1, 2)
+    # The recursions below accumulate with BLAS in place: dgemm(alpha, a, b,
+    # beta, c, 0, 0, 1) overwrites c with alpha a b + beta c when c is
+    # Fortran-ordered, as the transpose of a C-ordered slice is.  A column
+    # slice y (n, p) takes y += M x as y^T += x^T M^T, with M^T the
+    # Fortran-ordered view (`_f`) of a stored block, and a row slice y (p, n)
+    # takes y += x M as y^T += M^T x^T: either way BLAS reads the block in
+    # its storage order.  Arguments are positional: keywords double the cost
+    # of a call on small slices.
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """(D A)^-1 b for b of shape (2K'+2, n, p), one (n, p) block per row
-        block of the operator."""
-        K, n, s = self.K, self.n, self._s
-        bv, c = b[self._v_rows], b[self._mu_rows]
-        x = np.empty((2, K + 1, n, b.shape[-1]))
-        zv, zm = x  # forward pass z = L^-1-side values, then x in place
-        # forward: zv_k = D0^-1 bv_k, and t_k = c_k - T_{k-1}^T zm_{k-1}
-        # with c_k = bm_k - E_{k-1} zv_{k-1}, so that zm_k = M_k^-1 t_k + P_k bv_k
-        np.matmul(self._d0_inv, bv[:K], out=zv[:K])
-        c[1:] -= self._columns(_diffusion, self._mA[:K], zv[:K])
-        e = self._p @ bv
-        t = c
-        t[1:] -= self._columns(_transport, self._b[:K], e[:K], True)
-        _recurse(self._q_f, t, t[1:])
-        np.matmul(self._m_inv, t, out=zm)
-        zm += e
-        zv[K] = bv[K] / s - _times(self._kg, zm[K])
+        block of the operator: the backward rows, the forward rows, the
+        initial and the terminal row."""
+        K, s, g = self.K, self._s, self._grid
+        b_k, kc, u, wt = self._b_k, self._kf.c, self._u, self._wt
+        m_inv_f, p_f, d0_f = self._m_inv_f, self._p_f, self._d0_f
+        x = np.empty((2, K + 1, self.n, b.shape[-1]))
+        zv, zm = list(x[0]), list(x[1])
+        # forward: zv_k = D0^-1 bv_k, t_k = c_k - E_{k-1} zv_{k-1} - T_{k-1}^T zm_{k-1}
+        # and zm_k = M_k^-1 t_k + P_k bv_k, with (bv_k, c_k) the rows of slice k
+        np.matmul(self._d0_inv, b[:K], out=x[0, :K])
+        t = np.concatenate([b[2 * K : 2 * K + 1], b[K : 2 * K]])
+        ez = _diffusion(g, self._mA[:K, None], np.ascontiguousarray(np.swapaxes(x[0, :K], 1, 2)))
+        t[1:] -= np.swapaxes(ez, 1, 2)
+        t = list(t)
+        np.matmul(self._p[:K], b[:K], out=x[1, :K])
+        np.matmul(self._p[K], b[2 * K + 1], out=zm[K])
+        for k in range(K + 1):
+            if k:
+                t[k] -= _transport(g, b_k[k - 1], zm[k - 1].T, True).T
+            dgemm(1.0, t[k].T, m_inv_f[k], 1.0, zm[k].T, 0, 0, 1)
         # backward: w_k = T_k xv_k + B_k xm_k, and x_k = z_k - (D0^-1, P_k) w_{k+1}
-        w = self._columns(_transport, self._b[1:], zv[1:]) + _times(self._kf, zm[1:])
-        # w[j] holds w_{j+1}
-        _recurse(self._r_f[::-1], w[:0:-1], w[-2::-1])
-        zv[:K] -= self._d0_inv @ w
-        zm[1:K] -= self._p[1:K] @ w[1:]
+        zv[K][...] = b[2 * K + 1] / s - _times(self._kg, zm[K])
+        for k in range(K - 1, -1, -1):
+            xm = zm[k + 1]
+            w = _transport(g, b_k[k + 1], zv[k + 1].T).T
+            w += kc * xm
+            w += u[k].dot(wt[k].dot(xm))
+            dgemm(-1.0, w.T, d0_f, 1.0, zv[k].T, 0, 0, 1)
+            if k:
+                dgemm(-1.0, w.T, p_f[k], 1.0, zm[k].T, 0, 0, 1)
         return x
 
     def _solve_t(self, b: np.ndarray) -> np.ndarray:
@@ -641,25 +643,39 @@ class TimeBlockLU:
         operator's row order).  Every product is then x^T P instead of P^T x,
         which reads each stored block in its own order, and x^T B for a block
         kind B is B^T applied to the rows."""
-        K, n, s, g = self.K, self.n, self._s, self._grid
-        bv, bm = b.reshape(2, K + 1, -1, n)
-        # forward: yv_k = D0^-1 bv_k + P_k^T bm_k - R_k^T yv_{k-1}
-        yv = bv @ self._d0_inv
-        yv[1:K] += bm[1:K] @ self._p[1:K]
-        _recurse(self._r_f, yv, yv[1:K], by_rows=True)
-        rm = bm.copy()
-        rm[1:] -= _times_rows(yv[:K], self._kf)
-        rv = bv[K] - _transport(g, self._b[K], yv[K - 1], True)
-        rm[K] -= _times_rows(rv, self._kg)
-        ym = rm @ self._m_inv
-        yv[K] = rv / s + rm[K] @ self._p[K]
-        # backward: xm_k = ym_k - Q_k^T xm_{k+1}, and
-        # xv_k = yv_k - D0^-1 E_k^T xm_{k+1} - P_k^T T_k xm_{k+1}
-        _recurse(self._q_f[::-1], ym[:0:-1], ym[-2::-1], by_rows=True)
-        yv[:K] -= _diffusion(g, self._mA[:K, None], ym[1:], True) @ self._d0_inv
-        yv[1:K] -= _transport(g, self._b[1:K, None], ym[2:]) @ self._p[1:K]
+        K, s, g = self.K, self._s, self._grid
+        b_k, kc, u, wt = self._b_k, self._kf.c, self._u, self._wt
+        m_inv_f, p_f = self._m_inv_f, self._p_f
+        bv, bm = b.reshape(2, K + 1, -1, self.n)
+        y = np.empty((2, *bv.shape))
+        yv, ym = list(y[0]), list(y[1])
+        # forward: yv_k = rv_k D0^-1 + rm_k P_k with rv_k = bv_k - yv_{k-1} T_k
+        # and rm_k = bm_k - yv_{k-1} B_k; at K' rv/s, and rm takes -rv B_g
+        rm = list(bm.copy())
+        np.matmul(bv[0], self._d0_inv, out=yv[0])
+        for k in range(1, K + 1):
+            yk = yv[k - 1]
+            rv = bv[k] - _transport(g, b_k[k], yk, True)
+            rm[k] -= kc * yk
+            rm[k] -= yk.dot(u[k - 1]).dot(wt[k - 1])
+            if k < K:
+                rv.dot(self._d0_inv, out=yv[k])
+            else:
+                rm[K] -= _times_rows(rv, self._kg)
+                np.divide(rv, s, out=yv[K])
+            dgemm(1.0, p_f[k], rm[k].T, 1.0, yv[k].T, 0, 0, 1)
+        # backward: xm_k = (rm_k - xm_{k+1} T_k^T) M_k^-1, and
+        # xv_k = yv_k - (xm_{k+1} E_k) D0^-1 - (xm_{k+1} T_k^T) P_k
+        dgemm(1.0, m_inv_f[K], rm[K].T, 0.0, ym[K].T, 0, 0, 1)
+        for k in range(K - 1, -1, -1):
+            tx = _transport(g, b_k[k], ym[k + 1])
+            rm[k] -= tx
+            dgemm(1.0, m_inv_f[k], rm[k].T, 0.0, ym[k].T, 0, 0, 1)
+            if k:
+                dgemm(-1.0, p_f[k], tx.T, 1.0, yv[k].T, 0, 0, 1)
+        y[0, :K] -= _diffusion(g, self._mA[:K, None], y[1, 1:], True) @ self._d0_inv
         # back to the row order: backward rows, forward rows, initial, terminal
-        return np.concatenate([yv[:K], ym[1:], ym[:1], yv[K:]])
+        return np.concatenate([y[0, :K], y[1, 1:], y[1, :1], y[0, K:]])
 
 
 def _times(f: KernelFactors, x: np.ndarray) -> np.ndarray:

@@ -196,8 +196,8 @@ def test_run_stability_writes_certificates(tmp_path):
     for t1 in (0, 8):
         cert = json.loads((out / f"certificate_{t1}.json").read_text())
         assert cert["eigen_residual"] >= 0.0
-        # 4K'+2 dense 16 x 16 blocks of the block factorization
-        assert cert["lu_nnz"] == (4 * (16 - t1) + 2) * 16**2
+        # 2K'+3 dense 16 x 16 blocks of the block factorization
+        assert cert["lu_nnz"] == (2 * (16 - t1) + 3) * 16**2
         assert cert["factor_s"] >= 0.0
         assert "border" not in cert
     for rec in summary["certificates"].values():
@@ -205,6 +205,21 @@ def test_run_stability_writes_certificates(tmp_path):
         assert rec["sigma_min"] > 1e-6
         for key in ("eigen_residual", "lu_nnz", "factor_s"):
             assert key not in rec
+
+
+def test_stability_at_the_horizon_certifies_the_last_restriction(tmp_path):
+    # t1 fraction 1.0 is clamped to K-2, the shortest restriction (K' = 2)
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        "experiment.kind = stability\nmodel.name = monotone_local\n"
+        "model.m0 = cosine\ngrid.n_space = 16\ngrid.n_time = 16\ngrid.T = 0.5\n"
+        "solver.tol = 1e-11\nstability.t1_fractions = 0.0,1.0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(path), "--output", str(out)]) == 0
+    cert = json.loads((out / "certificate_14.json").read_text())
+    assert cert["t1_index"] == 14 and cert["verdict"] == "STABLE"
+    assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
 
 
 def test_failed_run_flags_manifest(tmp_path):

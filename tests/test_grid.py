@@ -113,6 +113,11 @@ def test_grid_invariants():
         grid.time_index(grid.t0 + 0.5 * grid.dt)
     sub = grid.restrict(3)
     assert sub.n_time == 5 and abs(sub.t0 - (grid.t0 + 3 * grid.dt)) < 1e-15
+    # a restriction keeps two time steps at least
+    assert grid.restrict(6).n_time == 2
+    for t1 in (-1, 7, 8):
+        with pytest.raises(GridError, match=f"t1_index {t1} out of range.*<= 6"):
+            grid.restrict(t1)
 
 
 def test_field_validation():

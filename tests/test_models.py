@@ -181,6 +181,24 @@ def test_antimonotone_reflection_symmetry(rng):
     assert np.max(np.abs(f_sym - f_sym[(-np.arange(32)) % 32])) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_potentials_of_a_stack_are_those_of_its_slices(dim, rng):
+    # F and G give one value per slice of a stack, with the bits of the
+    # slice alone (evaluate_J adds them up)
+    grid = TorusGrid(dim, 16, 4)
+    m = rng.uniform(0.5, 1.5, (5, *grid.spatial_shape))
+    for coup in (
+        zero_coupling(),
+        monotone_local_coupling(),
+        monotone_smoothed_coupling(),
+        antimonotone_symmetric_coupling(5.0),
+    ):
+        for potential in (coup.F, coup.G):
+            stacked = potential(grid, m)
+            assert np.shape(stacked) == (5,)
+            assert [float(v) for v in stacked] == [float(potential(grid, s)) for s in m]
+
+
 def test_antimonotone_prefers_lopsided():
     coup = antimonotone_symmetric_coupling(1.0)
     grid = TorusGrid(1, 64, 2)

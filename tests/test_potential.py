@@ -49,7 +49,7 @@ def _square_potential_coupling() -> Coupling:
         name="square",
         f=f,
         kernel_f=kernel,
-        F=lambda grid, m: grid.cell_volume * float(np.sum(np.asarray(m) ** 2)),
+        F=lambda grid, m: grid.cell_volume * np.sum(np.asarray(m) ** 2, axis=grid.spatial_axes),
         g=zero_f,
         kernel_g=zero_kernel,
         G=lambda grid, m: 0.0,

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from scipy.linalg import svdvals
 from scipy.optimize import brentq
 
-from mfg_lab.grid import divergence, gradient, inner, laplacian, sup_norm
+from mfg_lab.grid import GridError, divergence, gradient, inner, laplacian, sup_norm
 from mfg_lab.mfg import drift_field, solve_picard
-from mfg_lab.models import builtin_quadratic
+from mfg_lab.models import KernelFactors, builtin_quadratic
 from mfg_lab.nonuniqueness import find_symmetric_branch
 from mfg_lab.pde import continuity_residual
 from mfg_lab.perturb import low_frequency_field, rng_from_seed
@@ -48,6 +49,18 @@ def test_zero_data_zero_solution(monotone_model, monotone_solution):
     assert sup_norm(out.mu.values) <= 1e-13
     assert sup_norm(out.v.values) <= 1e-13
     assert max(out.residuals.values()) <= 1e-11
+
+
+def test_restriction_needs_two_time_steps(monotone_model, monotone_solution):
+    # the operator and the problem refuse t1 = K-1 with the grid's message
+    K = monotone_solution.grid.n_time
+    for make in (
+        lambda: assemble_operator(monotone_model, monotone_solution, K - 1),
+        lambda: LinearizedProblem(base=monotone_solution, t1_index=K - 1),
+    ):
+        with pytest.raises(GridError, match=f"t1_index {K - 1} out of range.*<= {K - 2}"):
+            make()
+    assert assemble_operator(monotone_model, monotone_solution, K - 2).K == 2
 
 
 def test_constant_source_decoupled(decoupled_model, decoupled_solution):
@@ -427,6 +440,63 @@ def test_lu_guard_fires_before_factorization(
     assert cert.verdict == "STABLE"
     assert len(calls) == 1
     assert 8 * cert.lu_nnz == estimate
+
+
+def _owned_arrays(obj) -> dict:
+    """The arrays an object's attributes hold (directly, in a list or as
+    kernel factors), each resolved to the array that owns its memory, by id."""
+    found = {}
+    for value in vars(obj).values():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        for item in items:
+            arrays = [item.U, item.W] if isinstance(item, KernelFactors) else [item]
+            for a in arrays:
+                if isinstance(a, np.ndarray):
+                    while isinstance(a.base, np.ndarray):
+                        a = a.base
+                    found[id(a)] = a
+    return found
+
+
+def _small_2d_base(n_space: int, n_time: int):
+    model = builtin_quadratic(coupling="monotone_local", dim=2, T=0.5, m0="cosine")
+    grid = model.make_grid(n_space, n_time)
+    return model, solve_picard(model, grid, damping=0.5, tol=1e-12, max_iter=400)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lu_bytes_estimate_counts_every_stored_array(dim, monotone_model, monotone_solution):
+    # the bytes of every array the factorization holds and the operator does
+    # not equal the estimate the memory guard checks
+    model, base = (monotone_model, monotone_solution) if dim == 1 else _small_2d_base(8, 8)
+    op = assemble_operator(model, base, 3)
+    lu = op.factorize()
+    shared = _owned_arrays(op)
+    owned = [a for key, a in _owned_arrays(lu).items() if key not in shared]
+    assert sum(a.nbytes for a in owned) == op.lu_bytes_estimate()
+    assert op.lu_bytes_estimate() == 8 * (2 * op.K + 3) * op.n**2
+
+
+def test_certificate_peak_memory_stays_near_the_stored_blocks():
+    # tracemalloc's peak over one 2D certificate (N=16, K'=24: 25.5 MiB of
+    # stored blocks, 12 MiB per stack of K' blocks) measured 7.3 MiB over the
+    # estimate: the per-slice temporaries of the factorization and the
+    # (2K'+2) n x 8 blocks of the iteration.  An 8 MiB margin is less than
+    # one stack, so a further stored stack, or a temporary spanning all the
+    # slices' n x n blocks, fails here.
+    model, base = _small_2d_base(16, 24)
+    op = assemble_operator(model, base, 0)
+    estimate, stack = op.lu_bytes_estimate(), 8 * op.K * op.n**2
+    margin = 8 * 2**20
+    assert margin < stack
+    tracemalloc.start()
+    try:
+        cert = certify_stability(model, base, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "STABLE"
+    assert peak <= estimate + margin
 
 
 @settings(max_examples=30)
