@@ -9,7 +9,6 @@ are emitted as plot-ready CSV.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import KINDS, ConfigError, ExperimentConfig, load_config
-from .grid import field_to_csv, write_field_binary
+from .grid import _jsonable, field_to_csv, strict_json, write_field_binary  # noqa: F401
 from .models import (
     HAMILTONIANS,
     abs_hamiltonian,
@@ -35,27 +34,8 @@ class ComputeError(RuntimeError):
     pass
 
 
-def _jsonable(obj):
-    """Plain JSON values; a non-finite float (NaN, +-inf) becomes null, so
-    every file is strict JSON."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(strict_json(payload, indent=2) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Format: one `section.key = value` assignment per line; blank lines and
 lines starting with '#' are ignored.  Unknown keys are rejected with the
-offending line number, as are type and choice violations.  The shipped
+offending line number, as are type, choice and bound violations.  The shipped
 schema documentation lives in configs/schema.txt; this module is the
 authoritative definition.
 """
@@ -10,7 +10,7 @@ authoritative definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .grid import GridError, TorusGrid
 from .models import COUPLINGS, HAMILTONIANS, M0_PRESETS, builtin_quadratic
@@ -40,12 +40,17 @@ class _Key:
     default: Any
     choices: Optional[tuple] = None
     required: bool = False
+    # (test, text) of the values a run accepts; a list key's entries each pass
+    bound: Optional[tuple[Callable, str]] = None
 
+
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "> 0")
 
 SCHEMA: dict[str, _Key] = {
     "experiment.kind": _Key(str, None, KINDS, required=True),
     "model.name": _Key(str, "decoupled", MODEL_NAMES),
-    "model.theta": _Key(float, 0.0),
+    "model.theta": _Key(float, 0.0, bound=_NONNEGATIVE),
     "model.hamiltonian": _Key(str, "quadratic", (*HAMILTONIANS.keys(), "abs")),
     "model.m0": _Key(str, "uniform", tuple(M0_PRESETS.keys())),
     "model.m0_amplitude": _Key(float, 0.5),
@@ -54,23 +59,23 @@ SCHEMA: dict[str, _Key] = {
     "grid.n_time": _Key(int, 64),
     "grid.t0": _Key(float, 0.0),
     "grid.T": _Key(float, 1.0),
-    "solver.damping": _Key(float, 0.5),
+    "solver.damping": _Key(float, 0.5, bound=(lambda v: 0 < v <= 1, "in (0, 1]")),
     "solver.tol": _Key(float, 1e-9),
-    "solver.max_iter": _Key(int, 300),
-    "fp.n_max": _Key(int, 300),
+    "solver.max_iter": _Key(int, 300, bound=_POSITIVE),
+    "fp.n_max": _Key(int, 300, bound=_POSITIVE),
     "fp.gap_tol": _Key(float, 1e-9),
     "fp.reference": _Key(str, "picard", ("picard", "none")),
     "fp.attractor_deltas": _Key(str, ""),
-    "fp.attractor_trials": _Key(int, 10),
+    "fp.attractor_trials": _Key(int, 10, bound=_POSITIVE),
     "fp.success_err": _Key(float, 5e-4),
     "stability.t1_fractions": _Key(str, "0.0,0.1,0.25,0.5"),
     "stability.tol": _Key(float, 1e-6),
     "isolation.etas": _Key(str, "0.0,0.01"),
-    "isolation.trials": _Key(int, 5),
-    "nonuniqueness.thetas": _Key(str, "1,4,16,64"),
-    "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8"),
+    "isolation.trials": _Key(int, 5, bound=_POSITIVE),
+    "nonuniqueness.thetas": _Key(str, "1,4,16,64", bound=_NONNEGATIVE),
+    "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8", bound=_POSITIVE),
     "nonuniqueness.steps_per_unit_time": _Key(int, 128),
-    "nonuniqueness.fp_rounds": _Key(int, 150),
+    "nonuniqueness.fp_rounds": _Key(int, 150, bound=_POSITIVE),
     "nonuniqueness.tol": _Key(float, 1e-6),
     "nonuniqueness.refine": _Key(int, 1, (0, 1)),
     "study.n_list": _Key(str, "32,64,128"),
@@ -150,7 +155,8 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate config text, the grid it describes included."""
+    """Parse and validate config text, the bounds of its values and the
+    grid it describes included."""
     values: dict[str, Any] = {}
     seen: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -176,6 +182,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"missing required key '{key}'")
             values[key] = entry.default
     cfg = ExperimentConfig(values=values)
+    for key, entry in SCHEMA.items():
+        if entry.bound is not None:
+            test, text = entry.bound
+            for v in cfg.float_list(key) if entry.type is str else [values[key]]:
+                if not test(v):
+                    raise ConfigError(f"line {seen[key]}: '{key}' must be {text}, got {v!r}")
     try:
         cfg.make_grid()
     except GridError as exc:

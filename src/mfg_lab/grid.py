@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import io
+import json
 import struct
 from dataclasses import dataclass, field
 
@@ -51,6 +52,7 @@ __all__ = [
     "scalar_field_from_csv",
     "write_field_binary",
     "read_field_binary",
+    "strict_json",
 ]
 
 # container tolerances: mass is conserved exactly by the schemes, negativity
@@ -452,3 +454,25 @@ def read_field_binary(path):
     if kind == "scalar":
         return ScalarField(grid, values)
     return FluxField(grid, values)
+
+
+def _jsonable(obj):
+    """Plain JSON values; a non-finite float (NaN, +-inf) becomes null."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+def strict_json(payload, indent=None) -> str:
+    """The one encoder of every JSON file a run writes (summaries, manifests,
+    certificates, branch pairs): keys sorted, non-finite floats as null, so
+    the text is strict JSON."""
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=indent, allow_nan=False)

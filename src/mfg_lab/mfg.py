@@ -246,9 +246,6 @@ UNIQUENESS_TOL_SOL = 1e-5
 class UniquenessProbeReport:
     d_grad: float
     d_sol: float
-    constant_gap: float  # additive gap of u at t0, reported, not interpreted
-    tol_grad: float
-    tol_sol: float
     verdict: str  # CONSISTENT / INCONSISTENT with uniqueness-given-gradient
 
 
@@ -275,14 +272,10 @@ def probe_uniqueness_given_gradient(
         + sup_norm(sol1.m.values[k] - sol2.m.values[k])
         for k in range(g.n_time + 1)
     )
-    const_gap = abs(float(np.mean(sol1.u.values[0] - sol2.u.values[0])))
     consistent = (d_grad > UNIQUENESS_TOL_GRAD) or (d_sol <= UNIQUENESS_TOL_SOL)
     return UniquenessProbeReport(
         d_grad=d_grad,
         d_sol=d_sol,
-        constant_gap=const_gap,
-        tol_grad=UNIQUENESS_TOL_GRAD,
-        tol_sol=UNIQUENESS_TOL_SOL,
         verdict="CONSISTENT" if consistent else "INCONSISTENT",
     )
 

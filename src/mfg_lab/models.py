@@ -9,8 +9,8 @@ Couplings ship with their flat (measure) derivatives ``K(x_i, m, y_j)`` in
 one form only: the factors ``dx^d K(m) = c I + U W^T`` of small rank r
 (`KernelFactors`), built from a few fixed modes and slice moments.  The
 linearized operator, the second variation and the checks all apply
-``factors @ mu``; no coupling builds an n x n matrix, and `kernel_matrix`
-forms one from the factors only for `check_symmetry_relation`.  Both the
+``factors @ mu``; no coupling builds an n x n matrix, and only
+`check_symmetry_relation` forms one from the factors (`toarray`).  Both the
 coupling value f and its kernel
 are the normalized representatives (integral against m vanishes); adding
 slice-constants to f does not change the game, but only the normalized pair
@@ -47,7 +47,6 @@ __all__ = [
     "check_legendre",
     "check_symmetry_relation",
     "check_coupling_normalization",
-    "kernel_matrix",
     "legendre_transform_newton",
     "COUPLINGS",
     "HAMILTONIANS",
@@ -553,7 +552,6 @@ class ConvexityReport:
     min_eig: float
     max_eig: float
     ok: bool
-    samples: int
 
 
 def _sample_xp(dim: int, samples: int, seed, p_max: float):
@@ -576,7 +574,7 @@ def check_convexity(
     hess = h.hess_pp(x, p)
     eigs = np.linalg.eigvalsh(hess)
     lo, hi = float(eigs.min()), float(eigs.max())
-    return ConvexityReport(min_eig=lo, max_eig=hi, ok=lo > 0.0, samples=samples)
+    return ConvexityReport(min_eig=lo, max_eig=hi, ok=lo > 0.0)
 
 
 def check_hamiltonian_gradient(h: Hamiltonian, dim: int, samples: int = 50, seed=0) -> float:
@@ -656,7 +654,7 @@ def check_symmetry_relation(
 
     samples=None brute-forces all pairs.
     """
-    K = kernel_matrix(coupling.kernel_f, grid, m_slice) / grid.cell_volume
+    K = coupling.kernel_f(grid, m_slice).toarray() / grid.cell_volume
     fv = np.asarray(coupling.f(grid, m_slice)).reshape(-1)
     defect = K - K.T - (fv[:, None] - fv[None, :])
     if samples is None:
@@ -676,9 +674,3 @@ def check_coupling_normalization(
     f_defect = abs(float(grid.cell_volume * np.sum(coupling.f(grid, m) * m)))
     k_defect = float(np.max(np.abs(coupling.kernel_f(grid, m) @ m.reshape(-1))))
     return f_defect, k_defect
-
-
-def kernel_matrix(kernel: Callable, grid: TorusGrid, m_slice: np.ndarray) -> np.ndarray:
-    """(n_nodes, n_nodes) matrix c I + U W^T = dx^d K(m) of a kernel's
-    factors at one slice."""
-    return kernel(grid, m_slice).toarray()

@@ -18,16 +18,15 @@ branch by round COLLAPSE_CHECK_ROUND, polished from there by `solve_picard`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .grid import TorusGrid, gradient, laplacian_symbol, sup_norm
+from .grid import TorusGrid, gradient, laplacian_symbol, strict_json, sup_norm
 from .mfg import MfgSolution, _keep_distinct, _package_solution, solve_picard
-from .models import MfgModel, builtin_quadratic
+from .models import MfgModel, _sine_moment, builtin_quadratic
 from .potential import AdmissiblePair, JBreakdown, evaluate_J
 
 __all__ = [
@@ -89,15 +88,6 @@ def asymmetric_initial_belief(grid: TorusGrid) -> np.ndarray:
     return np.broadcast_to(profile, (grid.n_time + 1, *grid.spatial_shape)).copy()
 
 
-def _max_sine_moment(grid: TorusGrid, values: np.ndarray) -> float:
-    coords = grid.coordinates()
-    sine = np.sin(2.0 * np.pi * coords[0])
-    moments = grid.cell_volume * (values * sine).reshape(values.shape[0], -1).sum(
-        axis=1
-    )
-    return float(np.max(np.abs(moments)))
-
-
 # reflection defect below which a candidate counts as the symmetric branch
 SEPARATION_FLOOR = 1e-2
 # the asymmetric search's one decision round (or fp_rounds, if fewer): a sine
@@ -133,7 +123,7 @@ def find_asymmetric_branch(
         for _ in range(min(fp_rounds, COLLAPSE_CHECK_ROUND)):
             state = fp_step(state)
             _keep_distinct(warns, state.last.warnings)
-        if _max_sine_moment(grid, state.last.m) < COLLAPSE_MOMENT:
+        if np.max(np.abs(_sine_moment(grid, state.last.m)[0])) < COLLAPSE_MOMENT:
             return AsymmetricSearch(
                 False,
                 None,
@@ -189,7 +179,7 @@ class BranchPair:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
+        return strict_json(self.summary())
 
 
 def make_branch_pair(
@@ -298,7 +288,6 @@ def build_competitor(model: MfgModel, grid: TorusGrid) -> AdmissiblePair:
 class SweepResult:
     cells: list
     best: Optional[BranchPair]
-    refined: Optional[BranchPair]
     separation_change: Optional[float]
 
     def to_csv(self, path) -> None:
@@ -341,7 +330,8 @@ def sweep_nonuniqueness(
 
     The best cell (largest separation with a verified J ordering; a tie
     goes to the longest horizon) is re-run once at doubled resolution to
-    guard against discretization phantoms.
+    guard against discretization phantoms; the relative change of its
+    separation, `separation_change`, is all the result keeps of that run.
     """
     params = [(theta, horizon) for theta in thetas for horizon in horizons]
 
@@ -379,7 +369,6 @@ def sweep_nonuniqueness(
         top = max(p.separation for p in verified)
         ties = [p for p in verified if p.separation >= top * (1.0 - SEPARATION_TIE_RTOL)]
         best_pair = max(ties, key=lambda p: (p.horizon, p.theta))
-    refined = None
     change = None
     if best_pair is not None and refine_best:
         model = _cell_model(best_pair.theta, best_pair.horizon, dim)
@@ -388,6 +377,4 @@ def sweep_nonuniqueness(
         refined, _ = make_branch_pair(model, grid, tol=tol, fp_rounds=fp_rounds)
         if refined is not None:
             change = abs(refined.separation - best_pair.separation) / best_pair.separation
-    return SweepResult(
-        cells=cells, best=best_pair, refined=refined, separation_change=change
-    )
+    return SweepResult(cells=cells, best=best_pair, separation_change=change)

@@ -20,7 +20,6 @@ values are then added in slice order, as a slice-by-slice loop would.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -76,7 +75,10 @@ class AdmissiblePair:
 
     @classmethod
     def from_solution(cls, sol: MfgSolution) -> "AdmissiblePair":
-        return cls.from_values(sol.grid, sol.m.values, sol.w.values)
+        """The solution's own fields: its flux w = -m b is the Kolmogorov
+        sweep's, so its continuity defect is the solution's kolmogorov
+        residual."""
+        return cls(m=sol.m, w=sol.w, continuity_defect=sol.residuals["kolmogorov"])
 
     @property
     def grid(self) -> TorusGrid:
@@ -98,18 +100,6 @@ class JBreakdown:
     terminal_potential: float
     total: float
     finite: bool = True
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kinetic": self.kinetic,
-                "running_potential": self.running_potential,
-                "terminal_potential": self.terminal_potential,
-                "total": self.total,
-                "finite": self.finite,
-            },
-            sort_keys=True,
-        )
 
 
 def _slice_sums(values: np.ndarray) -> np.ndarray:
@@ -231,7 +221,6 @@ def admissible_direction(
 class CriticalityReport:
     max_defect: float
     max_fd_mismatch: float
-    probes: int
 
 
 def criticality_defect(
@@ -256,7 +245,7 @@ def criticality_defect(
         minus = evaluate_J(model, pair.shifted(-FD_STEP, mu, z)).total
         fd = (plus - minus) / (2.0 * FD_STEP)
         worst_fd = max(worst_fd, abs(analytic - fd))
-    return CriticalityReport(max_defect=worst, max_fd_mismatch=worst_fd, probes=probes)
+    return CriticalityReport(max_defect=worst, max_fd_mismatch=worst_fd)
 
 
 def perturbed_nonsolution_pair(

@@ -51,13 +51,12 @@ that stops at its cap without converging never certifies STABLE, and the
 bytes the factorization stores are checked against a guard before any is
 allocated.  A Schur block singular to working precision leaves no
 factorization to iterate with; its null vector, back-substituted through
-the earlier slices, is the witness instead, so such an operator is never
-certified STABLE either.
+the earlier slices by the backward recursion of the solves, is the witness
+instead, so such an operator is never certified STABLE either.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -74,7 +73,7 @@ from .grid import (
     TorusGrid,
     divergence,
     gradient,
-    sup_norm,
+    strict_json,
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
 from .models import KernelFactors, MfgModel
@@ -240,7 +239,6 @@ class LinearizedSolution:
     v: ScalarField
     mu: ScalarField
     residuals: dict
-    source_norms: dict
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +330,16 @@ class AssembledOperator:
             "mass_drift": float(np.max(np.abs(mass - mass[0]))),
         }
 
-    def _backward_sweep(self, x: np.ndarray, rhs: np.ndarray) -> None:
-        """v^K' .. v^0 in place from the terminal and backward rows, mu held
-        fixed: v^K' = c - B_g mu^K', then v^k = D0^-1 (a - T v^{k+1} -
-        B mu^{k+1}) with D0^-1 = dt (I - dt Lap)^-1."""
+    def _backward_sweep(self, x: np.ndarray) -> None:
+        """v^K' .. v^0 in place from the homogeneous terminal and backward
+        rows, mu held fixed: v^K' = -B_g mu^K', then v^k = -D0^-1 (T v^{k+1}
+        + B mu^{k+1}) with D0^-1 = dt (I - dt Lap)^-1."""
         g, K = self.grid, self.K
         v, mu = x.reshape(2, K + 1, self.n)
-        R = rhs.reshape(-1, self.n)
-        v[K] = R[2 * K + 1] - self.kernel_g @ mu[K]
+        v[K] = -(self.kernel_g @ mu[K])
         coupled = self.kernel_f @ mu[1:]
         for k in range(K - 1, -1, -1):
-            val = R[k] - (_transport(g, self.drift[k + 1], v[k + 1]) + coupled[k])
+            val = -(_transport(g, self.drift[k + 1], v[k + 1]) + coupled[k])
             v[k] = self._heat.step((g.dt * val).reshape(g.spatial_shape)).reshape(-1)
 
     # -- materialization -----------------------------------------------------
@@ -424,7 +421,7 @@ class SingularSchurBlock(np.linalg.LinAlgError):
 
     `null_vector` is the block's right singular vector of least singular
     value.  `TimeBlockLU` adds `witness`, that vector back-substituted
-    through the earlier slices (`TimeBlockLU._null_witness`), and
+    through the earlier slices by the backward recursion of its solves, and
     `factor_s`, the CPU seconds spent before the block."""
 
     def __init__(self, slice_index: int, rcond: float, null_vector: np.ndarray):
@@ -505,7 +502,6 @@ class TimeBlockLU:
         start = time.process_time()
         K, n = op.K, op.n
         self.K, self.n, self.size = K, n, op.n_unknowns
-        self.nnz = self.stored_entries(K, n)
         self._s = s = op.boundary_weight
         # the operator's coefficient stacks, which the solves apply as well,
         # and per-slice views of them for the recursions of the solves
@@ -524,6 +520,12 @@ class TimeBlockLU:
         self._d0_inv = d0_inv = 0.5 * (d0_inv + d0_inv.T)
         self._m_inv = m_inv = np.empty(shapes["m_inv"])
         self._p = p = np.empty(shapes["p"])
+        # the Fortran-ordered transposes of the stored blocks, per slice: the
+        # layout BLAS reads in place; built first, so that a factorization
+        # stopped by a singular block back-substitutes through them
+        self._m_inv_f = [a.T for a in m_inv]
+        self._p_f = [a.T for a in p]
+        self._d0_f = d0_inv.T
         d0_t = _d0(g, np.eye(n))  # D0^T: its rows are the columns of D0
         # G D0^-1 and -D0^-1/dt, the parts of E_{k-1} D0^-1 and T_k D0^-1
         # that are the same on every slice
@@ -555,34 +557,17 @@ class TimeBlockLU:
                 m_inv[k] = _inverse(m_t.T, k)
                 np.matmul(m_inv[k], x, out=p[k])
         except SingularSchurBlock as err:
-            err.witness = self._null_witness(err.slice_index, err.null_vector)
+            # the stacked unknowns, zero after slice k, that solve the homogeneous
+            # rows of slices 0..k: mu^k the block's null vector, back-substituted.
+            # At k = K' a null vector of the operator; before it the rows of
+            # slice k+1 are left over, and matvec shows by how much.
+            k = err.slice_index
+            z = np.zeros((2, K + 1, n, 1))
+            z[1, k, :, 0] = err.null_vector
+            err.witness = self._back_substitute(z, k).reshape(-1)
             err.factor_s = time.process_time() - start
             raise
-        # the Fortran-ordered transposes of the stored blocks, per slice: the
-        # layout BLAS reads in place
-        self._m_inv_f = [a.T for a in m_inv]
-        self._p_f = [a.T for a in p]
-        self._d0_f = d0_inv.T
         self.factor_s = time.process_time() - start
-
-    def _null_witness(self, k: int, y: np.ndarray) -> np.ndarray:
-        """Stacked unknowns x, zero after slice k, that solve the homogeneous
-        rows of slices 0..k: the null vector y of the Schur block S_k
-        (mu^k = y, with v^k = -B_g y at k = K', else 0), back-substituted
-        through slices k-1..0 as in `_solve`, x_j = -(D0^-1, P_j) w_{j+1}.
-        At k = K' this is a null vector of the operator; before it the rows
-        of slice k+1 are left over, and matvec shows by how much."""
-        K, n = self.K, self.n
-        x = np.zeros((2, K + 1, n))
-        xv, xm = x
-        xm[k] = y
-        if k == K:
-            xv[K] = -(self._kg @ y)
-        for j in range(k - 1, -1, -1):
-            w = _transport(self._grid, self._b_k[j + 1], xv[j + 1]) + self._kf[j] @ xm[j + 1]
-            xv[j] = -(self._d0_inv @ w)
-            xm[j] = -(self._p[j] @ w)
-        return x.reshape(-1)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """(D A)^-1 b, or (D A)^-T b for trans="T"; b of shape (N,) or (N, p),
@@ -607,9 +592,7 @@ class TimeBlockLU:
         """(D A)^-1 b for b of shape (2K'+2, n, p), one (n, p) block per row
         block of the operator: the backward rows, the forward rows, the
         initial and the terminal row."""
-        K, s, g = self.K, self._s, self._grid
-        b_k, kc, u, wt = self._b_k, self._kf.c, self._u, self._wt
-        m_inv_f, p_f, d0_f = self._m_inv_f, self._p_f, self._d0_f
+        K, s, g, b_k, m_inv_f = self.K, self._s, self._grid, self._b_k, self._m_inv_f
         x = np.empty((2, K + 1, self.n, b.shape[-1]))
         zv, zm = list(x[0]), list(x[1])
         # forward: zv_k = D0^-1 bv_k, t_k = c_k - E_{k-1} zv_{k-1} - T_{k-1}^T zm_{k-1}
@@ -625,16 +608,27 @@ class TimeBlockLU:
             if k:
                 t[k] -= _transport(g, b_k[k - 1], zm[k - 1].T, True).T
             dgemm(1.0, t[k].T, m_inv_f[k], 1.0, zm[k].T, 0, 0, 1)
-        # backward: w_k = T_k xv_k + B_k xm_k, and x_k = z_k - (D0^-1, P_k) w_{k+1}
-        zv[K][...] = b[2 * K + 1] / s - _times(self._kg, zm[K])
-        for k in range(K - 1, -1, -1):
-            xm = zm[k + 1]
-            w = _transport(g, b_k[k + 1], zv[k + 1].T).T
+        zv[K][...] = b[2 * K + 1] / s
+        return self._back_substitute(x, K)
+
+    def _back_substitute(self, x: np.ndarray, k: int) -> np.ndarray:
+        """The backward recursion of `_solve`, in place on x (2, K'+1, n, p)
+        that holds z on slices 0..k, from slice k: at k = K' the terminal row
+        subtracts B_g zm_K' from zv_K', then w_{j+1} = T_{j+1} xv_{j+1} +
+        B_{j+1} xm_{j+1} and x_j = z_j - (D0^-1, P_j) w_{j+1} for j < k."""
+        g, b_k, kc, u, wt = self._grid, self._b_k, self._kf.c, self._u, self._wt
+        p_f, d0_f = self._p_f, self._d0_f
+        zv, zm = list(x[0]), list(x[1])
+        if k == self.K:
+            zv[k] -= _times(self._kg, zm[k])
+        for j in range(k - 1, -1, -1):
+            xm = zm[j + 1]
+            w = _transport(g, b_k[j + 1], zv[j + 1].T).T
             w += kc * xm
-            w += u[k].dot(wt[k].dot(xm))
-            dgemm(-1.0, w.T, d0_f, 1.0, zv[k].T, 0, 0, 1)
-            if k:
-                dgemm(-1.0, w.T, p_f[k], 1.0, zm[k].T, 0, 0, 1)
+            w += u[j].dot(wt[j].dot(xm))
+            dgemm(-1.0, w.T, d0_f, 1.0, zv[j].T, 0, 0, 1)
+            if j:
+                dgemm(-1.0, w.T, p_f[j], 1.0, zm[j].T, 0, 0, 1)
         return x
 
     def _solve_t(self, b: np.ndarray) -> np.ndarray:
@@ -701,9 +695,8 @@ def assemble_operator(
 
 def solve_linearized(model: MfgModel, problem: LinearizedProblem) -> LinearizedSolution:
     """The linearized system solved with the operator's block factorization
-    (`AssembledOperator.direct_solve`), with the residuals of the solution
-    and the sup norms of the sources; a singular operator raises
-    `SingularSchurBlock`."""
+    (`AssembledOperator.direct_solve`), with the residuals of the solution;
+    a singular operator raises `SingularSchurBlock`."""
     op = assemble_operator(model, problem.base, problem.t1_index)
     x = op.direct_solve(problem)
     v, mu = op.unstack(x)
@@ -711,12 +704,6 @@ def solve_linearized(model: MfgModel, problem: LinearizedProblem) -> LinearizedS
         v=ScalarField(op.grid, v),
         mu=ScalarField(op.grid, mu),
         residuals=op._residuals(x, op.rhs_vector(problem)),
-        source_norms={
-            "a": sup_norm(problem.a),
-            "b": sup_norm(problem.b_src),
-            "c": sup_norm(problem.c),
-            "mu0": sup_norm(problem.mu0),
-        },
     )
 
 
@@ -727,11 +714,13 @@ def backward_response(
     mu_values: np.ndarray,
 ) -> np.ndarray:
     """Backward linear solve for v given a density direction mu, with the
-    homogeneous backward and terminal rows."""
-    problem = LinearizedProblem(base=base, t1_index=t1_index)
+    homogeneous backward and terminal rows; the base must be converged, as
+    for every linearization."""
+    if not base.converged:
+        raise ValueError("linearization requires a converged base solution")
     op = assemble_operator(model, base, t1_index)
     x = op.stack(np.zeros_like(mu_values), mu_values)
-    op._backward_sweep(x, op.rhs_vector(problem))
+    op._backward_sweep(x)
     return op.unstack(x)[0]
 
 
@@ -781,9 +770,9 @@ class StabilityCertificate:
     witness_mu: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_json(self, witness_file: Optional[str] = None) -> str:
-        """Strict JSON: a non-finite float (eigen_residual when no iteration
-        ran) is written as null."""
-        payload = {
+        """Strict JSON (`grid.strict_json`): a non-finite float
+        (eigen_residual when no iteration ran) is written as null."""
+        return strict_json({
             "sigma_min": self.sigma_min,
             "grid_signature": self.grid_signature,
             "tolerance": self.tolerance,
@@ -799,15 +788,7 @@ class StabilityCertificate:
             "cause": self.cause,
             "witness_residual": self.witness_residual,
             "witness_file": witness_file,
-        }
-        return json.dumps(
-            {
-                k: None if isinstance(v, float) and not math.isfinite(v) else v
-                for k, v in payload.items()
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
+        })
 
 
 # Columns of the block inverse iteration.  The smallest singular values of
@@ -823,7 +804,8 @@ BLOCK_WIDTH = 8
 # certify pool this takes 8-10 rounds in 1D and 9 in 2D and leaves an
 # eigen_residual of at most 2.3e-9 (1e-9 would leave 3.4e-8, and 1e-11 buys
 # 1.2e-10 for one more round), and sigma_min agrees with the pool's stored
-# reference values to 5e-12.
+# reference values to 5.5e-12 on a 2-vCPU Intel Xeon host (three 2D values
+# sit 5.00-5.49e-12 away).
 RTOL = 1e-10
 # Cap on the rounds; one that stops here is not converged and never
 # certifies STABLE.  A well-conditioned short restriction needs more than the

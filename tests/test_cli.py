@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mfg_lab.cli import _jsonable, main, run_experiment, validate_config
-from mfg_lab.config import ConfigError, load_config, parse_config
+from mfg_lab.config import SCHEMA, ConfigError, load_config, parse_config
 from mfg_lab.grid import read_field_binary
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -98,6 +98,57 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         assert main([kind, "--config", str(path), "--output", str(out)]) == 2
         assert "config error: grid" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, lines",
+    [
+        ("solve", "model.theta = -1"),
+        ("nonuniqueness", "nonuniqueness.thetas = 4,-1"),
+        ("nonuniqueness", "nonuniqueness.horizons = 0.5,0"),
+        ("nonuniqueness", "nonuniqueness.fp_rounds = 0"),
+        ("solve", "solver.damping = 0"),
+        ("solve", "solver.damping = 1.5"),
+        ("solve", "solver.max_iter = 0"),
+        ("fictitious-play", "fp.n_max = 0"),
+        ("fictitious-play", "fp.attractor_deltas = 0.01\nfp.attractor_trials = 0"),
+        ("isolation", "isolation.trials = 0"),
+    ],
+)
+def test_cli_rejects_an_out_of_range_value_before_running(tmp_path, capsys, kind, lines):
+    # a value outside its schema bound is a config error (exit 2) under
+    # validate and under a run, which then writes no manifest
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        f"experiment.kind = {kind}\nmodel.name = monotone_local\n"
+        f"grid.n_space = 8\ngrid.n_time = 4\n{lines}\n"
+    )
+    out = tmp_path / "out"
+    for command in ("validate", kind):
+        assert main([command, "--config", str(path), "--output", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_schema_doc_lists_every_key_with_its_default():
+    # configs/schema.txt documents config.SCHEMA: the same keys, in its
+    # table, each with its type and default (compared as values)
+    rows = {}
+    text = (CONFIG_DIR / "schema.txt").read_text(encoding="utf-8")
+    for line in text.split("-" * 35, 1)[1].splitlines():
+        if line and not line[0].isspace():
+            key, typ, default = line.split()[:3]
+            rows[key] = (typ, default)
+    assert set(rows) == set(SCHEMA)
+    for key, entry in SCHEMA.items():
+        typ, default = rows[key]
+        assert typ == entry.type.__name__, key
+        if entry.required:
+            assert default == "(required)", key
+        elif entry.type is str:
+            assert default.strip('"') == entry.default, key
+        else:
+            assert entry.type(default) == entry.default, key
 
 
 def test_cli_kind_mismatch(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Branch construction, explicit competitor, reflection machinery."""
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +120,17 @@ def test_branch_pair_properties(branch_setup, branch_pair):
     assert pair.reflection_defect_asymmetric >= 10 * max(
         pair.reflection_defect_symmetric, 1e-8
     )
+
+
+def test_branch_pair_json_is_strict(branch_pair):
+    # branch_pair.json is strict JSON: a non-finite value is written as null
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    text = dataclasses.replace(branch_pair, separation=math.nan).to_json()
+    payload = json.loads(text, parse_constant=refuse)
+    assert payload["separation"] is None
+    assert payload["theta"] == branch_pair.theta
 
 
 def test_branch_pair_feeds_uniqueness_probe(branch_pair):

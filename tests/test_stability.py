@@ -1,5 +1,6 @@
 """Linearized system, assembled operator, certificates, isolation."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -61,6 +62,17 @@ def test_restriction_needs_two_time_steps(monotone_model, monotone_solution):
         with pytest.raises(GridError, match=f"t1_index {K - 1} out of range.*<= {K - 2}"):
             make()
     assert assemble_operator(monotone_model, monotone_solution, K - 2).K == 2
+
+
+def test_linearization_needs_a_converged_base(monotone_model, monotone_solution):
+    base = dataclasses.replace(monotone_solution, converged=False)
+    mu = np.zeros_like(base.m.values)
+    for make in (
+        lambda: LinearizedProblem(base=base),
+        lambda: backward_response(monotone_model, base, 0, mu),
+    ):
+        with pytest.raises(ValueError, match="converged base"):
+            make()
 
 
 def test_constant_source_decoupled(decoupled_model, decoupled_solution):
