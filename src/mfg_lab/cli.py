@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import KINDS, ConfigError, ExperimentConfig, load_config
-from .grid import _jsonable, field_to_csv, strict_json, write_field_binary  # noqa: F401
+from .grid import ScalarField, TorusGrid, field_to_csv, write_field_binary, write_json, write_lines
 from .models import (
     HAMILTONIANS,
     abs_hamiltonian,
@@ -32,10 +32,6 @@ __all__ = ["main", "run_experiment", "validate_config"]
 
 class ComputeError(RuntimeError):
     pass
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(strict_json(payload, indent=2) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +86,10 @@ def validate_config(cfg: ExperimentConfig, samples: int = 100, seed: int = 0):
 
     # initial density + coupling checks are Hamiltonian-independent; probe
     # them through a quadratic-H twin so the degenerate-H case still reports
-    from .grid import TorusGrid
-
     probe_grid = TorusGrid(dim, 16, 2, 0.0, 1.0)
     try:
-        probe = ExperimentConfig({**cfg.values, "model.hamiltonian": "quadratic"}).make_model()
+        twin = {**cfg.values, "model.hamiltonian": "quadratic"}
+        probe = ExperimentConfig(twin, cfg.lists).make_model()
         m0 = probe.initial_density_slice(probe_grid)
         lines.append("initial density nonnegativity + unit mass: PASS")
     except ValueError as exc:
@@ -197,7 +192,7 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
     }
     if trace.errors:
         summary["final_error_vs_reference"] = trace.errors[-1]
-    deltas = cfg.float_list("fp.attractor_deltas")
+    deltas = cfg.lists["fp.attractor_deltas"]
     if deltas:
         if reference is None:
             raise ComputeError("attractor experiment needs fp.reference = picard")
@@ -230,7 +225,7 @@ def _run_stability(cfg, outdir: Path, seed: int) -> dict:
     model, grid, sol = _solve_base(cfg)
     if not sol.converged:
         raise ComputeError("base solve did not converge; cannot certify")
-    fracs = cfg.float_list("stability.t1_fractions")
+    fracs = cfg.lists["stability.t1_fractions"]
     K = grid.n_time
     # a restriction keeps at least two time steps (`TorusGrid.restrict`)
     t1s = sorted({min(max(int(round(f * K)), 0), K - 2) for f in fracs})
@@ -241,16 +236,12 @@ def _run_stability(cfg, outdir: Path, seed: int) -> dict:
         name = f"t1_index_{t1}"
         witness_file = None
         if cert.witness_v is not None:
-            from .grid import ScalarField
-
             rgrid = grid.restrict(t1)
             witness_file = f"witness_{t1}.bin"
             write_field_binary(
                 ScalarField(rgrid, cert.witness_mu), outdir / witness_file
             )
-        (outdir / f"certificate_{t1}.json").write_text(
-            cert.to_json(witness_file) + "\n", encoding="utf-8"
-        )
+        write_lines(outdir / f"certificate_{t1}.json", [cert.to_json(witness_file)])
         summary["certificates"][name] = {
             "sigma_min": cert.sigma_min,
             "verdict": cert.verdict,
@@ -272,7 +263,7 @@ def _run_isolation(cfg, outdir: Path, seed: int) -> dict:
     report = isolation_experiment(
         model,
         sol,
-        cfg.float_list("isolation.etas"),
+        cfg.lists["isolation.etas"],
         trials=cfg["isolation.trials"],
         seed=seed,
         damping=cfg["solver.damping"],
@@ -283,8 +274,7 @@ def _run_isolation(cfg, outdir: Path, seed: int) -> dict:
         "kind": "isolation",
         "sigma_min": cert.sigma_min,
         "base_residuals": sol.residuals,
-        "eta_records": report.eta_records,
-        "distinct_pairs_total": report.distinct_pairs_total,
+        **vars(report),
     }
 
 
@@ -293,8 +283,8 @@ def _run_nonuniqueness(cfg, outdir: Path, seed: int) -> dict:
     from .potential import evaluate_J
 
     res = sweep_nonuniqueness(
-        thetas=cfg.float_list("nonuniqueness.thetas"),
-        horizons=cfg.float_list("nonuniqueness.horizons"),
+        thetas=cfg.lists["nonuniqueness.thetas"],
+        horizons=cfg.lists["nonuniqueness.horizons"],
         dim=cfg["grid.dim"],
         n_space=cfg["grid.n_space"],
         steps_per_unit_time=cfg["nonuniqueness.steps_per_unit_time"],
@@ -311,9 +301,7 @@ def _run_nonuniqueness(cfg, outdir: Path, seed: int) -> dict:
     if res.best is not None:
         summary["best"] = res.best.summary()
         summary["separation_change_under_refinement"] = res.separation_change
-        (outdir / "branch_pair.json").write_text(
-            res.best.to_json() + "\n", encoding="utf-8"
-        )
+        write_lines(outdir / "branch_pair.json", [res.best.to_json()])
         write_field_binary(res.best.symmetric.m, outdir / "m_symmetric.bin")
         write_field_binary(res.best.asymmetric.m, outdir / "m_asymmetric.bin")
         if res.best.horizon > 1.0:
@@ -327,21 +315,13 @@ def _run_convergence_study(cfg, outdir: Path, seed: int) -> dict:
     from .verification import run_convergence_study
 
     study = run_convergence_study(
-        n_list=cfg.int_list("study.n_list"),
+        n_list=[int(round(n)) for n in cfg.lists["study.n_list"]],
         heat_n=cfg["study.heat_n"],
         heat_k=cfg["study.heat_k"],
         heat_horizon=cfg["study.heat_horizon"],
     )
     study.to_csv(outdir / "convergence.csv")
-    return {
-        "kind": "convergence-study",
-        "n_list": study.n_list,
-        "k_list": study.k_list,
-        "hjb_errors": study.hjb_errors,
-        "spatial_order": study.spatial_order,
-        "heat_l2_error": study.heat_l2_error,
-        "heat_mass_defect": study.heat_mass_defect,
-    }
+    return {"kind": "convergence-study", **vars(study)}
 
 
 _RUNNERS = {
@@ -355,7 +335,10 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, outdir, seed=None) -> dict:
-    """Run one experiment; writes manifest, summary, and artifact files."""
+    """Run one experiment; writes manifest, summary, and artifact files.  The
+    abs Hamiltonian, shipped for validate to fail on, raises ConfigError first."""
+    if cfg["model.hamiltonian"] == "abs":
+        raise ConfigError("model.hamiltonian = abs is for validation only; nothing runs on it")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"] if seed is None else int(seed)
@@ -365,17 +348,17 @@ def run_experiment(cfg: ExperimentConfig, outdir, seed=None) -> dict:
         "version": __version__,
         "status": "running",
     }
-    _write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", manifest)
     try:
         summary = _RUNNERS[cfg.kind](cfg, outdir, seed)
     except Exception:
         manifest["status"] = "failed"
-        _write_json(outdir / "manifest.json", manifest)
+        write_json(outdir / "manifest.json", manifest)
         raise
     summary["seed"] = seed
-    _write_json(outdir / "summary.json", summary)
+    write_json(outdir / "summary.json", summary)
     manifest["status"] = "complete"
-    _write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", manifest)
     return summary
 
 
@@ -423,6 +406,9 @@ def main(argv=None) -> int:
         return 2
     try:
         run_experiment(cfg, args.output, seed=args.seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ComputeError as exc:
         print(f"compute error: {exc} (partial outputs flagged in manifest)", file=sys.stderr)
         return 1

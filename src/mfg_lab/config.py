@@ -2,9 +2,9 @@
 
 Format: one `section.key = value` assignment per line; blank lines and
 lines starting with '#' are ignored.  Unknown keys are rejected with the
-offending line number, as are type, choice and bound violations.  The shipped
-schema documentation lives in configs/schema.txt; this module is the
-authoritative definition.
+offending line number, as are type, choice and bound violations and malformed
+list entries.  The shipped schema documentation lives in configs/schema.txt;
+this module is the authoritative definition.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class _Key:
 
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _POSITIVE = (lambda v: v > 0, "> 0")
+_COUNT = (lambda v: v >= 1, ">= 1")
 
 SCHEMA: dict[str, _Key] = {
     "experiment.kind": _Key(str, None, KINDS, required=True),
@@ -61,21 +62,21 @@ SCHEMA: dict[str, _Key] = {
     "grid.T": _Key(float, 1.0),
     "solver.damping": _Key(float, 0.5, bound=(lambda v: 0 < v <= 1, "in (0, 1]")),
     "solver.tol": _Key(float, 1e-9),
-    "solver.max_iter": _Key(int, 300, bound=_POSITIVE),
-    "fp.n_max": _Key(int, 300, bound=_POSITIVE),
+    "solver.max_iter": _Key(int, 300, bound=_COUNT),
+    "fp.n_max": _Key(int, 300, bound=_COUNT),
     "fp.gap_tol": _Key(float, 1e-9),
     "fp.reference": _Key(str, "picard", ("picard", "none")),
     "fp.attractor_deltas": _Key(str, ""),
-    "fp.attractor_trials": _Key(int, 10, bound=_POSITIVE),
+    "fp.attractor_trials": _Key(int, 10, bound=_COUNT),
     "fp.success_err": _Key(float, 5e-4),
     "stability.t1_fractions": _Key(str, "0.0,0.1,0.25,0.5"),
-    "stability.tol": _Key(float, 1e-6),
+    "stability.tol": _Key(float, 1e-6, bound=_POSITIVE),
     "isolation.etas": _Key(str, "0.0,0.01"),
-    "isolation.trials": _Key(int, 5, bound=_POSITIVE),
+    "isolation.trials": _Key(int, 5, bound=_COUNT),
     "nonuniqueness.thetas": _Key(str, "1,4,16,64", bound=_NONNEGATIVE),
     "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8", bound=_POSITIVE),
     "nonuniqueness.steps_per_unit_time": _Key(int, 128),
-    "nonuniqueness.fp_rounds": _Key(int, 150, bound=_POSITIVE),
+    "nonuniqueness.fp_rounds": _Key(int, 150, bound=_COUNT),
     "nonuniqueness.tol": _Key(float, 1e-6),
     "nonuniqueness.refine": _Key(int, 1, (0, 1)),
     "study.n_list": _Key(str, "32,64,128"),
@@ -109,7 +110,8 @@ def _convert(key: str, raw: str, line_no: int) -> Any:
 
 @dataclass
 class ExperimentConfig:
-    values: dict
+    values: dict  # typed; a list key keeps its text, which manifest.json echoes
+    lists: dict  # the list keys' floats, parsed by parse_config
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
@@ -117,18 +119,6 @@ class ExperimentConfig:
     @property
     def kind(self) -> str:
         return self.values["experiment.kind"]
-
-    def float_list(self, key: str) -> list[float]:
-        raw = self.values[key].strip()
-        if not raw:
-            return []
-        try:
-            return [float(tok) for tok in raw.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"'{key}' is not a comma-separated float list") from exc
-
-    def int_list(self, key: str) -> list[int]:
-        return [int(round(v)) for v in self.float_list(key)]
 
     def make_model(self):
         name = self.values["model.name"]
@@ -155,8 +145,8 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate config text, the bounds of its values and the
-    grid it describes included."""
+    """Parse and validate config text, with the entries of every list key,
+    the bounds of its values and the grid it describes."""
     values: dict[str, Any] = {}
     seen: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -176,18 +166,26 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         seen[key] = line_no
         values[key] = _convert(key, raw, line_no)
+    lists = {}
     for key, entry in SCHEMA.items():
         if key not in values:
             if entry.required:
                 raise ConfigError(f"missing required key '{key}'")
             values[key] = entry.default
-    cfg = ExperimentConfig(values=values)
-    for key, entry in SCHEMA.items():
+        raw = values[key]
+        if entry.type is str and entry.choices is None:  # comma-separated floats
+            try:
+                lists[key] = [float(tok) for tok in raw.split(",")] if raw.strip() else []
+            except ValueError as exc:
+                raise ConfigError(
+                    f"line {seen[key]}: '{key}' is not a comma-separated float list: {raw!r}"
+                ) from exc
         if entry.bound is not None:
             test, text = entry.bound
-            for v in cfg.float_list(key) if entry.type is str else [values[key]]:
+            for v in lists.get(key, [raw]):
                 if not test(v):
                     raise ConfigError(f"line {seen[key]}: '{key}' must be {text}, got {v!r}")
+    cfg = ExperimentConfig(values, lists)
     try:
         cfg.make_grid()
     except GridError as exc:

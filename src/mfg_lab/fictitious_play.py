@@ -24,14 +24,16 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TorusGrid, c10_norm_field, max_slice_l2_norm, sup_norm
+from .grid import TorusGrid, max_slice_l2_norm, write_lines
 from .mfg import (
     BestResponse,
     MfgSolution,
+    _coupling_defect,
     _keep_distinct,
     _package_solution,
     best_response,
     heat_flow_of_initial,
+    solution_distance,
 )
 from .models import MfgModel
 from .pde import SolverError
@@ -107,8 +109,7 @@ class FpTrace:
                 continue
             err = repr(self.errors[i]) if self.errors else ""
             lines.append(f"{i},{g!r},{self.mu_step_norms[i]!r},{err}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def run_fp(
@@ -122,7 +123,8 @@ def run_fp(
     """Iterate fp_step until gap_n <= gap_tol or n_max rounds.
 
     Non-convergence is data, not an error.  With a reference solution the
-    per-round error ||u^n - u||_{C^{1,0}} + ||m^n - m||_sup is recorded.
+    per-round error ||u^n - u||_{C^{1,0}} + ||m^n - m||_sup is recorded
+    (`mfg.solution_distance` of the reference to the round's (u^n, m^n)).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -137,20 +139,18 @@ def run_fp(
         _keep_distinct(warns, played.warnings)
         steps.append(max_slice_l2_norm(grid, state.mu - mu_before))
         if reference is not None:
-            errors.append(
-                c10_norm_field(grid, played.u - reference.u.values)
-                + sup_norm(played.m - reference.m.values)
-            )
+            errors.append(solution_distance(reference, played.u, played.m))
         if played.gap <= gap_tol:
             converged = True
             break
+    coupling = _coupling_defect(model, grid, state.last)
     return FpTrace(
         gaps=gaps,
         mu_step_norms=steps,
         errors=errors,
         n_iterations=state.n,
         converged=converged,
-        final=_package_solution(model, grid, state.last, state.n, converged, [], warns),
+        final=_package_solution(model, grid, state.last, coupling, state.n, converged, [], warns),
         state=state,
     )
 
@@ -189,17 +189,15 @@ def local_attractor_experiment(
     goes to the report's `failures`.
     """
     deltas = list(delta_list)
-    rngs = spawn_rngs(seed, len(deltas) * trials)
+    rngs = iter(spawn_rngs(seed, len(deltas) * trials))
     records = []
     failures = []
-    ri = 0
     for delta in deltas:
         successes = 0
         monotone_flags = []
         final_errors = []
         for trial in range(trials):
-            rng = rngs[ri]
-            ri += 1
+            rng = next(rngs)
             if delta == 0.0:
                 mu0 = stable_ref.m.values.copy()
             else:

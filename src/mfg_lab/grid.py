@@ -25,7 +25,6 @@ stencils with one-sided or limited variants.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -52,6 +51,8 @@ __all__ = [
     "scalar_field_from_csv",
     "write_field_binary",
     "read_field_binary",
+    "write_lines",
+    "write_json",
     "strict_json",
 ]
 
@@ -194,9 +195,7 @@ class DensityField(ScalarField):
         self.validate()
 
     def validate(self):
-        vol = self.grid.cell_volume
-        masses = vol * self.values.reshape(self.grid.n_time + 1, -1).sum(axis=1)
-        worst = np.max(np.abs(masses - 1.0))
+        worst = np.max(np.abs(self.mass() - 1.0))
         if worst > MASS_TOL:
             raise GridError(
                 f"density mass invariant violated: max |mass-1| = {worst:.3e}"
@@ -353,6 +352,7 @@ _MAGIC = b"MFGL"
 _VERSION = 1
 _KIND = {"scalar": 0, "density": 1, "flux": 2}
 _KIND_INV = {v: k for k, v in _KIND.items()}
+_HEADER = struct.Struct("<4sIIIIIddI")
 
 
 def _field_kind(f) -> str:
@@ -389,8 +389,7 @@ def field_to_csv(f, path) -> None:
             parts += [repr(float(coords[i])) for i in idx]
             parts += [repr(float(v)) for v in sl[flat]]
             lines.append(",".join(parts))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def scalar_field_from_csv(grid: TorusGrid, path) -> ScalarField:
@@ -415,8 +414,7 @@ def write_field_binary(f, path) -> None:
     grid = f.grid
     kind = _field_kind(f)
     ncomp = grid.dim if kind == "flux" else 1
-    header = struct.pack(
-        "<4sIIIIIddI",
+    header = _HEADER.pack(
         _MAGIC,
         _VERSION,
         _KIND[kind],
@@ -427,20 +425,15 @@ def write_field_binary(f, path) -> None:
         grid.T,
         ncomp,
     )
-    buf = io.BytesIO()
-    buf.write(header)
-    buf.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(header)
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
 def read_field_binary(path):
     with open(path, "rb") as fh:
         raw = fh.read()
-    hsize = struct.calcsize("<4sIIIIIddI")
-    magic, version, kind_id, dim, n_space, n_time, t0, T, ncomp = struct.unpack(
-        "<4sIIIIIddI", raw[:hsize]
-    )
+    magic, version, kind_id, dim, n_space, n_time, t0, T, ncomp = _HEADER.unpack_from(raw)
     if magic != _MAGIC or version != _VERSION:
         raise GridError("not an mfg-lab field file")
     grid = TorusGrid(dim=dim, n_space=n_space, n_time=n_time, t0=t0, T=T)
@@ -448,7 +441,7 @@ def read_field_binary(path):
     shape = (n_time + 1, *grid.spatial_shape)
     if kind == "flux":
         shape = (*shape, ncomp)
-    values = np.frombuffer(raw[hsize:], dtype="<f8").reshape(shape).copy()
+    values = np.frombuffer(raw[_HEADER.size :], dtype="<f8").reshape(shape).copy()
     if kind == "density":
         return DensityField(grid, values)
     if kind == "scalar":
@@ -469,6 +462,18 @@ def _jsonable(obj):
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj
+
+
+def write_lines(path, lines) -> None:
+    """The one text writer of every file a run writes (CSV tables, JSON
+    records): the lines, each ended by a newline, in UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """A run record (summary, manifest) as `strict_json`, indented by 2."""
+    write_lines(path, [strict_json(payload, indent=2)])
 
 
 def strict_json(payload, indent=None) -> str:

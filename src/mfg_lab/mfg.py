@@ -121,17 +121,23 @@ class MfgSolution:
     warnings: list = field(default_factory=list)
 
 
+def _coupling_defect(model, grid, played: BestResponse) -> tuple[np.ndarray, float]:
+    """f(m) of the round's m, and how far from it the round's source is (sup)."""
+    source_of_m = model.coupling.f_field(grid, played.m)
+    return source_of_m, sup_norm(played.source - source_of_m)
+
+
 def _package_solution(
-    model, grid, played: BestResponse, iterations, converged, gaps, warns
+    model, grid, played: BestResponse, coupling, iterations, converged, gaps, warns
 ) -> MfgSolution:
     """The round's (u, m) with its residuals: the backward and forward
-    defects, and how far the source the backward leg used is from f(m)."""
+    defects, and the coupling defect, given as `_coupling_defect`'s pair."""
     u, m = played.u, played.m
-    source_of_m = model.coupling.f_field(grid, m)
+    source_of_m, consistency = coupling
     residuals = {
         "hjb": hjb_residual(model, grid, u, source_of_m),
         "kolmogorov": kolmogorov_residual(grid, m, played.drift),
-        "coupling_consistency": sup_norm(played.source - source_of_m),
+        "coupling_consistency": consistency,
     }
     return MfgSolution(
         model=model,
@@ -199,10 +205,10 @@ def solve_picard(
     on slices 1..K and gamma is the least-squares fit of f by dF.  The first
     update, with no differences yet, is the damped (1-damping) m + damping m~.
 
-    Convergence metric: sup over time slices of the spatial l2 distance
-    between the forward output and the current trajectory.  Non-convergence
-    returns the best iterate with converged=False rather than raising; near
-    unstable equilibria that outcome is itself an observable.
+    Stop test: the sup over slices of the l2 gap of the forward output to
+    the trajectory, then the coupling defect, which the solution keeps.
+    Non-convergence returns the best iterate with converged=False rather
+    than raising; near unstable equilibria that outcome is an observable.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -228,11 +234,12 @@ def solve_picard(
             # the l2 stop alone can leave sup-norm coupling defects near
             # 100*tol; require the source mismatch small too so converged
             # solutions carry residuals <= 10*tol
-            f_of_m = model.coupling.f_field(grid, played.m)
-            if sup_norm(played.source - f_of_m) <= 5.0 * tol:
-                return _package_solution(model, grid, played, it, True, gaps, warns)
+            coupling = _coupling_defect(model, grid, played)
+            if coupling[1] <= 5.0 * tol:
+                return _package_solution(model, grid, played, coupling, it, True, gaps, warns)
         m_values = _anderson_belief(m_values, played.m, history, damping, m0_slice)
-    return _package_solution(model, grid, best, max_iter, False, gaps, warns)
+    coupling = _coupling_defect(model, grid, best)
+    return _package_solution(model, grid, best, coupling, max_iter, False, gaps, warns)
 
 
 # The probe's thresholds: initial gradients closer than UNIQUENESS_TOL_GRAD
@@ -280,8 +287,7 @@ def probe_uniqueness_given_gradient(
     )
 
 
-def solution_distance(a: MfgSolution, b: MfgSolution) -> float:
-    """sup_t (C^{1,0}-proxy distance of u) + sup-norm distance of m."""
-    du = c10_norm_field(a.grid, a.u.values - b.u.values)
-    dm = sup_norm(a.m.values - b.m.values)
-    return du + dm
+def solution_distance(sol: MfgSolution, u: np.ndarray, m: np.ndarray) -> float:
+    """sup_t (C^{1,0}-proxy distance of sol.u to u) + sup-norm distance of
+    sol.m to m, for the trajectories u and m on sol's grid."""
+    return c10_norm_field(sol.grid, sol.u.values - u) + sup_norm(sol.m.values - m)

@@ -24,9 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TorusGrid, gradient, laplacian_symbol, strict_json, sup_norm
-from .mfg import MfgSolution, _keep_distinct, _package_solution, solve_picard
+from .fictitious_play import fp_start, fp_step
+from .grid import TorusGrid, gradient, laplacian_symbol, strict_json, sup_norm, write_lines
+from .mfg import MfgSolution, _coupling_defect, _keep_distinct, _package_solution, solve_picard
 from .models import MfgModel, _sine_moment, builtin_quadratic
+from .pde import SolverError
 from .potential import AdmissiblePair, JBreakdown, evaluate_J
 
 __all__ = [
@@ -114,9 +116,6 @@ def find_asymmetric_branch(
     """
     if fp_rounds < 1:
         raise ValueError(f"fp_rounds must be at least 1, got {fp_rounds}")
-    from .fictitious_play import fp_start, fp_step
-    from .pde import SolverError
-
     warns = []
     try:
         state = fp_start(model, grid, mu0=asymmetric_initial_belief(grid))
@@ -137,9 +136,12 @@ def find_asymmetric_branch(
             tol=min(tol * 1e-2, 1e-10),
             max_iter=400,
         )
-        candidate = polished if polished.converged else _package_solution(
-            model, grid, state.last, state.n, state.last.gap <= tol, [], warns
-        )
+        candidate, last = polished, state.last
+        if not polished.converged:
+            coupling = _coupling_defect(model, grid, last)
+            candidate = _package_solution(
+                model, grid, last, coupling, state.n, last.gap <= tol, [], warns
+            )
     except SolverError as exc:
         # a transport blow-up at these parameters is a not-found cell,
         # recorded so the sweep can steer around it
@@ -298,8 +300,7 @@ class SweepResult:
                 f"{c['separation']!r},{c['j_symmetric']!r},{c['j_asymmetric']!r},"
                 f"{c['reason']}"
             )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def _cell_model(theta: float, horizon: float, dim: int) -> MfgModel:

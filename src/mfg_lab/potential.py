@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DensityField, FluxField, TorusGrid, c10_norm_field, sup_norm
-from .mfg import MfgSolution, drift_field, solve_picard
+from .grid import DensityField, FluxField, TorusGrid, sup_norm
+from .mfg import MfgSolution, drift_field, solution_distance, solve_picard
 from .models import MfgModel
 from .pde import continuity_residual, solve_continuity
 from .perturb import low_frequency_field, perturb_density_values
@@ -335,7 +335,7 @@ def restriction_consistency(
     Two Picard solves (tol 1e-11, at most 400 rounds): one from the
     restriction itself, one from it perturbed by 1e-2 (seed 0).  Distances
     of the re-solves to the restriction of sol are reported in
-    sup(u C^{1,0}) + sup(m) form.
+    sup(u C^{1,0}) + sup(m) form (`mfg.solution_distance`).
     """
     grid = sol.grid
     if not 0 < t1_index < grid.n_time:
@@ -344,19 +344,13 @@ def restriction_consistency(
     m_restr = sol.m.values[t1_index:].copy()
     u_restr = sol.u.values[t1_index:]
     m1 = m_restr[0]
-
-    def dist(s):
-        return c10_norm_field(rgrid, s.u.values - u_restr) + sup_norm(
-            s.m.values - m_restr
-        )
-
     run_a = solve_picard(model, rgrid, m0=m1, init_m=m_restr, tol=1e-11, max_iter=400)
     init_b = perturb_density_values(rgrid, m_restr, 1e-2, np.random.default_rng(0))
     init_b[0] = m1
     run_b = solve_picard(model, rgrid, m0=m1, init_m=init_b, tol=1e-11, max_iter=400)
     return RestrictionReport(
         t1_index=t1_index,
-        dist_from_restriction_init=dist(run_a),
-        dist_from_perturbed_init=dist(run_b),
+        dist_from_restriction_init=solution_distance(run_a, u_restr, m_restr),
+        dist_from_perturbed_init=solution_distance(run_b, u_restr, m_restr),
         both_converged=run_a.converged and run_b.converged,
     )

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -552,7 +552,7 @@ class TimeBlockLU:
                     x = h_t.T @ tr.T
                 else:
                     h_tk = _transport(g, b[K], np.ascontiguousarray(h_t.T), True)  # H T_K'
-                    m_t += (kg.c * h_tk + (h_tk @ kg.U) @ kg.W.T).T
+                    m_t += _times_rows(h_tk, kg).T
                     x = h_tk / s
                 m_inv[k] = _inverse(m_t.T, k)
                 np.matmul(m_inv[k], x, out=p[k])
@@ -770,25 +770,11 @@ class StabilityCertificate:
     witness_mu: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_json(self, witness_file: Optional[str] = None) -> str:
-        """Strict JSON (`grid.strict_json`): a non-finite float
-        (eigen_residual when no iteration ran) is written as null."""
-        return strict_json({
-            "sigma_min": self.sigma_min,
-            "grid_signature": self.grid_signature,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "method": self.method,
-            "n_unknowns": self.n_unknowns,
-            "t1_index": self.t1_index,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "eigen_residual": self.eigen_residual,
-            "lu_nnz": self.lu_nnz,
-            "factor_s": self.factor_s,
-            "cause": self.cause,
-            "witness_residual": self.witness_residual,
-            "witness_file": witness_file,
-        })
+        """Every field but the witness arrays, and the witness file's name, as
+        `grid.strict_json` (a nan eigen_residual, when no iteration ran, is null)."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        del payload["witness_v"], payload["witness_mu"]
+        return strict_json({**payload, "witness_file": witness_file})
 
 
 # Columns of the block inverse iteration.  The smallest singular values of
@@ -859,8 +845,11 @@ def certify_stability(
     (`SingularSchurBlock`, named in `cause`).  The witness is then its null
     vector back-substituted through the earlier slices, normalized, and
     sigma_min reports that witness's scaled residual, an upper bound; the
-    verdict follows the same rule, so it is never STABLE.
+    verdict follows the same rule, so it is never STABLE.  tol must be
+    positive: at tol <= 0 every converged estimate would pass as STABLE.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     op = assemble_operator(model, base, t1_index)
     w = op.row_scaling()
     cert = StabilityCertificate(
@@ -938,8 +927,7 @@ def isolation_experiment(
     records = []
     total = 0
     eta_list = list(eta_list)
-    rngs = spawn_rngs(seed, len(eta_list) * trials * (RUNS_PER_TRIAL + 1))
-    ri = 0
+    rngs = iter(spawn_rngs(seed, len(eta_list) * trials * (RUNS_PER_TRIAL + 1)))
     for eta in eta_list:
         converged_runs = 0
         in_ball_total = 0
@@ -947,16 +935,14 @@ def isolation_experiment(
         max_pair = 0.0
         max_to_base = 0.0
         for _ in range(trials):
-            rng_m0 = rngs[ri]
-            ri += 1
+            rng_m0 = next(rngs)
             if eta == 0.0:
                 m0_new = base.m.values[0].copy()
             else:
                 m0_new = perturb_density_values(grid, base.m.values[:1], eta, rng_m0)[0]
             in_ball = []
             for r in range(RUNS_PER_TRIAL):
-                rng_init = rngs[ri]
-                ri += 1
+                rng_init = next(rngs)
                 if eta == 0.0 and r == 0:
                     init = base.m.values.copy()
                 else:
@@ -973,14 +959,14 @@ def isolation_experiment(
                 if not run.converged:
                     continue
                 converged_runs += 1
-                dist = solution_distance(run, base)
+                dist = solution_distance(run, base.u.values, base.m.values)
                 if eta == 0.0 or dist <= max(5.0 * eta, 1e-6):
                     in_ball.append(run)
                     max_to_base = max(max_to_base, dist)
             in_ball_total += len(in_ball)
-            for i in range(len(in_ball)):
-                for j in range(i + 1, len(in_ball)):
-                    d = solution_distance(in_ball[i], in_ball[j])
+            for i, a in enumerate(in_ball):
+                for b in in_ball[i + 1 :]:
+                    d = solution_distance(a, b.u.values, b.m.values)
                     max_pair = max(max_pair, d)
                     if d > DISTINCT_TOL:
                         pairs += 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TorusGrid, l2_norm
+from .grid import TorusGrid, l2_norm, write_lines
 from .models import builtin_quadratic
 from .pde import HjbProblem, KolmogorovProblem, solve_hjb, solve_kolmogorov
 
@@ -91,8 +91,7 @@ class ConvergenceStudy:
         lines = ["n_space,n_time,hjb_sup_error"]
         for n, k, e in zip(self.n_list, self.k_list, self.hjb_errors):
             lines.append(f"{n},{k},{e!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def run_convergence_study(

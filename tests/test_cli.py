@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfg_lab.cli import _jsonable, main, run_experiment, validate_config
+from mfg_lab.cli import main, run_experiment, validate_config
 from mfg_lab.config import SCHEMA, ConfigError, load_config, parse_config
-from mfg_lab.grid import read_field_binary
+from mfg_lab.grid import _jsonable, read_field_binary
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,7 +31,7 @@ def test_parse_defaults_and_types():
     assert cfg["grid.n_space"] == 16
     assert cfg["solver.damping"] == 1.0
     assert cfg["seed"] == 0  # default materialized
-    assert cfg.float_list("stability.t1_fractions") == [0.0, 0.1, 0.25, 0.5]
+    assert cfg.lists["stability.t1_fractions"] == [0.0, 0.1, 0.25, 0.5]
 
 
 def test_parse_rejects_unknown_key_with_line():
@@ -113,6 +113,7 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("fictitious-play", "fp.n_max = 0"),
         ("fictitious-play", "fp.attractor_deltas = 0.01\nfp.attractor_trials = 0"),
         ("isolation", "isolation.trials = 0"),
+        ("stability", "stability.tol = 0"),
     ],
 )
 def test_cli_rejects_an_out_of_range_value_before_running(tmp_path, capsys, kind, lines):
@@ -130,19 +131,60 @@ def test_cli_rejects_an_out_of_range_value_before_running(tmp_path, capsys, kind
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("stability", "stability.t1_fractions"),
+        ("isolation", "isolation.etas"),
+        ("fictitious-play", "fp.attractor_deltas"),
+        ("convergence-study", "study.n_list"),
+    ],
+)
+def test_cli_rejects_a_malformed_list_before_running(tmp_path, capsys, kind, key):
+    # every list key is parsed with the config: a malformed entry is a
+    # config error naming its line (exit 2) under validate and under a run,
+    # which then writes no manifest
+    path = tmp_path / "c.cfg"
+    path.write_text(f"experiment.kind = {kind}\nmodel.name = monotone_local\n{key} = 0,x\n")
+    out = tmp_path / "out"
+    for command in ("validate", kind):
+        assert main([command, "--config", str(path), "--output", str(out)]) == 2
+        assert f"line 3: '{key}' is not a comma-separated float list" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_refuses_to_run_the_abs_hamiltonian(tmp_path, capsys):
+    # abs ships for validate to fail on; a run refuses it as a config error
+    # (exit 2) before it writes anything
+    path = tmp_path / "c.cfg"
+    path.write_text("experiment.kind = solve\nmodel.hamiltonian = abs\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--output", str(out)]) == 2
+    assert "for validation only" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="for validation only"):
+        run_experiment(parse_config(path.read_text()), out)
+    assert not out.exists()
+
+
 def test_schema_doc_lists_every_key_with_its_default():
     # configs/schema.txt documents config.SCHEMA: the same keys, in its
-    # table, each with its type and default (compared as values)
-    rows = {}
+    # table, each with its type and default (compared as values), and the
+    # notes of a bounded key (continuation lines included) state its bound
+    rows, notes = {}, {}
     text = (CONFIG_DIR / "schema.txt").read_text(encoding="utf-8")
     for line in text.split("-" * 35, 1)[1].splitlines():
         if line and not line[0].isspace():
-            key, typ, default = line.split()[:3]
+            key, typ, default, *rest = line.split(None, 3)
             rows[key] = (typ, default)
+            notes[key] = " ".join(rest)
+        elif notes and line.strip():
+            notes[key] += " " + line.strip()
     assert set(rows) == set(SCHEMA)
     for key, entry in SCHEMA.items():
         typ, default = rows[key]
         assert typ == entry.type.__name__, key
+        if entry.bound is not None:
+            assert entry.bound[1] in notes[key], key
         if entry.required:
             assert default == "(required)", key
         elif entry.type is str:

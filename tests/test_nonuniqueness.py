@@ -150,7 +150,7 @@ def test_competitor_beats_symmetric(branch_setup, branch_pair):
 def _count_rounds_before_polish(monkeypatch):
     """Count fp_step calls, and record the count at each polish call."""
     counts = {"rounds": 0, "at_polish": []}
-    fp_step, polish = fictitious_play.fp_step, nonuniqueness.solve_picard
+    fp_step, polish = nonuniqueness.fp_step, nonuniqueness.solve_picard
 
     def counted_step(state):
         counts["rounds"] += 1
@@ -160,7 +160,7 @@ def _count_rounds_before_polish(monkeypatch):
         counts["at_polish"].append(counts["rounds"])
         return polish(*args, **kwargs)
 
-    monkeypatch.setattr(fictitious_play, "fp_step", counted_step)
+    monkeypatch.setattr(nonuniqueness, "fp_step", counted_step)
     monkeypatch.setattr(nonuniqueness, "solve_picard", recorded_polish)
     return counts
 

@@ -697,3 +697,16 @@ def test_short_well_conditioned_restriction_is_stable():
     dense = svdvals(assemble_operator(model, base, N_TIME - 2).scaled_sparse().toarray())[-1]
     assert cert.verdict == "STABLE" and cert.converged
     assert abs(cert.sigma_min - dense) <= 1e-8 * dense
+
+
+def test_a_non_positive_tolerance_is_refused():
+    # just off the second root sigma_min is 9e-7, UNSTABLE-DIRECTION-FOUND at
+    # tol 1e-6; at tol <= 0 every converged estimate would pass as STABLE
+    T = 0.0939655588366413 * (1.0 + 1e-7)
+    model = builtin_quadratic(THETA, coupling="antimonotone_symmetric", T=T, m0="uniform")
+    base = solve_picard(model, model.make_grid(N_SPACE, N_TIME), tol=1e-12)
+    cert = certify_stability(model, base, 0, tol=1e-6)
+    assert cert.verdict == "UNSTABLE-DIRECTION-FOUND" and cert.converged
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            certify_stability(model, base, 0, tol=tol)
