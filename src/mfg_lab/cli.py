@@ -193,9 +193,7 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
     if trace.errors:
         summary["final_error_vs_reference"] = trace.errors[-1]
     deltas = cfg.lists["fp.attractor_deltas"]
-    if deltas:
-        if reference is None:
-            raise ComputeError("attractor experiment needs fp.reference = picard")
+    if deltas:  # parse_config refuses deltas without fp.reference = picard
         cert = certify_stability(model, reference, 0, tol=cfg["stability.tol"])
         if cert.verdict != "STABLE":
             raise ComputeError(

@@ -146,7 +146,8 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text, with the entries of every list key,
-    the bounds of its values and the grid it describes."""
+    the bounds of its values, the grid it describes, and that an attractor
+    experiment has its Picard reference."""
     values: dict[str, Any] = {}
     seen: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -185,6 +186,11 @@ def parse_config(text: str) -> ExperimentConfig:
             for v in lists.get(key, [raw]):
                 if not test(v):
                     raise ConfigError(f"line {seen[key]}: '{key}' must be {text}, got {v!r}")
+    if lists["fp.attractor_deltas"] and values["fp.reference"] != "picard":
+        raise ConfigError(
+            f"line {seen['fp.attractor_deltas']}: 'fp.attractor_deltas' needs "
+            "fp.reference = picard, the solution its trials are measured against"
+        )
     cfg = ExperimentConfig(values, lists)
     try:
         cfg.make_grid()

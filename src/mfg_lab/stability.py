@@ -53,6 +53,12 @@ allocated.  A Schur block singular to working precision leaves no
 factorization to iterate with; its null vector, back-substituted through
 the earlier slices by the backward recursion of the solves, is the witness
 instead, so such an operator is never certified STABLE either.
+
+scipy is imported by the first call that needs it, never with this module:
+LAPACK and BLAS (scipy.linalg) by the first `TimeBlockLU`, scipy.sparse by
+the oracle `to_sparse`.  The products, the backward sweep and everything
+else in the package run on numpy alone, so a process that only solves,
+plays or searches never loads scipy.
 """
 
 from __future__ import annotations
@@ -63,10 +69,6 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla  # noqa: F401  (perfbench's tracer rebinds this name)
-from scipy.linalg import lapack
-from scipy.linalg.blas import dgemm
 
 from .grid import (
     ScalarField,
@@ -93,6 +95,25 @@ __all__ = [
     "backward_response",
     "flux_from_value_direction",
 ]
+
+
+def __getattr__(name: str):
+    """`sp` and `spla`, scipy's sparse modules, imported on first access.
+
+    Nothing in the package reads them: `to_sparse` and `scaled_sparse`
+    import scipy.sparse themselves.  perfbench/tracing.py reads and rebinds
+    `stability.spla` to trace a sparse LU that no solve calls any more; the
+    names stay until the tracer drops that hook."""
+    if name == "sp":
+        import scipy.sparse
+
+        return scipy.sparse
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Memory guard of the block factorization, checked against the bytes of the
 # dense blocks it stores before any is allocated (and before the sparse
@@ -357,11 +378,13 @@ class AssembledOperator:
                 "products instead"
             )
 
-    def to_sparse(self) -> sp.csr_matrix:
+    def to_sparse(self) -> "scipy.sparse.csr_matrix":
         """The assembled matrix A, kernel blocks dense: an oracle for tests
         and the benchmark's references; certificates and solves use
         `factorize`.  Each block is its apply to the identity, whose row j
         is the block's column j."""
+        import scipy.sparse as sp
+
         self._check_lu_size()
         g, K, n = self.grid, self.K, self.n
         eye = np.eye(n)
@@ -390,7 +413,9 @@ class AssembledOperator:
         w[2 * self.K * self.n :] = self.boundary_weight
         return w
 
-    def scaled_sparse(self) -> sp.csr_matrix:
+    def scaled_sparse(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse as sp
+
         return sp.diags(self.row_scaling()) @ self.to_sparse()
 
     def factorize(self) -> "TimeBlockLU":
@@ -435,24 +460,6 @@ class SingularSchurBlock(np.linalg.LinAlgError):
         self.factor_s = 0.0
 
 
-def _inverse(a: np.ndarray, slice_index: int) -> np.ndarray:
-    """a^-1 through LAPACK's partially pivoted LU; a block that is singular to
-    working precision raises `SingularSchurBlock` naming its time slice.
-
-    The Schur block of slice k comes out of k elimination steps on n x n
-    blocks, so it carries rounding of order (k+1) n eps relative to its
-    norm; a reciprocal condition number below that cannot be told from
-    zero.  (At the closed-form critical horizons of the uniform state of
-    antimonotone_symmetric, theta=64, N=16, K=32, rcond of the last block
-    reads anywhere from 2e-17 to 2e-14 within three ulps of a horizon, and
-    1e-8 a relative 1e-9 away from it.)"""
-    lu, piv, info = lapack.dgetrf(a)
-    rcond = lapack.dgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
-    if not rcond > (slice_index + 1) * len(a) * np.finfo(float).eps:
-        raise SingularSchurBlock(slice_index, rcond, np.linalg.svd(a)[2][-1])
-    return lapack.dgetri(lu, piv)[0]
-
-
 class TimeBlockLU:
     """(D A)^-1 of the row-scaled operator by block elimination forward in
     time: what `AssembledOperator.factorize` returns.
@@ -488,6 +495,8 @@ class TimeBlockLU:
     gemm reads a stored block in its own order.
     Pivoting happens inside each n x n block (LAPACK) and nowhere else; a
     Schur block singular to working precision raises `SingularSchurBlock`.
+    LAPACK and BLAS come from scipy.linalg, imported by the first
+    factorization: the rest of the package runs on numpy alone.
     """
 
     @staticmethod
@@ -499,8 +508,15 @@ class TimeBlockLU:
         return sum(math.prod(s) for s in TimeBlockLU.stored_shapes(K, n).values())
 
     def __init__(self, op: AssembledOperator):
-        start = time.process_time()
+        from scipy.linalg import lapack
+        from scipy.linalg.blas import dgemm
+
         K, n = op.K, op.n
+        self._lapack, self._dgemm = lapack, dgemm
+        # dgetri's optimal workspace: scipy's default, 3n, makes LAPACK invert
+        # a block of n > 64 in column panels of 3
+        self._lwork = int(lapack.dgetri_lwork(n)[0])
+        start = time.process_time()
         self.K, self.n, self.size = K, n, op.n_unknowns
         self._s = s = op.boundary_weight
         # the operator's coefficient stacks, which the solves apply as well,
@@ -536,7 +552,7 @@ class TimeBlockLU:
         # order and are kept so; D0^-1 is symmetric, and LAPACK returns
         # M_k^-1 in Fortran order.
         try:
-            m_inv[0] = _inverse(s * op.initial * np.eye(n), 0)
+            m_inv[0] = self._inverse(s * op.initial * np.eye(n), 0)
             p[0] = 0.0
             for k in range(1, K + 1):
                 h_t = _div(g, _times_mA(mA[k - 1], grad_d0))  # (E_{k-1} D0^-1)^T
@@ -554,7 +570,7 @@ class TimeBlockLU:
                     h_tk = _transport(g, b[K], np.ascontiguousarray(h_t.T), True)  # H T_K'
                     m_t += _times_rows(h_tk, kg).T
                     x = h_tk / s
-                m_inv[k] = _inverse(m_t.T, k)
+                m_inv[k] = self._inverse(m_t.T, k)
                 np.matmul(m_inv[k], x, out=p[k])
         except SingularSchurBlock as err:
             # the stacked unknowns, zero after slice k, that solve the homogeneous
@@ -568,6 +584,24 @@ class TimeBlockLU:
             err.factor_s = time.process_time() - start
             raise
         self.factor_s = time.process_time() - start
+
+    def _inverse(self, a: np.ndarray, slice_index: int) -> np.ndarray:
+        """a^-1 through LAPACK's partially pivoted LU; a block that is singular
+        to working precision raises `SingularSchurBlock` naming its time slice.
+
+        The Schur block of slice k comes out of k elimination steps on n x n
+        blocks, so it carries rounding of order (k+1) n eps relative to its
+        norm; a reciprocal condition number below that cannot be told from
+        zero.  (At the closed-form critical horizons of the uniform state of
+        antimonotone_symmetric, theta=64, N=16, K=32, rcond of the last block
+        reads anywhere from 2e-17 to 2e-14 within three ulps of a horizon, and
+        1e-8 a relative 1e-9 away from it.)"""
+        lapack = self._lapack
+        lu, piv, info = lapack.dgetrf(a)
+        rcond = lapack.dgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
+        if not rcond > (slice_index + 1) * len(a) * np.finfo(float).eps:
+            raise SingularSchurBlock(slice_index, rcond, np.linalg.svd(a)[2][-1])
+        return lapack.dgetri(lu, piv, lwork=self._lwork)[0]
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """(D A)^-1 b, or (D A)^-T b for trans="T"; b of shape (N,) or (N, p),
@@ -593,6 +627,7 @@ class TimeBlockLU:
         block of the operator: the backward rows, the forward rows, the
         initial and the terminal row."""
         K, s, g, b_k, m_inv_f = self.K, self._s, self._grid, self._b_k, self._m_inv_f
+        dgemm = self._dgemm
         x = np.empty((2, K + 1, self.n, b.shape[-1]))
         zv, zm = list(x[0]), list(x[1])
         # forward: zv_k = D0^-1 bv_k, t_k = c_k - E_{k-1} zv_{k-1} - T_{k-1}^T zm_{k-1}
@@ -617,7 +652,7 @@ class TimeBlockLU:
         subtracts B_g zm_K' from zv_K', then w_{j+1} = T_{j+1} xv_{j+1} +
         B_{j+1} xm_{j+1} and x_j = z_j - (D0^-1, P_j) w_{j+1} for j < k."""
         g, b_k, kc, u, wt = self._grid, self._b_k, self._kf.c, self._u, self._wt
-        p_f, d0_f = self._p_f, self._d0_f
+        p_f, d0_f, dgemm = self._p_f, self._d0_f, self._dgemm
         zv, zm = list(x[0]), list(x[1])
         if k == self.K:
             zv[k] -= _times(self._kg, zm[k])
@@ -639,7 +674,7 @@ class TimeBlockLU:
         kind B is B^T applied to the rows."""
         K, s, g = self.K, self._s, self._grid
         b_k, kc, u, wt = self._b_k, self._kf.c, self._u, self._wt
-        m_inv_f, p_f = self._m_inv_f, self._p_f
+        m_inv_f, p_f, dgemm = self._m_inv_f, self._p_f, self._dgemm
         bv, bm = b.reshape(2, K + 1, -1, self.n)
         y = np.empty((2, *bv.shape))
         yv, ym = list(y[0]), list(y[1])
@@ -764,6 +799,7 @@ class StabilityCertificate:
     eigen_residual: float
     lu_nnz: int  # entries the block factorization stores
     factor_s: float  # CPU seconds of the factorization
+    iterate_s: float  # CPU seconds of the block inverse iteration (0 when none ran)
     cause: Optional[str] = None  # why no iteration ran: the singular block
     witness_residual: Optional[float] = None
     witness_v: Optional[np.ndarray] = field(default=None, repr=False)
@@ -865,6 +901,7 @@ def certify_stability(
         eigen_residual=math.nan,
         lu_nnz=TimeBlockLU.stored_entries(op.K, op.n),
         factor_s=0.0,
+        iterate_s=0.0,
     )
     try:
         lu = op.factorize()
@@ -874,7 +911,9 @@ def certify_stability(
         cert.sigma_min = float(np.linalg.norm(ax))
         cert.method, cert.cause, cert.factor_s = "singular-schur-block", str(err), err.factor_s
     else:
+        start = time.process_time()
         sigma, x, cert.iterations, cert.converged = _block_inverse_sigma_min(lu)
+        cert.iterate_s = time.process_time() - start
         ax = w * op.matvec(x)
         gap = op.rmatvec(w * ax) - sigma**2 * x
         cert.sigma_min, cert.factor_s = sigma, lu.factor_s

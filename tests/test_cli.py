@@ -153,6 +153,27 @@ def test_cli_rejects_a_malformed_list_before_running(tmp_path, capsys, kind, key
     assert not (out / "manifest.json").exists()
 
 
+def test_cli_refuses_attractor_deltas_without_a_picard_reference(tmp_path, capsys):
+    # the attractor experiment measures its trials against the Picard
+    # reference: without one the config is refused (exit 2) under validate
+    # and under a run, before any round is played or manifest written
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        "experiment.kind = fictitious-play\nmodel.name = monotone_local\n"
+        "grid.n_space = 16\ngrid.n_time = 16\nfp.n_max = 20\n"
+        "fp.reference = none\nfp.attractor_deltas = 0.0,0.01\n"
+    )
+    out = tmp_path / "out"
+    for command in ("validate", "fictitious-play"):
+        assert main([command, "--config", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 7: 'fp.attractor_deltas' needs fp.reference = picard" in err
+    assert not out.exists()
+    # either key alone passes
+    parse_config(path.read_text().replace("fp.reference = none\n", ""))
+    parse_config(path.read_text().replace("fp.attractor_deltas = 0.0,0.01\n", ""))
+
+
 def test_cli_refuses_to_run_the_abs_hamiltonian(tmp_path, capsys):
     # abs ships for validate to fail on; a run refuses it as a config error
     # (exit 2) before it writes anything
@@ -292,11 +313,13 @@ def test_run_stability_writes_certificates(tmp_path):
         # 2K'+3 dense 16 x 16 blocks of the block factorization
         assert cert["lu_nnz"] == (2 * (16 - t1) + 3) * 16**2
         assert cert["factor_s"] >= 0.0
+        # CPU seconds of the block inverse iteration, which ran
+        assert cert["iterate_s"] > 0.0
         assert "border" not in cert
     for rec in summary["certificates"].values():
         assert rec["verdict"] == "STABLE"
         assert rec["sigma_min"] > 1e-6
-        for key in ("eigen_residual", "lu_nnz", "factor_s"):
+        for key in ("eigen_residual", "lu_nnz", "factor_s", "iterate_s"):
             assert key not in rec
 
 

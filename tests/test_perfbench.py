@@ -46,7 +46,7 @@ def test_workload_task_passes_its_check(workloads, name):
     assert wl.check(inputs, out)
     if name == "certify":
         # perfbench/tracing.py splits certificate time by this prefix and
-        # traces scipy's LU through `stability.spla`
+        # rebinds `stability.spla` (to wrap a sparse LU that no solve calls)
         assert all(not c.method.startswith("dense") for c in out[2].values())
         assert hasattr(stability, "spla")
 

@@ -511,6 +511,35 @@ def test_certificate_peak_memory_stays_near_the_stored_blocks():
     assert peak <= estimate + margin
 
 
+@pytest.mark.parametrize("dim, n_space", [(1, 24), (2, 16)])
+def test_block_inverse_takes_the_optimal_dgetri_workspace(dim, n_space):
+    # at n <= 64 LAPACK's dgetri inverts unblocked with any workspace, so the
+    # bits are those of scipy's default workspace (3n); at n = 256 the
+    # optimal workspace takes the blocked path, which agrees with numpy
+    from scipy.linalg import lapack
+
+    model = builtin_quadratic(coupling="monotone_local", dim=dim, T=0.5, m0="cosine")
+    base = solve_picard(model, model.make_grid(n_space, 2), damping=0.5, tol=1e-12)
+    lu = assemble_operator(model, base, 0).factorize()
+    n = lu.n
+    a = 4.0 * np.eye(n) + np.random.default_rng(n).standard_normal((n, n)) / math.sqrt(n)
+    got = lu._inverse(a, 0)
+    if n == 24:
+        assert np.array_equal(got, lapack.dgetri(*lapack.dgetrf(a)[:2])[0])
+    else:
+        assert n == 256
+        want = np.linalg.inv(a)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_certificate_reports_its_iteration_time(monotone_model, monotone_solution):
+    # iterate_s, next to factor_s, is the CPU time of the block inverse
+    # iteration and goes to the certificate's JSON
+    cert = certify_stability(monotone_model, monotone_solution, 0)
+    assert cert.iterations > 0 and cert.iterate_s > 0.0
+    assert json.loads(cert.to_json())["iterate_s"] == cert.iterate_s
+
+
 @settings(max_examples=30)
 @given(operator_cases(wide=True), st.integers(0, 2**32 - 1))
 def test_block_lu_solves_the_scaled_operator(case, seed):
@@ -586,7 +615,7 @@ def test_singular_block_before_the_last_slice_is_inconclusive(
     cert = certify_stability(monotone_model, monotone_solution, 0)
     assert cert.verdict == "INCONCLUSIVE" and cert.method == "singular-schur-block"
     assert "time slice 0 is singular" in cert.cause
-    assert cert.iterations == 0 and not cert.converged
+    assert cert.iterations == 0 and not cert.converged and cert.iterate_s == 0.0
     assert cert.witness_residual == cert.sigma_min > cert.tolerance
     assert json.loads(cert.to_json())["cause"] == cert.cause
 
