@@ -144,6 +144,26 @@ def _solve_base(cfg: ExperimentConfig):
     return model, grid, sol
 
 
+def _converged_base(cfg: ExperimentConfig):
+    """`_solve_base`, refusing a base that did not converge."""
+    model, grid, sol = _solve_base(cfg)
+    if not sol.converged:
+        raise ComputeError("base solve did not converge; cannot certify")
+    return model, grid, sol
+
+
+def _stable_base(cfg: ExperimentConfig):
+    """The converged base certified STABLE at t1 = 0, and its certificate:
+    the reference of the isolation and attractor runs, before any round."""
+    from .stability import certify_stability
+
+    model, grid, sol = _converged_base(cfg)
+    cert = certify_stability(model, sol, 0, tol=cfg["stability.tol"])
+    if cert.verdict != "STABLE":
+        raise ComputeError(f"the {cfg.kind} run needs a STABLE base, got {cert.verdict}")
+    return model, grid, sol, cert
+
+
 def _run_solve(cfg, outdir: Path, seed: int) -> dict:
     from .potential import AdmissiblePair, evaluate_J
 
@@ -169,9 +189,11 @@ def _run_solve(cfg, outdir: Path, seed: int) -> dict:
 
 def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
     from .fictitious_play import local_attractor_experiment, run_fp
-    from .stability import certify_stability
 
-    if cfg["fp.reference"] == "picard":
+    deltas = cfg.lists["fp.attractor_deltas"]
+    if deltas:  # parse_config refuses deltas without fp.reference = picard
+        model, grid, reference, cert = _stable_base(cfg)
+    elif cfg["fp.reference"] == "picard":
         model, grid, reference = _solve_base(cfg)
     else:
         model, grid, reference = cfg.make_model(), cfg.make_grid(), None
@@ -192,13 +214,7 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
     }
     if trace.errors:
         summary["final_error_vs_reference"] = trace.errors[-1]
-    deltas = cfg.lists["fp.attractor_deltas"]
-    if deltas:  # parse_config refuses deltas without fp.reference = picard
-        cert = certify_stability(model, reference, 0, tol=cfg["stability.tol"])
-        if cert.verdict != "STABLE":
-            raise ComputeError(
-                f"attractor experiment requires a STABLE reference, got {cert.verdict}"
-            )
+    if deltas:
         report = local_attractor_experiment(
             model,
             grid,
@@ -220,9 +236,7 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
 def _run_stability(cfg, outdir: Path, seed: int) -> dict:
     from .stability import certify_stability
 
-    model, grid, sol = _solve_base(cfg)
-    if not sol.converged:
-        raise ComputeError("base solve did not converge; cannot certify")
+    model, grid, sol = _converged_base(cfg)
     fracs = cfg.lists["stability.t1_fractions"]
     K = grid.n_time
     # a restriction keeps at least two time steps (`TorusGrid.restrict`)
@@ -250,14 +264,9 @@ def _run_stability(cfg, outdir: Path, seed: int) -> dict:
 
 
 def _run_isolation(cfg, outdir: Path, seed: int) -> dict:
-    from .stability import certify_stability, isolation_experiment
+    from .stability import isolation_experiment
 
-    model, grid, sol = _solve_base(cfg)
-    cert = certify_stability(model, sol, 0, tol=cfg["stability.tol"])
-    if cert.verdict != "STABLE":
-        raise ComputeError(
-            f"isolation experiment requires a STABLE base, got {cert.verdict}"
-        )
+    model, grid, sol, cert = _stable_base(cfg)
     report = isolation_experiment(
         model,
         sol,

@@ -47,6 +47,7 @@ class _Key:
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _POSITIVE = (lambda v: v > 0, "> 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
+_N_SPACE = (lambda v: v >= 4, ">= 4")  # the least n_space of a `TorusGrid`
 
 SCHEMA: dict[str, _Key] = {
     "experiment.kind": _Key(str, None, KINDS, required=True),
@@ -75,14 +76,14 @@ SCHEMA: dict[str, _Key] = {
     "isolation.trials": _Key(int, 5, bound=_COUNT),
     "nonuniqueness.thetas": _Key(str, "1,4,16,64", bound=_NONNEGATIVE),
     "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8", bound=_POSITIVE),
-    "nonuniqueness.steps_per_unit_time": _Key(int, 128),
+    "nonuniqueness.steps_per_unit_time": _Key(int, 128, bound=_COUNT),
     "nonuniqueness.fp_rounds": _Key(int, 150, bound=_COUNT),
     "nonuniqueness.tol": _Key(float, 1e-6),
     "nonuniqueness.refine": _Key(int, 1, (0, 1)),
-    "study.n_list": _Key(str, "32,64,128"),
-    "study.heat_n": _Key(int, 64),
-    "study.heat_k": _Key(int, 256),
-    "study.heat_horizon": _Key(float, 0.25),
+    "study.n_list": _Key(str, "32,64,128", bound=_N_SPACE),
+    "study.heat_n": _Key(int, 64, bound=_N_SPACE),
+    "study.heat_k": _Key(int, 256, bound=(lambda v: v >= 2, ">= 2")),
+    "study.heat_horizon": _Key(float, 0.25, bound=_POSITIVE),
     "seed": _Key(int, 0),
     "output.write_fields": _Key(int, 1, (0, 1)),
 }

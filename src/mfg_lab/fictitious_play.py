@@ -28,7 +28,6 @@ from .grid import TorusGrid, max_slice_l2_norm, write_lines
 from .mfg import (
     BestResponse,
     MfgSolution,
-    _coupling_defect,
     _keep_distinct,
     _package_solution,
     best_response,
@@ -143,14 +142,13 @@ def run_fp(
         if played.gap <= gap_tol:
             converged = True
             break
-    coupling = _coupling_defect(model, grid, state.last)
     return FpTrace(
         gaps=gaps,
         mu_step_norms=steps,
         errors=errors,
         n_iterations=state.n,
         converged=converged,
-        final=_package_solution(model, grid, state.last, coupling, state.n, converged, [], warns),
+        final=_package_solution(model, grid, state.last, state.n, converged, [], warns),
         state=state,
     )
 

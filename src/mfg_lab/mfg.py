@@ -121,23 +121,17 @@ class MfgSolution:
     warnings: list = field(default_factory=list)
 
 
-def _coupling_defect(model, grid, played: BestResponse) -> tuple[np.ndarray, float]:
-    """f(m) of the round's m, and how far from it the round's source is (sup)."""
-    source_of_m = model.coupling.f_field(grid, played.m)
-    return source_of_m, sup_norm(played.source - source_of_m)
-
-
 def _package_solution(
-    model, grid, played: BestResponse, coupling, iterations, converged, gaps, warns
+    model, grid, played: BestResponse, iterations, converged, gaps, warns
 ) -> MfgSolution:
     """The round's (u, m) with its residuals: the backward and forward
-    defects, and the coupling defect, given as `_coupling_defect`'s pair."""
+    defects, and the coupling defect sup |source - f(m)|."""
     u, m = played.u, played.m
-    source_of_m, consistency = coupling
+    source_of_m = model.coupling.f_field(grid, m)
     residuals = {
         "hjb": hjb_residual(model, grid, u, source_of_m),
         "kolmogorov": kolmogorov_residual(grid, m, played.drift),
-        "coupling_consistency": consistency,
+        "coupling_consistency": sup_norm(played.source - source_of_m),
     }
     return MfgSolution(
         model=model,
@@ -206,7 +200,7 @@ def solve_picard(
     update, with no differences yet, is the damped (1-damping) m + damping m~.
 
     Stop test: the sup over slices of the l2 gap of the forward output to
-    the trajectory, then the coupling defect, which the solution keeps.
+    the trajectory, then the coupling defect.
     Non-convergence returns the best iterate with converged=False rather
     than raising; near unstable equilibria that outcome is an observable.
     """
@@ -234,12 +228,10 @@ def solve_picard(
             # the l2 stop alone can leave sup-norm coupling defects near
             # 100*tol; require the source mismatch small too so converged
             # solutions carry residuals <= 10*tol
-            coupling = _coupling_defect(model, grid, played)
-            if coupling[1] <= 5.0 * tol:
-                return _package_solution(model, grid, played, coupling, it, True, gaps, warns)
+            if sup_norm(played.source - model.coupling.f_field(grid, played.m)) <= 5.0 * tol:
+                return _package_solution(model, grid, played, it, True, gaps, warns)
         m_values = _anderson_belief(m_values, played.m, history, damping, m0_slice)
-    coupling = _coupling_defect(model, grid, best)
-    return _package_solution(model, grid, best, coupling, max_iter, False, gaps, warns)
+    return _package_solution(model, grid, best, max_iter, False, gaps, warns)
 
 
 # The probe's thresholds: initial gradients closer than UNIQUENESS_TOL_GRAD

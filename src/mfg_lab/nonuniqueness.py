@@ -14,6 +14,7 @@ Both branches come from the shared solvers and no iteration of their own:
 the symmetric one is `solve_picard` from the symmetric m0, the broken one is
 fictitious play from a lopsided belief, which reaches the basin of the stable
 branch by round COLLAPSE_CHECK_ROUND, polished from there by `solve_picard`.
+A polish that does not converge leaves the cell not-found.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .fictitious_play import fp_start, fp_step
 from .grid import TorusGrid, gradient, laplacian_symbol, strict_json, sup_norm, write_lines
-from .mfg import MfgSolution, _coupling_defect, _keep_distinct, _package_solution, solve_picard
+from .mfg import MfgSolution, solve_picard
 from .models import MfgModel, _sine_moment, builtin_quadratic
 from .pde import SolverError
 from .potential import AdmissiblePair, JBreakdown, evaluate_J
@@ -111,17 +112,16 @@ def find_asymmetric_branch(
     Fictitious play runs min(fp_rounds, COLLAPSE_CHECK_ROUND) rounds.  A
     collapsed sine moment then reports convergence back to the symmetric
     branch as not-found (that outcome steers the sweep), never as an error;
-    any other flow starts the polish, and a polish that does not converge
-    leaves the fictitious-play candidate to the residual check.
+    any other flow starts the polish.  A polish that does not converge is
+    not-found too, with that reason; a converged one still has to pass the
+    residual and separation checks.
     """
     if fp_rounds < 1:
         raise ValueError(f"fp_rounds must be at least 1, got {fp_rounds}")
-    warns = []
     try:
         state = fp_start(model, grid, mu0=asymmetric_initial_belief(grid))
         for _ in range(min(fp_rounds, COLLAPSE_CHECK_ROUND)):
             state = fp_step(state)
-            _keep_distinct(warns, state.last.warnings)
         if np.max(np.abs(_sine_moment(grid, state.last.m)[0])) < COLLAPSE_MOMENT:
             return AsymmetricSearch(
                 False,
@@ -136,23 +136,20 @@ def find_asymmetric_branch(
             tol=min(tol * 1e-2, 1e-10),
             max_iter=400,
         )
-        candidate, last = polished, state.last
-        if not polished.converged:
-            coupling = _coupling_defect(model, grid, last)
-            candidate = _package_solution(
-                model, grid, last, coupling, state.n, last.gap <= tol, [], warns
-            )
     except SolverError as exc:
         # a transport blow-up at these parameters is a not-found cell,
         # recorded so the sweep can steer around it
         return AsymmetricSearch(False, None, f"solver failure: {exc}", 0.0)
-    defect = reflection_defect(candidate.m.values)
-    resid = max(candidate.residuals["hjb"], candidate.residuals["kolmogorov"])
+    defect = reflection_defect(polished.m.values)
+    if not polished.converged:
+        reason = f"polish did not converge in {polished.iterations} rounds"
+        return AsymmetricSearch(False, None, reason, defect)
+    resid = max(polished.residuals["hjb"], polished.residuals["kolmogorov"])
     if resid > tol:
         return AsymmetricSearch(False, None, f"residual {resid:.2e} above {tol:.0e}", defect)
     if defect < max(10.0 * symmetric_defect, SEPARATION_FLOOR):
         return AsymmetricSearch(False, None, "converged to the symmetric branch", defect)
-    return AsymmetricSearch(True, candidate, "ok", defect)
+    return AsymmetricSearch(True, polished, "ok", defect)
 
 
 @dataclass
@@ -240,18 +237,16 @@ def holding_rate(model: MfgModel, grid: TorusGrid, mbar: np.ndarray) -> float:
 
 def best_holding_profile(model: MfgModel, grid: TorusGrid) -> tuple[np.ndarray, float]:
     """Sine profile 1 + a sin(2 pi x1) minimizing the holding rate over a."""
-    coords = grid.coordinates()
-    sine = np.sin(2.0 * np.pi * coords[0])
-    best_a, best_rate = 0.0, holding_rate(model, grid, np.ones(grid.spatial_shape))
+    sine = np.sin(2.0 * np.pi * grid.coordinates()[0])
+    ones = np.ones(grid.spatial_shape)
+    best, best_rate = ones / (grid.cell_volume * ones.sum()), holding_rate(model, grid, ones)
     for a in np.linspace(0.05, 0.95, 19):
         mbar = 1.0 + a * sine
         mbar = mbar / (grid.cell_volume * mbar.sum())
         rate = holding_rate(model, grid, mbar)
         if rate < best_rate:
-            best_a, best_rate = a, rate
-    mbar = 1.0 + best_a * sine
-    mbar = mbar / (grid.cell_volume * mbar.sum())
-    return mbar, best_rate
+            best, best_rate = mbar, rate
+    return best, best_rate
 
 
 def build_competitor(model: MfgModel, grid: TorusGrid) -> AdmissiblePair:
@@ -303,14 +298,19 @@ class SweepResult:
         write_lines(path, lines)
 
 
-def _cell_model(theta: float, horizon: float, dim: int) -> MfgModel:
-    return builtin_quadratic(
+def _sweep_cell(
+    theta: float, horizon: float, dim: int, n_space: int, steps_per_unit_time: int
+) -> tuple[MfgModel, TorusGrid]:
+    """The model and grid of one sweep cell, with at least two time steps."""
+    model = builtin_quadratic(
         theta=theta,
         coupling="antimonotone_symmetric",
         dim=dim,
         T=horizon,
         m0="uniform",
     )
+    n_time = max(2, int(round(horizon * steps_per_unit_time)))
+    return model, model.make_grid(n_space, n_time)
 
 
 # relative gap below which two cells' separations count as equal
@@ -337,10 +337,7 @@ def sweep_nonuniqueness(
     params = [(theta, horizon) for theta in thetas for horizon in horizons]
 
     def run_cell(args):
-        theta, horizon = args
-        model = _cell_model(theta, horizon, dim)
-        n_time = max(2, int(round(horizon * steps_per_unit_time)))
-        grid = model.make_grid(n_space, n_time)
+        model, grid = _sweep_cell(*args, dim, n_space, steps_per_unit_time)
         return make_branch_pair(model, grid, tol=tol, fp_rounds=fp_rounds)
 
     cells = []
@@ -372,9 +369,9 @@ def sweep_nonuniqueness(
         best_pair = max(ties, key=lambda p: (p.horizon, p.theta))
     change = None
     if best_pair is not None and refine_best:
-        model = _cell_model(best_pair.theta, best_pair.horizon, dim)
-        n_time = int(round(best_pair.horizon * steps_per_unit_time * 2))
-        grid = model.make_grid(n_space * 2, n_time)
+        model, grid = _sweep_cell(
+            best_pair.theta, best_pair.horizon, dim, 2 * n_space, 2 * steps_per_unit_time
+        )
         refined, _ = make_branch_pair(model, grid, tol=tol, fp_rounds=fp_rounds)
         if refined is not None:
             change = abs(refined.separation - best_pair.separation) / best_pair.separation

@@ -337,10 +337,9 @@ def restriction_consistency(
     of the re-solves to the restriction of sol are reported in
     sup(u C^{1,0}) + sup(m) form (`mfg.solution_distance`).
     """
-    grid = sol.grid
-    if not 0 < t1_index < grid.n_time:
+    if t1_index == 0:
         raise ValueError("t1 must be an interior grid time")
-    rgrid = grid.restrict(t1_index)
+    rgrid = sol.grid.restrict(t1_index)  # a GridError past its bounds
     m_restr = sol.m.values[t1_index:].copy()
     u_restr = sol.u.values[t1_index:]
     m1 = m_restr[0]

@@ -20,7 +20,7 @@ kinds are applied to whole stacks through the per-axis difference products
 of the sweeps (`pde`; the stencils of `grid` to roundoff):
 
     T_k = -I/dt + b^k.G,    T_k^T = -I/dt - div(b^k .),
-    E_k = -div(m^k A^k G .),    D0 = I/dt - Lap,
+    E_k = -div(m^k A^k G .) = E_k^T,    D0 = I/dt - Lap,
 
 and a kernel block is the coupling's kernel in the factored form c I + U W^T
 of small rank r (`models.KernelFactors`).  The matrix-free products, the
@@ -188,10 +188,8 @@ def _times_mA(mA: np.ndarray, g: list) -> list:
     return out
 
 
-def _diffusion(grid: TorusGrid, mA: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
-    """E x = -div(m A G x), or E^T x with m A transposed (`trans`)."""
-    if trans:
-        mA = np.swapaxes(mA, -3, -2)
+def _diffusion(grid: TorusGrid, mA: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """E x = -div(m A G x); m A = m D2_ppH is symmetric, so E^T = E bit for bit."""
     y = _div(grid, _times_mA(mA, _grad(grid, x)))
     return np.negative(y, out=y)
 
@@ -235,8 +233,7 @@ class LinearizedProblem:
     mu0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not self.base.converged:
-            raise ValueError("linearization requires a converged base solution")
+        _require_converged(self.base)
         rgrid = self.base.grid.restrict(self.t1_index)
         K = rgrid.n_time
         sshape = rgrid.spatial_shape
@@ -244,6 +241,12 @@ class LinearizedProblem:
         self.b_src = _shaped(self.b_src, (K + 1, *sshape, rgrid.dim))
         self.c = _shaped(self.c, sshape)
         self.mu0 = _shaped(self.mu0, sshape)
+
+
+def _require_converged(base: MfgSolution) -> None:
+    """Linearized solves and certificates need a solution; an operator alone does not."""
+    if not base.converged:
+        raise ValueError("linearization requires a converged base solution")
 
 
 def _shaped(arr, shape) -> np.ndarray:
@@ -291,7 +294,6 @@ class AssembledOperator:
         self.n = n = grid.n_nodes
         self.K = K = grid.n_time
         self.n_unknowns = 2 * (K + 1) * n
-        self._lu: Optional["TimeBlockLU"] = None
         self._heat = PeriodicHeatSolver(grid)
         m = base.m.values[t1_index:]
         kf = model.coupling.kernel_f(grid, m[1:])
@@ -329,7 +331,8 @@ class AssembledOperator:
         back, fwd = Y[:K], Y[K : 2 * K]
         out = np.zeros((2, K + 1, self.n))
         ov, om = out
-        ov[:K] += _d0(g, back) + _diffusion(g, self.mA[:K], fwd, True)
+        # E_k is symmetric (`_diffusion`), so E^T is E
+        ov[:K] += _d0(g, back) + _diffusion(g, self.mA[:K], fwd)
         ov[1:] += _transport(g, b[1:], back, True)
         ov[K] += Y[2 * K + 1]
         om[1:] += self.kernel_f.T @ back + _d0(g, fwd)
@@ -420,12 +423,9 @@ class AssembledOperator:
 
     def factorize(self) -> "TimeBlockLU":
         """The row-scaled operator D A factored by block elimination forward
-        in time (`TimeBlockLU`), once; certificates and `direct_solve` share
-        it."""
-        if self._lu is None:
-            self._check_lu_size()
-            self._lu = TimeBlockLU(self)
-        return self._lu
+        in time (`TimeBlockLU`), after the memory guard."""
+        self._check_lu_size()
+        return TimeBlockLU(self)
 
     def rhs_vector(self, problem: LinearizedProblem) -> np.ndarray:
         K = self.K
@@ -694,7 +694,8 @@ class TimeBlockLU:
                 np.divide(rv, s, out=yv[K])
             dgemm(1.0, p_f[k], rm[k].T, 1.0, yv[k].T, 0, 0, 1)
         # backward: xm_k = (rm_k - xm_{k+1} T_k^T) M_k^-1, and
-        # xv_k = yv_k - (xm_{k+1} E_k) D0^-1 - (xm_{k+1} T_k^T) P_k
+        # xv_k = yv_k - (xm_{k+1} E_k) D0^-1 - (xm_{k+1} T_k^T) P_k, where
+        # x E_k is E_k applied to the rows, E_k being symmetric
         dgemm(1.0, m_inv_f[K], rm[K].T, 0.0, ym[K].T, 0, 0, 1)
         for k in range(K - 1, -1, -1):
             tx = _transport(g, b_k[k], ym[k + 1])
@@ -702,7 +703,7 @@ class TimeBlockLU:
             dgemm(1.0, m_inv_f[k], rm[k].T, 0.0, ym[k].T, 0, 0, 1)
             if k:
                 dgemm(-1.0, p_f[k], tx.T, 1.0, yv[k].T, 0, 0, 1)
-        y[0, :K] -= _diffusion(g, self._mA[:K, None], y[1, 1:], True) @ self._d0_inv
+        y[0, :K] -= _diffusion(g, self._mA[:K, None], y[1, 1:]) @ self._d0_inv
         # back to the row order: backward rows, forward rows, initial, terminal
         return np.concatenate([y[0, :K], y[1, 1:], y[1, :1], y[0, K:]])
 
@@ -751,8 +752,7 @@ def backward_response(
     """Backward linear solve for v given a density direction mu, with the
     homogeneous backward and terminal rows; the base must be converged, as
     for every linearization."""
-    if not base.converged:
-        raise ValueError("linearization requires a converged base solution")
+    _require_converged(base)
     op = assemble_operator(model, base, t1_index)
     x = op.stack(np.zeros_like(mu_values), mu_values)
     op._backward_sweep(x)
@@ -883,9 +883,11 @@ def certify_stability(
     sigma_min reports that witness's scaled residual, an upper bound; the
     verdict follows the same rule, so it is never STABLE.  tol must be
     positive: at tol <= 0 every converged estimate would pass as STABLE.
+    The base must be converged, as for every linearization.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _require_converged(base)
     op = assemble_operator(model, base, t1_index)
     w = op.row_scaling()
     cert = StabilityCertificate(

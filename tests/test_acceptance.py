@@ -35,7 +35,7 @@ from mfg_lab.models import (
     quadratic_hamiltonian,
     zero_coupling,
 )
-from mfg_lab.nonuniqueness import build_competitor, sweep_nonuniqueness, _cell_model
+from mfg_lab.nonuniqueness import build_competitor, sweep_nonuniqueness, _sweep_cell
 from mfg_lab.pde import continuity_residual
 from mfg_lab.perturb import perturb_density_values, rng_from_seed, spawn_rngs
 from mfg_lab.potential import (
@@ -374,8 +374,7 @@ def test_criterion_09_nonuniqueness(sweep_result):
             max(best.symmetric.residuals.values()),
             max(best.asymmetric.residuals.values()),
         )
-        comp_model = _cell_model(best.theta, best.horizon, 1)
-        comp_grid = comp_model.make_grid(32, int(round(best.horizon * 128)))
+        comp_model, comp_grid = _sweep_cell(best.theta, best.horizon, 1, 32, 128)
         comp = build_competitor(comp_model, comp_grid)
         j_comp = evaluate_J(comp_model, comp).total
         ok = (

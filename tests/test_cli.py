@@ -114,6 +114,11 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("fictitious-play", "fp.attractor_deltas = 0.01\nfp.attractor_trials = 0"),
         ("isolation", "isolation.trials = 0"),
         ("stability", "stability.tol = 0"),
+        ("nonuniqueness", "nonuniqueness.steps_per_unit_time = 0"),
+        ("convergence-study", "study.n_list = 32,3"),
+        ("convergence-study", "study.heat_n = 3"),
+        ("convergence-study", "study.heat_k = 1"),
+        ("convergence-study", "study.heat_horizon = 0"),
     ],
 )
 def test_cli_rejects_an_out_of_range_value_before_running(tmp_path, capsys, kind, lines):
@@ -336,6 +341,25 @@ def test_stability_at_the_horizon_certifies_the_last_restriction(tmp_path):
     cert = json.loads((out / "certificate_14.json").read_text())
     assert cert["t1_index"] == 14 and cert["verdict"] == "STABLE"
     assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+
+
+@pytest.mark.parametrize(
+    "kind, lines", [("isolation", ""), ("fictitious-play", "fp.attractor_deltas = 0.01\n")]
+)
+def test_cli_refuses_to_certify_an_unconverged_base(tmp_path, capsys, kind, lines):
+    # the isolation and attractor experiments certify their reference first:
+    # a base stopped at solver.max_iter exits 1 before any certificate,
+    # trial or round, and leaves only the failed manifest
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        f"experiment.kind = {kind}\nmodel.name = monotone_local\nmodel.m0 = cosine\n"
+        f"grid.n_space = 16\ngrid.n_time = 16\ngrid.T = 0.5\nsolver.max_iter = 2\n{lines}"
+    )
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(path), "--output", str(out)]) == 1
+    assert "base solve did not converge; cannot certify" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_failed_run_flags_manifest(tmp_path):

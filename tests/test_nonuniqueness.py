@@ -191,6 +191,19 @@ def test_asymmetric_search_short_cap_plays_every_round(branch_setup, monkeypatch
     assert search.found, search.reason
 
 
+def test_asymmetric_search_without_a_converged_polish_is_not_found(branch_setup, monkeypatch):
+    # a polish stopped at its round cap leaves the cell not-found, whatever
+    # the fictitious-play flow it started from
+    model, grid = branch_setup
+    polish = nonuniqueness.solve_picard
+    monkeypatch.setattr(
+        nonuniqueness, "solve_picard", lambda *a, **kw: polish(*a, **{**kw, "max_iter": 2})
+    )
+    search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=5)
+    assert not search.found and search.solution is None
+    assert search.reason == "polish did not converge in 2 rounds"
+
+
 def test_asymmetric_search_refuses_zero_rounds():
     model = builtin_quadratic(
         theta=64.0, coupling="antimonotone_symmetric", T=2.0, m0="uniform"

@@ -231,5 +231,7 @@ def test_restriction_consistency_decoupled(decoupled_model, decoupled_solution):
 
 
 def test_restriction_requires_interior_time(monotone_model, monotone_solution):
-    with pytest.raises(ValueError):
-        restriction_consistency(monotone_model, monotone_solution, t1_index=0)
+    # t1 = K-1 leaves one time step, which `TorusGrid.restrict` refuses
+    for t1 in (0, monotone_solution.grid.n_time - 1):
+        with pytest.raises(ValueError):
+            restriction_consistency(monotone_model, monotone_solution, t1_index=t1)

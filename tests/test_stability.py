@@ -70,6 +70,7 @@ def test_linearization_needs_a_converged_base(monotone_model, monotone_solution)
     for make in (
         lambda: LinearizedProblem(base=base),
         lambda: backward_response(monotone_model, base, 0, mu),
+        lambda: certify_stability(monotone_model, base, 0),
     ):
         with pytest.raises(ValueError, match="converged base"):
             make()
