@@ -18,8 +18,6 @@ from . import __version__
 from .config import KINDS, ConfigError, ExperimentConfig, load_config
 from .grid import ScalarField, TorusGrid, field_to_csv, write_field_binary, write_json, write_lines
 from .models import (
-    HAMILTONIANS,
-    abs_hamiltonian,
     check_convexity,
     check_coupling_normalization,
     check_hamiltonian_gradient,
@@ -47,11 +45,8 @@ def validate_config(cfg: ExperimentConfig, samples: int = 100, seed: int = 0):
     lines = []
     ok = True
     dim = cfg["grid.dim"]
-    ham_name = cfg["model.hamiltonian"]
-    if ham_name == "abs":
-        ham, lag = abs_hamiltonian(), None
-    else:
-        ham, lag = HAMILTONIANS[ham_name]()
+    model = cfg.make_model()
+    ham = model.hamiltonian
 
     conv = check_convexity(ham, dim, samples=samples, seed=seed)
     if conv.ok:
@@ -73,24 +68,19 @@ def validate_config(cfg: ExperimentConfig, samples: int = 100, seed: int = 0):
         f"hamiltonian gradient consistency: {'PASS' if grad_ok else 'FAIL'} "
         f"(|D_pH - finite difference| = {grad_defect:.3g})"
     )
-    if lag is not None:
-        rep = check_legendre(ham, lag, dim, samples=samples, seed=seed)
-        leg_ok = rep.conjugacy_defect <= 1e-8 and rep.hessian_identity_defect <= 1e-8
-        ok = ok and leg_ok
-        lines.append(
-            f"legendre conjugacy + hessian product identity: "
-            f"{'PASS' if leg_ok else 'FAIL'} "
-            f"(conjugacy {rep.conjugacy_defect:.3g}, "
-            f"product-minus-identity {rep.hessian_identity_defect:.3g})"
-        )
+    rep = check_legendre(ham, model.lagrangian, dim, samples=samples, seed=seed)
+    leg_ok = rep.conjugacy_defect <= 1e-8 and rep.hessian_identity_defect <= 1e-8
+    ok = ok and leg_ok
+    lines.append(
+        f"legendre conjugacy + hessian product identity: "
+        f"{'PASS' if leg_ok else 'FAIL'} "
+        f"(conjugacy {rep.conjugacy_defect:.3g}, "
+        f"product-minus-identity {rep.hessian_identity_defect:.3g})"
+    )
 
-    # initial density + coupling checks are Hamiltonian-independent; probe
-    # them through a quadratic-H twin so the degenerate-H case still reports
     probe_grid = TorusGrid(dim, 16, 2, 0.0, 1.0)
     try:
-        twin = {**cfg.values, "model.hamiltonian": "quadratic"}
-        probe = ExperimentConfig(twin, cfg.lists).make_model()
-        m0 = probe.initial_density_slice(probe_grid)
+        m0 = model.initial_density_slice(probe_grid)
         lines.append("initial density nonnegativity + unit mass: PASS")
     except ValueError as exc:
         ok = False
@@ -101,7 +91,7 @@ def validate_config(cfg: ExperimentConfig, samples: int = 100, seed: int = 0):
         )
 
     if m0 is not None and cfg["model.name"] != "decoupled":
-        coup = probe.coupling
+        coup = model.coupling
         sym = check_symmetry_relation(coup, probe_grid, m0, samples=samples, seed=seed)
         f_norm, k_norm = check_coupling_normalization(coup, probe_grid, m0)
         c_ok = sym <= 1e-10 and f_norm <= 1e-10 and k_norm <= 1e-10
@@ -120,13 +110,12 @@ def validate_config(cfg: ExperimentConfig, samples: int = 100, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def _write_solution_fields(outdir: Path, sol, write_csv: bool) -> None:
+def _write_solution_fields(outdir: Path, sol) -> None:
     write_field_binary(sol.u, outdir / "u.bin")
     write_field_binary(sol.m, outdir / "m.bin")
     write_field_binary(sol.w, outdir / "w.bin")
-    if write_csv:
-        field_to_csv(sol.m, outdir / "m.csv")
-        field_to_csv(sol.u, outdir / "u.csv")
+    field_to_csv(sol.m, outdir / "m.csv")
+    field_to_csv(sol.u, outdir / "u.csv")
 
 
 def _solve_base(cfg: ExperimentConfig):
@@ -145,10 +134,11 @@ def _solve_base(cfg: ExperimentConfig):
 
 
 def _converged_base(cfg: ExperimentConfig):
-    """`_solve_base`, refusing a base that did not converge."""
+    """`_solve_base`, refusing a base that did not converge: no run
+    certifies it or measures against it."""
     model, grid, sol = _solve_base(cfg)
     if not sol.converged:
-        raise ComputeError("base solve did not converge; cannot certify")
+        raise ComputeError(f"base solve did not converge in {sol.iterations} rounds")
     return model, grid, sol
 
 
@@ -183,7 +173,7 @@ def _run_solve(cfg, outdir: Path, seed: int) -> dict:
         "terminal_potential": jb.terminal_potential,
         "total": jb.total,
     }
-    _write_solution_fields(outdir, sol, cfg["output.write_fields"] == 1)
+    _write_solution_fields(outdir, sol)
     return summary
 
 
@@ -194,7 +184,7 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
     if deltas:  # parse_config refuses deltas without fp.reference = picard
         model, grid, reference, cert = _stable_base(cfg)
     elif cfg["fp.reference"] == "picard":
-        model, grid, reference = _solve_base(cfg)
+        model, grid, reference = _converged_base(cfg)
     else:
         model, grid, reference = cfg.make_model(), cfg.make_grid(), None
     trace = run_fp(
@@ -229,7 +219,7 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
         if report.failures:
             summary["attractor_failures"] = report.failures
         summary["reference_sigma_min"] = cert.sigma_min
-    _write_solution_fields(outdir, trace.final, cfg["output.write_fields"] == 1)
+    _write_solution_fields(outdir, trace.final)
     return summary
 
 
@@ -342,10 +332,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, outdir, seed=None) -> dict:
-    """Run one experiment; writes manifest, summary, and artifact files.  The
-    abs Hamiltonian, shipped for validate to fail on, raises ConfigError first."""
-    if cfg["model.hamiltonian"] == "abs":
-        raise ConfigError("model.hamiltonian = abs is for validation only; nothing runs on it")
+    """Run one experiment; writes manifest, summary, and artifact files."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"] if seed is None else int(seed)

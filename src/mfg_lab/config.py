@@ -53,9 +53,10 @@ SCHEMA: dict[str, _Key] = {
     "experiment.kind": _Key(str, None, KINDS, required=True),
     "model.name": _Key(str, "decoupled", MODEL_NAMES),
     "model.theta": _Key(float, 0.0, bound=_NONNEGATIVE),
-    "model.hamiltonian": _Key(str, "quadratic", (*HAMILTONIANS.keys(), "abs")),
+    "model.hamiltonian": _Key(str, "quadratic", tuple(HAMILTONIANS.keys())),
     "model.m0": _Key(str, "uniform", tuple(M0_PRESETS.keys())),
-    "model.m0_amplitude": _Key(float, 0.5),
+    # the amplitudes that keep the cosine profile 1 + a cos(2 pi x) nonnegative
+    "model.m0_amplitude": _Key(float, 0.5, bound=(lambda v: abs(v) <= 1, "in [-1, 1]")),
     "grid.dim": _Key(int, 1, (1, 2)),
     "grid.n_space": _Key(int, 32),
     "grid.n_time": _Key(int, 64),
@@ -85,7 +86,6 @@ SCHEMA: dict[str, _Key] = {
     "study.heat_k": _Key(int, 256, bound=(lambda v: v >= 2, ">= 2")),
     "study.heat_horizon": _Key(float, 0.25, bound=_POSITIVE),
     "seed": _Key(int, 0),
-    "output.write_fields": _Key(int, 1, (0, 1)),
 }
 
 

@@ -28,7 +28,6 @@ from .grid import TorusGrid, max_slice_l2_norm, write_lines
 from .mfg import (
     BestResponse,
     MfgSolution,
-    _keep_distinct,
     _package_solution,
     best_response,
     heat_flow_of_initial,
@@ -128,14 +127,13 @@ def run_fp(
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     state = fp_start(model, grid, mu0=mu0)
-    gaps, steps, errors, warns = [], [], [], []
+    gaps, steps, errors = [], [], []
     converged = False
     for _ in range(n_max):
         mu_before = state.mu.copy()
         state = fp_step(state)
         played = state.last
         gaps.append(played.gap)
-        _keep_distinct(warns, played.warnings)
         steps.append(max_slice_l2_norm(grid, state.mu - mu_before))
         if reference is not None:
             errors.append(solution_distance(reference, played.u, played.m))
@@ -148,7 +146,7 @@ def run_fp(
         errors=errors,
         n_iterations=state.n,
         converged=converged,
-        final=_package_solution(model, grid, state.last, state.n, converged, [], warns),
+        final=_package_solution(model, grid, state.last, state.n, converged, []),
         state=state,
     )
 

@@ -37,7 +37,6 @@ __all__ = [
     "DensityField",
     "FluxField",
     "gradient",
-    "max_abs_gradient",
     "divergence",
     "laplacian",
     "integrate",
@@ -251,15 +250,6 @@ def gradient(grid: TorusGrid, u: np.ndarray) -> np.ndarray:
     for a, axis in enumerate(grid.spatial_axes):
         out[..., a] = _centered_diff(u, axis, grid.dx)
     return out
-
-
-def max_abs_gradient(grid: TorusGrid, u: np.ndarray) -> float:
-    """max |gradient(grid, u)|, one axis at a time, without the stacked
-    gradient."""
-    u = np.asarray(u)
-    return max(
-        float(np.abs(_centered_diff(u, axis, grid.dx)).max()) for axis in grid.spatial_axes
-    )
 
 
 def divergence(grid: TorusGrid, w: np.ndarray) -> np.ndarray:

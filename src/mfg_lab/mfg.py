@@ -39,6 +39,7 @@ from .models import MfgModel
 from .pde import (
     HjbProblem,
     KolmogorovProblem,
+    drift_field,
     hjb_residual,
     kolmogorov_residual,
     solve_hjb,
@@ -57,16 +58,11 @@ __all__ = [
 ]
 
 
-def drift_field(model: MfgModel, grid: TorusGrid, u_values: np.ndarray) -> np.ndarray:
-    """D_pH(x, Du) on every time slice; shape (K+1, *spatial, d)."""
-    return model.hamiltonian.grad_p(grid.coordinates(), gradient(grid, u_values))
-
-
 def heat_flow_of_initial(model: MfgModel, grid: TorusGrid, m0=None) -> np.ndarray:
     """Drift-free forward solve of m0: the canonical initial Picard iterate."""
     m0 = model.initial_density_slice(grid) if m0 is None else np.asarray(m0)
     zero_drift = np.zeros((grid.n_time + 1, *grid.spatial_shape, grid.dim))
-    return solve_kolmogorov(KolmogorovProblem(grid, zero_drift, m0)).m.values
+    return solve_kolmogorov(KolmogorovProblem(grid, zero_drift, m0)).values
 
 
 @dataclass
@@ -78,31 +74,24 @@ class BestResponse:
     drift: np.ndarray  # D_pH(x, Du) on every slice
     m: np.ndarray  # forward flow of m0 along the drift
     gap: float  # max over slices of the l2 distance of m to mu
-    warnings: list
 
 
 def best_response(
     model: MfgModel, grid: TorusGrid, belief: np.ndarray, m0: np.ndarray
 ) -> BestResponse:
-    """Backward solve against the belief, then play its drift forward from m0."""
+    """Backward solve against the belief, then play the drift D_pH(x, Du) of
+    its value forward from m0."""
     coup = model.coupling
     source = coup.f_field(grid, belief)
     hjb = solve_hjb(HjbProblem(model, grid, source, coup.g(grid, belief[-1])))
-    kol = solve_kolmogorov(KolmogorovProblem(grid, hjb.drift, m0))
-    m = kol.m.values
+    m = solve_kolmogorov(KolmogorovProblem(grid, hjb.drift, m0)).values
     return BestResponse(
         source=source,
         u=hjb.u.values,
         drift=hjb.drift,
         m=m,
         gap=max_slice_l2_norm(grid, m - belief),
-        warnings=[*hjb.warnings, *kol.warnings],
     )
-
-
-def _keep_distinct(warns: list, new) -> None:
-    """Append new's messages to warns once each, however many rounds repeat them."""
-    warns.extend(w for w in new if w not in warns)
 
 
 @dataclass
@@ -118,11 +107,10 @@ class MfgSolution:
     iterations: int
     converged: bool
     gap_history: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
 
 def _package_solution(
-    model, grid, played: BestResponse, iterations, converged, gaps, warns
+    model, grid, played: BestResponse, iterations, converged, gaps
 ) -> MfgSolution:
     """The round's (u, m) with its residuals: the backward and forward
     defects, and the coupling defect sup |source - f(m)|."""
@@ -143,7 +131,6 @@ def _package_solution(
         iterations=iterations,
         converged=converged,
         gap_history=gaps,
-        warnings=warns,
     )
 
 
@@ -215,12 +202,10 @@ def solve_picard(
         m_values = np.array(init_m, dtype=float)
         m_values[0] = m0_slice
     gaps: list[float] = []
-    warns: list[str] = []
     best = None
     history: deque = deque(maxlen=ANDERSON_DEPTH + 1)
     for it in range(1, max_iter + 1):
         played = best_response(model, grid, m_values, m0_slice)
-        _keep_distinct(warns, played.warnings)
         gaps.append(played.gap)
         if best is None or played.gap <= best.gap:
             best = played
@@ -229,9 +214,9 @@ def solve_picard(
             # 100*tol; require the source mismatch small too so converged
             # solutions carry residuals <= 10*tol
             if sup_norm(played.source - model.coupling.f_field(grid, played.m)) <= 5.0 * tol:
-                return _package_solution(model, grid, played, it, True, gaps, warns)
+                return _package_solution(model, grid, played, it, True, gaps)
         m_values = _anderson_belief(m_values, played.m, history, damping, m0_slice)
-    return _package_solution(model, grid, best, max_iter, False, gaps, warns)
+    return _package_solution(model, grid, best, max_iter, False, gaps)
 
 
 # The probe's thresholds: initial gradients closer than UNIQUENESS_TOL_GRAD

@@ -36,7 +36,6 @@ __all__ = [
     "builtin_quadratic",
     "quadratic_hamiltonian",
     "squared_norm",
-    "abs_hamiltonian",
     "zero_coupling",
     "monotone_local_coupling",
     "monotone_smoothed_coupling",
@@ -249,41 +248,6 @@ def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
     return ham, lag
 
 
-def abs_hamiltonian() -> Hamiltonian:
-    """H(x,p) = |p|: degenerate Hessian, fails the uniform-convexity check.
-
-    Shipped only so validation has a concrete failure case; no Lagrangian.
-    """
-
-    def h_val(x, p):
-        return np.sqrt(squared_norm(p))
-
-    def h_grad_p(x, p):
-        nrm = np.sqrt(squared_norm(p))
-        safe = np.where(nrm == 0.0, 1.0, nrm)
-        return p / safe[..., None]
-
-    def h_hess(x, p):
-        d = p.shape[-1]
-        nrm2 = squared_norm(p)
-        safe = np.where(nrm2 == 0.0, 1.0, nrm2)
-        idx = np.arange(d)
-        out = -p[..., :, None] * p[..., None, :] / safe[..., None, None]
-        out[..., idx, idx] += 1.0
-        return out / np.sqrt(safe)[..., None, None]
-
-    def h_grad_x(x, p):
-        return np.zeros((*p.shape[:-1], p.shape[-1]))
-
-    return Hamiltonian(
-        name="abs",
-        value=h_val,
-        grad_p=h_grad_p,
-        hess_pp=h_hess,
-        grad_x=h_grad_x,
-    )
-
-
 # ---------------------------------------------------------------------------
 # coupling library
 # ---------------------------------------------------------------------------
@@ -485,8 +449,8 @@ M0_PRESETS = {
 def m0_preset(name: str, amplitude: float = 0.5) -> Callable:
     """Initial-density preset; `amplitude` parameterizes the cosine profile.
 
-    Amplitudes above 1 produce signed profiles, rejected downstream by the
-    density nonnegativity invariant (used as a validation failure case).
+    Only |amplitude| <= 1 keeps 1 + amplitude cos(2 pi x) nonnegative; a
+    signed profile is refused by `MfgModel.initial_density_slice`.
     """
     if name == "cosine":
         return lambda grid: _m0_cosine(grid, amplitude)

@@ -16,11 +16,10 @@ Keeping the Hamiltonian term centered (no upwinding) makes the discrete
 linearization of the backward equation the exact transpose of the forward
 one, which the stability certificates and the variational identities rely
 on.  The price is a Kolmogorov step that is not monotone: the explicit
-centered transport step gives a neighbour a negative weight for every dt.
-The bound dt <= dx^2 / (2 d + dx max|b|) is reported as a heuristic quality
-flag only; it does not keep the density nonnegative (random grids with dt
-at the bound still went negative).  What guards the density is the sweep's
-own sign test, which raises when a value falls below NEG_DENSITY_ERROR.
+centered transport step gives a neighbour a negative weight for every dt,
+so no step-size bound keeps the density nonnegative.  What guards it is the
+sweep's own sign test, which raises when a value falls below
+NEG_DENSITY_ERROR.
 
 Each step of a sweep is a few small dense products on one slice: the
 per-axis difference matrix C (``grid.gradient`` of the identity) for G and
@@ -50,7 +49,7 @@ preserved to roundoff at every step.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from .grid import (
     gradient,
     laplacian,
     laplacian_symbol,
-    max_abs_gradient,
 )
 from .models import MfgModel
 
@@ -70,7 +68,6 @@ __all__ = [
     "HjbProblem",
     "KolmogorovProblem",
     "HjbResult",
-    "KolmogorovResult",
     "SolverError",
     "PeriodicHeatSolver",
     "solve_hjb",
@@ -79,7 +76,7 @@ __all__ = [
     "hjb_residual",
     "kolmogorov_residual",
     "continuity_residual",
-    "kolmogorov_step_limit",
+    "drift_field",
 ]
 
 NEG_DENSITY_ERROR = -1e-10
@@ -239,20 +236,18 @@ class KolmogorovProblem:
             raise ValueError(f"m0 mass {mass} != 1")
 
 
+def drift_field(model: MfgModel, grid: TorusGrid, u_values: np.ndarray) -> np.ndarray:
+    """D_pH(x, Du) on every time slice; shape (K+1, *spatial, d)."""
+    return model.hamiltonian.grad_p(grid.coordinates(), gradient(grid, u_values))
+
+
 @dataclass
 class HjbResult:
+    """The value function and the drift D_pH(x, Du) it induces on every
+    slice, which the forward leg plays."""
+
     u: ScalarField
-    drift: np.ndarray  # D_pH(x, Du) on every slice, the forward leg's drift
-    dt_drift_lipschitz: float  # dt * Lip(D_pH(., Du)); > 1 flags CFL quality
-    warnings: list = field(default_factory=list)
-
-
-@dataclass
-class KolmogorovResult:
-    m: DensityField
-    min_value: float
-    step_size_ok: bool  # dt within kolmogorov_step_limit: a heuristic flag, no sign guarantee
-    warnings: list = field(default_factory=list)
+    drift: np.ndarray
 
 
 def solve_hjb(problem: HjbProblem) -> HjbResult:
@@ -273,40 +268,13 @@ def solve_hjb(problem: HjbProblem) -> HjbResult:
         rhs += dt_r
         heat.apply(rhs, out=u_k)
     _check_finite(u, "HJB sweep")
-
-    # CFL-quality indicator: dt * Lipschitz constant of the induced drift
-    b = model.hamiltonian.grad_p(coords, gradient(grid, u))
-    lip = max(max_abs_gradient(grid, b[..., c]) for c in range(grid.dim))
-    warns = []
-    if dt * lip > 1.0:
-        warns.append(f"hjb cfl quality: dt*Lip(drift) = {dt * lip:.3g} > 1")
-    return HjbResult(
-        u=ScalarField(grid, u), drift=b, dt_drift_lipschitz=dt * lip, warnings=warns
-    )
+    return HjbResult(u=ScalarField(grid, u), drift=drift_field(model, grid, u))
 
 
-def kolmogorov_step_limit(grid: TorusGrid, drift: np.ndarray) -> float:
-    """The heuristic step bound dx^2 / (2 d + dx max|b|) of the transport
-    quality flag.  It does not make the sweep monotone: random grids with dt
-    at this bound still drive the density negative (the sign test of
-    `solve_kolmogorov` catches that)."""
-    bmax = float(np.max(np.abs(drift))) if drift.size else 0.0
-    return grid.dx**2 / (2.0 * grid.dim + grid.dx * bmax)
-
-
-def solve_kolmogorov(problem: KolmogorovProblem) -> KolmogorovResult:
+def solve_kolmogorov(problem: KolmogorovProblem) -> DensityField:
     grid = problem.grid
     heat = PeriodicHeatSolver(grid)
     K, dt = grid.n_time, grid.dt
-
-    warns = []
-    limit = kolmogorov_step_limit(grid, problem.drift)
-    ok = dt <= limit
-    if not ok:
-        warns.append(
-            f"kolmogorov step size: dt = {dt:.3g} exceeds monotone bound {limit:.3g}"
-        )
-
     _, div = _slice_stencils(grid)
     m = np.empty((K + 1, *grid.spatial_shape))
     m[0] = problem.m0
@@ -321,9 +289,7 @@ def solve_kolmogorov(problem: KolmogorovProblem) -> KolmogorovResult:
     low = float(m.min())
     if low < NEG_DENSITY_ERROR:
         raise SolverError(f"density went negative: min = {low:.3e}")
-    return KolmogorovResult(
-        m=DensityField(grid, m), min_value=low, step_size_ok=ok, warnings=warns
-    )
+    return DensityField(grid, m)
 
 
 def solve_continuity(

@@ -66,8 +66,8 @@ def heat_flow_error(
     exact_T = 1.0 + 0.5 * math.exp(-4.0 * math.pi**2 * horizon) * np.cos(
         2.0 * np.pi * x
     )
-    err = l2_norm(grid, res.m.values[-1] - exact_T)
-    mass_defect = float(np.max(np.abs(res.m.mass() - 1.0)))
+    err = l2_norm(grid, res.values[-1] - exact_T)
+    mass_defect = float(np.max(np.abs(res.mass() - 1.0)))
     return err, mass_defect
 
 

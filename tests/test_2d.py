@@ -21,8 +21,8 @@ def test_2d_heat_flow_product_mode():
     )
     decay = math.exp(-4 * math.pi**2 * 0.25)
     exact = 1 + 0.25 * decay * (np.cos(2 * np.pi * x1) + np.cos(2 * np.pi * x2))
-    assert sup_norm(out.m.values[-1] - exact) <= 5 * (grid.dt + grid.dx**2)
-    assert np.max(np.abs(out.m.mass() - 1.0)) <= 1e-12
+    assert sup_norm(out.values[-1] - exact) <= 5 * (grid.dt + grid.dx**2)
+    assert np.max(np.abs(out.mass() - 1.0)) <= 1e-12
 
 
 def test_2d_monotone_solve_and_certificate():

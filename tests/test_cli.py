@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mfg_lab.cli import main, run_experiment, validate_config
-from mfg_lab.config import SCHEMA, ConfigError, load_config, parse_config
+from mfg_lab.config import SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
 from mfg_lab.grid import _jsonable, read_field_binary
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -61,17 +61,18 @@ def test_shipped_configs_parse_and_validate():
         assert ok, f"{path.name}: {lines}"
 
 
-def test_validation_flags_degenerate_hamiltonian():
-    cfg = parse_config("experiment.kind = solve\nmodel.hamiltonian = abs\n")
-    ok, lines = validate_config(cfg, samples=50)
-    assert not ok
-    assert any("uniform-convexity" in ln and "FAIL" in ln for ln in lines)
-
-
 def test_validation_flags_negative_density():
-    cfg = parse_config(
-        "experiment.kind = solve\nmodel.m0 = cosine\nmodel.m0_amplitude = 1.5\n"
-    )
+    # amplitudes in [-1, 1] keep the cosine m0 nonnegative and pass, the
+    # edges included; the config refuses any other, and validate_config
+    # still flags one in a config built without the parser
+    text = "experiment.kind = solve\nmodel.m0 = cosine\nmodel.m0_amplitude = {}\n"
+    for amplitude in (-1.0, 1.0):
+        ok, lines = validate_config(parse_config(text.format(amplitude)), samples=50)
+        assert ok and "initial density nonnegativity + unit mass: PASS" in lines
+    with pytest.raises(ConfigError, match=r"'model.m0_amplitude' must be in \[-1, 1\]"):
+        parse_config(text.format(1.5))
+    edge = parse_config(text.format(1.0))
+    cfg = ExperimentConfig({**edge.values, "model.m0_amplitude": 1.5}, edge.lists)
     ok, lines = validate_config(cfg, samples=50)
     assert not ok
     assert any("density" in ln and "FAIL" in ln for ln in lines)
@@ -82,7 +83,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     good.write_text(SOLVE_SMALL)
     assert main(["validate", "--config", str(good)]) == 0
     bad = tmp_path / "bad.cfg"
-    bad.write_text("experiment.kind = solve\nmodel.hamiltonian = abs\n")
+    bad.write_text("experiment.kind = solve\nmodel.m0_amplitude = 1.5\n")
     assert main(["validate", "--config", str(bad)]) == 2
     capsys.readouterr()
 
@@ -104,6 +105,8 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
     "kind, lines",
     [
         ("solve", "model.theta = -1"),
+        ("solve", "model.hamiltonian = abs"),
+        ("solve", "model.m0_amplitude = 1.5"),
         ("nonuniqueness", "nonuniqueness.thetas = 4,-1"),
         ("nonuniqueness", "nonuniqueness.horizons = 0.5,0"),
         ("nonuniqueness", "nonuniqueness.fp_rounds = 0"),
@@ -177,19 +180,6 @@ def test_cli_refuses_attractor_deltas_without_a_picard_reference(tmp_path, capsy
     # either key alone passes
     parse_config(path.read_text().replace("fp.reference = none\n", ""))
     parse_config(path.read_text().replace("fp.attractor_deltas = 0.0,0.01\n", ""))
-
-
-def test_cli_refuses_to_run_the_abs_hamiltonian(tmp_path, capsys):
-    # abs ships for validate to fail on; a run refuses it as a config error
-    # (exit 2) before it writes anything
-    path = tmp_path / "c.cfg"
-    path.write_text("experiment.kind = solve\nmodel.hamiltonian = abs\n")
-    out = tmp_path / "out"
-    assert main(["solve", "--config", str(path), "--output", str(out)]) == 2
-    assert "for validation only" in capsys.readouterr().err
-    with pytest.raises(ConfigError, match="for validation only"):
-        run_experiment(parse_config(path.read_text()), out)
-    assert not out.exists()
 
 
 def test_schema_doc_lists_every_key_with_its_default():
@@ -357,7 +347,24 @@ def test_cli_refuses_to_certify_an_unconverged_base(tmp_path, capsys, kind, line
     )
     out = tmp_path / "out"
     assert main([kind, "--config", str(path), "--output", str(out)]) == 1
-    assert "base solve did not converge; cannot certify" in capsys.readouterr().err
+    assert "base solve did not converge in 2 rounds" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_cli_refuses_an_unconverged_fictitious_play_reference(tmp_path, capsys):
+    # fp.reference = picard measures every round against the base solve: a
+    # base stopped at solver.max_iter exits 1 before any round, with no
+    # fp_trace.csv and only the failed manifest
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        "experiment.kind = fictitious-play\nmodel.name = monotone_local\nmodel.m0 = cosine\n"
+        "grid.n_space = 16\ngrid.n_time = 16\ngrid.T = 0.5\nsolver.max_iter = 2\n"
+        "fp.n_max = 5\n"
+    )
+    out = tmp_path / "out"
+    assert main(["fictitious-play", "--config", str(path), "--output", str(out)]) == 1
+    assert "base solve did not converge in 2 rounds" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mfg_lab.fictitious_play import fp_start, fp_step, run_fp
+from mfg_lab.fictitious_play import fp_start, fp_step
 from mfg_lab.grid import sup_norm
 from mfg_lab.mfg import (
     best_response,
@@ -189,32 +189,9 @@ def test_zero_max_iter_is_refused(monotone_model, monotone_grid):
         solve_picard(monotone_model, monotone_grid, max_iter=0)
 
 
-def test_repeated_warnings_are_kept_once():
-    # a strong m-independent source: every round of Picard and of fictitious
-    # play repeats the same HJB CFL warning (and Kolmogorov step-size warning)
-    base = builtin_quadratic(coupling="none", T=0.5)
-
-    def f(grid, m):
-        source = 50.0 * np.cos(2.0 * np.pi * grid.coordinates()[0])
-        return source + np.zeros(np.shape(m))
-
-    model = dataclasses.replace(base, coupling=dataclasses.replace(base.coupling, f=f))
-    grid = model.make_grid(32, 8)
-    # Picard's mixing reaches the fixed point of the constant map in round 3;
-    # fictitious play stops in round 2: its belief no longer moves the source
-    for sol, rounds in (
-        (solve_picard(model, grid, max_iter=6), 3),
-        (run_fp(model, grid, n_max=6).final, 2),
-    ):
-        assert sol.iterations == rounds
-        cfl = [w for w in sol.warnings if w.startswith("hjb cfl quality")]
-        assert len(cfl) == 1
-        assert len(sol.warnings) == len(set(sol.warnings))
-
-
 def test_one_round_evaluates_the_drift_once():
-    # the backward sweep returns the drift it computes for its CFL
-    # diagnostic; the forward leg and the packaged solution reuse it
+    # the backward sweep returns the drift of its u (`drift_field`); the
+    # forward leg and the packaged solution reuse it
     base = builtin_quadratic(coupling="monotone_local", m0="cosine", T=0.5)
     calls = {"grad_p": 0}
 

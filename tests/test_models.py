@@ -6,7 +6,6 @@ import pytest
 from mfg_lab.grid import TorusGrid
 from mfg_lab.models import (
     Hamiltonian,
-    abs_hamiltonian,
     antimonotone_symmetric_coupling,
     builtin_quadratic,
     check_convexity,
@@ -65,9 +64,22 @@ def test_convexity_halved_profile():
 
 
 def test_convexity_flags_degenerate():
-    rep = check_convexity(abs_hamiltonian(), dim=2, samples=100, seed=4)
+    # H = p_1^2 / 2 in 2D: D2_ppH = diag(1, 0) is flat along p_2
+    def hess_pp(x, p):
+        out = np.zeros((*p.shape, 2))
+        out[..., 0, 0] = 1.0
+        return out
+
+    ham = Hamiltonian(
+        name="p1_squared",
+        value=lambda x, p: 0.5 * p[..., 0] ** 2,
+        grad_p=lambda x, p: p * np.array([1.0, 0.0]),
+        hess_pp=hess_pp,
+        grad_x=lambda x, p: np.zeros(p.shape),
+    )
+    rep = check_convexity(ham, dim=2, samples=100, seed=4)
     assert not rep.ok
-    assert rep.min_eig <= 1e-10
+    assert rep.min_eig == 0.0 and rep.max_eig == 1.0
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -102,7 +114,6 @@ def test_squared_norm_forms_equal_the_reduction_bitwise(dim, eps, stack, rng):
     assert np.array_equal(ham.value(x, p), 0.5 * a * sq)
     assert np.array_equal(ham.grad_x(x, p)[..., 0], 0.5 * da * sq)
     assert np.array_equal(lag.value(x, p), 0.5 * sq / a)
-    assert np.array_equal(abs_hamiltonian().value(x, p), np.sqrt(np.sum(p**2, axis=-1)))
 
 
 def test_legendre_newton_maximizer():
