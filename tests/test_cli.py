@@ -110,6 +110,7 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("nonuniqueness", "nonuniqueness.thetas = 4,-1"),
         ("nonuniqueness", "nonuniqueness.horizons = 0.5,0"),
         ("nonuniqueness", "nonuniqueness.fp_rounds = 0"),
+        ("nonuniqueness", "nonuniqueness.tol = 0"),
         ("solve", "solver.damping = 0"),
         ("solve", "solver.damping = 1.5"),
         ("solve", "solver.max_iter = 0"),

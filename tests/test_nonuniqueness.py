@@ -166,8 +166,9 @@ def _count_rounds_before_polish(monkeypatch):
 
 
 def test_asymmetric_search_hands_over_at_the_collapse_check(branch_setup, monkeypatch):
-    # the polish from round 20 lands on the branch a polish from the last of
-    # 120 rounds finds: fictitious play only has to reach the basin
+    # the polish from the collapse-check round lands on the branch a polish
+    # from the last of 120 rounds finds: fictitious play only has to reach
+    # the basin
     model, grid = branch_setup
     state = fictitious_play.fp_start(model, grid, mu0=asymmetric_initial_belief(grid))
     for _ in range(120):
@@ -177,7 +178,7 @@ def test_asymmetric_search_hands_over_at_the_collapse_check(branch_setup, monkey
     counts = _count_rounds_before_polish(monkeypatch)
     search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=120)
     assert search.found, search.reason
-    assert counts["rounds"] <= COLLAPSE_CHECK_ROUND
+    assert counts["rounds"] == COLLAPSE_CHECK_ROUND
     assert counts["at_polish"] == [counts["rounds"]]
     assert sup_norm(search.solution.m.values - reference.m.values) <= 1e-9
 
@@ -210,6 +211,21 @@ def test_asymmetric_search_refuses_zero_rounds():
     )
     with pytest.raises(ValueError, match="fp_rounds"):
         find_asymmetric_branch(model, model.make_grid(16, 32), fp_rounds=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6])
+def test_branch_pair_refuses_a_nonpositive_tol_before_solving(tol, monkeypatch):
+    # at tol <= 0 the polish target is 0, which no polish reaches: refused
+    # before the symmetric branch is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing tol")
+
+    monkeypatch.setattr(nonuniqueness, "solve_picard", no_solve)
+    model = builtin_quadratic(
+        theta=64.0, coupling="antimonotone_symmetric", T=1.0, m0="uniform"
+    )
+    with pytest.raises(ValueError, match="tol must be positive"):
+        make_branch_pair(model, model.make_grid(16, 32), tol=tol)
 
 
 def test_competitor_requires_long_horizon():
