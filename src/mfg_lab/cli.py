@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import KINDS, ConfigError, ExperimentConfig, load_config
+from .config import KINDS, SCHEMA, ConfigError, ExperimentConfig, load_config
 from .grid import ScalarField, TorusGrid, field_to_csv, write_field_binary, write_json, write_lines
 from .models import (
     check_convexity,
@@ -92,7 +92,7 @@ def validate_config(cfg: ExperimentConfig, samples: int = 100, seed: int = 0):
 
     if m0 is not None and cfg["model.name"] != "decoupled":
         coup = model.coupling
-        sym = check_symmetry_relation(coup, probe_grid, m0, samples=samples, seed=seed)
+        sym = check_symmetry_relation(coup, probe_grid, m0)
         f_norm, k_norm = check_coupling_normalization(coup, probe_grid, m0)
         c_ok = sym <= 1e-10 and f_norm <= 1e-10 and k_norm <= 1e-10
         ok = ok and c_ok
@@ -375,6 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    in_bound, bound = SCHEMA["seed"].bound
+    if args.seed is not None and not in_bound(args.seed):
+        print(f"config error: --seed must be {bound}, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

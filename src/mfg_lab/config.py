@@ -85,7 +85,7 @@ SCHEMA: dict[str, _Key] = {
     "study.heat_n": _Key(int, 64, bound=_N_SPACE),
     "study.heat_k": _Key(int, 256, bound=(lambda v: v >= 2, ">= 2")),
     "study.heat_horizon": _Key(float, 0.25, bound=_POSITIVE),
-    "seed": _Key(int, 0),
+    "seed": _Key(int, 0, bound=_NONNEGATIVE),
 }
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -421,17 +422,28 @@ def write_field_binary(f, path) -> None:
 
 
 def read_field_binary(path):
+    """The field `write_field_binary` wrote; a damaged file raises GridError
+    naming what is wrong (header, kind, component count or payload size)."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise GridError(f"field file of {len(raw)} bytes is shorter than its header")
     magic, version, kind_id, dim, n_space, n_time, t0, T, ncomp = _HEADER.unpack_from(raw)
     if magic != _MAGIC or version != _VERSION:
         raise GridError("not an mfg-lab field file")
+    if kind_id not in _KIND_INV:
+        raise GridError(f"unknown field kind id {kind_id}")
     grid = TorusGrid(dim=dim, n_space=n_space, n_time=n_time, t0=t0, T=T)
     kind = _KIND_INV[kind_id]
+    if ncomp != (dim if kind == "flux" else 1):
+        raise GridError(f"{kind} field of dimension {dim} with {ncomp} components")
     shape = (n_time + 1, *grid.spatial_shape)
     if kind == "flux":
         shape = (*shape, ncomp)
-    values = np.frombuffer(raw[_HEADER.size :], dtype="<f8").reshape(shape).copy()
+    payload = raw[_HEADER.size :]
+    if len(payload) != 8 * math.prod(shape):
+        raise GridError(f"field payload of {len(payload)} bytes does not hold shape {shape}")
+    values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     if kind == "density":
         return DensityField(grid, values)
     if kind == "scalar":

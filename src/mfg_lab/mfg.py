@@ -37,8 +37,6 @@ from .grid import (
 )
 from .models import MfgModel
 from .pde import (
-    HjbProblem,
-    KolmogorovProblem,
     drift_field,
     hjb_residual,
     kolmogorov_residual,
@@ -62,7 +60,7 @@ def heat_flow_of_initial(model: MfgModel, grid: TorusGrid, m0=None) -> np.ndarra
     """Drift-free forward solve of m0: the canonical initial Picard iterate."""
     m0 = model.initial_density_slice(grid) if m0 is None else np.asarray(m0)
     zero_drift = np.zeros((grid.n_time + 1, *grid.spatial_shape, grid.dim))
-    return solve_kolmogorov(KolmogorovProblem(grid, zero_drift, m0)).values
+    return solve_kolmogorov(grid, zero_drift, m0).values
 
 
 @dataclass
@@ -83,12 +81,12 @@ def best_response(
     its value forward from m0."""
     coup = model.coupling
     source = coup.f_field(grid, belief)
-    hjb = solve_hjb(HjbProblem(model, grid, source, coup.g(grid, belief[-1])))
-    m = solve_kolmogorov(KolmogorovProblem(grid, hjb.drift, m0)).values
+    u, drift = solve_hjb(model, grid, source, coup.g(grid, belief[-1]))
+    m = solve_kolmogorov(grid, drift, m0).values
     return BestResponse(
         source=source,
-        u=hjb.u.values,
-        drift=hjb.drift,
+        u=u,
+        drift=drift,
         m=m,
         gap=max_slice_l2_norm(grid, m - belief),
     )

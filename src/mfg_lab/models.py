@@ -607,27 +607,12 @@ def check_legendre(
     )
 
 
-def check_symmetry_relation(
-    coupling: Coupling,
-    grid: TorusGrid,
-    m_slice: np.ndarray,
-    samples: Optional[int] = None,
-    seed=0,
-) -> float:
-    """Max defect of K(x,y) - K(y,x) - f(x) + f(y) over node pairs.
-
-    samples=None brute-forces all pairs.
-    """
+def check_symmetry_relation(coupling: Coupling, grid: TorusGrid, m_slice: np.ndarray) -> float:
+    """Max defect of K(x,y) - K(y,x) - f(x) + f(y) over all node pairs."""
     K = coupling.kernel_f(grid, m_slice).toarray() / grid.cell_volume
     fv = np.asarray(coupling.f(grid, m_slice)).reshape(-1)
     defect = K - K.T - (fv[:, None] - fv[None, :])
-    if samples is None:
-        return float(np.max(np.abs(defect)))
-    rng = np.random.default_rng(seed)
-    n = grid.n_nodes
-    i = rng.integers(0, n, size=samples)
-    j = rng.integers(0, n, size=samples)
-    return float(np.max(np.abs(defect[i, j])))
+    return float(np.max(np.abs(defect)))
 
 
 def check_coupling_normalization(

@@ -76,7 +76,8 @@ def find_symmetric_branch(model: MfgModel, grid: TorusGrid) -> MfgSolution:
 
 @dataclass
 class AsymmetricSearch:
-    found: bool
+    """The polished asymmetric branch, or None with the reason it was not found."""
+
     solution: Optional[MfgSolution]
     reason: str
     reflection_defect: float
@@ -127,10 +128,7 @@ def find_asymmetric_branch(
             state = fp_step(state)
         if np.max(np.abs(_sine_moment(grid, state.last.m)[0])) < COLLAPSE_MOMENT:
             return AsymmetricSearch(
-                False,
-                None,
-                "converged to the symmetric branch",
-                reflection_defect(state.last.m),
+                None, "converged to the symmetric branch", reflection_defect(state.last.m)
             )
         polished = solve_picard(
             model,
@@ -142,17 +140,17 @@ def find_asymmetric_branch(
     except SolverError as exc:
         # a transport blow-up at these parameters is a not-found cell,
         # recorded so the sweep can steer around it
-        return AsymmetricSearch(False, None, f"solver failure: {exc}", 0.0)
+        return AsymmetricSearch(None, f"solver failure: {exc}", 0.0)
     defect = reflection_defect(polished.m.values)
     if not polished.converged:
         reason = f"polish did not converge in {polished.iterations} rounds"
-        return AsymmetricSearch(False, None, reason, defect)
+        return AsymmetricSearch(None, reason, defect)
     resid = max(polished.residuals["hjb"], polished.residuals["kolmogorov"])
     if resid > tol:
-        return AsymmetricSearch(False, None, f"residual {resid:.2e} above {tol:.0e}", defect)
+        return AsymmetricSearch(None, f"residual {resid:.2e} above {tol:.0e}", defect)
     if defect < max(10.0 * symmetric_defect, SEPARATION_FLOOR):
-        return AsymmetricSearch(False, None, "converged to the symmetric branch", defect)
-    return AsymmetricSearch(True, polished, "ok", defect)
+        return AsymmetricSearch(None, "converged to the symmetric branch", defect)
+    return AsymmetricSearch(polished, "ok", defect)
 
 
 @dataclass
@@ -200,7 +198,7 @@ def make_branch_pair(
     search = find_asymmetric_branch(
         model, grid, tol=tol, fp_rounds=fp_rounds, symmetric_defect=sym_defect
     )
-    if not search.found:
+    if search.solution is None:
         return None, search.reason
     asym = search.solution
     separation = sup_norm(sym.m.values - asym.m.values)

@@ -49,13 +49,11 @@ preserved to roundoff at every step.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
     DensityField,
-    ScalarField,
     TorusGrid,
     divergence,
     gradient,
@@ -65,9 +63,6 @@ from .grid import (
 from .models import MfgModel
 
 __all__ = [
-    "HjbProblem",
-    "KolmogorovProblem",
-    "HjbResult",
     "SolverError",
     "PeriodicHeatSolver",
     "solve_hjb",
@@ -193,66 +188,26 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise SolverError(f"{what} produced non-finite values")
 
 
-@dataclass
-class HjbProblem:
-    """Backward problem -du/dt - Lap u + H(x,Du) = r, u(.,T) = terminal."""
-
-    model: MfgModel
-    grid: TorusGrid
-    source: np.ndarray  # (K+1, *spatial); slices 1..K feed the sweep
-    terminal: np.ndarray  # (*spatial,)
-
-    def __post_init__(self):
-        self.source = np.asarray(self.source, dtype=float)
-        self.terminal = np.asarray(self.terminal, dtype=float)
-        if self.source.shape != (self.grid.n_time + 1, *self.grid.spatial_shape):
-            raise ValueError("source shape mismatch")
-        if self.terminal.shape != self.grid.spatial_shape:
-            raise ValueError("terminal shape mismatch")
-
-
-@dataclass
-class KolmogorovProblem:
-    """Forward problem dm/dt - Lap m - div(m b) = 0, m(.,t0) = m0."""
-
-    grid: TorusGrid
-    drift: np.ndarray  # (K+1, *spatial, d); slices 0..K-1 feed the sweep
-    m0: np.ndarray  # (*spatial,)
-
-    def __post_init__(self):
-        self.drift = np.asarray(self.drift, dtype=float)
-        self.m0 = np.asarray(self.m0, dtype=float)
-        g = self.grid
-        if self.drift.shape != (g.n_time + 1, *g.spatial_shape, g.dim):
-            raise ValueError("drift shape mismatch")
-        if self.m0.shape != g.spatial_shape:
-            raise ValueError("m0 shape mismatch")
-        if not np.all(np.isfinite(self.drift)):
-            raise ValueError("drift must be finite")
-        if self.m0.min() < 0:
-            raise ValueError("m0 must be nonnegative")
-        mass = g.cell_volume * self.m0.sum()
-        if abs(mass - 1.0) > 1e-12:
-            raise ValueError(f"m0 mass {mass} != 1")
-
-
 def drift_field(model: MfgModel, grid: TorusGrid, u_values: np.ndarray) -> np.ndarray:
     """D_pH(x, Du) on every time slice; shape (K+1, *spatial, d)."""
     return model.hamiltonian.grad_p(grid.coordinates(), gradient(grid, u_values))
 
 
-@dataclass
-class HjbResult:
-    """The value function and the drift D_pH(x, Du) it induces on every
-    slice, which the forward leg plays."""
+def solve_hjb(
+    model: MfgModel, grid: TorusGrid, source: np.ndarray, terminal: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward problem -du/dt - Lap u + H(x, Du) = r, u(., T) = terminal.
 
-    u: ScalarField
-    drift: np.ndarray
-
-
-def solve_hjb(problem: HjbProblem) -> HjbResult:
-    grid = problem.grid
-    model = problem.model
+    source r has shape (K+1, *spatial), of which slices 1..K feed the sweep;
+    terminal has shape (*spatial,).  Returns the value u, shape
+    (K+1, *spatial), and the drift D_pH(x, Du) it induces on every slice,
+    shape (K+1, *spatial, d), which the forward leg plays.
+    """
+    source = np.asarray(source, dtype=float)
+    if source.shape != (grid.n_time + 1, *grid.spatial_shape):
+        raise ValueError("source shape mismatch")
+    if np.shape(terminal) != grid.spatial_shape:
+        raise ValueError("terminal shape mismatch")
     coords = grid.coordinates()
     heat = PeriodicHeatSolver(grid)
     grad, _ = _slice_stencils(grid)
@@ -260,27 +215,44 @@ def solve_hjb(problem: HjbProblem) -> HjbResult:
     K, dt = grid.n_time, grid.dt
 
     u = np.empty((K + 1, *grid.spatial_shape))
-    u[K] = problem.terminal
-    dt_source = dt * problem.source
+    u[K] = terminal
+    dt_source = dt * source
     # u^k from u^{k+1} and dt r^{k+1}, k = K-1 .. 0, as row views
     for u_k, u_next, dt_r in zip(u[-2::-1], u[:0:-1], dt_source[:0:-1]):
         rhs = u_next - dt * value(coords, grad(u_next))
         rhs += dt_r
         heat.apply(rhs, out=u_k)
     _check_finite(u, "HJB sweep")
-    return HjbResult(u=ScalarField(grid, u), drift=drift_field(model, grid, u))
+    return u, drift_field(model, grid, u)
 
 
-def solve_kolmogorov(problem: KolmogorovProblem) -> DensityField:
-    grid = problem.grid
+def solve_kolmogorov(grid: TorusGrid, drift: np.ndarray, m0: np.ndarray) -> DensityField:
+    """Forward problem dm/dt - Lap m - div(m b) = 0, m(., t0) = m0.
+
+    drift b has shape (K+1, *spatial, d), of which slices 0..K-1 feed the
+    sweep; m0 has shape (*spatial,), is nonnegative and has unit mass.
+    """
+    drift = np.asarray(drift, dtype=float)
+    m0 = np.asarray(m0, dtype=float)
+    if drift.shape != (grid.n_time + 1, *grid.spatial_shape, grid.dim):
+        raise ValueError("drift shape mismatch")
+    if m0.shape != grid.spatial_shape:
+        raise ValueError("m0 shape mismatch")
+    if not np.all(np.isfinite(drift)):
+        raise ValueError("drift must be finite")
+    if m0.min() < 0:
+        raise ValueError("m0 must be nonnegative")
+    mass = grid.cell_volume * m0.sum()
+    if abs(mass - 1.0) > 1e-12:
+        raise ValueError(f"m0 mass {mass} != 1")
     heat = PeriodicHeatSolver(grid)
     K, dt = grid.n_time, grid.dt
     _, div = _slice_stencils(grid)
     m = np.empty((K + 1, *grid.spatial_shape))
-    m[0] = problem.m0
+    m[0] = m0
     # m^{k+1} from m^k and b^k, k = 0 .. K-1, as row views; m_col is m^k
     # with a trailing axis against the drift's components
-    for m_k, m_col, m_next, b_k in zip(m[:-1], m[:-1, ..., None], m[1:], problem.drift):
+    for m_k, m_col, m_next, b_k in zip(m[:-1], m[:-1, ..., None], m[1:], drift):
         rhs = div(m_col * b_k)
         rhs *= dt
         rhs += m_k

@@ -39,7 +39,7 @@ equation rows into their raw PDE units and weights the boundary rows by
 Rayleigh-Ritz step per round (`_block_inverse_sigma_min`, BLOCK_WIDTH
 columns, wider than the tight cluster at the bottom of the spectrum) on one
 factorization of the operator (`AssembledOperator.factorize`, shared with
-`direct_solve`): block elimination forward in time, the scheme's own
+`solve_linearized`): block elimination forward in time, the scheme's own
 structure (v solved backward, mu forward), with dense n x n Schur blocks per
 slice and pivoting only inside them (`TimeBlockLU`, which solves a block of
 right-hand sides as one).  It stores D0^-1 and two dense n x n blocks per
@@ -83,7 +83,6 @@ from .pde import PeriodicHeatSolver, _difference_matrix
 from .perturb import perturb_density_values, spawn_rngs
 
 __all__ = [
-    "LinearizedProblem",
     "LinearizedSolution",
     "StabilityCertificate",
     "AssembledOperator",
@@ -212,35 +211,8 @@ def _coefficients(
 
 
 # ---------------------------------------------------------------------------
-# problem / solution containers
+# the linearized solution
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LinearizedProblem:
-    """Linearized system around `base` on [t_{t1_index}, T].
-
-    Inhomogeneities: a sources the backward equation (slices 1..K'), b_src
-    enters the forward equation as div(b_src) (slices 0..K'-1), c shifts the
-    terminal condition, mu0 the initial perturbation.  All default to zero.
-    """
-
-    base: MfgSolution
-    t1_index: int = 0
-    a: Optional[np.ndarray] = None
-    b_src: Optional[np.ndarray] = None
-    c: Optional[np.ndarray] = None
-    mu0: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        _require_converged(self.base)
-        rgrid = self.base.grid.restrict(self.t1_index)
-        K = rgrid.n_time
-        sshape = rgrid.spatial_shape
-        self.a = _shaped(self.a, (K + 1, *sshape))
-        self.b_src = _shaped(self.b_src, (K + 1, *sshape, rgrid.dim))
-        self.c = _shaped(self.c, sshape)
-        self.mu0 = _shaped(self.mu0, sshape)
 
 
 def _require_converged(base: MfgSolution) -> None:
@@ -427,18 +399,18 @@ class AssembledOperator:
         self._check_lu_size()
         return TimeBlockLU(self)
 
-    def rhs_vector(self, problem: LinearizedProblem) -> np.ndarray:
-        K = self.K
+    def rhs_vector(self, a=None, b_src=None, c=None, mu0=None) -> np.ndarray:
+        """The inhomogeneities of `solve_linearized` stacked in the row order,
+        each zero when None; a wrong shape raises ValueError."""
+        g, K = self.grid, self.K
+        sshape = g.spatial_shape
         rows = (
-            problem.a[1:],
-            divergence(self.grid, problem.b_src[:K]),
-            problem.mu0,
-            problem.c,
+            _shaped(a, (K + 1, *sshape))[1:],
+            divergence(g, _shaped(b_src, (K + 1, *sshape, g.dim))[:K]),
+            _shaped(mu0, sshape),
+            _shaped(c, sshape),
         )
         return np.concatenate([r.reshape(-1) for r in rows])
-
-    def direct_solve(self, problem: LinearizedProblem) -> np.ndarray:
-        return self.factorize().solve(self.row_scaling() * self.rhs_vector(problem))
 
 
 class SingularSchurBlock(np.linalg.LinAlgError):
@@ -729,17 +701,34 @@ def assemble_operator(
 # ---------------------------------------------------------------------------
 
 
-def solve_linearized(model: MfgModel, problem: LinearizedProblem) -> LinearizedSolution:
-    """The linearized system solved with the operator's block factorization
-    (`AssembledOperator.direct_solve`), with the residuals of the solution;
-    a singular operator raises `SingularSchurBlock`."""
-    op = assemble_operator(model, problem.base, problem.t1_index)
-    x = op.direct_solve(problem)
+def solve_linearized(
+    model: MfgModel,
+    base: MfgSolution,
+    t1_index: int = 0,
+    a: Optional[np.ndarray] = None,
+    b_src: Optional[np.ndarray] = None,
+    c: Optional[np.ndarray] = None,
+    mu0: Optional[np.ndarray] = None,
+) -> LinearizedSolution:
+    """The linearized system around the converged `base` on [t_{t1_index}, T],
+    solved with the operator's block factorization: the one direct solve of
+    the system.  Returns v, mu and the residuals of the solution; a singular
+    operator raises `SingularSchurBlock`.
+
+    Inhomogeneities, each zero by default: a sources the backward equation
+    (slices 1..K'), b_src enters the forward equation as div(b_src) (slices
+    0..K'-1), c shifts the terminal condition, mu0 is the initial
+    perturbation.
+    """
+    _require_converged(base)
+    op = assemble_operator(model, base, t1_index)
+    rhs = op.rhs_vector(a=a, b_src=b_src, c=c, mu0=mu0)
+    x = op.factorize().solve(op.row_scaling() * rhs)
     v, mu = op.unstack(x)
     return LinearizedSolution(
         v=ScalarField(op.grid, v),
         mu=ScalarField(op.grid, mu),
-        residuals=op._residuals(x, op.rhs_vector(problem)),
+        residuals=op._residuals(x, rhs),
     )
 
 

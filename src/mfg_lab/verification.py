@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import TorusGrid, l2_norm, write_lines
 from .models import builtin_quadratic
-from .pde import HjbProblem, KolmogorovProblem, solve_hjb, solve_kolmogorov
+from .pde import solve_hjb, solve_kolmogorov
 
 __all__ = [
     "manufactured_hjb_error",
@@ -48,9 +48,9 @@ def manufactured_hjb_error(n_space: int, n_time: int) -> float:
             for t in times
         ]
     )
-    out = solve_hjb(HjbProblem(model, grid, source, np.zeros(n_space)))
+    u, _ = solve_hjb(model, grid, source, np.zeros(n_space))
     exact_field = np.stack([exact(t) for t in times])
-    return float(np.max(np.abs(out.u.values - exact_field)))
+    return float(np.max(np.abs(u - exact_field)))
 
 
 def heat_flow_error(
@@ -62,7 +62,7 @@ def heat_flow_error(
     x = grid.axis_coordinates()
     m0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
     drift = np.zeros((n_time + 1, n_space, 1))
-    res = solve_kolmogorov(KolmogorovProblem(grid, drift, m0))
+    res = solve_kolmogorov(grid, drift, m0)
     exact_T = 1.0 + 0.5 * math.exp(-4.0 * math.pi**2 * horizon) * np.cos(
         2.0 * np.pi * x
     )

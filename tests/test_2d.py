@@ -8,7 +8,7 @@ from mfg_lab.grid import TorusGrid, sup_norm
 from mfg_lab.mfg import solve_picard
 from mfg_lab.models import builtin_quadratic
 from mfg_lab.nonuniqueness import find_asymmetric_branch, reflect_values
-from mfg_lab.pde import KolmogorovProblem, solve_kolmogorov
+from mfg_lab.pde import solve_kolmogorov
 from mfg_lab.stability import certify_stability
 
 
@@ -16,9 +16,7 @@ def test_2d_heat_flow_product_mode():
     grid = TorusGrid(2, 16, 64, 0.0, 0.25)
     x1, x2 = grid.coordinates()
     m0 = 1 + 0.25 * np.cos(2 * np.pi * x1) + 0.25 * np.cos(2 * np.pi * x2)
-    out = solve_kolmogorov(
-        KolmogorovProblem(grid, np.zeros((65, 16, 16, 2)), m0)
-    )
+    out = solve_kolmogorov(grid, np.zeros((65, 16, 16, 2)), m0)
     decay = math.exp(-4 * math.pi**2 * 0.25)
     exact = 1 + 0.25 * decay * (np.cos(2 * np.pi * x1) + np.cos(2 * np.pi * x2))
     assert sup_norm(out.values[-1] - exact) <= 5 * (grid.dt + grid.dx**2)
@@ -51,7 +49,7 @@ def test_2d_asymmetric_branch_exists():
     )
     grid = model.make_grid(16, 1024)
     search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=40)
-    assert search.found, search.reason
+    assert search.solution is not None, search.reason
     sol = search.solution
     assert max(sol.residuals.values()) <= 1e-6
     # genuinely lopsided along x1

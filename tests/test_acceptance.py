@@ -47,7 +47,6 @@ from mfg_lab.potential import (
     second_variation_parts,
 )
 from mfg_lab.stability import (
-    LinearizedProblem,
     backward_response,
     certify_stability,
     flux_from_value_direction,
@@ -200,7 +199,7 @@ def test_criterion_04_kernel_symmetry_relation():
         for _ in range(3):
             m = np.abs(rng.standard_normal(16)) + 0.3
             m /= grid.cell_volume * m.sum()
-            worst = max(worst, check_symmetry_relation(coup, grid, m, samples=None))
+            worst = max(worst, check_symmetry_relation(coup, grid, m))
     ok = worst <= 1e-10
     _report(
         4,
@@ -282,7 +281,7 @@ def test_criterion_07_linearized_second_variation(
     ] * 2
     # five homogeneous solves: the quadratic form must vanish
     for model, base in cases:
-        out = solve_linearized(model, LinearizedProblem(base=base))
+        out = solve_linearized(model, base)
         z = flux_from_value_direction(model, base, 0, out.v.values, out.mu.values)
         kin, run, term = second_variation_parts(model, base, out.mu.values, z)
         worst_j2_zero = max(worst_j2_zero, abs(kin + run + term))
@@ -292,7 +291,7 @@ def test_criterion_07_linearized_second_variation(
         grid = base.grid
         mu0 = perturb_density_values(grid, base.m.values[:1], 0.1, rng)[0] - base.m.values[0]
         mu0 -= mu0.mean()
-        out = solve_linearized(model, LinearizedProblem(base=base, mu0=mu0))
+        out = solve_linearized(model, base, mu0=mu0)
         z = flux_from_value_direction(model, base, 0, out.v.values, out.mu.values)
         worst_cont = max(worst_cont, continuity_residual(grid, out.mu.values, z))
         kin, run, term = second_variation_parts(model, base, out.mu.values, z)

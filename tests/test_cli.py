@@ -117,6 +117,7 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("fictitious-play", "fp.n_max = 0"),
         ("fictitious-play", "fp.attractor_deltas = 0.01\nfp.attractor_trials = 0"),
         ("isolation", "isolation.trials = 0"),
+        ("isolation", "seed = -1"),
         ("stability", "stability.tol = 0"),
         ("nonuniqueness", "nonuniqueness.steps_per_unit_time = 0"),
         ("convergence-study", "study.n_list = 32,3"),
@@ -137,6 +138,17 @@ def test_cli_rejects_an_out_of_range_value_before_running(tmp_path, capsys, kind
     for command in ("validate", kind):
         assert main([command, "--config", str(path), "--output", str(out)]) == 2
         assert "must be" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_refuses_a_negative_seed_override_before_running(tmp_path, capsys):
+    # a seed must be >= 0 (numpy's SeedSequence refuses any other): --seed -1
+    # is a config error (exit 2) before a manifest is written
+    path = tmp_path / "c.cfg"
+    path.write_text(SOLVE_SMALL)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--output", str(out), "--seed", "-1"]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

@@ -12,7 +12,7 @@ from mfg_lab.fictitious_play import (
 from mfg_lab.grid import sup_norm
 from mfg_lab.mfg import solution_distance
 from mfg_lab.pde import SolverError
-from mfg_lab.stability import LinearizedProblem
+from mfg_lab.stability import solve_linearized
 
 
 def test_first_round_average_is_first_play(monotone_model, monotone_grid):
@@ -168,5 +168,5 @@ def test_unconverged_run_is_not_a_converged_solution(monotone_model):
     grid = monotone_model.make_grid(24, 32)
     trace = run_fp(monotone_model, grid, n_max=1, gap_tol=1e-9)
     assert not trace.converged and not trace.final.converged
-    with pytest.raises(ValueError):
-        LinearizedProblem(base=trace.final)
+    with pytest.raises(ValueError, match="converged base"):
+        solve_linearized(monotone_model, trace.final)

@@ -179,6 +179,31 @@ def test_binary_roundtrip_bit_exact(grid, rng, tmp_path):
         assert np.array_equal(back.values, f.values)  # bit-exact
 
 
+def _with_byte(raw, offset, value):
+    """raw with one byte replaced: the header's kind id is at 8, ncomp at 40."""
+    return raw[:offset] + bytes([value]) + raw[offset + 1 :]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda raw: raw[:-8], "payload of 184 bytes does not hold shape"),
+        (lambda raw: raw + bytes(8), "payload of 200 bytes does not hold shape"),
+        (lambda raw: _with_byte(raw, 8, 7), "unknown field kind id 7"),
+        (lambda raw: raw[:10], "file of 10 bytes is shorter than its header"),
+        (lambda raw: _with_byte(raw, 40, 2), "scalar field of dimension 1 with 2 components"),
+    ],
+    ids=["truncated", "extra-bytes", "unknown-kind", "10-byte-file", "ncomp"],
+)
+def test_damaged_binary_field_raises_grid_error(tmp_path, damage, message):
+    grid = TorusGrid(1, 8, 2)  # 3 slices of 8 nodes: a 192-byte payload
+    path = tmp_path / "f.bin"
+    write_field_binary(ScalarField(grid, np.zeros((3, 8))), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(GridError, match=message):
+        read_field_binary(path)
+
+
 def test_csv_roundtrip(tmp_path, rng):
     grid = TorusGrid(1, 8, 3)
     f = ScalarField(grid, rng.standard_normal((4, 8)))

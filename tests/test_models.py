@@ -132,7 +132,7 @@ def test_legendre_newton_maximizer():
 def test_symmetry_relation_all_pairs(coup, dim, rng):
     grid = TorusGrid(dim, 16, 2)
     m = random_density(grid, rng)
-    assert check_symmetry_relation(coup, grid, m, samples=None) <= 1e-10
+    assert check_symmetry_relation(coup, grid, m) <= 1e-10
 
 
 @pytest.mark.parametrize("coup", ALL_POTENTIAL_COUPLINGS, ids=lambda c: c.name)

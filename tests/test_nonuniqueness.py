@@ -106,7 +106,7 @@ def test_theta_zero_not_found():
     model = builtin_quadratic(0.0, coupling="antimonotone_symmetric", T=1.0, m0="uniform")
     grid = model.make_grid(16, 32)
     search = find_asymmetric_branch(model, grid, fp_rounds=60)
-    assert not search.found
+    assert search.solution is None
     assert "symmetric" in search.reason
 
 
@@ -177,7 +177,7 @@ def test_asymmetric_search_hands_over_at_the_collapse_check(branch_setup, monkey
     assert reference.converged
     counts = _count_rounds_before_polish(monkeypatch)
     search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=120)
-    assert search.found, search.reason
+    assert search.solution is not None, search.reason
     assert counts["rounds"] == COLLAPSE_CHECK_ROUND
     assert counts["at_polish"] == [counts["rounds"]]
     assert sup_norm(search.solution.m.values - reference.m.values) <= 1e-9
@@ -189,7 +189,7 @@ def test_asymmetric_search_short_cap_plays_every_round(branch_setup, monkeypatch
     search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=5)
     assert counts["at_polish"] == [5]
     assert counts["rounds"] == 5
-    assert search.found, search.reason
+    assert search.solution is not None, search.reason
 
 
 def test_asymmetric_search_without_a_converged_polish_is_not_found(branch_setup, monkeypatch):
@@ -201,7 +201,7 @@ def test_asymmetric_search_without_a_converged_polish_is_not_found(branch_setup,
         nonuniqueness, "solve_picard", lambda *a, **kw: polish(*a, **{**kw, "max_iter": 2})
     )
     search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=5)
-    assert not search.found and search.solution is None
+    assert search.solution is None
     assert search.reason == "polish did not converge in 2 rounds"
 
 

@@ -22,8 +22,6 @@ from mfg_lab.grid import (
 from mfg_lab.models import builtin_quadratic, quadratic_hamiltonian
 from mfg_lab.pde import (
     NEG_DENSITY_ERROR,
-    HjbProblem,
-    KolmogorovProblem,
     SolverError,
     _difference_matrix,
     _fourier_basis,
@@ -45,14 +43,14 @@ def model():
 
 def test_hjb_zero_data_gives_zero(model):
     grid = model.make_grid(32, 16)
-    out = solve_hjb(HjbProblem(model, grid, np.zeros((17, 32)), np.zeros(32)))
-    assert np.max(np.abs(out.u.values)) == 0.0
+    u, _ = solve_hjb(model, grid, np.zeros((17, 32)), np.zeros(32))
+    assert np.max(np.abs(u)) == 0.0
 
 
 def test_hjb_constants_invariant(model):
     grid = model.make_grid(32, 16)
-    out = solve_hjb(HjbProblem(model, grid, np.zeros((17, 32)), np.full(32, 2.5)))
-    assert np.max(np.abs(out.u.values - 2.5)) <= 1e-13
+    u, _ = solve_hjb(model, grid, np.zeros((17, 32)), np.full(32, 2.5))
+    assert np.max(np.abs(u - 2.5)) <= 1e-13
 
 
 def test_manufactured_convergence():
@@ -71,9 +69,7 @@ def test_manufactured_time_order():
 
 def test_kolmogorov_uniform_stationary():
     grid = TorusGrid(1, 32, 16, 0.0, 0.25)
-    out = solve_kolmogorov(
-        KolmogorovProblem(grid, np.zeros((17, 32, 1)), np.ones(32))
-    )
+    out = solve_kolmogorov(grid, np.zeros((17, 32, 1)), np.ones(32))
     assert np.max(np.abs(out.values - 1.0)) <= 1e-13
 
 
@@ -82,7 +78,7 @@ def test_kolmogorov_heat_oracle():
     grid = TorusGrid(1, 64, 256, 0.0, 0.25)
     x = grid.axis_coordinates()
     m0 = 1 + 0.5 * np.cos(2 * np.pi * x)
-    out = solve_kolmogorov(KolmogorovProblem(grid, np.zeros((257, 64, 1)), m0))
+    out = solve_kolmogorov(grid, np.zeros((257, 64, 1)), m0)
     exact = 1 + 0.5 * math.exp(-4 * math.pi**2 * 0.25) * np.cos(2 * np.pi * x)
     assert l2_norm(grid, out.values[-1] - exact) <= 5e-4
     err_sup_t = max(
@@ -104,9 +100,7 @@ def test_mass_conserved_with_drift(model, rng):
     x = grid.axis_coordinates()
     drift = np.zeros((65, 32, 1))
     drift[..., 0] = 0.8 * np.sin(2 * np.pi * x) + 0.3
-    out = solve_kolmogorov(
-        KolmogorovProblem(grid, drift, 1 + 0.5 * np.cos(2 * np.pi * x))
-    )
+    out = solve_kolmogorov(grid, drift, 1 + 0.5 * np.cos(2 * np.pi * x))
     assert np.max(np.abs(out.mass() - 1.0)) <= 1e-12
     assert out.values.min() >= -1e-12
 
@@ -117,19 +111,19 @@ def test_kolmogorov_negative_density_error():
     drift = np.zeros((5, 32, 1))
     drift[..., 0] = 30.0 * np.cos(2 * np.pi * x)
     with pytest.raises(SolverError):
-        solve_kolmogorov(KolmogorovProblem(grid, drift, np.ones(32)))
+        solve_kolmogorov(grid, drift, np.ones(32))
 
 
 def test_solver_residuals_at_solution(model, rng):
     grid = model.make_grid(32, 32)
     x = grid.axis_coordinates()
     source = np.stack([np.sin(2 * np.pi * x) * (1 + t) for t in grid.times])
-    out = solve_hjb(HjbProblem(model, grid, source, np.cos(2 * np.pi * x)))
-    assert hjb_residual(model, grid, out.u.values, source) <= 1e-10
+    u, _ = solve_hjb(model, grid, source, np.cos(2 * np.pi * x))
+    assert hjb_residual(model, grid, u, source) <= 1e-10
     from mfg_lab.mfg import drift_field
 
-    b = drift_field(model, grid, out.u.values)
-    mout = solve_kolmogorov(KolmogorovProblem(grid, b, np.ones(32)))
+    b = drift_field(model, grid, u)
+    mout = solve_kolmogorov(grid, b, np.ones(32))
     assert kolmogorov_residual(grid, mout.values, b) <= 1e-10
 
 
@@ -143,10 +137,10 @@ def test_residual_of_zero_with_unit_source(model):
 def test_residual_linear_in_perturbation(model, rng):
     grid = model.make_grid(32, 16)
     source = np.zeros((17, 32))
-    out = solve_hjb(HjbProblem(model, grid, source, np.zeros(32)))
+    u, _ = solve_hjb(model, grid, source, np.zeros(32))
     eta = np.stack([np.sin(2 * np.pi * grid.axis_coordinates() + 0.3 * k) for k in range(17)])
-    r_small = hjb_residual(model, grid, out.u.values + 1e-4 * eta, source)
-    r_large = hjb_residual(model, grid, out.u.values + 1e-3 * eta, source)
+    r_small = hjb_residual(model, grid, u + 1e-4 * eta, source)
+    r_large = hjb_residual(model, grid, u + 1e-3 * eta, source)
     assert 8.0 <= r_large / r_small <= 12.0  # two-point slope ~ linear
 
 
@@ -155,8 +149,8 @@ def test_comparison_constant_shift(model):
     x = grid.axis_coordinates()
     base = np.stack([np.sin(2 * np.pi * x) for _ in grid.times])
     uT = np.cos(2 * np.pi * x)
-    u2 = solve_hjb(HjbProblem(model, grid, base, uT)).u.values
-    u1 = solve_hjb(HjbProblem(model, grid, base + 1.0, uT)).u.values
+    u2 = solve_hjb(model, grid, base, uT)[0]
+    u1 = solve_hjb(model, grid, base + 1.0, uT)[0]
     gap = u1 - u2
     assert gap.min() >= -1e-10
     # constant source shift integrates exactly
@@ -171,8 +165,8 @@ def test_comparison_smooth_ordered_data(model):
     r1 = r2 + 1.0 + 0.5 * np.sin(2 * np.pi * x)  # r1 >= r2 strictly
     uT2 = np.zeros(32)
     uT1 = uT2 + 0.2 * (1 + np.cos(2 * np.pi * x))  # uT1 >= uT2
-    u1 = solve_hjb(HjbProblem(model, grid, r1, uT1)).u.values
-    u2 = solve_hjb(HjbProblem(model, grid, r2, uT2)).u.values
+    u1 = solve_hjb(model, grid, r1, uT1)[0]
+    u2 = solve_hjb(model, grid, r2, uT2)[0]
     assert (u1 - u2).min() >= -1e-10
 
 
@@ -181,13 +175,11 @@ def test_summation_by_parts_chain(model, rng):
     grid = model.make_grid(32, 32)
     x = grid.axis_coordinates()
     source = np.stack([np.sin(2 * np.pi * x + 0.1 * k) for k in range(33)])
-    u = solve_hjb(HjbProblem(model, grid, source, np.cos(2 * np.pi * x))).u.values
+    u = solve_hjb(model, grid, source, np.cos(2 * np.pi * x))[0]
     from mfg_lab.mfg import drift_field
 
     b = drift_field(model, grid, u)
-    m = solve_kolmogorov(
-        KolmogorovProblem(grid, b, 1 + 0.5 * np.cos(2 * np.pi * x))
-    ).values
+    m = solve_kolmogorov(grid, b, 1 + 0.5 * np.cos(2 * np.pi * x)).values
     K = grid.n_time
     chain = sum(
         inner(grid, u[k + 1] - u[k], m[k + 1]) + inner(grid, u[k], m[k + 1] - m[k])
@@ -252,7 +244,7 @@ def test_kolmogorov_sweep_conserves_mass_under_random_drifts(grid, seed, ratio):
     m0 /= grid.cell_volume * m0.sum()
     bmax = dx / (8 * K * grid.dt * d)
     drift = bmax * rng.uniform(-1.0, 1.0, (K + 1, *grid.spatial_shape, d))
-    out = solve_kolmogorov(KolmogorovProblem(grid, drift, m0))
+    out = solve_kolmogorov(grid, drift, m0)
     assert np.max(np.abs(out.mass() - 1.0)) <= 1e-13
 
 
@@ -262,7 +254,7 @@ def test_hjb_sweep_with_overflowing_hamiltonian_raises(model):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         SolverError, match="non-finite"
     ):
-        solve_hjb(HjbProblem(model, grid, np.zeros((9, 16)), terminal))
+        solve_hjb(model, grid, np.zeros((9, 16)), terminal)
 
 
 def test_kolmogorov_sweep_with_huge_finite_drift_raises():
@@ -274,7 +266,33 @@ def test_kolmogorov_sweep_with_huge_finite_drift_raises():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         SolverError, match="non-finite"
     ):
-        solve_kolmogorov(KolmogorovProblem(grid, drift, np.ones(16)))
+        solve_kolmogorov(grid, drift, np.ones(16))
+
+
+@pytest.mark.parametrize(
+    "source_shape, terminal_shape, message",
+    [((8, 16), (16,), "source shape mismatch"), ((9, 16), (15,), "terminal shape mismatch")],
+)
+def test_hjb_refuses_misshaped_data(model, source_shape, terminal_shape, message):
+    grid = model.make_grid(16, 8)
+    with pytest.raises(ValueError, match=message):
+        solve_hjb(model, grid, np.zeros(source_shape), np.zeros(terminal_shape))
+
+
+@pytest.mark.parametrize(
+    "drift, m0, message",
+    [
+        (np.zeros((9, 16, 2)), np.ones(16), "drift shape mismatch"),
+        (np.full((9, 16, 1), np.nan), np.ones(16), "drift must be finite"),
+        (np.zeros((9, 16, 1)), np.ones(15), "m0 shape mismatch"),
+        (np.zeros((9, 16, 1)), np.r_[-1.0, 2.0, np.ones(14)], "m0 must be nonnegative"),
+        (np.zeros((9, 16, 1)), np.full(16, 1 + 1e-9), "m0 mass"),
+    ],
+)
+def test_kolmogorov_refuses_bad_data(drift, m0, message):
+    grid = TorusGrid(1, 16, 8, 0.0, 0.25)
+    with pytest.raises(ValueError, match=message):
+        solve_kolmogorov(grid, drift, m0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +365,26 @@ def test_sweeps_equal_plain_step_loops_bitwise(grid, seed, horizon, scale, eps):
     source = rng.standard_normal(shape)
     terminal = scale * rng.standard_normal(grid.spatial_shape)
 
-    hjb = solve_hjb(HjbProblem(model, grid, source, terminal))
-    u, b = _plain_hjb(model, grid, source, terminal)
-    assert np.array_equal(hjb.u.values, u)
-    assert np.array_equal(hjb.drift, b)
+    u, b = solve_hjb(model, grid, source, terminal)
+    plain_u, plain_b = _plain_hjb(model, grid, source, terminal)
+    assert np.array_equal(u, plain_u)
+    assert np.array_equal(b, plain_b)
 
     m0 = rng.uniform(0.5, 1.5, grid.spatial_shape)
     m0 /= grid.cell_volume * m0.sum()
-    m = _plain_kolmogorov(grid, b, m0)
-    if m.min() < NEG_DENSITY_ERROR:
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _plain_kolmogorov(grid, b, m0)
+    # the sweep checks finiteness before its sign test, which NaN passes
+    if not np.isfinite(m).all():
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SolverError, match="non-finite"
+        ):
+            solve_kolmogorov(grid, b, m0)
+    elif m.min() < NEG_DENSITY_ERROR:
         with pytest.raises(SolverError, match="negative"):
-            solve_kolmogorov(KolmogorovProblem(grid, b, m0))
+            solve_kolmogorov(grid, b, m0)
     else:
-        assert np.array_equal(solve_kolmogorov(KolmogorovProblem(grid, b, m0)).values, m)
+        assert np.array_equal(solve_kolmogorov(grid, b, m0).values, m)
 
     w = rng.standard_normal((*shape, grid.dim))
     assert np.array_equal(solve_continuity(grid, w, m0), _plain_continuity(grid, w, m0))

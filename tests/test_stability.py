@@ -21,7 +21,6 @@ from mfg_lab.pde import continuity_residual
 from mfg_lab.perturb import low_frequency_field, rng_from_seed
 from mfg_lab.potential import second_variation_parts
 from mfg_lab.stability import (
-    LinearizedProblem,
     assemble_operator,
     backward_response,
     certify_stability,
@@ -46,18 +45,18 @@ def zero_mean_field(grid, rng):
 
 
 def test_zero_data_zero_solution(monotone_model, monotone_solution):
-    out = solve_linearized(monotone_model, LinearizedProblem(base=monotone_solution))
+    out = solve_linearized(monotone_model, monotone_solution)
     assert sup_norm(out.mu.values) <= 1e-13
     assert sup_norm(out.v.values) <= 1e-13
     assert max(out.residuals.values()) <= 1e-11
 
 
 def test_restriction_needs_two_time_steps(monotone_model, monotone_solution):
-    # the operator and the problem refuse t1 = K-1 with the grid's message
+    # the operator and the linearized solve refuse t1 = K-1 with the grid's message
     K = monotone_solution.grid.n_time
     for make in (
         lambda: assemble_operator(monotone_model, monotone_solution, K - 1),
-        lambda: LinearizedProblem(base=monotone_solution, t1_index=K - 1),
+        lambda: solve_linearized(monotone_model, monotone_solution, K - 1),
     ):
         with pytest.raises(GridError, match=f"t1_index {K - 1} out of range.*<= {K - 2}"):
             make()
@@ -68,7 +67,7 @@ def test_linearization_needs_a_converged_base(monotone_model, monotone_solution)
     base = dataclasses.replace(monotone_solution, converged=False)
     mu = np.zeros_like(base.m.values)
     for make in (
-        lambda: LinearizedProblem(base=base),
+        lambda: solve_linearized(monotone_model, base),
         lambda: backward_response(monotone_model, base, 0, mu),
         lambda: certify_stability(monotone_model, base, 0),
     ):
@@ -76,10 +75,18 @@ def test_linearization_needs_a_converged_base(monotone_model, monotone_solution)
             make()
 
 
+@pytest.mark.parametrize("name", ["a", "b_src", "c", "mu0"])
+def test_linearized_solve_refuses_misshaped_inhomogeneities(
+    monotone_model, monotone_solution, name
+):
+    with pytest.raises(ValueError, match=r"inhomogeneity shape \(3,\) != \("):
+        solve_linearized(monotone_model, monotone_solution, **{name: np.zeros(3)})
+
+
 def test_constant_source_decoupled(decoupled_model, decoupled_solution):
     grid = decoupled_solution.grid
     a = np.ones((grid.n_time + 1, *grid.spatial_shape))
-    out = solve_linearized(decoupled_model, LinearizedProblem(base=decoupled_solution, a=a))
+    out = solve_linearized(decoupled_model, decoupled_solution, a=a)
     expect = (grid.T - grid.times)[:, None]
     assert sup_norm(out.v.values - expect) <= 1e-12
     assert sup_norm(out.mu.values) <= 1e-13
@@ -91,11 +98,9 @@ def test_superposition(monotone_model, monotone_solution):
     shape = (grid.n_time + 1, *grid.spatial_shape)
     a1 = np.stack([low_frequency_field(grid, rng) for _ in range(grid.n_time + 1)])
     a2 = np.stack([low_frequency_field(grid, rng) for _ in range(grid.n_time + 1)])
-    s1 = solve_linearized(monotone_model, LinearizedProblem(base=monotone_solution, a=a1))
-    s2 = solve_linearized(monotone_model, LinearizedProblem(base=monotone_solution, a=a2))
-    s12 = solve_linearized(
-        monotone_model, LinearizedProblem(base=monotone_solution, a=a1 + a2)
-    )
+    s1 = solve_linearized(monotone_model, monotone_solution, a=a1)
+    s2 = solve_linearized(monotone_model, monotone_solution, a=a2)
+    s12 = solve_linearized(monotone_model, monotone_solution, a=a1 + a2)
     assert sup_norm(s12.v.values - s1.v.values - s2.v.values) <= 1e-9
     assert sup_norm(s12.mu.values - s1.mu.values - s2.mu.values) <= 1e-9
     assert a1.shape == shape
@@ -107,9 +112,7 @@ def test_mu_mass_conserved(monotone_model, monotone_solution):
     b = np.zeros((grid.n_time + 1, *grid.spatial_shape, grid.dim))
     for ax in range(grid.dim):
         b[..., ax] = low_frequency_field(grid, rng)
-    out = solve_linearized(
-        monotone_model, LinearizedProblem(base=monotone_solution, b_src=b)
-    )
+    out = solve_linearized(monotone_model, monotone_solution, b_src=b)
     from mfg_lab.grid import integrate
 
     masses = [integrate(grid, out.mu.values[k]) for k in range(grid.n_time + 1)]
@@ -240,15 +243,12 @@ def test_residuals_report_the_initial_rows(monotone_model, monotone_solution):
     # by eps: only the initial rows see it, by exactly eps
     grid = monotone_solution.grid
     mu0 = zero_mean_field(grid, rng_from_seed(28))
-    out = solve_linearized(
-        monotone_model, LinearizedProblem(base=monotone_solution, mu0=mu0)
-    )
+    out = solve_linearized(monotone_model, monotone_solution, mu0=mu0)
     assert out.residuals["initial"] <= 1e-13
     eps = 1e-3
-    shifted = LinearizedProblem(base=monotone_solution, mu0=mu0 + eps)
     op = assemble_operator(monotone_model, monotone_solution, 0)
     x = op.stack(out.v.values, out.mu.values)
-    res = op._residuals(x, op.rhs_vector(shifted))
+    res = op._residuals(x, op.rhs_vector(mu0=mu0 + eps))
     assert abs(res["initial"] - eps) <= 1e-12
     assert res["backward"] == out.residuals["backward"]
     assert res["forward"] == out.residuals["forward"]
@@ -259,11 +259,10 @@ def test_operator_reproduces_solver(monotone_model, monotone_solution):
     grid = monotone_solution.grid
     rng = rng_from_seed(24)
     mu0 = zero_mean_field(grid, rng)
-    prob = LinearizedProblem(base=monotone_solution, mu0=mu0)
-    out = solve_linearized(monotone_model, prob)
+    out = solve_linearized(monotone_model, monotone_solution, mu0=mu0)
     op = assemble_operator(monotone_model, monotone_solution, 0)
     x = op.stack(out.v.values, out.mu.values)
-    resid = op.matvec(x) - op.rhs_vector(prob)
+    resid = op.matvec(x) - op.rhs_vector(mu0=mu0)
     assert np.max(np.abs(resid)) <= 1e-9
 
 
@@ -350,9 +349,7 @@ def test_energy_identity_and_z_reconstruction(monotone_model, monotone_solution)
     rng = rng_from_seed(26)
     for _ in range(3):
         mu0 = zero_mean_field(grid, rng)
-        out = solve_linearized(
-            monotone_model, LinearizedProblem(base=monotone_solution, mu0=mu0)
-        )
+        out = solve_linearized(monotone_model, monotone_solution, mu0=mu0)
         z = flux_from_value_direction(
             monotone_model, monotone_solution, 0, out.v.values, out.mu.values
         )
@@ -593,13 +590,22 @@ def _without_initial_rows(op):
     return op
 
 
-def test_singular_schur_block_names_its_slice(monotone_model, monotone_solution):
+def _assemble_without_initial_rows(model, base, t1_index=0):
+    import mfg_lab.stability as stab
+
+    return _without_initial_rows(stab.AssembledOperator(model, base, t1_index))
+
+
+def test_singular_schur_block_names_its_slice(monkeypatch, monotone_model, monotone_solution):
     # the factorization, and so the linearized solve, refuse a singular block
-    op = _without_initial_rows(assemble_operator(monotone_model, monotone_solution, 0))
+    import mfg_lab.stability as stab
+
+    op = _assemble_without_initial_rows(monotone_model, monotone_solution)
     with pytest.raises(np.linalg.LinAlgError, match="time slice 0 is singular"):
         op.factorize()
+    monkeypatch.setattr(stab, "assemble_operator", _assemble_without_initial_rows)
     with pytest.raises(np.linalg.LinAlgError, match="time slice 0 is singular"):
-        op.direct_solve(LinearizedProblem(base=monotone_solution))
+        solve_linearized(monotone_model, monotone_solution)
 
 
 def test_singular_block_before_the_last_slice_is_inconclusive(
@@ -609,10 +615,7 @@ def test_singular_block_before_the_last_slice_is_inconclusive(
     # the certificate names the block and gives no verdict either way
     import mfg_lab.stability as stab
 
-    def assemble(model, base, t1_index=0):
-        return _without_initial_rows(stab.AssembledOperator(model, base, t1_index))
-
-    monkeypatch.setattr(stab, "assemble_operator", assemble)
+    monkeypatch.setattr(stab, "assemble_operator", _assemble_without_initial_rows)
     cert = certify_stability(monotone_model, monotone_solution, 0)
     assert cert.verdict == "INCONCLUSIVE" and cert.method == "singular-schur-block"
     assert "time slice 0 is singular" in cert.cause
