@@ -48,7 +48,6 @@ __all__ = [
     "h1_norm",
     "c10_norm",
     "field_to_csv",
-    "scalar_field_from_csv",
     "write_field_binary",
     "read_field_binary",
     "write_lines",
@@ -381,23 +380,6 @@ def field_to_csv(f, path) -> None:
             parts += [repr(float(v)) for v in sl[flat]]
             lines.append(",".join(parts))
     write_lines(path, lines)
-
-
-def scalar_field_from_csv(grid: TorusGrid, path) -> ScalarField:
-    values = np.zeros((grid.n_time + 1, *grid.spatial_shape))
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        ncols = len(header)
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != ncols:
-                raise GridError("malformed field CSV row")
-            k = int(parts[0])
-            if grid.dim == 1:
-                values[k, int(parts[2])] = float(parts[-1])
-            else:
-                values[k, int(parts[2]), int(parts[3])] = float(parts[-1])
-    return ScalarField(grid, values)
 
 
 def write_field_binary(f, path) -> None:

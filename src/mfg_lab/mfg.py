@@ -134,12 +134,14 @@ def _package_solution(
 
 # Depth of the Picard belief update: it fits the residual by the differences
 # of the last ANDERSON_DEPTH rounds, so it keeps ANDERSON_DEPTH + 1 rounds.
-# Rounds to converge, by depth 2/3/4/5/6/8 (plain damping 0.5 in brackets):
+# Rounds to converge, by depth 2/3/4/5/6/8 at weight 0.5 (plain damping 0.5
+# in brackets; the asymmetric polish at weight 1, plain weight 1 in brackets):
 #   picard_1d, 20 tasks of seed 0, tol 1e-10:    6/6/6/6/6/6     (25)
 #   monotone N=32 K=48, tol 1e-12:               9/8/7/7/7/7     (32)
 #   certify bases, 1D / 2D, tol 1e-11:      9,9/7,8/7,7/7,7/7,7  (28, 28)
-#   asymmetric polish, theta 50/60/70:   16,14,14/14,12,11/14,12,11/
-#                                        10,10,10/9,9,10/10,10,10 (46,42,39)
+#   asymmetric polish, theta 50/60/70, N=24 K=128 T=1, tol 1e-10, from
+#   fictitious-play round 3:             11,11,11/10,11,11/9,10,11/
+#                                        9,10,11/9,10,10/9,10,10  (21,18,17)
 # Depth 1 needs 7 rounds on picard_1d; past depth 5 the counts barely move.
 ANDERSON_DEPTH = 5
 

@@ -13,8 +13,11 @@ this happens are experiment outputs, not assertions.
 Both branches come from the shared solvers and no iteration of their own:
 the symmetric one is `solve_picard` from the symmetric m0, the broken one is
 fictitious play from a lopsided belief, which reaches the basin of the stable
-branch by round COLLAPSE_CHECK_ROUND (5), polished from there by `solve_picard`.
-A polish that does not converge leaves the cell not-found.
+branch by round COLLAPSE_CHECK_ROUND (3), polished from there by `solve_picard`
+at full Anderson weight: the branch is stable, so near it the undamped
+best-response map already contracts, and weight 1/2 would only slow each of
+its modes lambda to (1 + lambda)/2.  A polish that does not converge leaves
+the cell not-found.
 """
 
 from __future__ import annotations
@@ -96,11 +99,12 @@ def asymmetric_initial_belief(grid: TorusGrid) -> np.ndarray:
 SEPARATION_FLOOR = 1e-2
 # the asymmetric search's one decision round (or fp_rounds, if fewer): a sine
 # moment below COLLAPSE_MOMENT there is not-found, any other flow is polished.
-# Best responses per search on N=24, K=128, T=1, theta = 48..72, by hand-over
-# round: 32.4 at 20, 23.7 at 10, 19.6 at 5, 17.9 at 3, 18.0 at 1, every
-# asymmetric m within 2e-12 of round 20's.  Earlier rounds save under 2
-# more, and 5 keeps the tests' 5-round cap playing every round.
-COLLAPSE_CHECK_ROUND = 5
+# Best responses per search on N=24, K=128, T=1, theta = 48..72, polished at
+# weight 1, by hand-over round: 29.0 at 20, 19.2 at 10, 14.6 at 5, 13.6 at 4,
+# 12.9 at 3, 12.0 at 2, 11.9 at 1, every asymmetric m within 2e-12 of round
+# 20's.  Earlier rounds save under 1 more and no criterion-09 sweep time,
+# and leave a larger residual on its best cell (4.8e-10 at 2, 3.3e-10 at 3).
+COLLAPSE_CHECK_ROUND = 3
 COLLAPSE_MOMENT = 0.02
 
 
@@ -116,9 +120,9 @@ def find_asymmetric_branch(
     Fictitious play runs min(fp_rounds, COLLAPSE_CHECK_ROUND) rounds.  A
     collapsed sine moment then reports convergence back to the symmetric
     branch as not-found (that outcome steers the sweep), never as an error;
-    any other flow starts the polish.  A polish that does not converge is
-    not-found too, with that reason; a converged one still has to pass the
-    residual and separation checks.
+    any other flow starts the polish, at mixing weight 1.  A polish that
+    does not converge is not-found too, with that reason; a converged one
+    still has to pass the residual and separation checks.
     """
     if fp_rounds < 1:
         raise ValueError(f"fp_rounds must be at least 1, got {fp_rounds}")
@@ -134,6 +138,7 @@ def find_asymmetric_branch(
             model,
             grid,
             init_m=state.last.m,
+            damping=1.0,
             tol=min(tol * 1e-2, 1e-10),
             max_iter=400,
         )

@@ -19,10 +19,6 @@ def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(child)) for child in seq.spawn(n)]
 
 
-def rng_from_seed(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 # Fourier modes per axis of a low-frequency field
 N_MODES = 3
 

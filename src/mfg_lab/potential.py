@@ -84,9 +84,6 @@ class AdmissiblePair:
     def grid(self) -> TorusGrid:
         return self.m.grid
 
-    def is_admissible(self) -> bool:
-        return self.continuity_defect <= ADMISSIBLE_DEFECT_TOL
-
     def shifted(self, h: float, mu_values, z_values) -> "AdmissiblePair":
         return AdmissiblePair.from_values(
             self.grid, self.m.values + h * mu_values, self.w.values + h * z_values

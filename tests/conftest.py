@@ -20,6 +20,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from mfg_lab.mfg import solve_picard
 from mfg_lab.models import builtin_quadratic
+from mfg_lab.potential import ADMISSIBLE_DEFECT_TOL
 
 # property tests draw the same examples on every run and keep no example
 # database; the cache hypothesis still writes (source constants) goes to a
@@ -35,6 +36,17 @@ N_CRITERIA = 12
 
 def record_acceptance(line: str, seconds: float) -> None:
     ACCEPTANCE_LINES.append((line, seconds))
+
+
+def rng_from_seed(seed) -> np.random.Generator:
+    """A Philox generator of one seed, the bit generator `spawn_rngs` uses."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def is_admissible(pair) -> bool:
+    """The pair's continuity defect is within the discrete admissible class's
+    tolerance."""
+    return pair.continuity_defect <= ADMISSIBLE_DEFECT_TOL
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

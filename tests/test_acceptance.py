@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, rng_from_seed
 
 from mfg_lab.config import load_config
 from mfg_lab.cli import run_experiment
@@ -37,7 +37,7 @@ from mfg_lab.models import (
 )
 from mfg_lab.nonuniqueness import build_competitor, sweep_nonuniqueness, _sweep_cell
 from mfg_lab.pde import continuity_residual
-from mfg_lab.perturb import perturb_density_values, rng_from_seed, spawn_rngs
+from mfg_lab.perturb import perturb_density_values, spawn_rngs
 from mfg_lab.potential import (
     admissible_direction,
     criticality_defect,
@@ -392,6 +392,20 @@ def test_criterion_09_nonuniqueness(sweep_result):
             f"J(competitor) {j_comp:.2f} < J(sym)"
         )
     _report(9, "non-uniqueness experiment", ok, detail, t0)
+
+
+def test_sweep_cells_keep_their_flags_and_reasons(sweep_result):
+    # criterion 09 counts the found cells; this pins each cell, so a change
+    # to the branch search cannot trade one cell's outcome for another's
+    got = {(c["theta"], c["horizon"]): (c["found"], c["reason"]) for c in sweep_result.cells}
+    want = {
+        (theta, horizon): (True, "ok")
+        if theta == 64.0
+        else (False, "converged to the symmetric branch")
+        for theta in (1.0, 4.0, 16.0, 64.0)
+        for horizon in (0.5, 1.0, 2.0, 4.0, 8.0)
+    }
+    assert got == want
 
 
 def test_criterion_10_local_attractor():

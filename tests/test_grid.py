@@ -19,7 +19,6 @@ from mfg_lab.grid import (
     l2_norm,
     laplacian,
     read_field_binary,
-    scalar_field_from_csv,
     write_field_binary,
 )
 
@@ -204,10 +203,23 @@ def test_damaged_binary_field_raises_grid_error(tmp_path, damage, message):
         read_field_binary(path)
 
 
+def _scalar_field_from_csv(grid, path) -> ScalarField:
+    """The scalar field `field_to_csv` wrote: k and the node indices locate
+    each row's value."""
+    values = np.zeros((grid.n_time + 1, *grid.spatial_shape))
+    with open(path, encoding="utf-8") as fh:
+        ncols = len(fh.readline().strip().split(","))
+        for line in fh:
+            parts = line.strip().split(",")
+            assert len(parts) == ncols, "malformed field CSV row"
+            values[(int(parts[0]), *map(int, parts[2 : 2 + grid.dim]))] = float(parts[-1])
+    return ScalarField(grid, values)
+
+
 def test_csv_roundtrip(tmp_path, rng):
     grid = TorusGrid(1, 8, 3)
     f = ScalarField(grid, rng.standard_normal((4, 8)))
     path = tmp_path / "f.csv"
     field_to_csv(f, path)
-    back = scalar_field_from_csv(grid, path)
+    back = _scalar_field_from_csv(grid, path)
     assert np.array_equal(back.values, f.values)

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import is_admissible
+
 import mfg_lab.fictitious_play as fictitious_play
 import mfg_lab.nonuniqueness as nonuniqueness
 from mfg_lab.grid import sup_norm
@@ -142,7 +144,7 @@ def test_branch_pair_feeds_uniqueness_probe(branch_pair):
 def test_competitor_beats_symmetric(branch_setup, branch_pair):
     model, grid = branch_setup
     comp = build_competitor(model, grid)
-    assert comp.is_admissible()
+    assert is_admissible(comp)
     j_comp = evaluate_J(model, comp).total
     assert j_comp < branch_pair.j_symmetric.total
 
@@ -184,12 +186,30 @@ def test_asymmetric_search_hands_over_at_the_collapse_check(branch_setup, monkey
 
 
 def test_asymmetric_search_short_cap_plays_every_round(branch_setup, monkeypatch):
+    # a cap below the hand-over round plays every round it allows
     model, grid = branch_setup
+    assert COLLAPSE_CHECK_ROUND > 2
     counts = _count_rounds_before_polish(monkeypatch)
-    search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=5)
-    assert counts["at_polish"] == [5]
-    assert counts["rounds"] == 5
+    search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=2)
+    assert counts["at_polish"] == [2]
+    assert counts["rounds"] == 2
     assert search.solution is not None, search.reason
+
+
+def test_full_weight_polish_matches_a_damped_one_in_fewer_rounds(branch_setup):
+    # the asymmetric branch is stable, so the undamped map contracts near
+    # it: weight 1 lands where weight 0.5 does, from the same hand-over flow
+    model, grid = branch_setup
+    state = fictitious_play.fp_start(model, grid, mu0=asymmetric_initial_belief(grid))
+    for _ in range(COLLAPSE_CHECK_ROUND):
+        state = fictitious_play.fp_step(state)
+    full, damped = (
+        solve_picard(model, grid, init_m=state.last.m, damping=w, tol=1e-10, max_iter=400)
+        for w in (1.0, 0.5)
+    )
+    assert full.converged and damped.converged
+    assert full.iterations < damped.iterations
+    assert sup_norm(full.m.values - damped.m.values) <= 1e-9
 
 
 def test_asymmetric_search_without_a_converged_polish_is_not_found(branch_setup, monkeypatch):

@@ -52,15 +52,15 @@ def test_workload_task_passes_its_check(workloads, name):
 
 
 # counts per workload that the tracer sees only if its wrappers are called;
-# branch_pair_1d's pin the search's hand-over: 5 fictitious-play rounds, and
-# 19 best responses in all (5 rounds, the symmetric branch's 1 and 13 polish
-# rounds)
+# branch_pair_1d's pin the search's hand-over: 3 fictitious-play rounds, and
+# 14 best responses in all (3 rounds, the symmetric branch's 1 and 10 polish
+# rounds at full weight)
 TRACED_COUNTS = {
     "picard_1d": {"mfg.picard_solves": 1},
     "branch_pair_1d": {
         "nonuniqueness.pairs_found_ratio": 1.0,
-        "fictitious_play.rounds": 5,
-        "pde.hjb_sweeps": 19,
+        "fictitious_play.rounds": 3,
+        "pde.hjb_sweeps": 14,
     },
     "certify": {"stability.certificates": 5},
 }

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import is_admissible, rng_from_seed
+
 from mfg_lab.grid import DensityField, FluxField, sup_norm
 from mfg_lab.mfg import heat_flow_of_initial, solve_picard
 from mfg_lab.models import Coupling, KernelFactors, builtin_quadratic, check_symmetry_relation
@@ -19,7 +21,6 @@ from mfg_lab.potential import (
     restriction_consistency,
     second_variation_parts,
 )
-from mfg_lab.perturb import rng_from_seed
 
 
 def _square_potential_coupling() -> Coupling:
@@ -79,7 +80,7 @@ def test_j_closed_form_uniform_rest():
     pair = AdmissiblePair.from_values(
         grid, np.ones((9, 16)), np.zeros((9, 16, 1))
     )
-    assert pair.is_admissible()
+    assert is_admissible(pair)
     jb = evaluate_J(model, pair)
     assert jb.kinetic == 0.0
     assert abs(jb.running_potential - 1.0) <= 1e-12
@@ -97,14 +98,14 @@ def test_heat_flow_zero_flux_admissible(decoupled_model, monotone_grid):
     pair = AdmissiblePair.from_values(
         grid, m, np.zeros((grid.n_time + 1, *grid.spatial_shape, 1))
     )
-    assert pair.is_admissible()
+    assert is_admissible(pair)
     assert evaluate_J(decoupled_model, pair).kinetic == 0.0
     # w = -Dm does NOT pair with the heat flow: the defect is -Lap(m)
     from mfg_lab.grid import gradient
 
     w_bad = -np.stack([gradient(grid, m[k]) for k in range(grid.n_time + 1)])
     bad = AdmissiblePair.from_values(grid, m, w_bad)
-    assert not bad.is_admissible()
+    assert not is_admissible(bad)
     assert bad.continuity_defect > 1e-3
 
 

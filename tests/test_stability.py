@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from scipy.linalg import svdvals
 from scipy.optimize import brentq
 
+from conftest import rng_from_seed
+
 from mfg_lab.grid import GridError, divergence, gradient, inner, laplacian, sup_norm
 from mfg_lab.mfg import drift_field, solve_picard
 from mfg_lab.models import KernelFactors, builtin_quadratic
 from mfg_lab.nonuniqueness import find_symmetric_branch
 from mfg_lab.pde import continuity_residual
-from mfg_lab.perturb import low_frequency_field, rng_from_seed
+from mfg_lab.perturb import low_frequency_field
 from mfg_lab.potential import second_variation_parts
 from mfg_lab.stability import (
     assemble_operator,
