@@ -215,9 +215,9 @@ def _run_fictitious_play(cfg, outdir: Path, seed: int) -> dict:
             n_max=cfg["fp.n_max"],
             success_err=cfg["fp.success_err"],
         )
-        summary["attractor"] = report.records
-        if report.failures:
-            summary["attractor_failures"] = report.failures
+        summary["attractor"] = report["records"]
+        if report["failures"]:
+            summary["attractor_failures"] = report["failures"]
         summary["reference_sigma_min"] = cert.sigma_min
     _write_solution_fields(outdir, trace.final)
     return summary
@@ -271,7 +271,7 @@ def _run_isolation(cfg, outdir: Path, seed: int) -> dict:
         "kind": "isolation",
         "sigma_min": cert.sigma_min,
         "base_residuals": sol.residuals,
-        **vars(report),
+        **report,
     }
 
 
@@ -286,7 +286,6 @@ def _run_nonuniqueness(cfg, outdir: Path, seed: int) -> dict:
         n_space=cfg["grid.n_space"],
         steps_per_unit_time=cfg["nonuniqueness.steps_per_unit_time"],
         tol=cfg["nonuniqueness.tol"],
-        fp_rounds=cfg["nonuniqueness.fp_rounds"],
         refine_best=cfg["nonuniqueness.refine"] == 1,
     )
     res.to_csv(outdir / "sweep.csv")

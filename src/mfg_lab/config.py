@@ -78,7 +78,6 @@ SCHEMA: dict[str, _Key] = {
     "nonuniqueness.thetas": _Key(str, "1,4,16,64", bound=_NONNEGATIVE),
     "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8", bound=_POSITIVE),
     "nonuniqueness.steps_per_unit_time": _Key(int, 128, bound=_COUNT),
-    "nonuniqueness.fp_rounds": _Key(int, 150, bound=_COUNT),
     "nonuniqueness.tol": _Key(float, 1e-6, bound=_POSITIVE),
     "nonuniqueness.refine": _Key(int, 1, (0, 1)),
     "study.n_list": _Key(str, "32,64,128", bound=_N_SPACE),

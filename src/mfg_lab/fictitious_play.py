@@ -19,7 +19,7 @@ the same residual diagnostics as the direct solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "fp_step",
     "run_fp",
     "local_attractor_experiment",
-    "AttractorReport",
 ]
 
 
@@ -92,7 +91,6 @@ class FpTrace:
     n_iterations: int
     converged: bool
     final: MfgSolution
-    state: FpState = field(repr=False, default=None)
 
     def to_csv(self, path) -> None:
         """Columns n, gap_n, mu_step, err_n, plus final residuals in a header
@@ -147,21 +145,7 @@ def run_fp(
         n_iterations=state.n,
         converged=converged,
         final=_package_solution(model, grid, state.last, state.n, converged, []),
-        state=state,
     )
-
-
-@dataclass
-class AttractorReport:
-    records: list
-    # one {"delta", "trial", "cause"} per trial whose run raised SolverError
-    failures: list = field(default_factory=list)
-
-    def success_rate(self, delta: float) -> float:
-        for rec in self.records:
-            if rec["delta"] == delta:
-                return rec["success_rate"]
-        raise KeyError(delta)
 
 
 def local_attractor_experiment(
@@ -173,16 +157,17 @@ def local_attractor_experiment(
     seed,
     n_max: int = 300,
     success_err: float = 5e-4,
-) -> AttractorReport:
-    """Basin probe around a certified-stable equilibrium.
+) -> dict:
+    """Basin probe around a certified-stable equilibrium: {"records",
+    "failures"}, one record per delta.
 
     For each delta, fictitious play starts from beliefs within sup-distance
     delta of the reference flow; a trial succeeds when the final error is
     below success_err.  The tail-monotonicity flag records whether err_n
     was non-increasing (within 5%) over the last third of the rounds.  A
     trial whose run raises SolverError (a density gone negative, say) has
-    failed: it is neither a success nor eventually monotone, and its cause
-    goes to the report's `failures`.
+    failed: it is neither a success nor eventually monotone, and it goes to
+    `failures` as {"delta", "trial", "cause"}.
     """
     deltas = list(delta_list)
     rngs = iter(spawn_rngs(seed, len(deltas) * trials))
@@ -223,4 +208,4 @@ def local_attractor_experiment(
                 "eventually_monotone_fraction": sum(monotone_flags) / trials,
             }
         )
-    return AttractorReport(records=records, failures=failures)
+    return {"records": records, "failures": failures}

@@ -77,15 +77,6 @@ def find_symmetric_branch(model: MfgModel, grid: TorusGrid) -> MfgSolution:
     return solve_picard(model, grid, m0=m0, tol=1e-11, max_iter=400)
 
 
-@dataclass
-class AsymmetricSearch:
-    """The polished asymmetric branch, or None with the reason it was not found."""
-
-    solution: Optional[MfgSolution]
-    reason: str
-    reflection_defect: float
-
-
 def asymmetric_initial_belief(grid: TorusGrid) -> np.ndarray:
     """Belief 1 + 0.8 sin(2 pi x1), normalized: mass shifted toward the
     sine-favored region (x1 = 1/4)."""
@@ -109,20 +100,17 @@ COLLAPSE_MOMENT = 0.02
 
 
 def find_asymmetric_branch(
-    model: MfgModel,
-    grid: TorusGrid,
-    tol: float = 1e-8,
-    fp_rounds: int = 150,
-    symmetric_defect: float = 0.0,
-) -> AsymmetricSearch:
-    """Fictitious play from an asymmetric belief, polished by `solve_picard`.
+    model: MfgModel, grid: TorusGrid, tol: float = 1e-8, fp_rounds: int = 150
+) -> tuple[Optional[MfgSolution], str]:
+    """Fictitious play from an asymmetric belief, polished by `solve_picard`;
+    the polished solution, or None and the reason it was not found.
 
     Fictitious play runs min(fp_rounds, COLLAPSE_CHECK_ROUND) rounds.  A
     collapsed sine moment then reports convergence back to the symmetric
     branch as not-found (that outcome steers the sweep), never as an error;
-    any other flow starts the polish, at mixing weight 1.  A polish that
-    does not converge is not-found too, with that reason; a converged one
-    still has to pass the residual and separation checks.
+    any other flow starts the polish, at mixing weight 1.  This function
+    checks the collapse, the polish's convergence and its residuals against
+    tol; the separation from the symmetric branch is `make_branch_pair`'s.
     """
     if fp_rounds < 1:
         raise ValueError(f"fp_rounds must be at least 1, got {fp_rounds}")
@@ -131,9 +119,7 @@ def find_asymmetric_branch(
         for _ in range(min(fp_rounds, COLLAPSE_CHECK_ROUND)):
             state = fp_step(state)
         if np.max(np.abs(_sine_moment(grid, state.last.m)[0])) < COLLAPSE_MOMENT:
-            return AsymmetricSearch(
-                None, "converged to the symmetric branch", reflection_defect(state.last.m)
-            )
+            return None, "converged to the symmetric branch"
         polished = solve_picard(
             model,
             grid,
@@ -145,17 +131,13 @@ def find_asymmetric_branch(
     except SolverError as exc:
         # a transport blow-up at these parameters is a not-found cell,
         # recorded so the sweep can steer around it
-        return AsymmetricSearch(None, f"solver failure: {exc}", 0.0)
-    defect = reflection_defect(polished.m.values)
+        return None, f"solver failure: {exc}"
     if not polished.converged:
-        reason = f"polish did not converge in {polished.iterations} rounds"
-        return AsymmetricSearch(None, reason, defect)
+        return None, f"polish did not converge in {polished.iterations} rounds"
     resid = max(polished.residuals["hjb"], polished.residuals["kolmogorov"])
     if resid > tol:
-        return AsymmetricSearch(None, f"residual {resid:.2e} above {tol:.0e}", defect)
-    if defect < max(10.0 * symmetric_defect, SEPARATION_FLOOR):
-        return AsymmetricSearch(None, "converged to the symmetric branch", defect)
-    return AsymmetricSearch(polished, "ok", defect)
+        return None, f"residual {resid:.2e} above {tol:.0e}"
+    return polished, "ok"
 
 
 @dataclass
@@ -193,30 +175,33 @@ def make_branch_pair(
     """The symmetric branch, the asymmetric search and, when it is found, the
     pair with its separation and J values; otherwise None and the reason.
 
-    tol must be positive: at tol <= 0 the polish target min(tol * 1e-2,
-    1e-10) is 0, which no polish reaches.
+    `find_asymmetric_branch` checks its own solution's residuals; this
+    function checks the separation: an asymmetric solution whose reflection
+    defect is below max(10 x the symmetric branch's, SEPARATION_FLOOR) is
+    the symmetric branch again, and not-found.  tol must be positive: at
+    tol <= 0 the polish target min(tol * 1e-2, 1e-10) is 0, which no polish
+    reaches.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     sym = find_symmetric_branch(model, grid)
+    asym, reason = find_asymmetric_branch(model, grid, tol=tol, fp_rounds=fp_rounds)
+    if asym is None:
+        return None, reason
     sym_defect = reflection_defect(sym.m.values)
-    search = find_asymmetric_branch(
-        model, grid, tol=tol, fp_rounds=fp_rounds, symmetric_defect=sym_defect
-    )
-    if search.solution is None:
-        return None, search.reason
-    asym = search.solution
-    separation = sup_norm(sym.m.values - asym.m.values)
+    asym_defect = reflection_defect(asym.m.values)
+    if asym_defect < max(10.0 * sym_defect, SEPARATION_FLOOR):
+        return None, "converged to the symmetric branch"
     pair = BranchPair(
         symmetric=sym,
         asymmetric=asym,
-        separation=separation,
+        separation=sup_norm(sym.m.values - asym.m.values),
         j_symmetric=evaluate_J(model, AdmissiblePair.from_solution(sym)),
         j_asymmetric=evaluate_J(model, AdmissiblePair.from_solution(asym)),
         theta=model.theta,
         horizon=grid.T - grid.t0,
         reflection_defect_symmetric=sym_defect,
-        reflection_defect_asymmetric=search.reflection_defect,
+        reflection_defect_asymmetric=asym_defect,
     )
     return pair, "ok"
 
@@ -338,7 +323,6 @@ def sweep_nonuniqueness(
     n_space: int = 32,
     steps_per_unit_time: int = 128,
     tol: float = 1e-6,
-    fp_rounds: int = 150,
     refine_best: bool = True,
 ) -> SweepResult:
     """Geometric (theta, T) sweep; each cell hunts for a branch pair.
@@ -352,7 +336,7 @@ def sweep_nonuniqueness(
 
     def run_cell(args):
         model, grid = _sweep_cell(*args, dim, n_space, steps_per_unit_time)
-        return make_branch_pair(model, grid, tol=tol, fp_rounds=fp_rounds)
+        return make_branch_pair(model, grid, tol=tol)
 
     cells = []
     verified: list[BranchPair] = []
@@ -386,7 +370,7 @@ def sweep_nonuniqueness(
         model, grid = _sweep_cell(
             best_pair.theta, best_pair.horizon, dim, 2 * n_space, 2 * steps_per_unit_time
         )
-        refined, _ = make_branch_pair(model, grid, tol=tol, fp_rounds=fp_rounds)
+        refined, _ = make_branch_pair(model, grid, tol=tol)
         if refined is not None:
             change = abs(refined.separation - best_pair.separation) / best_pair.separation
     return SweepResult(cells=cells, best=best_pair, separation_change=change)

@@ -19,7 +19,7 @@ on.  The price is a Kolmogorov step that is not monotone: the explicit
 centered transport step gives a neighbour a negative weight for every dt,
 so no step-size bound keeps the density nonnegative.  What guards it is the
 sweep's own sign test, which raises when a value falls below
-NEG_DENSITY_ERROR.
+-grid.NEG_TOL, the bound every density container holds.
 
 Each step of a sweep is a few small dense products on one slice: the
 per-axis difference matrix C (``grid.gradient`` of the identity) for G and
@@ -53,6 +53,7 @@ import functools
 import numpy as np
 
 from .grid import (
+    NEG_TOL,
     DensityField,
     TorusGrid,
     divergence,
@@ -73,8 +74,6 @@ __all__ = [
     "continuity_residual",
     "drift_field",
 ]
-
-NEG_DENSITY_ERROR = -1e-10
 
 
 class SolverError(RuntimeError):
@@ -259,7 +258,7 @@ def solve_kolmogorov(grid: TorusGrid, drift: np.ndarray, m0: np.ndarray) -> Dens
         heat.apply(rhs, out=m_next)
     _check_finite(m, "Kolmogorov sweep")  # before the sign test, which NaN passes
     low = float(m.min())
-    if low < NEG_DENSITY_ERROR:
+    if low < -NEG_TOL:
         raise SolverError(f"density went negative: min = {low:.3e}")
     return DensityField(grid, m)
 

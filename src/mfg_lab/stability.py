@@ -79,7 +79,7 @@ from .grid import (
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
 from .models import KernelFactors, MfgModel
-from .pde import PeriodicHeatSolver, _difference_matrix
+from .pde import PeriodicHeatSolver, _check_finite, _difference_matrix
 from .perturb import perturb_density_values, spawn_rngs
 
 __all__ = [
@@ -336,7 +336,9 @@ class AssembledOperator:
         coupled = self.kernel_f @ mu[1:]
         for k in range(K - 1, -1, -1):
             val = -(_transport(g, self.drift[k + 1], v[k + 1]) + coupled[k])
-            v[k] = self._heat.step((g.dt * val).reshape(g.spatial_shape)).reshape(-1)
+            rhs = (g.dt * val).reshape(g.spatial_shape)
+            self._heat.apply(rhs, out=v[k].reshape(g.spatial_shape))
+        _check_finite(v, "linearized backward sweep")
 
     # -- materialization -----------------------------------------------------
     def lu_bytes_estimate(self) -> int:
@@ -929,12 +931,6 @@ RUNS_PER_TRIAL = 2
 DISTINCT_TOL = 1e-7
 
 
-@dataclass
-class IsolationReport:
-    eta_records: list
-    distinct_pairs_total: int
-
-
 def isolation_experiment(
     model: MfgModel,
     base: MfgSolution,
@@ -944,14 +940,15 @@ def isolation_experiment(
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 400,
-) -> IsolationReport:
-    """Search for distinct solutions near a (certified stable) base.
+) -> dict:
+    """Search for distinct solutions near a (certified stable) base:
+    {"eta_records", "distinct_pairs_total"}.
 
     Each trial fixes one initial density perturbed within eta (C0), then
     runs Picard RUNS_PER_TRIAL times from random iterates within eta of the
     base.  Distinct converged solutions (farther apart than DISTINCT_TOL) of
     that same problem inside the eta-ball around the base would falsify
-    local uniqueness; the report counts them.
+    local uniqueness; each eta's record counts them.
     """
     grid = base.grid
     records = []
@@ -1013,4 +1010,4 @@ def isolation_experiment(
                 "max_distance_to_base": max_to_base,
             }
         )
-    return IsolationReport(eta_records=records, distinct_pairs_total=total)
+    return {"eta_records": records, "distinct_pairs_total": total}

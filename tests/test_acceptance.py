@@ -112,7 +112,6 @@ def sweep_result():
         n_space=32,
         steps_per_unit_time=128,
         tol=1e-6,
-        fp_rounds=150,
         refine_best=True,
     )
 
@@ -419,7 +418,8 @@ def test_criterion_10_local_attractor():
     report = local_attractor_experiment(
         model, grid, ref, delta_list=[delta], trials=10, seed=10, n_max=250
     )
-    rate = report.success_rate(delta)
+    (record,) = report["records"]
+    rate = record["success_rate"]
     # exact averaging-rule identity along one full trace
     trace = run_fp(model, grid, n_max=100)
     rule_defect = max(

@@ -109,7 +109,6 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("solve", "model.m0_amplitude = 1.5"),
         ("nonuniqueness", "nonuniqueness.thetas = 4,-1"),
         ("nonuniqueness", "nonuniqueness.horizons = 0.5,0"),
-        ("nonuniqueness", "nonuniqueness.fp_rounds = 0"),
         ("nonuniqueness", "nonuniqueness.tol = 0"),
         ("solve", "solver.damping = 0"),
         ("solve", "solver.damping = 1.5"),

@@ -107,9 +107,9 @@ def test_symmetric_branch_rejects_asymmetric_m0():
 def test_theta_zero_not_found():
     model = builtin_quadratic(0.0, coupling="antimonotone_symmetric", T=1.0, m0="uniform")
     grid = model.make_grid(16, 32)
-    search = find_asymmetric_branch(model, grid, fp_rounds=60)
-    assert search.solution is None
-    assert "symmetric" in search.reason
+    solution, reason = find_asymmetric_branch(model, grid, fp_rounds=60)
+    assert solution is None
+    assert "symmetric" in reason
 
 
 def test_branch_pair_properties(branch_setup, branch_pair):
@@ -178,11 +178,11 @@ def test_asymmetric_search_hands_over_at_the_collapse_check(branch_setup, monkey
     reference = solve_picard(model, grid, init_m=state.last.m, tol=1e-10, max_iter=400)
     assert reference.converged
     counts = _count_rounds_before_polish(monkeypatch)
-    search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=120)
-    assert search.solution is not None, search.reason
+    solution, reason = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=120)
+    assert solution is not None, reason
     assert counts["rounds"] == COLLAPSE_CHECK_ROUND
     assert counts["at_polish"] == [counts["rounds"]]
-    assert sup_norm(search.solution.m.values - reference.m.values) <= 1e-9
+    assert sup_norm(solution.m.values - reference.m.values) <= 1e-9
 
 
 def test_asymmetric_search_short_cap_plays_every_round(branch_setup, monkeypatch):
@@ -190,10 +190,27 @@ def test_asymmetric_search_short_cap_plays_every_round(branch_setup, monkeypatch
     model, grid = branch_setup
     assert COLLAPSE_CHECK_ROUND > 2
     counts = _count_rounds_before_polish(monkeypatch)
-    search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=2)
+    solution, reason = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=2)
     assert counts["at_polish"] == [2]
     assert counts["rounds"] == 2
-    assert search.solution is not None, search.reason
+    assert solution is not None, reason
+
+
+def test_branch_pair_is_the_same_for_every_round_cap_from_the_hand_over(branch_setup):
+    # fp_rounds at the hand-over round, the benchmark's 100 and the default
+    # 150 all play COLLAPSE_CHECK_ROUND rounds: the pairs agree bit for bit
+    model, grid = branch_setup
+    pairs = []
+    for fp_rounds in (COLLAPSE_CHECK_ROUND, 100, 150):
+        pair, reason = make_branch_pair(model, grid, tol=1e-6, fp_rounds=fp_rounds)
+        assert pair is not None, reason
+        pairs.append(pair)
+    first = pairs[0]
+    for pair in pairs[1:]:
+        assert np.array_equal(pair.asymmetric.m.values, first.asymmetric.m.values)
+        assert pair.j_asymmetric.total == first.j_asymmetric.total
+        assert pair.j_symmetric.total == first.j_symmetric.total
+        assert pair.separation == first.separation
 
 
 def test_full_weight_polish_matches_a_damped_one_in_fewer_rounds(branch_setup):
@@ -220,9 +237,9 @@ def test_asymmetric_search_without_a_converged_polish_is_not_found(branch_setup,
     monkeypatch.setattr(
         nonuniqueness, "solve_picard", lambda *a, **kw: polish(*a, **{**kw, "max_iter": 2})
     )
-    search = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=5)
-    assert search.solution is None
-    assert search.reason == "polish did not converge in 2 rounds"
+    solution, reason = find_asymmetric_branch(model, grid, tol=1e-6, fp_rounds=5)
+    assert solution is None
+    assert reason == "polish did not converge in 2 rounds"
 
 
 def test_asymmetric_search_refuses_zero_rounds():
@@ -283,7 +300,7 @@ def test_sweep_names_a_failed_j_ordering(monkeypatch):
 
     import mfg_lab.nonuniqueness as nu
 
-    def unordered_pair(model, grid, tol, fp_rounds):
+    def unordered_pair(model, grid, tol):
         pair = SimpleNamespace(
             separation=0.5,
             j_symmetric=SimpleNamespace(total=1.0),

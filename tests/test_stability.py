@@ -391,19 +391,19 @@ def test_isolation_eta_zero(monotone_model, monotone_solution):
     rep = isolation_experiment(
         monotone_model, monotone_solution, [0.0], trials=3, seed=41, tol=1e-11
     )
-    rec = rep.eta_records[0]
+    rec = rep["eta_records"][0]
     assert rec["in_ball"] == 3 * rec["runs_per_trial"]
     assert rec["max_distance_to_base"] <= 1e-8
-    assert rep.distinct_pairs_total == 0
+    assert rep["distinct_pairs_total"] == 0
 
 
 def test_isolation_monotone_no_distinct_pairs(monotone_model, monotone_solution):
     rep = isolation_experiment(
         monotone_model, monotone_solution, [1e-2], trials=4, seed=42, tol=1e-11
     )
-    rec = rep.eta_records[0]
+    rec = rep["eta_records"][0]
     assert rec["converged"] == 4 * rec["runs_per_trial"]
-    assert rep.distinct_pairs_total == 0
+    assert rep["distinct_pairs_total"] == 0
 
 
 def test_size_guard(monkeypatch):
