@@ -40,6 +40,7 @@ from .pde import (
     drift_field,
     hjb_residual,
     kolmogorov_residual,
+    solve_heat,
     solve_hjb,
     solve_kolmogorov,
 )
@@ -58,9 +59,8 @@ __all__ = [
 
 def heat_flow_of_initial(model: MfgModel, grid: TorusGrid, m0=None) -> np.ndarray:
     """Drift-free forward solve of m0: the canonical initial Picard iterate."""
-    m0 = model.initial_density_slice(grid) if m0 is None else np.asarray(m0)
-    zero_drift = np.zeros((grid.n_time + 1, *grid.spatial_shape, grid.dim))
-    return solve_kolmogorov(grid, zero_drift, m0).values
+    m0 = model.initial_density_slice(grid) if m0 is None else m0
+    return solve_heat(grid, m0).values
 
 
 @dataclass

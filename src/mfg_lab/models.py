@@ -56,13 +56,19 @@ __all__ = [
 @dataclass(frozen=True)
 class Hamiltonian:
     """H(x,p) with derivatives; x is a tuple of coordinate arrays, p has a
-    trailing axis of length d matching x."""
+    trailing axis of length d matching x.
+
+    The family is H(x,p) = a(x)|p|^2/2 with a > 0, and ``coefficient(x)``
+    gives a(x) (a scalar where a is constant).  The HJB sweep reads a once
+    per sweep and forms H from it; the residuals and checks call ``value``.
+    """
 
     name: str
     value: Callable
     grad_p: Callable
     hess_pp: Callable
     grad_x: Callable
+    coefficient: Callable
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,8 @@ class MfgModel:
         vals = np.asarray(self.m0(grid), dtype=float)
         if vals.shape != grid.spatial_shape:
             raise ValueError("m0 sample has wrong shape")
+        if not np.isfinite(vals).all():
+            raise ValueError("m0 must be finite")
         if vals.min() < 0:
             raise ValueError("m0 must be nonnegative")
         mass = grid.cell_volume * vals.sum()
@@ -241,6 +249,7 @@ def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
         grad_p=h_grad_p,
         hess_pp=h_hess,
         grad_x=h_grad_x,
+        coefficient=a_of_x,
     )
     lag = Lagrangian(
         name=name, value=l_val, grad_q=l_grad_q, hess_qq=l_hess

@@ -26,20 +26,32 @@ per-axis difference matrix C (``grid.gradient`` of the identity) for G and
 div, and the basis Q with the inverse heat symbol for the implicit solve
 (in 1D, the one symmetric matrix S they fold into).  A step does only its
 products and updates.  What depends on the whole trajectory is formed once
-per sweep (dt r for the backward sweep, row views of u, m and the drift),
-and the heat solve writes each new slice in place
-(``PeriodicHeatSolver.apply(rhs, out=...)``).  The contract is bitwise: a
+per sweep: for the backward sweep dt r and a(x)/2, where every
+Hamiltonian has the form H(x, p) = a(x)|p|^2/2 and
+``Hamiltonian.coefficient`` gives a; for the forward sweep one contiguous
+stack per drift component; row views of u and m for both.  The heat solve
+writes each new slice in place (``PeriodicHeatSolver.apply(rhs, out=...)``).
+
+A backward step forms |G u^{k+1}|^2 from the per-axis products, summing
+the components in order, multiplies it by a/2 and then by -dt, adds
+u^{k+1} and then dt r^{k+1}, and solves.  A forward step multiplies m^k by
+each drift component, differences the products, multiplies by dt, adds m^k
+and solves.  The drift-free forward sweep (`solve_heat`, the heat flow
+that starts Picard and fictitious play) runs the heat solves alone: a zero
+flux adds +-0 to m^k, which leaves its bits.  The contract is bitwise: a
 sweep returns the same bits as the plain loops
 
     u^k     = heat(u^{k+1} - dt H(x, grad u^{k+1}) + dt r^{k+1})
     m^{k+1} = heat(m^k + dt div(m^k b^k))
     m^{k+1} = heat(m^k - dt div(w^k))                 (`solve_continuity`)
 
-with grad, div and heat the per-slice products of `_slice_stencils` and
-`PeriodicHeatSolver.apply`, evaluated as written (products first, then
-left to right).  The whole-trajectory stencils of ``grid`` stay the
-definition that the residuals use; the sweeps' products agree with them to
-roundoff.
+with grad, div and heat per-slice ``@`` products with C, C^T and the heat
+operators, and H the Hamiltonian's ``value``, evaluated as written
+(products first, then left to right).  The backward step's order gives
+these bits because ``value`` computes (a/2)|p|^2 the same way, and
+x (-dt) = -(dt x) and y + (-z) = y - z hold exactly.  The residuals call
+``value`` and the whole-trajectory stencils of ``grid``, which stay the
+definition; the sweeps' products agree with the stencils to roundoff.
 
 The forward sweep is conservative: the heat solve leaves the constant mode
 untouched and the divergence telescopes, so the discrete mass of m is
@@ -68,6 +80,7 @@ __all__ = [
     "PeriodicHeatSolver",
     "solve_hjb",
     "solve_kolmogorov",
+    "solve_heat",
     "solve_continuity",
     "hjb_residual",
     "kolmogorov_residual",
@@ -159,27 +172,41 @@ def _difference_matrix(n: int) -> np.ndarray:
 
 
 def _slice_stencils(grid: TorusGrid):
-    """Gradient and divergence of one slice (or a stack) as products with C.
+    """|G u|^2, div(w) and div(m b) of one slice (or a stack), as products
+    with C.
 
-    Products on the right use ``ndarray.dot``, which gives the bits of ``@``
-    with less call overhead; C^T on the left keeps ``@``, which broadcasts
-    over a stack where ``dot`` would not.
+    ``sq_grad(u)`` sums the squared components of G u in order, the bits of
+    `models.squared_norm` of the gradient.  The vector fields come as their
+    components: ``div(w)`` reads w[0], .., w[d-1], and ``div_mb(m, b)``
+    multiplies m by each b[a] before differencing.  Products on the right
+    use ``ndarray.dot``, which gives the bits of ``@`` with less call
+    overhead; C^T on the left keeps ``@``, which broadcasts over a stack
+    where ``dot`` would not.
     """
     c = _difference_matrix(grid.n_space)
     if grid.dim == 1:
-        return (lambda u: u.dot(c)[..., None]), (lambda w: w[..., 0].dot(c))
+
+        def sq_grad(u):
+            g = u.dot(c)
+            return g * g
+
+        return sq_grad, (lambda w: w[0].dot(c)), (lambda m, b: (m * b[0]).dot(c))
     ct = c.T
 
-    def grad(u):
-        p = np.empty((*u.shape, 2))
-        p[..., 0] = ct @ u
-        p[..., 1] = u.dot(c)
-        return p
+    def sq_grad(u):
+        g = ct @ u
+        sq = g * g
+        g = u.dot(c)
+        sq += g * g
+        return sq
 
     def div(w):
-        return ct @ w[..., 0] + w[..., 1].dot(c)
+        return ct @ w[0] + w[1].dot(c)
 
-    return grad, div
+    def div_mb(m, b):
+        return ct @ (m * b[0]) + (m * b[1]).dot(c)
+
+    return sq_grad, div, div_mb
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -207,60 +234,95 @@ def solve_hjb(
         raise ValueError("source shape mismatch")
     if np.shape(terminal) != grid.spatial_shape:
         raise ValueError("terminal shape mismatch")
-    coords = grid.coordinates()
     heat = PeriodicHeatSolver(grid)
-    grad, _ = _slice_stencils(grid)
-    value = model.hamiltonian.value
+    sq_grad, _, _ = _slice_stencils(grid)
     K, dt = grid.n_time, grid.dt
+    # factors as arrays (0-d where constant): numpy multiplies by an array
+    # faster than by a scalar, with the same bits
+    half_a = np.asarray(0.5 * model.hamiltonian.coefficient(grid.coordinates()))
+    minus_dt = np.asarray(-dt)
 
     u = np.empty((K + 1, *grid.spatial_shape))
     u[K] = terminal
     dt_source = dt * source
     # u^k from u^{k+1} and dt r^{k+1}, k = K-1 .. 0, as row views
     for u_k, u_next, dt_r in zip(u[-2::-1], u[:0:-1], dt_source[:0:-1]):
-        rhs = u_next - dt * value(coords, grad(u_next))
+        rhs = sq_grad(u_next)
+        rhs *= half_a
+        rhs *= minus_dt
+        rhs += u_next
         rhs += dt_r
         heat.apply(rhs, out=u_k)
     _check_finite(u, "HJB sweep")
     return u, drift_field(model, grid, u)
 
 
-def solve_kolmogorov(grid: TorusGrid, drift: np.ndarray, m0: np.ndarray) -> DensityField:
-    """Forward problem dm/dt - Lap m - div(m b) = 0, m(., t0) = m0.
-
-    drift b has shape (K+1, *spatial, d), of which slices 0..K-1 feed the
-    sweep; m0 has shape (*spatial,), is nonnegative and has unit mass.
-    """
-    drift = np.asarray(drift, dtype=float)
+def _checked_m0(grid: TorusGrid, m0) -> np.ndarray:
+    """m0 as a float array of spatial shape, finite, nonnegative and of unit
+    mass; ValueError otherwise."""
     m0 = np.asarray(m0, dtype=float)
-    if drift.shape != (grid.n_time + 1, *grid.spatial_shape, grid.dim):
-        raise ValueError("drift shape mismatch")
     if m0.shape != grid.spatial_shape:
         raise ValueError("m0 shape mismatch")
-    if not np.all(np.isfinite(drift)):
-        raise ValueError("drift must be finite")
+    if not np.isfinite(m0).all():  # NaN passes the sign and mass tests
+        raise ValueError("m0 must be finite")
     if m0.min() < 0:
         raise ValueError("m0 must be nonnegative")
     mass = grid.cell_volume * m0.sum()
     if abs(mass - 1.0) > 1e-12:
         raise ValueError(f"m0 mass {mass} != 1")
-    heat = PeriodicHeatSolver(grid)
-    K, dt = grid.n_time, grid.dt
-    _, div = _slice_stencils(grid)
-    m = np.empty((K + 1, *grid.spatial_shape))
-    m[0] = m0
-    # m^{k+1} from m^k and b^k, k = 0 .. K-1, as row views; m_col is m^k
-    # with a trailing axis against the drift's components
-    for m_k, m_col, m_next, b_k in zip(m[:-1], m[:-1, ..., None], m[1:], drift):
-        rhs = div(m_col * b_k)
-        rhs *= dt
-        rhs += m_k
-        heat.apply(rhs, out=m_next)
-    _check_finite(m, "Kolmogorov sweep")  # before the sign test, which NaN passes
+    return m0
+
+
+def _checked_density(grid: TorusGrid, m: np.ndarray, what: str) -> DensityField:
+    """A forward sweep's output, finite and above -NEG_TOL; SolverError
+    otherwise."""
+    _check_finite(m, what)  # before the sign test, which NaN passes
     low = float(m.min())
     if low < -NEG_TOL:
         raise SolverError(f"density went negative: min = {low:.3e}")
     return DensityField(grid, m)
+
+
+def solve_kolmogorov(grid: TorusGrid, drift: np.ndarray, m0: np.ndarray) -> DensityField:
+    """Forward problem dm/dt - Lap m - div(m b) = 0, m(., t0) = m0.
+
+    drift b has shape (K+1, *spatial, d), of which slices 0..K-1 feed the
+    sweep; m0 has shape (*spatial,), is finite, nonnegative and has unit
+    mass.
+    """
+    drift = np.asarray(drift, dtype=float)
+    if drift.shape != (grid.n_time + 1, *grid.spatial_shape, grid.dim):
+        raise ValueError("drift shape mismatch")
+    m0 = _checked_m0(grid, m0)
+    if not np.all(np.isfinite(drift)):
+        raise ValueError("drift must be finite")
+    heat = PeriodicHeatSolver(grid)
+    K, dt = grid.n_time, np.asarray(grid.dt)  # 0-d: see solve_hjb
+    _, _, div_mb = _slice_stencils(grid)
+    # one contiguous stack per drift component, b_a^0 .. b_a^{K-1}
+    components = np.ascontiguousarray(np.moveaxis(drift[:-1], -1, 0))
+    m = np.empty((K + 1, *grid.spatial_shape))
+    m[0] = m0
+    # m^{k+1} from m^k and the components of b^k, k = 0 .. K-1, as row views
+    for m_k, m_next, b_k in zip(m[:-1], m[1:], zip(*components)):
+        rhs = div_mb(m_k, b_k)
+        rhs *= dt
+        rhs += m_k
+        heat.apply(rhs, out=m_next)
+    return _checked_density(grid, m, "Kolmogorov sweep")
+
+
+def solve_heat(grid: TorusGrid, m0: np.ndarray) -> DensityField:
+    """Forward problem dm/dt - Lap m = 0, m(., t0) = m0: the Kolmogorov
+    sweep under a zero drift, whose flux adds only +-0, so the same bits
+    from the heat steps alone.  m0 is checked as `solve_kolmogorov` checks
+    it."""
+    heat = PeriodicHeatSolver(grid)
+    m = np.empty((grid.n_time + 1, *grid.spatial_shape))
+    m[0] = _checked_m0(grid, m0)
+    for m_k, m_next in zip(m[:-1], m[1:]):
+        heat.apply(m_k, out=m_next)
+    return _checked_density(grid, m, "heat flow")
 
 
 def solve_continuity(
@@ -272,12 +334,14 @@ def solve_continuity(
     implicit), so outputs have continuity residual at roundoff level.
     """
     heat = PeriodicHeatSolver(grid)
-    _, div = _slice_stencils(grid)
+    _, div, _ = _slice_stencils(grid)
     K, dt = grid.n_time, grid.dt
+    # components on the leading axis; indexing raises if w has too few slices
+    w_comps = np.moveaxis(w_values, -1, 0)
     m = np.empty((K + 1, *grid.spatial_shape))
     m[0] = np.asarray(m0_slice, dtype=float)
-    for k in range(K):  # indexing w_values raises if it has too few slices
-        heat.apply(m[k] - dt * div(w_values[k]), out=m[k + 1])
+    for k in range(K):
+        heat.apply(m[k] - dt * div(w_comps[:, k]), out=m[k + 1])
     _check_finite(m, "continuity sweep")
     return m
 

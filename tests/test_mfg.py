@@ -209,3 +209,19 @@ def test_one_round_evaluates_the_drift_once():
     calls["grad_p"] = 0
     fp_step(state)
     assert calls["grad_p"] == 1
+
+
+def test_non_finite_m0_is_refused_as_bad_data(monotone_model):
+    # NaN passes the sign and mass tests; it must not reach a sweep
+    grid = monotone_model.make_grid(16, 8)
+    m0 = np.ones(16)
+    m0[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_picard(monotone_model, grid, m0=m0)
+    with pytest.raises(ValueError, match="finite"):
+        solve_picard(monotone_model, grid, m0=m0, init_m=np.ones((9, 16)))
+    with pytest.raises(ValueError, match="finite"):
+        fp_start(dataclasses.replace(monotone_model, m0=lambda g: m0), grid)
+    nan_model = dataclasses.replace(monotone_model, m0=lambda g: np.full(16, np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        nan_model.initial_density_slice(grid)

@@ -58,6 +58,7 @@ def test_convexity_halved_profile():
         grad_p=lambda x, p: 0.5 * base.grad_p(x, p),
         hess_pp=lambda x, p: 0.5 * base.hess_pp(x, p),
         grad_x=lambda x, p: 0.5 * base.grad_x(x, p),
+        coefficient=lambda x: 0.5 * base.coefficient(x),
     )
     rep = check_convexity(ham, dim=1, samples=500, seed=3)
     assert rep.ok and rep.min_eig >= 0.45 - 1e-9 and rep.max_eig <= 0.55 + 1e-9
@@ -76,6 +77,7 @@ def test_convexity_flags_degenerate():
         grad_p=lambda x, p: p * np.array([1.0, 0.0]),
         hess_pp=hess_pp,
         grad_x=lambda x, p: np.zeros(p.shape),
+        coefficient=None,  # not of the form a(x)|p|^2/2: no sweep can run it
     )
     rep = check_convexity(ham, dim=2, samples=100, seed=4)
     assert not rep.ok
@@ -114,6 +116,19 @@ def test_squared_norm_forms_equal_the_reduction_bitwise(dim, eps, stack, rng):
     assert np.array_equal(ham.value(x, p), 0.5 * a * sq)
     assert np.array_equal(ham.grad_x(x, p)[..., 0], 0.5 * da * sq)
     assert np.array_equal(lag.value(x, p), 0.5 * sq / a)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_coefficient_gives_the_hamiltonian_and_its_hessian(dim, eps, rng):
+    # H = a(x)|p|^2/2 with a = coefficient(x), bit for bit, and D2_ppH = a I
+    ham, _ = quadratic_hamiltonian(eps)
+    x = tuple(rng.uniform(0.0, 1.0, 50) for _ in range(dim))
+    p = rng.standard_normal((50, dim))
+    a = ham.coefficient(x)
+    assert np.array_equal(ham.value(x, p), 0.5 * a * squared_norm(p))
+    diag = np.diagonal(ham.hess_pp(x, p), axis1=-2, axis2=-1)
+    assert np.array_equal(diag, np.broadcast_to(np.asarray(a)[..., None], diag.shape))
 
 
 def test_legendre_newton_maximizer():

@@ -30,6 +30,7 @@ from mfg_lab.pde import (
     hjb_residual,
     kolmogorov_residual,
     solve_continuity,
+    solve_heat,
     solve_hjb,
     solve_kolmogorov,
 )
@@ -287,12 +288,64 @@ def test_hjb_refuses_misshaped_data(model, source_shape, terminal_shape, message
         (np.zeros((9, 16, 1)), np.ones(15), "m0 shape mismatch"),
         (np.zeros((9, 16, 1)), np.r_[-1.0, 2.0, np.ones(14)], "m0 must be nonnegative"),
         (np.zeros((9, 16, 1)), np.full(16, 1 + 1e-9), "m0 mass"),
+        (np.zeros((9, 16, 1)), np.r_[np.nan, np.ones(15)], "m0 must be finite"),
     ],
 )
 def test_kolmogorov_refuses_bad_data(drift, m0, message):
     grid = TorusGrid(1, 16, 8, 0.0, 0.25)
     with pytest.raises(ValueError, match=message):
         solve_kolmogorov(grid, drift, m0)
+
+
+@pytest.mark.parametrize(
+    "m0, message",
+    [
+        (np.ones(15), "m0 shape mismatch"),
+        (np.r_[np.nan, np.ones(15)], "m0 must be finite"),
+        (np.r_[-1.0, 2.0, np.ones(14)], "m0 must be nonnegative"),
+        (np.full(16, 1 + 1e-9), "m0 mass"),
+    ],
+)
+def test_heat_flow_refuses_bad_data(m0, message):
+    grid = TorusGrid(1, 16, 8, 0.0, 0.25)
+    with pytest.raises(ValueError, match=message):
+        solve_heat(grid, m0)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 17), (1, 24), (2, 9), (2, 12)])
+def test_heat_flow_is_the_kolmogorov_sweep_without_drift_bitwise(dim, n, rng):
+    grid = TorusGrid(dim, n, 16, 0.0, 0.5)
+    m0 = rng.uniform(0.5, 1.5, grid.spatial_shape)
+    m0 /= grid.cell_volume * m0.sum()
+    zero_drift = np.zeros((17, *grid.spatial_shape, dim))
+    heat = solve_heat(grid, m0).values
+    assert np.array_equal(heat, solve_kolmogorov(grid, zero_drift, m0).values)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hjb_sweep_reads_the_coefficient_once_and_never_calls_value(dim, eps):
+    # the Hamiltonian's fields wrapped the way perfbench/tracing.py wraps them
+    calls = {"coefficient": 0, "value": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    ham, lag = quadratic_hamiltonian(eps)
+    ham = dataclasses.replace(
+        ham, **{name: counted(name, getattr(ham, name)) for name in calls}
+    )
+    model = dataclasses.replace(
+        builtin_quadratic(0.0, coupling="none", dim=dim), hamiltonian=ham, lagrangian=lag
+    )
+    grid = model.make_grid(8, 6)
+    x = grid.coordinates()[0]
+    solve_hjb(model, grid, np.zeros((7, *grid.spatial_shape)), np.cos(2 * np.pi * x))
+    assert calls == {"coefficient": 1, "value": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,12 @@ def test_workload_task_passes_its_check(workloads, name):
 
 
 # counts per workload that the tracer sees only if its wrappers are called;
-# branch_pair_1d's pin the search's hand-over: 3 fictitious-play rounds, and
-# 14 best responses in all (3 rounds, the symmetric branch's 1 and 10 polish
-# rounds at full weight)
+# picard_1d's pin one Kolmogorov sweep per round (6), none for the heat flow
+# that starts the solve; branch_pair_1d's pin the search's hand-over: 3
+# fictitious-play rounds, and 14 best responses in all (3 rounds, the
+# symmetric branch's 1 and 10 polish rounds at full weight)
 TRACED_COUNTS = {
-    "picard_1d": {"mfg.picard_solves": 1},
+    "picard_1d": {"mfg.picard_solves": 1, "pde.kolmogorov_sweeps": 6},
     "branch_pair_1d": {
         "nonuniqueness.pairs_found_ratio": 1.0,
         "fictitious_play.rounds": 3,

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import mfg_lab.grid as grid_module
 from mfg_lab.grid import TorusGrid, divergence, gradient, laplacian
 from mfg_lab.mfg import heat_flow_of_initial, solve_picard
-from mfg_lab.models import builtin_quadratic
+from mfg_lab.models import builtin_quadratic, squared_norm
 from mfg_lab.pde import (
     PeriodicHeatSolver,
+    _difference_matrix,
     _slice_stencils,
     continuity_residual,
     hjb_residual,
@@ -75,10 +76,17 @@ def test_sweep_difference_products_equal_grid_stencils(grid, stack, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((*stack, *grid.spatial_shape))
     w = rng.standard_normal((*stack, *grid.spatial_shape, grid.dim))
-    grad, div = _slice_stencils(grid)
+    sq_grad, div, div_mb = _slice_stencils(grid)
     scale = 1.0 / grid.dx
-    assert np.max(np.abs(grad(u) - gradient(grid, u))) <= 1e-14 * scale
-    assert np.max(np.abs(div(w) - divergence(grid, w))) <= 1e-14 * scale
+    g = gradient(grid, u)
+    # per component, |a^2 - b^2| = |a - b| |a + b| with |a - b| <= 1e-14 scale
+    bound = 2e-14 * grid.dim * scale * (np.max(np.abs(g)) + scale)
+    assert np.max(np.abs(sq_grad(u) - squared_norm(g))) <= bound
+    components = np.moveaxis(w, -1, 0)
+    assert np.max(np.abs(div(components) - divergence(grid, w))) <= 1e-14 * scale
+    mw = u[..., None] * w
+    bound = 1e-14 * scale * max(1.0, np.max(np.abs(mw)))
+    assert np.max(np.abs(div_mb(u, components) - divergence(grid, mw))) <= bound
 
 
 # per-slice reference loops: the residuals as one step at a time
@@ -219,6 +227,7 @@ def test_picard_iteration_stencil_calls_are_two_sweeps_plus_constant(monkeypatch
     # the sweeps step with their own difference matrices, so a per-slice
     # stencil loop anywhere in an iteration shows as calls that grow with K
     model = builtin_quadratic(coupling="monotone_local", m0="cosine", T=0.5)
+    _difference_matrix(32)  # cached once per N, and built through `gradient`
     calls = {}
     for K in (16, 32):
         grid = model.make_grid(32, K)
