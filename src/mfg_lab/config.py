@@ -63,14 +63,14 @@ SCHEMA: dict[str, _Key] = {
     "grid.t0": _Key(float, 0.0),
     "grid.T": _Key(float, 1.0),
     "solver.damping": _Key(float, 0.5, bound=(lambda v: 0 < v <= 1, "in (0, 1]")),
-    "solver.tol": _Key(float, 1e-9),
+    "solver.tol": _Key(float, 1e-9, bound=_POSITIVE),
     "solver.max_iter": _Key(int, 300, bound=_COUNT),
     "fp.n_max": _Key(int, 300, bound=_COUNT),
-    "fp.gap_tol": _Key(float, 1e-9),
+    "fp.gap_tol": _Key(float, 1e-9, bound=_NONNEGATIVE),
     "fp.reference": _Key(str, "picard", ("picard", "none")),
     "fp.attractor_deltas": _Key(str, ""),
     "fp.attractor_trials": _Key(int, 10, bound=_COUNT),
-    "fp.success_err": _Key(float, 5e-4),
+    "fp.success_err": _Key(float, 5e-4, bound=_POSITIVE),
     "stability.t1_fractions": _Key(str, "0.0,0.1,0.25,0.5"),
     "stability.tol": _Key(float, 1e-6, bound=_POSITIVE),
     "isolation.etas": _Key(str, "0.0,0.01"),

@@ -73,6 +73,8 @@ def fp_start(model: MfgModel, grid: TorusGrid, mu0=None) -> FpState:
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != (grid.n_time + 1, *grid.spatial_shape):
         raise ValueError("mu0 shape mismatch")
+    if not np.isfinite(mu0).all():
+        raise ValueError("mu0 must be finite")
     return FpState(model=model, grid=grid, m0=m0_slice, mu0=mu0)
 
 

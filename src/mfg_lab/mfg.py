@@ -7,9 +7,12 @@ update; the branch search runs on these two solvers.  Picard's mixes the
 last rounds by type-II Anderson acceleration (Walker & Ni, Anderson
 acceleration for fixed-point iterations, SIAM J. Numer. Anal. 49, 2011):
 m <- m + lambda f - (dX + lambda dF) gamma with f = m~ - m, which is the damped
-m <- (1-lambda) m + lambda m~ while there is no history.  On a linear map
-Anderson mixing is GMRES, so it converges fast where I - DPhi is
-nonsingular, at the stable solutions.  A returned solution is one round's
+m <- (1-lambda) m + lambda m~ while there is no history.  The mixer keeps dF
+as QR factors that gain and lose one column per round (section 4 of Walker
+& Ni), so outside the two sweeps a round costs O(depth L) on beliefs of
+length L = K N^d, and a difference that adds no direction is not kept.  On
+a linear map Anderson mixing is GMRES, so it converges fast where I - DPhi
+is nonsingular, at the stable solutions.  A returned solution is one round's
 record, so its residuals are honest measures of the remaining fixed-point
 defect.
 
@@ -20,7 +23,6 @@ stability module.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +135,11 @@ def _package_solution(
 
 
 # Depth of the Picard belief update: it fits the residual by the differences
-# of the last ANDERSON_DEPTH rounds, so it keeps ANDERSON_DEPTH + 1 rounds.
+# of the last ANDERSON_DEPTH rounds.  `_AndersonMixer` keeps them, with the
+# residual differences as QR factors, in buffers of ANDERSON_DEPTH rows of
+# length L = K N^d: a round costs O(ANDERSON_DEPTH L), plus
+# O(ANDERSON_DEPTH^2 L) once the oldest column leaves, and a difference that
+# adds no direction to the kept ones (the rank guard) is not kept.
 # Rounds to converge, by depth 2/3/4/5/6/8 at weight 0.5 (plain damping 0.5
 # in brackets; the asymmetric polish at weight 1, plain weight 1 in brackets):
 #   picard_1d, 20 tasks of seed 0, tol 1e-10:    6/6/6/6/6/6     (25)
@@ -146,26 +152,89 @@ def _package_solution(
 ANDERSON_DEPTH = 5
 
 
-def _anderson_belief(m_values, played_m, history, damping, m0_slice):
-    """Next Picard belief from the current one and its best response.
+class _AndersonMixer:
+    """Type-II Anderson mixing (Walker & Ni 2011) of flattened beliefs x and
+    their residuals f = x~ - x, with mixing weight `damping`.
 
-    `history` holds (belief, residual) of past rounds on slices 1..K,
-    flattened; this round's pair is appended to it.  Slice 0 stays m0."""
-    x = m_values[1:].ravel()
-    f = played_m[1:].ravel() - x
-    history.append((x, f))
-    if len(history) == 1:
-        nxt = (1.0 - damping) * m_values + damping * played_m
-    else:
-        xs, fs = zip(*history)
-        d_x, d_f = np.diff(xs, axis=0), np.diff(fs, axis=0)  # one row per pair
-        gamma = np.linalg.lstsq(d_f.T, f)[0]
-        nxt = np.empty_like(m_values)
-        nxt[1:] = (x + damping * f - gamma @ (d_x + damping * d_f)).reshape(
-            m_values[1:].shape
+    It keeps the last ANDERSON_DEPTH differences of consecutive rounds: dX
+    as rows, and dF as its thin QR factors, Q as orthonormal rows and the
+    small upper-triangular R (section 4 of Walker & Ni).  A new difference
+    enters by classical Gram-Schmidt with one reorthogonalization; the
+    oldest leaves by re-triangularizing R without its first column, whose
+    rotation turns the rows of Q.  The next belief is
+    x + damping f - dX gamma - damping Q R gamma with gamma = R^-1 Q^T f, the
+    least-squares fit of f by dF.  A round therefore costs O(depth L) on
+    beliefs of length L, plus O(depth^2 L) when a column leaves.
+
+    A difference whose residual part orthogonal to the kept columns is at
+    most eps L |df| (the rcond of a least-squares solve) adds no direction
+    and is not kept; with no columns kept the round is the damped
+    (1 - damping) x + damping x~.
+    """
+
+    def __init__(self, size: int, damping: float):
+        self.damping = damping
+        self.dx = np.empty((ANDERSON_DEPTH, size))
+        self.q = np.empty((ANDERSON_DEPTH, size))
+        self.r = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.cols = 0
+        self.rank_tol = np.finfo(float).eps * size
+        self.last = None  # (x, f) of the previous round
+
+    def next_belief(self, x: np.ndarray, played: np.ndarray) -> np.ndarray:
+        """The belief after x, whose best response is `played`."""
+        f = played - x
+        if self.last is not None:
+            self._push(x - self.last[0], f - self.last[1])
+        self.last = x, f
+        h, lam = self.cols, self.damping
+        if h == 0:
+            return (1.0 - lam) * x + lam * played
+        q, r = self.q[:h], self.r[:h, :h]
+        gamma = np.linalg.solve(r, q @ f)
+        nxt = x + lam * f
+        nxt -= gamma @ self.dx[:h]
+        nxt -= (lam * (r @ gamma)) @ q
+        return nxt
+
+    def _push(self, dx: np.ndarray, df: np.ndarray) -> None:
+        if self.cols == ANDERSON_DEPTH:
+            self._drop_oldest()
+        h = self.cols
+        q = self.q[:h]
+        coef = q @ df
+        v = df - coef @ q
+        again = q @ v
+        v -= again @ q
+        rho = np.sqrt(v @ v)
+        if rho <= self.rank_tol * np.sqrt(df @ df):
+            return
+        np.divide(v, rho, out=self.q[h])
+        self.r[:h, h] = coef + again
+        self.r[h, h] = rho
+        self.dx[h] = dx
+        self.cols = h + 1
+
+    def _drop_oldest(self) -> None:
+        h = self.cols
+        rot, r = np.linalg.qr(self.r[:h, 1:h])
+        self.q[: h - 1] = rot.T @ self.q[:h]
+        self.r[: h - 1, : h - 1] = r  # a push writes all of the next column
+        self.dx[: h - 1] = self.dx[1:h]
+        self.cols = h - 1
+
+
+def _checked_init_m(grid: TorusGrid, init_m) -> np.ndarray:
+    """A copy of the initial belief, of trajectory shape and finite;
+    ValueError otherwise."""
+    m = np.array(init_m, dtype=float)
+    if m.shape != (grid.n_time + 1, *grid.spatial_shape):
+        raise ValueError(
+            f"init_m shape {m.shape} != {(grid.n_time + 1, *grid.spatial_shape)}"
         )
-    nxt[0] = m0_slice
-    return nxt
+    if not np.isfinite(m).all():
+        raise ValueError("init_m must be finite")
+    return m
 
 
 def solve_picard(
@@ -183,27 +252,30 @@ def solve_picard(
     mixes the last ANDERSON_DEPTH rounds (type II, Walker & Ni 2011) with
     mixing weight `damping`: m + damping f - (dX + damping dF) gamma, where
     f = m~ - m, dX and dF are the differences of past beliefs and residuals
-    on slices 1..K and gamma is the least-squares fit of f by dF.  The first
-    update, with no differences yet, is the damped (1-damping) m + damping m~.
+    on slices 1..K and gamma is the least-squares fit of f by dF
+    (`_AndersonMixer`).  The first update, with no differences yet, is the
+    damped (1-damping) m + damping m~.
 
     Stop test: the sup over slices of the l2 gap of the forward output to
-    the trajectory, then the coupling defect.
+    the trajectory, then the coupling defect; tol = 0 plays max_iter rounds.
     Non-convergence returns the best iterate with converged=False rather
     than raising; near unstable equilibria that outcome is an observable.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    if not tol >= 0.0:  # NaN too
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     m0_slice = model.initial_density_slice(grid) if m0 is None else np.asarray(m0)
     if init_m is None:
         m_values = heat_flow_of_initial(model, grid, m0_slice)
     else:
-        m_values = np.array(init_m, dtype=float)
+        m_values = _checked_init_m(grid, init_m)
         m_values[0] = m0_slice
     gaps: list[float] = []
     best = None
-    history: deque = deque(maxlen=ANDERSON_DEPTH + 1)
+    mixer = _AndersonMixer(m_values[1:].size, damping)
     for it in range(1, max_iter + 1):
         played = best_response(model, grid, m_values, m0_slice)
         gaps.append(played.gap)
@@ -215,7 +287,12 @@ def solve_picard(
             # solutions carry residuals <= 10*tol
             if sup_norm(played.source - model.coupling.f_field(grid, played.m)) <= 5.0 * tol:
                 return _package_solution(model, grid, played, it, True, gaps)
-        m_values = _anderson_belief(m_values, played.m, history, damping, m0_slice)
+        nxt = np.empty_like(m_values)
+        nxt[0] = m0_slice
+        nxt[1:] = mixer.next_belief(
+            m_values[1:].ravel(), played.m[1:].ravel()
+        ).reshape(nxt[1:].shape)
+        m_values = nxt
     return _package_solution(model, grid, best, max_iter, False, gaps)
 
 

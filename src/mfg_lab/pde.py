@@ -32,17 +32,24 @@ Hamiltonian has the form H(x, p) = a(x)|p|^2/2 and
 stack per drift component; row views of u and m for both.  The heat solve
 writes each new slice in place (``PeriodicHeatSolver.apply(rhs, out=...)``).
 
-A backward step forms |G u^{k+1}|^2 from the per-axis products, summing
-the components in order, multiplies it by a/2 and then by -dt, adds
-u^{k+1} and then dt r^{k+1}, and solves.  A forward step multiplies m^k by
-each drift component, differences the products, multiplies by dt, adds m^k
-and solves.  The drift-free forward sweep (`solve_heat`, the heat flow
-that starts Picard and fictitious play) runs the heat solves alone: a zero
-flux adds +-0 to m^k, which leaves its bits.  The contract is bitwise: a
-sweep returns the same bits as the plain loops
+A backward step writes the per-axis products of u^{k+1} with C into the
+sweep's stack of G u, forms |G u^{k+1}|^2 from them, summing the components
+in order, multiplies it by a/2 and then by -dt, adds u^{k+1} and then
+dt r^{k+1}, and solves.  After the last step the stack gets G u^0, and the
+returned drift is ``Hamiltonian.grad_p`` of the whole stack, one call per
+sweep: the sweep differentiates u once.  A forward step multiplies m^k by
+each drift component.  In 2D it differences the products, multiplies by
+dt, adds m^k and solves.  In 1D the solve is folded into the flux product,
+m^k S + (m^k b^k)(dt C S), two products with S and the cached dt C S.  The
+drift-free forward sweep (`solve_heat`, the heat flow that starts Picard
+and fictitious play) runs the heat solves alone: a zero flux adds +-0 to
+m^k, which leaves its bits.  The contract is bitwise: a sweep returns the
+same bits as the plain loops
 
     u^k     = heat(u^{k+1} - dt H(x, grad u^{k+1}) + dt r^{k+1})
-    m^{k+1} = heat(m^k + dt div(m^k b^k))
+    b       = D_pH(x, [grad u^0, .., grad u^K])
+    m^{k+1} = heat(m^k + dt div(m^k b^k))             (2D)
+    m^{k+1} = m^k S + (m^k b^k)(dt C S)               (1D)
     m^{k+1} = heat(m^k - dt div(w^k))                 (`solve_continuity`)
 
 with grad, div and heat per-slice ``@`` products with C, C^T and the heat
@@ -51,11 +58,14 @@ operators, and H the Hamiltonian's ``value``, evaluated as written
 these bits because ``value`` computes (a/2)|p|^2 the same way, and
 x (-dt) = -(dt x) and y + (-z) = y - z hold exactly.  The residuals call
 ``value`` and the whole-trajectory stencils of ``grid``, which stay the
-definition; the sweeps' products agree with the stencils to roundoff.
+definition.  To roundoff, the sweeps' products agree with the stencils, the
+returned drift with `drift_field`, and the folded 1D step with
+heat(m^k + dt div(m^k b^k)).
 
 The forward sweep is conservative: the heat solve leaves the constant mode
-untouched and the divergence telescopes, so the discrete mass of m is
-preserved to roundoff at every step.
+untouched and the divergence telescopes (in 1D, dt C S maps the constant
+to zero, S 1 = 1 and C 1 = 0), so the discrete mass of m is preserved to
+roundoff at every step.
 """
 
 from __future__ import annotations
@@ -118,19 +128,29 @@ def _fourier_basis(n: int) -> np.ndarray:
     return _frozen(q)
 
 
+@functools.lru_cache(maxsize=16)
+def _difference_matrix(n: int) -> np.ndarray:
+    """Per-axis centered difference C as a right factor: row i is
+    ``gradient`` of the i-th unit vector, so u @ C differentiates the last
+    axis of u and C^T @ u the second to last."""
+    return _frozen(gradient(TorusGrid(1, n, 2), np.eye(n))[..., 0])
+
+
 @functools.lru_cache(maxsize=64)
 def _heat_operators(n: int, dt: float, dim: int) -> tuple:
-    """(Q, 1/(1 - dt lambda)) of one axis and grid shape (dx = 1/n), lambda
-    the symbol of Lap on the basis Q; in 1D also the symmetric
-    S = Q diag(1/(1 - dt lambda)) Q^T, else None."""
+    """(Q, 1/(1 - dt lambda), S, dt C S) of one axis and grid shape
+    (dx = 1/n), lambda the symbol of Lap on the basis Q.  In 1D S is the
+    symmetric Q diag(1/(1 - dt lambda)) Q^T and dt C S the flux term of the
+    folded forward step (C the difference matrix); in 2D both are None."""
     q = _fourier_basis(n)
     wave = (np.arange(n) + 1) // 2
     lam = laplacian_symbol(TorusGrid(dim, n, 2))[np.ix_(*(wave,) * dim)]
     inv_symbol = 1.0 / (1.0 - dt * lam)
     if dim != 1:
-        return q, _frozen(inv_symbol), None
+        return q, _frozen(inv_symbol), None, None
     s = (q * inv_symbol) @ q.T
-    return q, _frozen(inv_symbol), _frozen(0.5 * (s + s.T))
+    s = _frozen(0.5 * (s + s.T))
+    return q, _frozen(inv_symbol), s, _frozen((dt * _difference_matrix(n)) @ s)
 
 
 class PeriodicHeatSolver:
@@ -145,7 +165,9 @@ class PeriodicHeatSolver:
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
-        self._q, self._inv_symbol, self._s = _heat_operators(grid.n_space, grid.dt, grid.dim)
+        self._q, self._inv_symbol, self._s, _ = _heat_operators(
+            grid.n_space, grid.dt, grid.dim
+        )
 
     def apply(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The solve without a finiteness check; sweeps check their whole
@@ -163,50 +185,57 @@ class PeriodicHeatSolver:
         return out
 
 
-@functools.lru_cache(maxsize=16)
-def _difference_matrix(n: int) -> np.ndarray:
-    """Per-axis centered difference C as a right factor: row i is
-    ``gradient`` of the i-th unit vector, so u @ C differentiates the last
-    axis of u and C^T @ u the second to last."""
-    return _frozen(gradient(TorusGrid(1, n, 2), np.eye(n))[..., 0])
-
-
 def _slice_stencils(grid: TorusGrid):
-    """|G u|^2, div(w) and div(m b) of one slice (or a stack), as products
-    with C.
+    """|G u|^2, div(w) and the forward step of one slice (or a stack), as
+    products with C and the heat operators.
 
-    ``sq_grad(u)`` sums the squared components of G u in order, the bits of
-    `models.squared_norm` of the gradient.  The vector fields come as their
-    components: ``div(w)`` reads w[0], .., w[d-1], and ``div_mb(m, b)``
-    multiplies m by each b[a] before differencing.  Products on the right
-    use ``ndarray.dot``, which gives the bits of ``@`` with less call
-    overhead; C^T on the left keeps ``@``, which broadcasts over a stack
-    where ``dot`` would not.
+    ``sq_grad(u, out)`` sums the squared components of G u in order, the
+    bits of `models.squared_norm` of the gradient, and writes component a of
+    G u into out[a] where that is a C-contiguous array of u's shape.  The
+    vector fields come as their components: ``div(w)`` reads w[0], ..,
+    w[d-1], and ``forward(m, b, out)`` multiplies m by each b[a] and returns
+    the next forward slice, heat(m + dt div(m b)), in ``out`` when given.
+    In 1D it folds the heat solve into the flux product,
+    m S + (m b[0]) (dt C S); in 2D it solves.  Products on the right use
+    ``ndarray.dot``, which gives the bits of ``@`` with less call overhead;
+    C^T on the left keeps ``matmul``, which broadcasts over a stack where
+    ``dot`` would not.
     """
     c = _difference_matrix(grid.n_space)
     if grid.dim == 1:
+        _, _, s, dt_cs = _heat_operators(grid.n_space, grid.dt, 1)
 
-        def sq_grad(u):
-            g = u.dot(c)
+        def sq_grad(u, out=(None,)):
+            g = u.dot(c, out[0])
             return g * g
 
-        return sq_grad, (lambda w: w[0].dot(c)), (lambda m, b: (m * b[0]).dot(c))
-    ct = c.T
+        def forward(m, b, out=None):
+            out = m.dot(s, out)
+            out += (m * b[0]).dot(dt_cs)
+            return out
 
-    def sq_grad(u):
-        g = ct @ u
+        return sq_grad, (lambda w: w[0].dot(c)), forward
+    ct = c.T
+    heat = PeriodicHeatSolver(grid)
+    dt = np.asarray(grid.dt)  # 0-d: see solve_hjb
+
+    def sq_grad(u, out=(None, None)):
+        g = np.matmul(ct, u, out=out[0])
         sq = g * g
-        g = u.dot(c)
+        g = u.dot(c, out[1])
         sq += g * g
         return sq
 
     def div(w):
         return ct @ w[0] + w[1].dot(c)
 
-    def div_mb(m, b):
-        return ct @ (m * b[0]) + (m * b[1]).dot(c)
+    def forward(m, b, out=None):
+        rhs = ct @ (m * b[0]) + (m * b[1]).dot(c)
+        rhs *= dt
+        rhs += m
+        return heat.apply(rhs, out)
 
-    return sq_grad, div, div_mb
+    return sq_grad, div, forward
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -227,7 +256,8 @@ def solve_hjb(
     source r has shape (K+1, *spatial), of which slices 1..K feed the sweep;
     terminal has shape (*spatial,).  Returns the value u, shape
     (K+1, *spatial), and the drift D_pH(x, Du) it induces on every slice,
-    shape (K+1, *spatial, d), which the forward leg plays.
+    shape (K+1, *spatial, d), which the forward leg plays; Du is the
+    sweep's own per-slice gradient products.
     """
     source = np.asarray(source, dtype=float)
     if source.shape != (grid.n_time + 1, *grid.spatial_shape):
@@ -236,25 +266,31 @@ def solve_hjb(
         raise ValueError("terminal shape mismatch")
     heat = PeriodicHeatSolver(grid)
     sq_grad, _, _ = _slice_stencils(grid)
-    K, dt = grid.n_time, grid.dt
+    K, dt, coords = grid.n_time, grid.dt, grid.coordinates()
     # factors as arrays (0-d where constant): numpy multiplies by an array
     # faster than by a scalar, with the same bits
-    half_a = np.asarray(0.5 * model.hamiltonian.coefficient(grid.coordinates()))
+    half_a = np.asarray(0.5 * model.hamiltonian.coefficient(coords))
     minus_dt = np.asarray(-dt)
 
     u = np.empty((K + 1, *grid.spatial_shape))
     u[K] = terminal
+    # G u by component; each step writes the rows of the slice it differentiates
+    du = np.empty((grid.dim, *u.shape))
     dt_source = dt * source
-    # u^k from u^{k+1} and dt r^{k+1}, k = K-1 .. 0, as row views
-    for u_k, u_next, dt_r in zip(u[-2::-1], u[:0:-1], dt_source[:0:-1]):
-        rhs = sq_grad(u_next)
+    # u^k from u^{k+1}, dt r^{k+1} and the rows of G u^{k+1}, k = K-1 .. 0,
+    # as row views
+    for u_k, u_next, dt_r, du_next in zip(
+        u[-2::-1], u[:0:-1], dt_source[:0:-1], zip(*du[:, :0:-1])
+    ):
+        rhs = sq_grad(u_next, du_next)
         rhs *= half_a
         rhs *= minus_dt
         rhs += u_next
         rhs += dt_r
         heat.apply(rhs, out=u_k)
     _check_finite(u, "HJB sweep")
-    return u, drift_field(model, grid, u)
+    sq_grad(u[0], du[:, 0])  # G u^0, which no step reads
+    return u, model.hamiltonian.grad_p(coords, np.moveaxis(du, 0, -1))
 
 
 def _checked_m0(grid: TorusGrid, m0) -> np.ndarray:
@@ -296,19 +332,14 @@ def solve_kolmogorov(grid: TorusGrid, drift: np.ndarray, m0: np.ndarray) -> Dens
     m0 = _checked_m0(grid, m0)
     if not np.all(np.isfinite(drift)):
         raise ValueError("drift must be finite")
-    heat = PeriodicHeatSolver(grid)
-    K, dt = grid.n_time, np.asarray(grid.dt)  # 0-d: see solve_hjb
-    _, _, div_mb = _slice_stencils(grid)
+    _, _, forward = _slice_stencils(grid)
     # one contiguous stack per drift component, b_a^0 .. b_a^{K-1}
     components = np.ascontiguousarray(np.moveaxis(drift[:-1], -1, 0))
-    m = np.empty((K + 1, *grid.spatial_shape))
+    m = np.empty((grid.n_time + 1, *grid.spatial_shape))
     m[0] = m0
     # m^{k+1} from m^k and the components of b^k, k = 0 .. K-1, as row views
     for m_k, m_next, b_k in zip(m[:-1], m[1:], zip(*components)):
-        rhs = div_mb(m_k, b_k)
-        rhs *= dt
-        rhs += m_k
-        heat.apply(rhs, out=m_next)
+        forward(m_k, b_k, m_next)
     return _checked_density(grid, m, "Kolmogorov sweep")
 
 

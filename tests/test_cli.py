@@ -113,6 +113,10 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("solve", "solver.damping = 0"),
         ("solve", "solver.damping = 1.5"),
         ("solve", "solver.max_iter = 0"),
+        ("solve", "solver.tol = 0"),
+        ("solve", "solver.tol = nan"),
+        ("fictitious-play", "fp.gap_tol = -1e-9"),
+        ("fictitious-play", "fp.success_err = 0"),
         ("fictitious-play", "fp.n_max = 0"),
         ("fictitious-play", "fp.attractor_deltas = 0.01\nfp.attractor_trials = 0"),
         ("isolation", "isolation.trials = 0"),

@@ -2,10 +2,11 @@
 
 Every process pays for the modules it imports before its first task.  Only
 the block factorization of `stability` needs LAPACK, so importing the
-package, the benchmark's workloads, the CLI, a Picard solve and J load no
-scipy module; a certificate loads scipy.linalg and still no scipy.sparse.
-The checks run in one fresh interpreter, since this test process has
-imported scipy long before.
+package, the benchmark's workloads, the CLI, a Picard solve, J, a
+fictitious-play round and the branch search load no scipy module; a
+certificate loads scipy.linalg and still no scipy.sparse.  The checks run
+in one fresh interpreter, since this test process has imported scipy long
+before.
 """
 
 import json
@@ -44,6 +45,13 @@ model = builtin_quadratic(coupling="monotone_local", m0="cosine", T=0.5)
 base = solve_picard(model, model.make_grid(16, 16), damping=0.5, tol=1e-11)
 assert base.converged
 assert evaluate_J(model, AdmissiblePair.from_solution(base)).finite
+# the branch_pair_1d path: a fictitious-play round, then the branch search
+# with its full-weight Picard polish
+assert mfg_lab.fictitious_play.fp_step(
+    mfg_lab.fictitious_play.fp_start(model, model.make_grid(16, 16))
+).n == 1
+anti = builtin_quadratic(theta=60.0, coupling="antimonotone_symmetric", T=1.0)
+mfg_lab.nonuniqueness.make_branch_pair(anti, anti.make_grid(16, 64), tol=1e-6)
 print(json.dumps(loaded()))
 
 from mfg_lab import stability

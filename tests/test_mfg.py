@@ -189,6 +189,41 @@ def test_zero_max_iter_is_refused(monotone_model, monotone_grid):
         solve_picard(monotone_model, monotone_grid, max_iter=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-10])
+def test_a_tolerance_no_gap_can_meet_is_refused(monotone_model, monotone_grid, tol):
+    # such a tol would play all max_iter rounds and report converged=False;
+    # tol = 0 stays legal, to force the cap
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        solve_picard(monotone_model, monotone_grid, tol=tol)
+
+
+def _bad_belief(grid, case):
+    belief = np.ones((grid.n_time + 1, *grid.spatial_shape))
+    if case == "slice":
+        return belief[:-1]
+    if case == "node":
+        return belief[..., :-1]
+    belief[3, 5] = np.nan
+    return belief
+
+
+@pytest.mark.parametrize(
+    "case, match", [("slice", "init_m shape"), ("node", "init_m shape"), ("nan", "init_m must")]
+)
+def test_a_bad_initial_belief_is_refused_before_any_round(monotone_model, case, match):
+    # unchecked, a missing slice failed as "source shape mismatch", a missing
+    # node as a broadcast error, and NaN inside the HJB sweep
+    grid = monotone_model.make_grid(16, 8)
+    with pytest.raises(ValueError, match=match):
+        solve_picard(monotone_model, grid, init_m=_bad_belief(grid, case))
+
+
+def test_a_non_finite_initial_fp_belief_is_refused(monotone_model):
+    grid = monotone_model.make_grid(16, 8)
+    with pytest.raises(ValueError, match="mu0 must be finite"):
+        fp_start(monotone_model, grid, mu0=_bad_belief(grid, "nan"))
+
+
 def test_one_round_evaluates_the_drift_once():
     # the backward sweep returns the drift of its u (`drift_field`); the
     # forward leg and the packaged solution reuse it

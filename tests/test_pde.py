@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mfg_lab.grid import (
     NEG_TOL,
     TorusGrid,
-    gradient,
     inner,
     l2_norm,
     laplacian,
@@ -26,7 +25,9 @@ from mfg_lab.pde import (
     _difference_matrix,
     _fourier_basis,
     _heat_operators,
+    _slice_stencils,
     continuity_residual,
+    drift_field,
     hjb_residual,
     kolmogorov_residual,
     solve_continuity,
@@ -356,7 +357,7 @@ def test_hjb_sweep_reads_the_coefficient_once_and_never_calls_value(dim, eps):
 def _plain_operators(grid):
     """Slice gradient, divergence and heat solve as plain ``@`` products."""
     c = _difference_matrix(grid.n_space)
-    q, inv_symbol, s = _heat_operators(grid.n_space, grid.dt, grid.dim)
+    q, inv_symbol, s, _ = _heat_operators(grid.n_space, grid.dt, grid.dim)
     if grid.dim == 1:
         return (lambda u: (u @ c)[..., None]), (lambda w: w[..., 0] @ c), (lambda r: r @ s)
     ct = c.T
@@ -368,7 +369,8 @@ def _plain_operators(grid):
 
 
 def _plain_hjb(model, grid, source, terminal):
-    """u and the drift D_pH(x, Du) from one step at a time."""
+    """u from one step at a time, and the drift D_pH(x, Du) of the per-slice
+    gradient products."""
     coords, (grad, _, heat) = grid.coordinates(), _plain_operators(grid)
     value, K, dt = model.hamiltonian.value, grid.n_time, grid.dt
     u = np.empty((K + 1, *grid.spatial_shape))
@@ -376,15 +378,22 @@ def _plain_hjb(model, grid, source, terminal):
     for k in range(K - 1, -1, -1):
         rhs = u[k + 1] - dt * value(coords, grad(u[k + 1])) + dt * source[k + 1]
         u[k] = heat(rhs)
-    return u, model.hamiltonian.grad_p(coords, gradient(grid, u))
+    du = np.stack([grad(u_k) for u_k in u])
+    return u, model.hamiltonian.grad_p(coords, du)
 
 
 def _plain_kolmogorov(grid, drift, m0):
+    """m from one step at a time; in 1D the heat solve folded into the flux
+    product, m^k S + (m^k b^k)(dt C S)."""
     _, div, heat = _plain_operators(grid)
+    _, _, s, dt_cs = _heat_operators(grid.n_space, grid.dt, grid.dim)
     m = np.empty((grid.n_time + 1, *grid.spatial_shape))
     m[0] = m0
     for k in range(grid.n_time):
-        m[k + 1] = heat(m[k] + grid.dt * div(m[k][..., None] * drift[k]))
+        if grid.dim == 1:
+            m[k + 1] = m[k] @ s + (m[k] * drift[k][..., 0]) @ dt_cs
+        else:
+            m[k + 1] = heat(m[k] + grid.dt * div(m[k][..., None] * drift[k]))
     return m
 
 
@@ -450,3 +459,40 @@ def test_sweeps_equal_plain_step_loops_bitwise(grid, seed, horizon, scale, eps):
 
     w = rng.standard_normal((*shape, grid.dim))
     assert np.array_equal(solve_continuity(grid, w, m0), _plain_continuity(grid, w, m0))
+
+
+@settings(max_examples=60)
+@given(
+    grids(),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.01, 1.0),
+    st.sampled_from([0.0, 0.3]),
+)
+def test_sweep_drift_and_folded_step_follow_the_unfolded_scheme(grid, seed, horizon, eps):
+    # the bitwise test above pins the sweeps to the drift of their own
+    # gradient products and the folded 1D step; both agree with the stencil
+    # drift and with heat(m + dt div(m b)) to roundoff
+    rng = np.random.default_rng(seed)
+    grid = TorusGrid(grid.dim, grid.n_space, grid.n_time, 0.0, horizon)
+    ham, lag = quadratic_hamiltonian(eps)
+    model = dataclasses.replace(
+        builtin_quadratic(0.0, coupling="none", dim=grid.dim),
+        hamiltonian=ham,
+        lagrangian=lag,
+    )
+    shape = (grid.n_time + 1, *grid.spatial_shape)
+    source = 0.1 * rng.standard_normal(shape)
+    terminal = 0.1 * rng.standard_normal(grid.spatial_shape)
+    u, b = solve_hjb(model, grid, source, terminal)
+    # a difference quotient holds its digits relative to its operands,
+    # max|u| / dx, times the coefficient a <= 1 + eps
+    scale = (1.0 + eps) * np.max(np.abs(u)) / grid.dx
+    assert np.max(np.abs(b - drift_field(model, grid, u))) <= 1e-14 * scale
+
+    # every step of the sweep at once, on the stack of slices 0..K-1
+    m = rng.uniform(0.5, 1.5, shape)[:-1]
+    components = np.moveaxis(b[:-1], -1, 0)
+    _, div, heat = _plain_operators(grid)
+    unfolded = heat(m + grid.dt * div(m[..., None] * b[:-1]))
+    folded = _slice_stencils(grid)[2](m, components)
+    assert np.max(np.abs(folded - unfolded)) <= 1e-14 * np.max(np.abs(unfolded))

@@ -76,17 +76,23 @@ def test_sweep_difference_products_equal_grid_stencils(grid, stack, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((*stack, *grid.spatial_shape))
     w = rng.standard_normal((*stack, *grid.spatial_shape, grid.dim))
-    sq_grad, div, div_mb = _slice_stencils(grid)
+    sq_grad, div, forward = _slice_stencils(grid)
     scale = 1.0 / grid.dx
     g = gradient(grid, u)
     # per component, |a^2 - b^2| = |a - b| |a + b| with |a - b| <= 1e-14 scale
     bound = 2e-14 * grid.dim * scale * (np.max(np.abs(g)) + scale)
     assert np.max(np.abs(sq_grad(u) - squared_norm(g))) <= bound
+    # the components sq_grad writes are the ones it squares
+    rows = tuple(np.empty_like(u) for _ in range(grid.dim))
+    assert np.array_equal(sq_grad(u, rows), sq_grad(u))
+    assert np.max(np.abs(np.stack(rows, axis=-1) - g)) <= 1e-14 * scale
     components = np.moveaxis(w, -1, 0)
     assert np.max(np.abs(div(components) - divergence(grid, w))) <= 1e-14 * scale
+    # the forward step is heat(m + dt div(m b)), in 1D with the solve folded in
     mw = u[..., None] * w
-    bound = 1e-14 * scale * max(1.0, np.max(np.abs(mw)))
-    assert np.max(np.abs(div_mb(u, components) - divergence(grid, mw))) <= bound
+    expected = PeriodicHeatSolver(grid).apply(u + grid.dt * divergence(grid, mw))
+    bound = 1e-14 * (np.max(np.abs(u)) + grid.dt * scale * max(1.0, np.max(np.abs(mw))))
+    assert np.max(np.abs(forward(u, components) - expected)) <= bound
 
 
 # per-slice reference loops: the residuals as one step at a time
