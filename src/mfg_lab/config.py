@@ -9,6 +9,7 @@ this module is the authoritative definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -46,6 +47,9 @@ class _Key:
 
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _POSITIVE = (lambda v: v > 0, "> 0")
+# tolerances: at inf every check passes, after one round or at once
+_FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+_FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
 _N_SPACE = (lambda v: v >= 4, ">= 4")  # the least n_space of a `TorusGrid`
 
@@ -63,22 +67,22 @@ SCHEMA: dict[str, _Key] = {
     "grid.t0": _Key(float, 0.0),
     "grid.T": _Key(float, 1.0),
     "solver.damping": _Key(float, 0.5, bound=(lambda v: 0 < v <= 1, "in (0, 1]")),
-    "solver.tol": _Key(float, 1e-9, bound=_POSITIVE),
+    "solver.tol": _Key(float, 1e-9, bound=_FINITE_POSITIVE),
     "solver.max_iter": _Key(int, 300, bound=_COUNT),
     "fp.n_max": _Key(int, 300, bound=_COUNT),
-    "fp.gap_tol": _Key(float, 1e-9, bound=_NONNEGATIVE),
+    "fp.gap_tol": _Key(float, 1e-9, bound=_FINITE_NONNEGATIVE),
     "fp.reference": _Key(str, "picard", ("picard", "none")),
     "fp.attractor_deltas": _Key(str, ""),
     "fp.attractor_trials": _Key(int, 10, bound=_COUNT),
-    "fp.success_err": _Key(float, 5e-4, bound=_POSITIVE),
+    "fp.success_err": _Key(float, 5e-4, bound=_FINITE_POSITIVE),
     "stability.t1_fractions": _Key(str, "0.0,0.1,0.25,0.5"),
-    "stability.tol": _Key(float, 1e-6, bound=_POSITIVE),
+    "stability.tol": _Key(float, 1e-6, bound=_FINITE_POSITIVE),
     "isolation.etas": _Key(str, "0.0,0.01"),
     "isolation.trials": _Key(int, 5, bound=_COUNT),
     "nonuniqueness.thetas": _Key(str, "1,4,16,64", bound=_NONNEGATIVE),
     "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8", bound=_POSITIVE),
     "nonuniqueness.steps_per_unit_time": _Key(int, 128, bound=_COUNT),
-    "nonuniqueness.tol": _Key(float, 1e-6, bound=_POSITIVE),
+    "nonuniqueness.tol": _Key(float, 1e-6, bound=_FINITE_POSITIVE),
     "nonuniqueness.refine": _Key(int, 1, (0, 1)),
     "study.n_list": _Key(str, "32,64,128", bound=_N_SPACE),
     "study.heat_n": _Key(int, 64, bound=_N_SPACE),

@@ -123,9 +123,13 @@ def run_fp(
     Non-convergence is data, not an error.  With a reference solution the
     per-round error ||u^n - u||_{C^{1,0}} + ||m^n - m||_sup is recorded
     (`mfg.solution_distance` of the reference to the round's (u^n, m^n)).
+    gap_tol must be finite.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if not math.isfinite(gap_tol):
+        # inf stops at round one as converged; NaN never stops
+        raise ValueError(f"gap_tol must be finite, got {gap_tol}")
     state = fp_start(model, grid, mu0=mu0)
     gaps, steps, errors = [], [], []
     converged = False

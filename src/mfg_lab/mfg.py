@@ -23,6 +23,7 @@ stability module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,14 +258,15 @@ def solve_picard(
     damped (1-damping) m + damping m~.
 
     Stop test: the sup over slices of the l2 gap of the forward output to
-    the trajectory, then the coupling defect; tol = 0 plays max_iter rounds.
+    the trajectory, then the coupling defect; tol = 0 plays max_iter rounds,
+    and tol must be finite (at inf one round would pass as converged).
     Non-convergence returns the best iterate with converged=False rather
     than raising; near unstable equilibria that outcome is an observable.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    if not tol >= 0.0:  # NaN too
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not 0.0 <= tol < math.inf:  # NaN too
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     m0_slice = model.initial_density_slice(grid) if m0 is None else np.asarray(m0)

@@ -99,6 +99,13 @@ COLLAPSE_CHECK_ROUND = 3
 COLLAPSE_MOMENT = 0.02
 
 
+def _check_tol(tol: float) -> None:
+    """At tol <= 0 the polish target min(tol * 1e-2, 1e-10) is 0, which no
+    polish reaches; at tol = inf every residual passes the check."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def find_asymmetric_branch(
     model: MfgModel, grid: TorusGrid, tol: float = 1e-8, fp_rounds: int = 150
 ) -> tuple[Optional[MfgSolution], str]:
@@ -112,6 +119,7 @@ def find_asymmetric_branch(
     checks the collapse, the polish's convergence and its residuals against
     tol; the separation from the symmetric branch is `make_branch_pair`'s.
     """
+    _check_tol(tol)
     if fp_rounds < 1:
         raise ValueError(f"fp_rounds must be at least 1, got {fp_rounds}")
     try:
@@ -178,12 +186,10 @@ def make_branch_pair(
     `find_asymmetric_branch` checks its own solution's residuals; this
     function checks the separation: an asymmetric solution whose reflection
     defect is below max(10 x the symmetric branch's, SEPARATION_FLOOR) is
-    the symmetric branch again, and not-found.  tol must be positive: at
-    tol <= 0 the polish target min(tol * 1e-2, 1e-10) is 0, which no polish
-    reaches.
+    the symmetric branch again, and not-found.  tol must be positive and
+    finite (`_check_tol`).
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     sym = find_symmetric_branch(model, grid)
     asym, reason = find_asymmetric_branch(model, grid, tol=tol, fp_rounds=fp_rounds)
     if asym is None:

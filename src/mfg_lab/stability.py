@@ -13,14 +13,16 @@ boundary rows:
     mu^0 = mu0 (default 0),    v^{K'} - Kg mu^{K'} = c
 
 with b = D_pH(x,Du), A = D2_ppH(x,Du), Kf/Kg the coupling kernels at the
-base density.  `AssembledOperator` keeps these rows as the arrays they are
-made of, stacked over the slices: the drift b and m A of every slice, the
-kernel factors, the initial-row block and the heat solver.  Its four block
-kinds are applied to whole stacks through the per-axis difference products
-of the sweeps (`pde`; the stencils of `grid` to roundoff):
+base density.  For the family H = a(x)|p|^2/2 (`models.Hamiltonian`),
+A = a(x) I, so m A is the scalar m a(x) on every node.
+`AssembledOperator` keeps these rows as the arrays they are made of,
+stacked over the slices: the drift b and m a of every slice, the kernel
+factors, the initial-row block and the heat solver.  Its four block kinds
+are applied to whole stacks through the per-axis difference products of
+the sweeps (`pde`; the stencils of `grid` to roundoff):
 
     T_k = -I/dt + b^k.G,    T_k^T = -I/dt - div(b^k .),
-    E_k = -div(m^k A^k G .) = E_k^T,    D0 = I/dt - Lap,
+    E_k = -div(m^k a G .) = E_k^T,    D0 = I/dt - Lap,
 
 and a kernel block is the coupling's kernel in the factored form c I + U W^T
 of small rank r (`models.KernelFactors`).  The matrix-free products, the
@@ -43,9 +45,12 @@ factorization of the operator (`AssembledOperator.factorize`, shared with
 structure (v solved backward, mu forward), with dense n x n Schur blocks per
 slice and pivoting only inside them (`TimeBlockLU`, which solves a block of
 right-hand sides as one).  It stores D0^-1 and two dense n x n blocks per
-slice, M_k^-1 and P_k, and nothing else: a solve's two recursions over the
-slices apply T_k, T_k^T and the kernel block B_k from the coefficient stacks
-to the slice they carry.  The iteration stops on the residual of the
+slice, M_k^-1 and P_k, and in 1D the transport block T_k^T of each slice
+too; the memory guard counts exactly these.  A solve's two recursions over
+the slices apply each operator as what it is to the slice they carry:
+stored blocks by one product each, T_k and T_k^T in 2D and the kernel
+block B_k from the coefficient stacks, and D0^-1 in 2D by the separable
+Fourier heat solve.  The iteration stops on the residual of the
 smallest Ritz pair, so the witness vector is as settled as sigma_min; one
 that stops at its cap without converging never certifies STABLE, and the
 bytes the factorization stores are checked against a guard before any is
@@ -127,7 +132,7 @@ def _signature(grid: TorusGrid) -> str:
 # ---------------------------------------------------------------------------
 # the block kinds, applied to stacks of n-vectors (..., n) through the
 # per-axis difference products of the sweeps; a vector field is a list of
-# its d components, and coefficient stacks (..., d, n) and (..., d, d, n)
+# its d components, and coefficient stacks (..., d, n) and (..., n)
 # broadcast against the leading axes
 # ---------------------------------------------------------------------------
 
@@ -176,20 +181,15 @@ def _transport(grid: TorusGrid, b: np.ndarray, x: np.ndarray, trans: bool = Fals
     return y
 
 
-def _times_mA(mA: np.ndarray, g: list) -> list:
-    """m A g per node, g given by its components."""
-    out = []
-    for a in range(len(g)):
-        w = mA[..., a, 0, :] * g[0]
-        for c in range(1, len(g)):
-            w += mA[..., a, c, :] * g[c]
-        out.append(w)
-    return out
+def _times_ma(ma: np.ndarray, g: list) -> list:
+    """m a g per node, g given by its components: m D2_ppH = m a(x) I for
+    the family H = a(x)|p|^2/2 (`models.Hamiltonian`)."""
+    return [ma * g_a for g_a in g]
 
 
-def _diffusion(grid: TorusGrid, mA: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """E x = -div(m A G x); m A = m D2_ppH is symmetric, so E^T = E bit for bit."""
-    y = _div(grid, _times_mA(mA, _grad(grid, x)))
+def _diffusion(grid: TorusGrid, ma: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """E x = -div(m a G x), symmetric: E^T = E bit for bit."""
+    y = _div(grid, _times_ma(ma, _grad(grid, x)))
     return np.negative(y, out=y)
 
 
@@ -197,8 +197,8 @@ def _coefficients(
     model: MfgModel, base: MfgSolution, t1_index: int
 ) -> tuple[TorusGrid, np.ndarray, np.ndarray]:
     """The grid restricted to [t1, T], and on every slice of it the drift
-    b = D_pH(x, Du), shape (K'+1, d, n), and m A = m D2_ppH(x, Du), shape
-    (K'+1, d, d, n)."""
+    b = D_pH(x, Du), shape (K'+1, d, n), and the scalar m a(x) with
+    m D2_ppH = m a(x) I, shape (K'+1, n)."""
     grid = base.grid.restrict(t1_index)
     ham = model.hamiltonian
     coords = grid.coordinates()
@@ -206,8 +206,8 @@ def _coefficients(
     m = base.m.values[t1_index:]
     K, n, d = grid.n_time, grid.n_nodes, grid.dim
     b = ham.grad_p(coords, du).reshape(K + 1, n, d)
-    mA = (m[..., None, None] * ham.hess_pp(coords, du)).reshape(K + 1, n, d, d)
-    return grid, np.moveaxis(b, 1, -1).copy(), np.moveaxis(mA, 1, -1).copy()
+    ma = (m * ham.coefficient(coords)).reshape(K + 1, n)
+    return grid, np.moveaxis(b, 1, -1).copy(), ma
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +221,27 @@ def _require_converged(base: MfgSolution) -> None:
         raise ValueError("linearization requires a converged base solution")
 
 
-def _shaped(arr, shape) -> np.ndarray:
-    if arr is None:
-        return np.zeros(shape)
+def _checked(arr, shape, name: str, kind: str) -> np.ndarray:
+    """arr as floats, refused with a ValueError that names the argument
+    unless it has `shape` and finite entries: checked before any work."""
     arr = np.asarray(arr, dtype=float)
     if arr.shape != shape:
-        raise ValueError(f"inhomogeneity shape {arr.shape} != {shape}")
+        raise ValueError(f"{kind} shape {arr.shape} != {shape} for {name}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{kind} {name} has non-finite entries")
     return arr
+
+
+def _shaped(arr, shape, name: str) -> np.ndarray:
+    return np.zeros(shape) if arr is None else _checked(arr, shape, name, "inhomogeneity")
+
+
+def _direction(base: MfgSolution, t1_index: int, **values) -> None:
+    """Each of `values` checked as a direction on the slices of [t1, T]."""
+    grid = base.grid.restrict(t1_index)
+    shape = (grid.n_time + 1, *grid.spatial_shape)
+    for name, arr in values.items():
+        _checked(arr, shape, name, "direction")
 
 
 @dataclass
@@ -253,15 +267,15 @@ class AssembledOperator:
     initial rows (`initial` mu^0) and the terminal rows (v^K' + B_g mu^K'),
     with B_k = -Kf^k and B_g = -Kg the kernel blocks.
 
-    Held: `drift` b (K'+1, d, n) and `mA` (K'+1, d, d, n) of every slice,
-    the kernel blocks `kernel_f` (B_1..B_K', one `KernelFactors` stack) and
-    `kernel_g`, and the initial-row block `initial` I.  Products apply the
-    blocks to whole stacks at any size; the factorization and the sparse
-    oracle are guarded.
+    Held: `drift` b (K'+1, d, n) and `ma`, the scalar m a(x) of m D2_ppH =
+    m a(x) I (K'+1, n), of every slice, the kernel blocks `kernel_f`
+    (B_1..B_K', one `KernelFactors` stack) and `kernel_g`, and the
+    initial-row block `initial` I.  Products apply the blocks to whole stacks
+    at any size; the factorization and the sparse oracle are guarded.
     """
 
     def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int = 0):
-        grid, self.drift, self.mA = _coefficients(model, base, t1_index)
+        grid, self.drift, self.ma = _coefficients(model, base, t1_index)
         self.grid = grid
         self.n = n = grid.n_nodes
         self.K = K = grid.n_time
@@ -291,7 +305,7 @@ class AssembledOperator:
         rows = (
             _d0(g, v[:K]) + _transport(g, b[1:], v[1:]) + self.kernel_f @ mu[1:],
             _d0(g, mu[1:]) + _transport(g, b[:K], mu[:K], True)
-            + _diffusion(g, self.mA[:K], v[:K]),
+            + _diffusion(g, self.ma[:K], v[:K]),
             self.initial * mu[0],
             v[K] + self.kernel_g @ mu[K],
         )
@@ -304,7 +318,7 @@ class AssembledOperator:
         out = np.zeros((2, K + 1, self.n))
         ov, om = out
         # E_k is symmetric (`_diffusion`), so E^T is E
-        ov[:K] += _d0(g, back) + _diffusion(g, self.mA[:K], fwd)
+        ov[:K] += _d0(g, back) + _diffusion(g, self.ma[:K], fwd)
         ov[1:] += _transport(g, b[1:], back, True)
         ov[K] += Y[2 * K + 1]
         om[1:] += self.kernel_f.T @ back + _d0(g, fwd)
@@ -343,7 +357,7 @@ class AssembledOperator:
     # -- materialization -----------------------------------------------------
     def lu_bytes_estimate(self) -> int:
         """Bytes of the dense blocks `factorize` stores, from their shapes."""
-        return 8 * TimeBlockLU.stored_entries(self.K, self.n)
+        return 8 * TimeBlockLU.stored_entries(self.grid)
 
     def _check_lu_size(self) -> None:
         estimate = self.lu_bytes_estimate()
@@ -372,7 +386,7 @@ class AssembledOperator:
             blocks[k][k + 1] = sp.csr_matrix(_transport(g, self.drift[k + 1], eye).T)
             blocks[k][K + 2 + k] = sp.csr_matrix(self.kernel_f[k].toarray())
             blocks[K + k][K + 1 + k] = sp.csr_matrix(_transport(g, self.drift[k], eye, True).T)
-            blocks[K + k][k] = sp.csr_matrix(_diffusion(g, self.mA[k], eye).T)
+            blocks[K + k][k] = sp.csr_matrix(_diffusion(g, self.ma[k], eye).T)
         blocks[2 * K][K + 1] = sp.csr_matrix(self.initial * eye)
         blocks[2 * K + 1][K] = sp.identity(n, format="csr")
         blocks[2 * K + 1][2 * K + 1] = sp.csr_matrix(self.kernel_g.toarray())
@@ -403,15 +417,14 @@ class AssembledOperator:
 
     def rhs_vector(self, a=None, b_src=None, c=None, mu0=None) -> np.ndarray:
         """The inhomogeneities of `solve_linearized` stacked in the row order,
-        each zero when None; a wrong shape raises ValueError."""
+        each zero when None; a wrong shape or a non-finite entry raises
+        ValueError naming the argument."""
         g, K = self.grid, self.K
         sshape = g.spatial_shape
-        rows = (
-            _shaped(a, (K + 1, *sshape))[1:],
-            divergence(g, _shaped(b_src, (K + 1, *sshape, g.dim))[:K]),
-            _shaped(mu0, sshape),
-            _shaped(c, sshape),
-        )
+        a = _shaped(a, (K + 1, *sshape), "a")
+        b_src = _shaped(b_src, (K + 1, *sshape, g.dim), "b_src")
+        mu0, c = _shaped(mu0, sshape, "mu0"), _shaped(c, sshape, "c")
+        rows = (a[1:], divergence(g, b_src[:K]), mu0, c)
         return np.concatenate([r.reshape(-1) for r in rows])
 
 
@@ -453,20 +466,28 @@ class TimeBlockLU:
     s (v + B_g mu), s the boundary weight, pivots on v with s I; eliminating
     v adds H T_K' B_g to M_K' and makes P_K' = M_K'^-1 H T_K' / s.
 
-    Stored, all n x n: D0^-1, M_k^-1 and P_k, (2K'+3) n^2 entries.  The
-    blocks T_k, E_k and B_k are not stored: the factorization and the solves
-    apply them from the operator's coefficient stacks.  While factoring, the
-    gradient of D0^-1 is formed once, so E_{k-1} D0^-1 is one divergence and
-    T_k D0^-1 elementwise per slice, and no temporary spans all slices of
-    n x n blocks.  A solve takes p right-hand sides at once and runs two
-    recursions over the slices, forward and backward in time.  A step reads
-    the stored blocks its slice of the result needs, one gemm each, and
-    applies T_k, T_k^T or B_k to the p-wide slice it carries (the stencils
-    of the drift, the low-rank kernel factors); the products with E_k, and
-    those that act on the right-hand side alone, are batched over the
-    slices.  A solve so streams three stacks: M^-1 once and P twice.  The
-    transposed solve carries the right-hand sides as rows, so that every
-    gemm reads a stored block in its own order.
+    Stored, all n x n, and all counted by the memory guard (`stored_shapes`):
+    D0^-1, M_k^-1 and P_k, (2K'+3) n^2 entries, and in 1D the transport
+    blocks T_k^T as well, (K'+1) n^2 more.  E_k and B_k are not stored, nor
+    T_k in 2D, where a stack of them would be 12.75 MiB at N=16, K'=24: the
+    factorization and the solves apply them from the operator's coefficient
+    stacks (the stencils of the drift, the scalar m a(x), the low-rank
+    kernel factors).  D0^-1 = dt (I - dt Lap)^-1 is applied as what it is:
+    in 1D the stored block, in 2D the heat solve of the operator's
+    `pde.PeriodicHeatSolver`, separable in the real Fourier basis Q,
+    Q (Q^T X Q (*) 1/(1 - dt lambda)) Q^T on N x N views, times dt; the
+    dense block then serves the gradient G D0^-1 of the factorization
+    alone.  While factoring, that gradient is formed once, so E_{k-1} D0^-1
+    is one divergence per slice, H_k T_k is T_k^T applied to the rows of
+    H_k, and no temporary spans all slices of n x n blocks.  A solve takes
+    p right-hand sides at once and runs two recursions over the slices,
+    forward and backward in time.  A step reads the stored blocks its slice
+    of the result needs, one gemm each, and applies T_k, T_k^T, D0^-1 or
+    B_k to the p-wide slice it carries; the products with E_k, and those
+    that act on the right-hand side alone, are batched over the slices.  A
+    solve so streams three stacks: M^-1 once and P twice.  The transposed
+    solve carries the right-hand sides as rows, so that every gemm reads a
+    stored block in its own order.
     Pivoting happens inside each n x n block (LAPACK) and nowhere else; a
     Schur block singular to working precision raises `SingularSchurBlock`.
     LAPACK and BLAS come from scipy.linalg, imported by the first
@@ -474,12 +495,17 @@ class TimeBlockLU:
     """
 
     @staticmethod
-    def stored_shapes(K: int, n: int) -> dict:
-        return {"d0_inv": (n, n), "m_inv": (K + 1, n, n), "p": (K + 1, n, n)}
+    def stored_shapes(grid: TorusGrid) -> dict:
+        """The arrays a factorization on `grid` (the restricted one) stores."""
+        K, n = grid.n_time, grid.n_nodes
+        shapes = {"d0_inv": (n, n), "m_inv": (K + 1, n, n), "p": (K + 1, n, n)}
+        if grid.dim == 1:
+            shapes["transport"] = (K + 1, n, n)
+        return shapes
 
     @staticmethod
-    def stored_entries(K: int, n: int) -> int:
-        return sum(math.prod(s) for s in TimeBlockLU.stored_shapes(K, n).values())
+    def stored_entries(grid: TorusGrid) -> int:
+        return sum(math.prod(s) for s in TimeBlockLU.stored_shapes(grid).values())
 
     def __init__(self, op: AssembledOperator):
         from scipy.linalg import lapack
@@ -495,53 +521,58 @@ class TimeBlockLU:
         self._s = s = op.boundary_weight
         # the operator's coefficient stacks, which the solves apply as well,
         # and per-slice views of them for the recursions of the solves
-        self._grid, self._mA = g, mA = op.grid, op.mA
+        self._grid, self._ma = g, ma = op.grid, op.ma
         self._kf, self._kg = kf, kg = op.kernel_f, op.kernel_g
         b = op.drift
         self._b_k = list(b)
         self._u = list(kf.U)
         self._wt = [w.T for w in kf.W]
 
-        shapes = self.stored_shapes(K, n)
+        shapes = self.stored_shapes(g)
+        eye = np.eye(n)
         # D0^-1 = dt (I - dt Lap)^-1 from the heat step applied to the
         # identity (rows of the result are columns of D0^-1), symmetrized
-        d0_inv = op._heat.step((g.dt * np.eye(n)).reshape(n, *g.spatial_shape))
+        d0_inv = op._heat.step((g.dt * eye).reshape(n, *g.spatial_shape))
         d0_inv = d0_inv.reshape(shapes["d0_inv"])
         self._d0_inv = d0_inv = 0.5 * (d0_inv + d0_inv.T)
+        # 2D applies D0^-1 by the operator's heat solver, 1D by the block
+        self._heat = op._heat if g.dim > 1 else None
         self._m_inv = m_inv = np.empty(shapes["m_inv"])
         self._p = p = np.empty(shapes["p"])
+        self._t = self._t_t = None
+        if "transport" in shapes:
+            # T_k applied to the identity: row i is T_k e_i, so the block is
+            # T_k^T, a right factor that applies T_k to rows; its transposed
+            # view applies T_k^T
+            self._t = t = np.empty(shapes["transport"])
+            for k in range(K + 1):
+                t[k] = _transport(g, b[k], eye)
+            self._t_t = [a.T for a in t]
         # the Fortran-ordered transposes of the stored blocks, per slice: the
         # layout BLAS reads in place; built first, so that a factorization
         # stopped by a singular block back-substitutes through them
         self._m_inv_f = [a.T for a in m_inv]
         self._p_f = [a.T for a in p]
-        self._d0_f = d0_inv.T
-        d0_t = _d0(g, np.eye(n))  # D0^T: its rows are the columns of D0
-        # G D0^-1 and -D0^-1/dt, the parts of E_{k-1} D0^-1 and T_k D0^-1
-        # that are the same on every slice
-        grad_d0 = _grad(g, d0_inv)
-        d0_dt = d0_inv / -g.dt
+        d0_t = _d0(g, eye)  # D0^T: its rows are the columns of D0
+        grad_d0 = _grad(g, d0_inv)  # G D0^-1, the same on every slice
         # One slice at a time.  A block kind applied to the rows of Y gives
         # Y times the block's transpose, so H_k^T and M_k^T come out in C
         # order and are kept so; D0^-1 is symmetric, and LAPACK returns
         # M_k^-1 in Fortran order.
         try:
-            m_inv[0] = self._inverse(s * op.initial * np.eye(n), 0)
+            m_inv[0] = self._inverse(s * op.initial * eye, 0)
             p[0] = 0.0
             for k in range(1, K + 1):
-                h_t = _div(g, _times_mA(mA[k - 1], grad_d0))  # (E_{k-1} D0^-1)^T
+                h_t = _div(g, _times_ma(ma[k - 1], grad_d0))  # (E_{k-1} D0^-1)^T
                 np.negative(h_t, out=h_t)
                 if k > 1:
-                    h_t += _transport(g, b[k - 1], np.ascontiguousarray(p[k - 1].T), True)
+                    h_t += self._transport(k - 1, np.ascontiguousarray(p[k - 1].T), True)
                 U, W = kf.U[k - 1], kf.W[k - 1]  # B_k
                 m_t = d0_t - kf.c * h_t - W @ (U.T @ h_t)
+                h_tk = self._transport(k, np.ascontiguousarray(h_t.T), True)  # H T_k
                 if k < K:
-                    tr = d0_dt + grad_d0[0] * b[k, 0]  # (T_k D0^-1)^T
-                    for a in range(1, g.dim):
-                        tr += grad_d0[a] * b[k, a]
-                    x = h_t.T @ tr.T
+                    x = self._d0_rows(h_tk)
                 else:
-                    h_tk = _transport(g, b[K], np.ascontiguousarray(h_t.T), True)  # H T_K'
                     m_t += _times_rows(h_tk, kg).T
                     x = h_tk / s
                 m_inv[k] = self._inverse(m_t.T, k)
@@ -577,6 +608,23 @@ class TimeBlockLU:
             raise SingularSchurBlock(slice_index, rcond, np.linalg.svd(a)[2][-1])
         return lapack.dgetri(lu, piv, lwork=self._lwork)[0]
 
+    def _transport(self, k: int, x: np.ndarray, trans: bool = False) -> np.ndarray:
+        """T_k, or T_k^T with `trans`, applied to each row of x (p, n), that
+        is x T_k^T or x T_k: one product with the stored block in 1D, the
+        stencils of the drift in 2D."""
+        if self._t is None:
+            return _transport(self._grid, self._b_k[k], x, trans)
+        return x.dot(self._t_t[k] if trans else self._t[k])
+
+    def _d0_rows(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """D0^-1 applied to each n-vector of x (..., n), into `out` when
+        given: the stored block in 1D, the Fourier heat solve times dt in 2D."""
+        if self._heat is None:
+            d0 = self._d0_inv
+            return x.dot(d0, out) if x.ndim == 2 else np.matmul(x, d0, out=out)
+        y = self._heat.apply(x.reshape(*x.shape[:-1], *self._grid.spatial_shape))
+        return np.multiply(y.reshape(x.shape), self._grid.dt, out=out)
+
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """(D A)^-1 b, or (D A)^-T b for trans="T"; b of shape (N,) or (N, p),
         whose columns are solved together."""
@@ -594,28 +642,29 @@ class TimeBlockLU:
     # Fortran-ordered view (`_f`) of a stored block, and a row slice y (p, n)
     # takes y += x M as y^T += M^T x^T: either way BLAS reads the block in
     # its storage order.  Arguments are positional: keywords double the cost
-    # of a call on small slices.
+    # of a call on small slices.  D0^-1 is symmetric, so on a column slice
+    # it is `_d0_rows` of the transpose.
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """(D A)^-1 b for b of shape (2K'+2, n, p), one (n, p) block per row
         block of the operator: the backward rows, the forward rows, the
         initial and the terminal row."""
-        K, s, g, b_k, m_inv_f = self.K, self._s, self._grid, self._b_k, self._m_inv_f
+        K, s, g, m_inv_f = self.K, self._s, self._grid, self._m_inv_f
         dgemm = self._dgemm
         x = np.empty((2, K + 1, self.n, b.shape[-1]))
         zv, zm = list(x[0]), list(x[1])
         # forward: zv_k = D0^-1 bv_k, t_k = c_k - E_{k-1} zv_{k-1} - T_{k-1}^T zm_{k-1}
         # and zm_k = M_k^-1 t_k + P_k bv_k, with (bv_k, c_k) the rows of slice k
-        np.matmul(self._d0_inv, b[:K], out=x[0, :K])
+        zv_t = self._d0_rows(np.swapaxes(b[:K], 1, 2))  # zv_k^T, k < K'
+        x[0, :K] = np.swapaxes(zv_t, 1, 2)
         t = np.concatenate([b[2 * K : 2 * K + 1], b[K : 2 * K]])
-        ez = _diffusion(g, self._mA[:K, None], np.ascontiguousarray(np.swapaxes(x[0, :K], 1, 2)))
-        t[1:] -= np.swapaxes(ez, 1, 2)
+        t[1:] -= np.swapaxes(_diffusion(g, self._ma[:K, None], zv_t), 1, 2)
         t = list(t)
         np.matmul(self._p[:K], b[:K], out=x[1, :K])
         np.matmul(self._p[K], b[2 * K + 1], out=zm[K])
         for k in range(K + 1):
             if k:
-                t[k] -= _transport(g, b_k[k - 1], zm[k - 1].T, True).T
+                t[k] -= self._transport(k - 1, zm[k - 1].T, True).T
             dgemm(1.0, t[k].T, m_inv_f[k], 1.0, zm[k].T, 0, 0, 1)
         zv[K][...] = b[2 * K + 1] / s
         return self._back_substitute(x, K)
@@ -625,17 +674,17 @@ class TimeBlockLU:
         that holds z on slices 0..k, from slice k: at k = K' the terminal row
         subtracts B_g zm_K' from zv_K', then w_{j+1} = T_{j+1} xv_{j+1} +
         B_{j+1} xm_{j+1} and x_j = z_j - (D0^-1, P_j) w_{j+1} for j < k."""
-        g, b_k, kc, u, wt = self._grid, self._b_k, self._kf.c, self._u, self._wt
-        p_f, d0_f, dgemm = self._p_f, self._d0_f, self._dgemm
+        kc, u, wt = self._kf.c, self._u, self._wt
+        p_f, dgemm = self._p_f, self._dgemm
         zv, zm = list(x[0]), list(x[1])
         if k == self.K:
             zv[k] -= _times(self._kg, zm[k])
         for j in range(k - 1, -1, -1):
             xm = zm[j + 1]
-            w = _transport(g, b_k[j + 1], zv[j + 1].T).T
+            w = self._transport(j + 1, zv[j + 1].T).T
             w += kc * xm
             w += u[j].dot(wt[j].dot(xm))
-            dgemm(-1.0, w.T, d0_f, 1.0, zv[j].T, 0, 0, 1)
+            zv[j] -= self._d0_rows(w.T).T
             if j:
                 dgemm(-1.0, w.T, p_f[j], 1.0, zm[j].T, 0, 0, 1)
         return x
@@ -647,22 +696,24 @@ class TimeBlockLU:
         which reads each stored block in its own order, and x^T B for a block
         kind B is B^T applied to the rows."""
         K, s, g = self.K, self._s, self._grid
-        b_k, kc, u, wt = self._b_k, self._kf.c, self._u, self._wt
+        kc, u, wt = self._kf.c, self._u, self._wt
         m_inv_f, p_f, dgemm = self._m_inv_f, self._p_f, self._dgemm
         bv, bm = b.reshape(2, K + 1, -1, self.n)
-        y = np.empty((2, *bv.shape))
-        yv, ym = list(y[0]), list(y[1])
+        # the result in the operator's row order: backward rows (the v slots
+        # 0..K'-1), forward rows (mu 1..K'), initial (mu 0), terminal (v K')
+        y = np.empty((2 * K + 2, *bv.shape[1:]))
+        yv, ym = [*y[:K], y[2 * K + 1]], [y[2 * K], *y[K : 2 * K]]
         # forward: yv_k = rv_k D0^-1 + rm_k P_k with rv_k = bv_k - yv_{k-1} T_k
         # and rm_k = bm_k - yv_{k-1} B_k; at K' rv/s, and rm takes -rv B_g
         rm = list(bm.copy())
-        np.matmul(bv[0], self._d0_inv, out=yv[0])
+        self._d0_rows(bv[0], out=yv[0])
         for k in range(1, K + 1):
             yk = yv[k - 1]
-            rv = bv[k] - _transport(g, b_k[k], yk, True)
+            rv = bv[k] - self._transport(k, yk, True)
             rm[k] -= kc * yk
             rm[k] -= yk.dot(u[k - 1]).dot(wt[k - 1])
             if k < K:
-                rv.dot(self._d0_inv, out=yv[k])
+                self._d0_rows(rv, out=yv[k])
             else:
                 rm[K] -= _times_rows(rv, self._kg)
                 np.divide(rv, s, out=yv[K])
@@ -672,14 +723,13 @@ class TimeBlockLU:
         # x E_k is E_k applied to the rows, E_k being symmetric
         dgemm(1.0, m_inv_f[K], rm[K].T, 0.0, ym[K].T, 0, 0, 1)
         for k in range(K - 1, -1, -1):
-            tx = _transport(g, b_k[k], ym[k + 1])
+            tx = self._transport(k, ym[k + 1])
             rm[k] -= tx
             dgemm(1.0, m_inv_f[k], rm[k].T, 0.0, ym[k].T, 0, 0, 1)
             if k:
                 dgemm(-1.0, p_f[k], tx.T, 1.0, yv[k].T, 0, 0, 1)
-        y[0, :K] -= _diffusion(g, self._mA[:K, None], y[1, 1:]) @ self._d0_inv
-        # back to the row order: backward rows, forward rows, initial, terminal
-        return np.concatenate([y[0, :K], y[1, 1:], y[1, :1], y[0, K:]])
+        y[:K] -= self._d0_rows(_diffusion(g, self._ma[:K, None], y[K : 2 * K]))
+        return y
 
 
 def _times(f: KernelFactors, x: np.ndarray) -> np.ndarray:
@@ -720,7 +770,8 @@ def solve_linearized(
     Inhomogeneities, each zero by default: a sources the backward equation
     (slices 1..K'), b_src enters the forward equation as div(b_src) (slices
     0..K'-1), c shifts the terminal condition, mu0 is the initial
-    perturbation.
+    perturbation.  A misshaped or non-finite one raises ValueError naming
+    it, before the factorization.
     """
     _require_converged(base)
     op = assemble_operator(model, base, t1_index)
@@ -742,8 +793,10 @@ def backward_response(
 ) -> np.ndarray:
     """Backward linear solve for v given a density direction mu, with the
     homogeneous backward and terminal rows; the base must be converged, as
-    for every linearization."""
+    for every linearization, and mu_values finite, one slice per time of
+    [t1, T]."""
     _require_converged(base)
+    _direction(base, t1_index, mu_values=mu_values)
     op = assemble_operator(model, base, t1_index)
     x = op.stack(np.zeros_like(mu_values), mu_values)
     op._backward_sweep(x)
@@ -758,12 +811,14 @@ def flux_from_value_direction(
     mu_values: np.ndarray,
 ) -> np.ndarray:
     """z = -(b mu + m A Dv) on every slice of [t1, T], with the operator's
-    drift b = D_pH(x,Du) and m A = m D2_ppH(x,Du)."""
-    grid, b, mA = _coefficients(model, base, t1_index)
+    drift b = D_pH(x,Du) and m A = m D2_ppH(x,Du) = m a(x) I; v_values and
+    mu_values finite, one slice per time of [t1, T]."""
+    _direction(base, t1_index, v_values=v_values, mu_values=mu_values)
+    grid, b, ma = _coefficients(model, base, t1_index)
     K, n, d = grid.n_time, grid.n_nodes, grid.dim
     dv = gradient(grid, v_values).reshape(K + 1, n, d)
     mu = mu_values.reshape(K + 1, n)
-    flux = _times_mA(mA, [dv[..., c] for c in range(d)])
+    flux = _times_ma(ma, [dv[..., c] for c in range(d)])
     z = np.stack([-(b[:, a] * mu + f_a) for a, f_a in enumerate(flux)], axis=-1)
     return z.reshape(K + 1, *grid.spatial_shape, d)
 
@@ -829,6 +884,14 @@ RTOL = 1e-10
 MAX_ROUNDS = 100
 
 
+def _orthonormal(lapack, z: np.ndarray) -> np.ndarray:
+    """Q of the thin QR of z (m x p, m >= p) by LAPACK's Householder QR,
+    dgeqrf then dorgqr, from scipy.linalg.lapack (`lapack`): numpy's qr
+    calls the same two routines behind more copies and checks."""
+    qr, tau = lapack.dgeqrf(z)[:2]
+    return lapack.dorgqr(qr, tau, overwrite_a=1)[0]
+
+
 def _block_inverse_sigma_min(lu: TimeBlockLU) -> tuple[float, np.ndarray, int, bool]:
     """Smallest singular value and right singular vector of the scaled
     operator A by subspace iteration on (A^T A)^-1 with a Rayleigh-Ritz step
@@ -837,9 +900,9 @@ def _block_inverse_sigma_min(lu: TimeBlockLU) -> tuple[float, np.ndarray, int, b
     RTOL within MAX_ROUNDS.  A round is one transposed and one plain block
     solve with the factorization: Y = A^-T X, eigh(Y^T Y) = (theta, V) with
     theta descending, Z = A^-1 Y V = (A^T A)^-1 X V; it stops when
-    |Z_0 - theta_0 (X V)_0| <= RTOL theta_0, else X = qr(Z)."""
+    |Z_0 - theta_0 (X V)_0| <= RTOL theta_0, else X = qr(Z) (`_orthonormal`)."""
     rng = np.random.default_rng(0)
-    x = np.linalg.qr(rng.standard_normal((lu.size, min(BLOCK_WIDTH, lu.size))))[0]
+    x = _orthonormal(lu._lapack, rng.standard_normal((lu.size, min(BLOCK_WIDTH, lu.size))))
     for it in range(1, MAX_ROUNDS + 1):
         y = lu.solve(x, trans="T")
         theta, v = np.linalg.eigh(y.T @ y)
@@ -849,7 +912,7 @@ def _block_inverse_sigma_min(lu: TimeBlockLU) -> tuple[float, np.ndarray, int, b
         converged = bool(np.linalg.norm(z[:, 0] - theta[0] * ritz) <= RTOL * theta[0])
         if converged:
             break
-        x = np.linalg.qr(z)[0]
+        x = _orthonormal(lu._lapack, z)
     return 1.0 / math.sqrt(theta[0]), ritz, it, converged
 
 
@@ -873,11 +936,12 @@ def certify_stability(
     vector back-substituted through the earlier slices, normalized, and
     sigma_min reports that witness's scaled residual, an upper bound; the
     verdict follows the same rule, so it is never STABLE.  tol must be
-    positive: at tol <= 0 every converged estimate would pass as STABLE.
-    The base must be converged, as for every linearization.
+    positive and finite: at tol <= 0 every converged estimate would pass as
+    STABLE, and at tol = inf every witness would pass as unstable.  The base
+    must be converged, as for every linearization.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _require_converged(base)
     op = assemble_operator(model, base, t1_index)
     w = op.row_scaling()
@@ -892,7 +956,7 @@ def certify_stability(
         iterations=0,
         converged=False,
         eigen_residual=math.nan,
-        lu_nnz=TimeBlockLU.stored_entries(op.K, op.n),
+        lu_nnz=TimeBlockLU.stored_entries(op.grid),
         factor_s=0.0,
         iterate_s=0.0,
     )

@@ -122,6 +122,11 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("isolation", "isolation.trials = 0"),
         ("isolation", "seed = -1"),
         ("stability", "stability.tol = 0"),
+        ("solve", "solver.tol = inf"),
+        ("stability", "stability.tol = inf"),
+        ("nonuniqueness", "nonuniqueness.tol = inf"),
+        ("fictitious-play", "fp.gap_tol = inf"),
+        ("fictitious-play", "fp.success_err = inf"),
         ("nonuniqueness", "nonuniqueness.steps_per_unit_time = 0"),
         ("convergence-study", "study.n_list = 32,3"),
         ("convergence-study", "study.heat_n = 3"),
@@ -321,8 +326,9 @@ def test_run_stability_writes_certificates(tmp_path):
     for t1 in (0, 8):
         cert = json.loads((out / f"certificate_{t1}.json").read_text())
         assert cert["eigen_residual"] >= 0.0
-        # 2K'+3 dense 16 x 16 blocks of the block factorization
-        assert cert["lu_nnz"] == (2 * (16 - t1) + 3) * 16**2
+        # 2K'+3 dense 16 x 16 blocks of the block factorization, and the
+        # K'+1 transport blocks it stores in 1D
+        assert cert["lu_nnz"] == (3 * (16 - t1) + 4) * 16**2
         assert cert["factor_s"] >= 0.0
         # CPU seconds of the block inverse iteration, which ran
         assert cert["iterate_s"] > 0.0

@@ -4,9 +4,11 @@ Every process pays for the modules it imports before its first task.  Only
 the block factorization of `stability` needs LAPACK, so importing the
 package, the benchmark's workloads, the CLI, a Picard solve, J, a
 fictitious-play round and the branch search load no scipy module; a
-certificate loads scipy.linalg and still no scipy.sparse.  The checks run
-in one fresh interpreter, since this test process has imported scipy long
-before.
+certificate, 1D or 2D, loads scipy.linalg and still no scipy.sparse.  The
+2D one applies D0^-1 by the Fourier heat solve and the 1D one stores its
+transport blocks, so the two take different paths through the solves.
+The checks run in one fresh interpreter, since this test process has
+imported scipy long before.
 """
 
 import json
@@ -57,6 +59,10 @@ print(json.dumps(loaded()))
 from mfg_lab import stability
 
 assert stability.certify_stability(model, base, 0).verdict == "STABLE"
+model_2d = builtin_quadratic(coupling="monotone_local", m0="cosine", T=0.5, dim=2)
+base_2d = solve_picard(model_2d, model_2d.make_grid(8, 8), damping=0.5, tol=1e-11)
+assert base_2d.converged
+assert stability.certify_stability(model_2d, base_2d, 0).verdict == "STABLE"
 print(json.dumps(loaded()))
 print(json.dumps([stability.sp.__name__, stability.spla.__name__]))
 """

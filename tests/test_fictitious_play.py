@@ -165,6 +165,13 @@ def test_zero_rounds_are_refused(monotone_model, monotone_grid):
         run_fp(monotone_model, monotone_grid, n_max=0)
 
 
+@pytest.mark.parametrize("gap_tol", [float("inf"), float("nan")])
+def test_a_non_finite_gap_tolerance_is_refused(monotone_model, monotone_grid, gap_tol):
+    # every gap meets gap_tol = inf, so the first round would pass as converged
+    with pytest.raises(ValueError, match="gap_tol must be finite"):
+        run_fp(monotone_model, monotone_grid, n_max=3, gap_tol=gap_tol)
+
+
 def test_unconverged_run_is_not_a_converged_solution(monotone_model):
     grid = monotone_model.make_grid(24, 32)
     trace = run_fp(monotone_model, grid, n_max=1, gap_tol=1e-9)

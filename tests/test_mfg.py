@@ -197,6 +197,13 @@ def test_a_tolerance_no_gap_can_meet_is_refused(monotone_model, monotone_grid, t
         solve_picard(monotone_model, monotone_grid, tol=tol)
 
 
+def test_an_infinite_tolerance_is_refused(monotone_model, monotone_grid):
+    # every gap meets tol = inf, so one round would report converged=True
+    # with the coupling still off by 2e-3
+    with pytest.raises(ValueError, match="tol must be >= 0 and finite, got inf"):
+        solve_picard(monotone_model, monotone_grid, tol=math.inf)
+
+
 def _bad_belief(grid, case):
     belief = np.ones((grid.n_time + 1, *grid.spatial_shape))
     if case == "slice":

@@ -265,6 +265,22 @@ def test_branch_pair_refuses_a_nonpositive_tol_before_solving(tol, monkeypatch):
         make_branch_pair(model, model.make_grid(16, 32), tol=tol)
 
 
+@pytest.mark.parametrize("search", [make_branch_pair, find_asymmetric_branch])
+def test_branch_search_refuses_an_infinite_tol_before_solving(search, monkeypatch):
+    # at tol = inf every polish residual passes the check: refused before
+    # fictitious play starts or any branch is solved
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before refusing tol")
+
+    monkeypatch.setattr(nonuniqueness, "solve_picard", no_work)
+    monkeypatch.setattr(nonuniqueness, "fp_start", no_work)
+    model = builtin_quadratic(
+        theta=64.0, coupling="antimonotone_symmetric", T=1.0, m0="uniform"
+    )
+    with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+        search(model, model.make_grid(16, 32), tol=math.inf)
+
+
 def test_competitor_requires_long_horizon():
     model = builtin_quadratic(
         theta=8.0, coupling="antimonotone_symmetric", T=1.0, m0="uniform"

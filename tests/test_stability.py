@@ -23,6 +23,9 @@ from mfg_lab.pde import continuity_residual
 from mfg_lab.perturb import low_frequency_field
 from mfg_lab.potential import second_variation_parts
 from mfg_lab.stability import (
+    _coefficients,
+    _orthonormal,
+    _transport,
     assemble_operator,
     backward_response,
     certify_stability,
@@ -83,6 +86,63 @@ def test_linearized_solve_refuses_misshaped_inhomogeneities(
 ):
     with pytest.raises(ValueError, match=r"inhomogeneity shape \(3,\) != \("):
         solve_linearized(monotone_model, monotone_solution, **{name: np.zeros(3)})
+
+
+@pytest.mark.parametrize("name", ["a", "b_src", "c", "mu0"])
+def test_linearized_solve_refuses_a_non_finite_inhomogeneity_before_factoring(
+    monkeypatch, monotone_model, monotone_solution, name
+):
+    # a NaN in a used to be factored and solved, and then reported by the
+    # solution's field as a non-finite value
+    import mfg_lab.stability as stab
+
+    def no_factorization(op):
+        raise AssertionError("factored before the check")
+
+    monkeypatch.setattr(stab.AssembledOperator, "factorize", no_factorization)
+    grid = monotone_solution.grid
+    shapes = {
+        "a": (grid.n_time + 1, *grid.spatial_shape),
+        "b_src": (grid.n_time + 1, *grid.spatial_shape, grid.dim),
+        "c": grid.spatial_shape,
+        "mu0": grid.spatial_shape,
+    }
+    bad = np.zeros(shapes[name])
+    bad.flat[3] = np.nan
+    with pytest.raises(ValueError, match=f"inhomogeneity {name} has non-finite entries"):
+        solve_linearized(monotone_model, monotone_solution, **{name: bad})
+
+
+def _direction_shape(base, t1):
+    return (base.grid.n_time + 1 - t1, *base.grid.spatial_shape)
+
+
+def test_backward_response_checks_its_direction(monotone_model, monotone_solution):
+    # one slice too few used to fail in a reshape, and a NaN in the sweep
+    t1 = 3
+    shape = _direction_shape(monotone_solution, t1)
+    with pytest.raises(ValueError, match=r"direction shape \(.*\) != .* for mu_values"):
+        backward_response(monotone_model, monotone_solution, t1, np.zeros(shape)[1:])
+    mu = np.zeros(shape)
+    mu[2, 5] = np.nan
+    with pytest.raises(ValueError, match="direction mu_values has non-finite entries"):
+        backward_response(monotone_model, monotone_solution, t1, mu)
+    assert np.all(backward_response(monotone_model, monotone_solution, t1, np.zeros(shape)) == 0.0)
+
+
+@pytest.mark.parametrize("name", ["v_values", "mu_values"])
+def test_flux_from_value_direction_checks_its_directions(monotone_model, monotone_solution, name):
+    # a misshaped direction used to fail in a reshape, and a NaN v came back
+    # as a non-finite flux
+    shape = _direction_shape(monotone_solution, 0)
+    args = {"v_values": np.zeros(shape), "mu_values": np.zeros(shape)}
+    short = dict(args, **{name: np.zeros(shape)[1:]})
+    with pytest.raises(ValueError, match=f"direction shape .* for {name}"):
+        flux_from_value_direction(monotone_model, monotone_solution, 0, **short)
+    bad = np.zeros(shape)
+    bad[4, 7] = np.nan
+    with pytest.raises(ValueError, match=f"direction {name} has non-finite entries"):
+        flux_from_value_direction(monotone_model, monotone_solution, 0, **dict(args, **{name: bad}))
 
 
 def test_constant_source_decoupled(decoupled_model, decoupled_solution):
@@ -486,7 +546,9 @@ def test_lu_bytes_estimate_counts_every_stored_array(dim, monotone_model, monoto
     shared = _owned_arrays(op)
     owned = [a for key, a in _owned_arrays(lu).items() if key not in shared]
     assert sum(a.nbytes for a in owned) == op.lu_bytes_estimate()
-    assert op.lu_bytes_estimate() == 8 * (2 * op.K + 3) * op.n**2
+    # 2K'+3 blocks of the elimination, and in 1D the K'+1 transport blocks
+    transport = op.K + 1 if dim == 1 else 0
+    assert op.lu_bytes_estimate() == 8 * (2 * op.K + 3 + transport) * op.n**2
 
 
 def test_certificate_peak_memory_stays_near_the_stored_blocks():
@@ -559,6 +621,87 @@ def test_block_lu_solves_the_scaled_operator(case, seed):
         assert np.linalg.norm(columns - want) <= 1e-10 * np.linalg.norm(want)
         assert got.shape == b.shape
         assert np.linalg.norm(got - columns) <= 1e-12 * np.linalg.norm(columns)
+
+
+def _quick_base(dim, n_space, n_time, hamiltonian="quadratic"):
+    # a few Picard rounds: the operator and its factorization need no
+    # converged base
+    model = builtin_quadratic(
+        coupling="monotone_local", dim=dim, T=0.5, m0="cosine", hamiltonian=hamiltonian
+    )
+    return model, solve_picard(model, model.make_grid(n_space, n_time), damping=0.5, max_iter=3)
+
+
+@pytest.mark.parametrize("n_space", [8, 9])
+def test_2d_fourier_d0_inverse_is_the_stored_block(n_space):
+    # in 2D the factorization and the solves apply D0^-1 by the separable
+    # heat solve; it is the stored dense block, on one slice and on a stack
+    model, base = _quick_base(2, n_space, 4, "quadratic_xdep")
+    lu = assemble_operator(model, base, 1).factorize()
+    assert lu._heat is not None
+    rng = np.random.default_rng(n_space)
+    for shape in ((5, lu.n), (3, 4, lu.n)):
+        x = rng.standard_normal(shape)
+        want = x @ lu._d0_inv
+        got = lu._d0_rows(x)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        out = np.empty(shape)
+        assert lu._d0_rows(x, out=out) is out
+        assert np.array_equal(out, got)
+
+
+@pytest.mark.parametrize("hamiltonian", ["quadratic", "quadratic_xdep"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_diffusion_stack_is_the_diagonal_of_m_hess_pp(dim, hamiltonian):
+    # m D2_ppH = m a(x) I: the scalar stack is the tensor's diagonal bit for
+    # bit, and what it drops are exact zeros
+    model, base = _quick_base(dim, 9 if dim == 2 else 13, 6, hamiltonian)
+    t1 = 2
+    grid, _, ma = _coefficients(model, base, t1)
+    K, n, d = grid.n_time, grid.n_nodes, grid.dim
+    du = gradient(grid, base.u.values[t1:])
+    hess = model.hamiltonian.hess_pp(grid.coordinates(), du)
+    full = (base.m.values[t1:][..., None, None] * hess).reshape(K + 1, n, d, d)
+    assert ma.shape == (K + 1, n)
+    for a in range(d):
+        assert np.array_equal(ma, full[..., a, a])
+    assert np.all(full[..., ~np.eye(d, dtype=bool)] == 0.0)
+    if hamiltonian == "quadratic_xdep":
+        assert not np.array_equal(ma, base.m.values[t1:].reshape(K + 1, n))
+
+
+@pytest.mark.parametrize("n_space", [12, 13])
+def test_1d_stored_transport_blocks_are_the_stencils(n_space):
+    # in 1D the factorization stores T_k^T per slice and applies T_k and
+    # T_k^T with one product; 2D keeps the stencils
+    model, base = _quick_base(1, n_space, 6, "quadratic_xdep")
+    op = assemble_operator(model, base, 1)
+    lu = op.factorize()
+    rng = np.random.default_rng(n_space)
+    for k in range(op.K + 1):
+        x = rng.standard_normal((5, op.n))
+        for trans in (False, True):
+            want = _transport(op.grid, op.drift[k], x, trans)
+            for rows in (x, np.asfortranarray(x)):
+                got = lu._transport(k, rows, trans)
+                assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    model_2d, base_2d = _quick_base(2, 8, 4)
+    assert assemble_operator(model_2d, base_2d, 0).factorize()._t is None
+
+
+def test_lapack_qr_gives_orthonormal_columns():
+    # the block iteration's QR: orthonormal columns spanning the block, the
+    # Q of numpy's qr up to the sign of each column
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(30)
+    z = rng.standard_normal((12800, 8)) * np.logspace(0, -6, 8)
+    q = _orthonormal(lapack, z)
+    assert q.shape == z.shape
+    assert np.max(np.abs(q.T @ q - np.eye(8))) <= 1e-14
+    assert np.linalg.norm(q @ (q.T @ z) - z) <= 1e-14 * np.linalg.norm(z)
+    want = np.linalg.qr(z)[0]
+    assert np.max(np.abs(np.abs(q.T @ want) - np.eye(8))) <= 1e-12
 
 
 def test_clustered_sigma_min_certifies_stable():
@@ -745,3 +888,12 @@ def test_a_non_positive_tolerance_is_refused():
     for tol in (0.0, -1.0):
         with pytest.raises(ValueError, match="tol must be positive"):
             certify_stability(model, base, 0, tol=tol)
+
+
+def test_an_infinite_tolerance_is_refused(monotone_model, monotone_solution):
+    # every witness residual is below tol = inf: a base whose sigma_min is
+    # 1.1 would be labelled UNSTABLE-DIRECTION-FOUND
+    cert = certify_stability(monotone_model, monotone_solution, 0)
+    assert cert.verdict == "STABLE" and cert.sigma_min > 1.0
+    with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+        certify_stability(monotone_model, monotone_solution, 0, tol=math.inf)
