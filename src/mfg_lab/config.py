@@ -47,11 +47,13 @@ class _Key:
 
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _POSITIVE = (lambda v: v > 0, "> 0")
-# tolerances: at inf every check passes, after one round or at once
+# tolerances (at inf every check passes, after one round or at once) and
+# perturbation radii
 _FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
 _FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
-_N_SPACE = (lambda v: v >= 4, ">= 4")  # the least n_space of a `TorusGrid`
+# the least n_space of a `TorusGrid`; a list entry is rounded to an int
+_N_SPACE = (lambda v: 4 <= v < math.inf, "finite and >= 4")
 
 SCHEMA: dict[str, _Key] = {
     "experiment.kind": _Key(str, None, KINDS, required=True),
@@ -72,12 +74,14 @@ SCHEMA: dict[str, _Key] = {
     "fp.n_max": _Key(int, 300, bound=_COUNT),
     "fp.gap_tol": _Key(float, 1e-9, bound=_FINITE_NONNEGATIVE),
     "fp.reference": _Key(str, "picard", ("picard", "none")),
-    "fp.attractor_deltas": _Key(str, ""),
+    "fp.attractor_deltas": _Key(str, "", bound=_FINITE_NONNEGATIVE),
     "fp.attractor_trials": _Key(int, 10, bound=_COUNT),
     "fp.success_err": _Key(float, 5e-4, bound=_FINITE_POSITIVE),
-    "stability.t1_fractions": _Key(str, "0.0,0.1,0.25,0.5"),
+    "stability.t1_fractions": _Key(
+        str, "0.0,0.1,0.25,0.5", bound=(lambda v: 0 <= v <= 1, "in [0, 1]")
+    ),
     "stability.tol": _Key(float, 1e-6, bound=_FINITE_POSITIVE),
-    "isolation.etas": _Key(str, "0.0,0.01"),
+    "isolation.etas": _Key(str, "0.0,0.01", bound=_FINITE_NONNEGATIVE),
     "isolation.trials": _Key(int, 5, bound=_COUNT),
     "nonuniqueness.thetas": _Key(str, "1,4,16,64", bound=_NONNEGATIVE),
     "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8", bound=_POSITIVE),
@@ -150,8 +154,9 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text, with the entries of every list key,
-    the bounds of its values, the grid it describes, and that an attractor
-    experiment has its Picard reference."""
+    the bounds of its values, the grid it describes, that the convergence
+    study has two resolutions to fit, and that an attractor experiment has
+    its Picard reference."""
     values: dict[str, Any] = {}
     seen: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -190,6 +195,11 @@ def parse_config(text: str) -> ExperimentConfig:
             for v in lists.get(key, [raw]):
                 if not test(v):
                     raise ConfigError(f"line {seen[key]}: '{key}' must be {text}, got {v!r}")
+    if len({round(n) for n in lists["study.n_list"]}) < 2:
+        raise ConfigError(
+            f"line {seen['study.n_list']}: 'study.n_list' must be two or more distinct "
+            f"resolutions to fit an order, got {values['study.n_list']!r}"
+        )
     if lists["fp.attractor_deltas"] and values["fp.reference"] != "picard":
         raise ConfigError(
             f"line {seen['fp.attractor_deltas']}: 'fp.attractor_deltas' needs "

@@ -1,21 +1,24 @@
-"""Game data: Hamiltonians, Lagrangians, couplings, and the built-in models.
+"""Game data: the Hamiltonian family, couplings, and the built-in models.
 
 Sign convention used everywhere: the Lagrangian is the conjugate
 ``L(x,q) = sup_p { -p.q - H(x,p) }``, the optimal flux of a solution is
 ``w = -m * D_pH(x, Du)``, and the maximizer satisfies ``p* = -D_qL(q)``,
-``q = -D_pH(p*)``, hence ``D2_qqL(x, w/m) @ D2_ppH(x, Du) = I``.
+``q = -D_pH(p*)``, hence ``D2_qqL(x, w/m) @ D2_ppH(x, Du) = I``.  For the
+family H = a(x)|p|^2/2 these are closed forms of a:
+`Hamiltonian.lagrangian` is L = |q|^2/(2a), `Hamiltonian.lagrangian_grad`
+is D_qL = q/a, and D2_qqL = I/a.
 
 Couplings ship with their flat (measure) derivatives ``K(x_i, m, y_j)`` in
 one form only: the factors ``dx^d K(m) = c I + U W^T`` of small rank r
 (`KernelFactors`), built from a few fixed modes and slice moments.  The
 linearized operator, the second variation and the checks all apply
-``factors @ mu``; no coupling builds an n x n matrix, and only
-`check_symmetry_relation` forms one from the factors (`toarray`).  Both the
-coupling value f and its kernel
-are the normalized representatives (integral against m vanishes); adding
-slice-constants to f does not change the game, but only the normalized pair
-satisfies the kernel symmetry relation ``K(x,y) - K(y,x) = f(x) - f(y)``
-exactly.
+``factors @ mu``; no coupling builds an n x n matrix.  Only
+`check_symmetry_relation` and the sparse oracle
+`stability.AssembledOperator.to_sparse` form one from the factors
+(`toarray`).  Both the coupling value f and its kernel are the normalized
+representatives (integral against m vanishes); adding slice-constants to f
+does not change the game, but only the normalized pair satisfies the kernel
+symmetry relation ``K(x,y) - K(y,x) = f(x) - f(y)`` exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .grid import TorusGrid
 
 __all__ = [
     "Hamiltonian",
-    "Lagrangian",
     "Coupling",
     "KernelFactors",
     "MfgModel",
@@ -41,12 +43,8 @@ __all__ = [
     "monotone_smoothed_coupling",
     "antimonotone_symmetric_coupling",
     "m0_preset",
-    "check_convexity",
-    "check_hamiltonian_gradient",
-    "check_legendre",
     "check_symmetry_relation",
     "check_coupling_normalization",
-    "legendre_transform_newton",
     "COUPLINGS",
     "HAMILTONIANS",
     "M0_PRESETS",
@@ -60,7 +58,9 @@ class Hamiltonian:
 
     The family is H(x,p) = a(x)|p|^2/2 with a > 0, and ``coefficient(x)``
     gives a(x) (a scalar where a is constant).  The HJB sweep reads a once
-    per sweep and forms H from it; the residuals and checks call ``value``.
+    per sweep and forms H from it; `pde.hjb_residual` calls ``value``.  The
+    conjugate L and D_qL are closed forms of a, read by J, its variations
+    and the holding rate.
     """
 
     name: str
@@ -70,13 +70,13 @@ class Hamiltonian:
     grad_x: Callable
     coefficient: Callable
 
+    def lagrangian(self, x, q):
+        """L(x,q) = |q|^2 / (2 a(x))."""
+        return 0.5 * squared_norm(q) / self.coefficient(x)
 
-@dataclass(frozen=True)
-class Lagrangian:
-    name: str
-    value: Callable
-    grad_q: Callable
-    hess_qq: Callable
+    def lagrangian_grad(self, x, q):
+        """D_qL(x,q) = q / a(x)."""
+        return q / self.coefficient(x)[..., None]
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,6 @@ class MfgModel:
     name: str
     dim: int
     hamiltonian: Hamiltonian
-    lagrangian: Lagrangian
     coupling: Coupling
     t0: float
     T: float
@@ -172,7 +171,7 @@ class MfgModel:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian / Lagrangian library
+# Hamiltonian library
 # ---------------------------------------------------------------------------
 
 
@@ -200,11 +199,11 @@ def squared_norm(p: np.ndarray) -> np.ndarray:
     return sq
 
 
-def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
-    """H(x,p) = (1 + eps*cos(2 pi x1)) |p|^2 / 2 and its conjugate.
+def quadratic_hamiltonian(eps: float = 0.0) -> Hamiltonian:
+    """H(x,p) = (1 + eps*cos(2 pi x1)) |p|^2 / 2.
 
-    eps = 0 is the plain quadratic pair H = |p|^2/2, L = |q|^2/2.
-    Requires |eps| < 1 for uniform convexity.
+    eps = 0 is the plain quadratic H = |p|^2/2.  Requires |eps| < 1 for
+    uniform convexity.
     """
     if not abs(eps) < 1.0:
         raise ValueError("need |eps| < 1 for uniform convexity")
@@ -229,32 +228,14 @@ def quadratic_hamiltonian(eps: float = 0.0) -> tuple[Hamiltonian, Lagrangian]:
         out[..., 0] = 0.5 * da_of_x(x) * squared_norm(p)
         return out
 
-    def l_val(x, q):
-        return 0.5 * squared_norm(q) / a_of_x(x)
-
-    def l_grad_q(x, q):
-        return q / a_of_x(x)[..., None]
-
-    def l_hess(x, q):
-        d = q.shape[-1]
-        out = np.zeros((*q.shape[:-1], d, d))
-        idx = np.arange(d)
-        out[..., idx, idx] = 1.0 / a_of_x(x)[..., None]
-        return out
-
-    name = "quadratic" if eps == 0.0 else f"quadratic_xdep(eps={eps})"
-    ham = Hamiltonian(
-        name=name,
+    return Hamiltonian(
+        name="quadratic" if eps == 0.0 else f"quadratic_xdep(eps={eps})",
         value=h_val,
         grad_p=h_grad_p,
         hess_pp=h_hess,
         grad_x=h_grad_x,
         coefficient=a_of_x,
     )
-    lag = Lagrangian(
-        name=name, value=l_val, grad_q=l_grad_q, hess_qq=l_hess
-    )
-    return ham, lag
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +477,7 @@ def builtin_quadratic(
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    ham, lag = HAMILTONIANS[hamiltonian]()
+    ham = HAMILTONIANS[hamiltonian]()
     if coupling == "antimonotone_symmetric" and theta == 0.0:
         coup = zero_coupling()
     else:
@@ -506,7 +487,6 @@ def builtin_quadratic(
         name=f"{hamiltonian}+{coup.name}",
         dim=dim,
         hamiltonian=ham,
-        lagrangian=lag,
         coupling=coup,
         t0=t0,
         T=T,
@@ -516,104 +496,8 @@ def builtin_quadratic(
 
 
 # ---------------------------------------------------------------------------
-# validation checks
+# coupling checks
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConvexityReport:
-    min_eig: float
-    max_eig: float
-    ok: bool
-
-
-def _sample_xp(dim: int, samples: int, seed, p_max: float):
-    rng = np.random.default_rng(seed)
-    x = tuple(rng.uniform(0.0, 1.0, size=samples) for _ in range(dim))
-    p = rng.uniform(-p_max, p_max, size=(samples, dim))
-    return x, p
-
-
-def check_convexity(
-    h: Hamiltonian, dim: int, samples: int = 100, seed=0
-) -> ConvexityReport:
-    """Extreme eigenvalues of D2_ppH over sampled (x, p) with |p_i| <= 10.
-
-    A violation (min_eig <= 0) is reported, not raised.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    x, p = _sample_xp(dim, samples, seed, p_max=10.0)
-    hess = h.hess_pp(x, p)
-    eigs = np.linalg.eigvalsh(hess)
-    lo, hi = float(eigs.min()), float(eigs.max())
-    return ConvexityReport(min_eig=lo, max_eig=hi, ok=lo > 0.0)
-
-
-def check_hamiltonian_gradient(h: Hamiltonian, dim: int, samples: int = 50, seed=0) -> float:
-    """Max |D_pH - central finite difference of H, step 1e-4| over samples."""
-    step = 1e-4
-    x, p = _sample_xp(dim, samples, seed, p_max=5.0)
-    grad = h.grad_p(x, p)
-    worst = 0.0
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = step
-        fd = (h.value(x, p + e) - h.value(x, p - e)) / (2.0 * step)
-        worst = max(worst, float(np.max(np.abs(fd - grad[..., a]))))
-    return worst
-
-
-def legendre_transform_newton(
-    h: Hamiltonian, x, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inner maximization of -p.q - H(x,p) by Newton, at most 30 steps, until
-    the stationarity residual is below 1e-12; returns (p*, L values)."""
-    p = np.zeros_like(q)
-    for _ in range(30):
-        r = q + h.grad_p(x, p)  # stationarity residual (negated)
-        if np.max(np.abs(r)) < 1e-12:
-            break
-        hess = h.hess_pp(x, p)
-        p = p - np.linalg.solve(hess, r[..., None])[..., 0]
-    lvals = -np.sum(p * q, axis=-1) - h.value(x, p)
-    return p, lvals
-
-
-@dataclass
-class LegendreReport:
-    conjugacy_defect: float
-    hessian_identity_defect: float
-    argmax_defect: float
-
-
-def check_legendre(
-    h: Hamiltonian,
-    lag: Lagrangian,
-    dim: int,
-    samples: int = 200,
-    seed=0,
-) -> LegendreReport:
-    """Consistency of the shipped (H, L) pair via the inner-maximization oracle.
-
-    Checks L(x,q) + H(x,p*) + p*.q = 0 at the Newton maximizer p*, that
-    p* = -D_qL(x,q), and the Hessian product identity
-    D2_qqL(x, -D_pH(x,p)) @ D2_ppH(x,p) = I.
-    """
-    x, p = _sample_xp(dim, samples, seed, p_max=5.0)
-    q = -h.grad_p(x, p)
-    p_star, _ = legendre_transform_newton(h, x, q)
-    lvals = lag.value(x, q)
-    conj = float(np.max(np.abs(lvals + h.value(x, p_star) + np.sum(p_star * q, axis=-1))))
-    argmax = float(np.max(np.abs(p_star + lag.grad_q(x, q))))
-    prod = np.einsum("...ij,...jk->...ik", lag.hess_qq(x, q), h.hess_pp(x, p))
-    eye = np.eye(dim)
-    hess_defect = float(np.max(np.abs(prod - eye)))
-    return LegendreReport(
-        conjugacy_defect=conj,
-        hessian_identity_defect=hess_defect,
-        argmax_defect=argmax,
-    )
 
 
 def check_symmetry_relation(coupling: Coupling, grid: TorusGrid, m_slice: np.ndarray) -> float:

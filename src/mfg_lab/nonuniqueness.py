@@ -236,7 +236,7 @@ def holding_rate(model: MfgModel, grid: TorusGrid, mbar: np.ndarray) -> float:
     coords = grid.coordinates()
     w = gradient(grid, mbar)
     q = w / mbar[..., None]
-    kin = grid.cell_volume * float(np.sum(mbar * model.lagrangian.value(coords, q)))
+    kin = grid.cell_volume * float(np.sum(mbar * model.hamiltonian.lagrangian(coords, q)))
     return kin + float(model.coupling.F(grid, mbar))
 
 

@@ -46,8 +46,11 @@ def perturb_density_values(
 
     The multiplicative field is time-independent, so the sup-over-time
     distance to m is controlled by construction; the result is rescaled so
-    sup_t sup_x |out - m| matches `amplitude` to ~1%.
+    sup_t sup_x |out - m| matches `amplitude` to ~1%.  The amplitude must be
+    finite and >= 0.
     """
+    if not 0.0 <= amplitude < np.inf:
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
     if amplitude == 0.0:
         return m_values.copy()
     phi = low_frequency_field(grid, rng)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid import DensityField, FluxField, TorusGrid, sup_norm
 from .mfg import MfgSolution, drift_field, solution_distance, solve_picard
-from .models import MfgModel
+from .models import MfgModel, squared_norm
 from .pde import continuity_residual, solve_continuity
 from .perturb import low_frequency_field, perturb_density_values
 
@@ -116,7 +116,7 @@ def _kinetic_slices(model, grid, m, w) -> np.ndarray:
     +infinity where m = 0 < |w|."""
     floored = np.maximum(m, DIVISION_FLOOR)
     q = w / floored[..., None]
-    contrib = m * model.lagrangian.value(grid.coordinates(), q)
+    contrib = m * model.hamiltonian.lagrangian(grid.coordinates(), q)
     at_zero = m == 0.0
     if np.any(at_zero):
         moving = np.max(np.abs(w), axis=-1) != 0.0
@@ -166,8 +166,8 @@ def first_variation(
     m, w = pair.m.values, pair.w.values
 
     q = w[:K] / np.maximum(m[:K], DIVISION_FLOOR)[..., None]
-    lval = model.lagrangian.value(coords, q)
-    dql = model.lagrangian.grad_q(coords, q)
+    lval = model.hamiltonian.lagrangian(coords, q)
+    dql = model.hamiltonian.lagrangian_grad(coords, q)
     node = mu_values[:K] * (lval - np.sum(dql * q, axis=-1)) + np.sum(
         dql * z_values[:K], axis=-1
     )
@@ -281,10 +281,9 @@ def second_variation_parts(
     b = drift_field(model, grid, sol.u.values[:K])
 
     floored = np.maximum(m[:K], DIVISION_FLOOR)
-    q = sol.w.values[:K] / floored[..., None]
-    d2l = model.lagrangian.hess_qq(grid.coordinates(), q)
+    a = model.hamiltonian.coefficient(grid.coordinates())
     vec = z_values[:K] + mu_values[:K, ..., None] * b
-    quad = np.einsum("...ij,...i,...j->...", d2l, vec, vec)
+    quad = squared_norm(vec) / a  # vec . D2_qqL vec, with D2_qqL = I/a
     kin = _accumulate(dt * vol * _slice_sums(quad / floored))
     mu = mu_values.reshape(K + 1, -1)
     run = _accumulate(dt * vol * _slice_sums(mu[1:] * (coup.kernel_f(grid, m[1:]) @ mu[1:])))

@@ -102,16 +102,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """`sp` and `spla`, scipy's sparse modules, imported on first access.
+    """`spla`, scipy.sparse.linalg, imported on first access.
 
-    Nothing in the package reads them: `to_sparse` and `scaled_sparse`
-    import scipy.sparse themselves.  perfbench/tracing.py reads and rebinds
+    Nothing in the package reads it: `to_sparse` and `scaled_sparse` import
+    scipy.sparse themselves.  perfbench/tracing.py reads and rebinds
     `stability.spla` to trace a sparse LU that no solve calls any more; the
-    names stay until the tracer drops that hook."""
-    if name == "sp":
-        import scipy.sparse
-
-        return scipy.sparse
+    name stays until the tracer drops that hook."""
     if name == "spla":
         import scipy.sparse.linalg
 

@@ -72,7 +72,10 @@ def heat_flow_error(
 
 
 def spatial_order_fit(n_list, errors) -> float:
-    """Least-squares slope of log(err) against log(dx)."""
+    """Least-squares slope of log(err) against log(dx), over at least two
+    distinct resolutions."""
+    if len(set(n_list)) < 2:
+        raise ValueError(f"an order fit needs two distinct resolutions, got {list(n_list)!r}")
     logs_dx = np.log([1.0 / n for n in n_list])
     logs_e = np.log(errors)
     return float(np.polyfit(logs_dx, logs_e, 1)[0])

@@ -49,6 +49,45 @@ def is_admissible(pair) -> bool:
     return pair.continuity_defect <= ADMISSIBLE_DEFECT_TOL
 
 
+def sample_xp(dim: int, samples: int, seed, p_max: float) -> tuple[tuple, np.ndarray]:
+    """Seeded samples of x on the unit torus and p with |p_i| <= p_max:
+    (x as a tuple of ``dim`` coordinate arrays, p of shape (samples, dim))."""
+    rng = np.random.default_rng(seed)
+    x = tuple(rng.uniform(0.0, 1.0, size=samples) for _ in range(dim))
+    return x, rng.uniform(-p_max, p_max, size=(samples, dim))
+
+
+def legendre_transform_newton(ham, x, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner maximization of -p.q - H(x,p) by Newton, at most 30 steps, until
+    the stationarity residual is below 1e-12; returns (p*, L values).  An
+    oracle for the closed-form conjugate that uses H and its derivatives only."""
+    p = np.zeros_like(q)
+    for _ in range(30):
+        r = q + ham.grad_p(x, p)  # stationarity residual (negated)
+        if np.max(np.abs(r)) < 1e-12:
+            break
+        p = p - np.linalg.solve(ham.hess_pp(x, p), r[..., None])[..., 0]
+    return p, -np.sum(p * q, axis=-1) - ham.value(x, p)
+
+
+def legendre_defects(ham, dim: int, samples: int, seed) -> tuple[float, float, float]:
+    """(conjugacy, Hessian product, argmax) defects of the closed-form L of
+    H = a(x)|p|^2/2 at sampled x and |p_i| <= 5, against the Newton oracle.
+
+    Checks L(x,q) + H(x,p*) + p*.q = 0 at the maximizer p* for q = -D_pH(x,p),
+    D2_qqL(x,q) @ D2_ppH(x,p) = I with D2_qqL = I/a, and p* = -D_qL(x,q).
+    """
+    x, p = sample_xp(dim, samples, seed, p_max=5.0)
+    q = -ham.grad_p(x, p)
+    p_star, _ = legendre_transform_newton(ham, x, q)
+    lvals = ham.lagrangian(x, q)
+    conj = np.max(np.abs(lvals + ham.value(x, p_star) + np.sum(p_star * q, axis=-1)))
+    hess_qq = np.eye(dim) / np.asarray(ham.coefficient(x))[..., None, None]
+    prod = np.einsum("...ij,...jk->...ik", hess_qq, ham.hess_pp(x, p))
+    argmax = np.max(np.abs(p_star + ham.lagrangian_grad(x, q)))
+    return float(conj), float(np.max(np.abs(prod - np.eye(dim)))), float(argmax)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_LINES:
         return

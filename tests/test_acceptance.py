@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_acceptance, rng_from_seed
+from conftest import legendre_defects, record_acceptance, rng_from_seed
 
 from mfg_lab.config import load_config
 from mfg_lab.cli import run_experiment
@@ -28,7 +28,6 @@ from mfg_lab.mfg import (
 from mfg_lab.models import (
     antimonotone_symmetric_coupling,
     builtin_quadratic,
-    check_legendre,
     check_symmetry_relation,
     monotone_local_coupling,
     monotone_smoothed_coupling,
@@ -167,11 +166,11 @@ def test_criterion_03_legendre_hessian_identities():
     t0 = time.perf_counter()
     worst_conj = worst_prod = 0.0
     for eps in (0.0, 0.1):
-        ham, lag = quadratic_hamiltonian(eps)
+        ham = quadratic_hamiltonian(eps)
         for dim in (1, 2):
-            rep = check_legendre(ham, lag, dim=dim, samples=200, seed=3)
-            worst_conj = max(worst_conj, rep.conjugacy_defect)
-            worst_prod = max(worst_prod, rep.hessian_identity_defect)
+            conj, prod, _ = legendre_defects(ham, dim, samples=200, seed=3)
+            worst_conj = max(worst_conj, conj)
+            worst_prod = max(worst_prod, prod)
     ok = worst_conj <= 1e-8 and worst_prod <= 1e-8
     _report(
         3,

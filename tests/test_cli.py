@@ -57,7 +57,7 @@ def test_parse_rejects_duplicates_and_missing_kind():
 def test_shipped_configs_parse_and_validate():
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = load_config(path)
-        ok, lines = validate_config(cfg, samples=50)
+        ok, lines = validate_config(cfg)
         assert ok, f"{path.name}: {lines}"
 
 
@@ -67,13 +67,13 @@ def test_validation_flags_negative_density():
     # still flags one in a config built without the parser
     text = "experiment.kind = solve\nmodel.m0 = cosine\nmodel.m0_amplitude = {}\n"
     for amplitude in (-1.0, 1.0):
-        ok, lines = validate_config(parse_config(text.format(amplitude)), samples=50)
+        ok, lines = validate_config(parse_config(text.format(amplitude)))
         assert ok and "initial density nonnegativity + unit mass: PASS" in lines
     with pytest.raises(ConfigError, match=r"'model.m0_amplitude' must be in \[-1, 1\]"):
         parse_config(text.format(1.5))
     edge = parse_config(text.format(1.0))
     cfg = ExperimentConfig({**edge.values, "model.m0_amplitude": 1.5}, edge.lists)
-    ok, lines = validate_config(cfg, samples=50)
+    ok, lines = validate_config(cfg)
     assert not ok
     assert any("density" in ln and "FAIL" in ln for ln in lines)
 
@@ -129,6 +129,20 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("fictitious-play", "fp.success_err = inf"),
         ("nonuniqueness", "nonuniqueness.steps_per_unit_time = 0"),
         ("convergence-study", "study.n_list = 32,3"),
+        ("convergence-study", "study.n_list = 32,inf"),
+        # an order fit needs two distinct resolutions, rounded to ints
+        ("convergence-study", "study.n_list = 32"),
+        ("convergence-study", "study.n_list = 32,32.2"),
+        ("convergence-study", "study.n_list ="),
+        ("stability", "stability.t1_fractions = nan"),
+        ("stability", "stability.t1_fractions = 0.5,inf"),
+        ("stability", "stability.t1_fractions = -3,0.5"),
+        ("stability", "stability.t1_fractions = 1.5"),
+        ("isolation", "isolation.etas = nan"),
+        ("isolation", "isolation.etas = inf"),
+        ("isolation", "isolation.etas = -0.01"),
+        ("fictitious-play", "fp.attractor_deltas = nan"),
+        ("fictitious-play", "fp.attractor_deltas = -0.01"),
         ("convergence-study", "study.heat_n = 3"),
         ("convergence-study", "study.heat_k = 1"),
         ("convergence-study", "study.heat_horizon = 0"),

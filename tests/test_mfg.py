@@ -20,6 +20,13 @@ from mfg_lab.models import builtin_quadratic
 from mfg_lab.perturb import perturb_density_values, spawn_rngs
 
 
+@pytest.mark.parametrize("amplitude", [-0.01, math.nan, math.inf])
+def test_perturbation_refuses_a_negative_or_non_finite_amplitude(monotone_grid, rng, amplitude):
+    m = np.ones((2, *monotone_grid.spatial_shape))
+    with pytest.raises(ValueError, match="amplitude must be finite and >= 0"):
+        perturb_density_values(monotone_grid, m, amplitude, rng)
+
+
 def test_decoupled_converges_in_two_iterations(decoupled_model, monotone_grid, rng):
     init = perturb_density_values(
         monotone_grid, heat_flow_of_initial(decoupled_model, monotone_grid), 0.2, rng

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import legendre_defects, legendre_transform_newton, sample_xp
+
 from mfg_lab.grid import TorusGrid
 from mfg_lab.models import (
-    Hamiltonian,
     antimonotone_symmetric_coupling,
     builtin_quadratic,
-    check_convexity,
     check_coupling_normalization,
-    check_hamiltonian_gradient,
-    check_legendre,
     check_symmetry_relation,
-    legendre_transform_newton,
     monotone_local_coupling,
     monotone_smoothed_coupling,
     m0_preset,
@@ -35,70 +32,44 @@ def random_density(grid: TorusGrid, rng) -> np.ndarray:
     return m / (grid.cell_volume * m.sum())
 
 
+def hessian_eigenvalues(ham, dim: int, samples: int, seed) -> np.ndarray:
+    """Eigenvalues of D2_ppH at sampled x and |p_i| <= 10."""
+    return np.linalg.eigvalsh(ham.hess_pp(*sample_xp(dim, samples, seed, p_max=10.0)))
+
+
 def test_convexity_quadratic():
-    ham, _ = quadratic_hamiltonian(0.0)
-    rep = check_convexity(ham, dim=1, samples=100, seed=1)
-    assert rep.ok
-    assert abs(rep.min_eig - 1.0) < 1e-12 and abs(rep.max_eig - 1.0) < 1e-12
+    eigs = hessian_eigenvalues(quadratic_hamiltonian(0.0), 1, samples=100, seed=1)
+    assert np.all(np.abs(eigs - 1.0) < 1e-12)
 
 
 def test_convexity_x_dependent():
-    ham, _ = quadratic_hamiltonian(0.1)
-    rep = check_convexity(ham, dim=1, samples=500, seed=2)
-    assert rep.ok
-    assert 0.9 - 1e-9 <= rep.min_eig and rep.max_eig <= 1.1 + 1e-9
-
-
-def test_convexity_halved_profile():
-    # Hessian (1 + 0.1 cos)/2 * I: sampled extremes land in [0.45, 0.55]
-    base, _ = quadratic_hamiltonian(0.1)
-    ham = Hamiltonian(
-        name="halved",
-        value=lambda x, p: 0.5 * base.value(x, p),
-        grad_p=lambda x, p: 0.5 * base.grad_p(x, p),
-        hess_pp=lambda x, p: 0.5 * base.hess_pp(x, p),
-        grad_x=lambda x, p: 0.5 * base.grad_x(x, p),
-        coefficient=lambda x: 0.5 * base.coefficient(x),
-    )
-    rep = check_convexity(ham, dim=1, samples=500, seed=3)
-    assert rep.ok and rep.min_eig >= 0.45 - 1e-9 and rep.max_eig <= 0.55 + 1e-9
-
-
-def test_convexity_flags_degenerate():
-    # H = p_1^2 / 2 in 2D: D2_ppH = diag(1, 0) is flat along p_2
-    def hess_pp(x, p):
-        out = np.zeros((*p.shape, 2))
-        out[..., 0, 0] = 1.0
-        return out
-
-    ham = Hamiltonian(
-        name="p1_squared",
-        value=lambda x, p: 0.5 * p[..., 0] ** 2,
-        grad_p=lambda x, p: p * np.array([1.0, 0.0]),
-        hess_pp=hess_pp,
-        grad_x=lambda x, p: np.zeros(p.shape),
-        coefficient=None,  # not of the form a(x)|p|^2/2: no sweep can run it
-    )
-    rep = check_convexity(ham, dim=2, samples=100, seed=4)
-    assert not rep.ok
-    assert rep.min_eig == 0.0 and rep.max_eig == 1.0
+    # uniformly convex: D2_ppH = a(x) I with a = 1 + 0.1 cos(2 pi x1) in [0.9, 1.1]
+    for dim in (1, 2):
+        eigs = hessian_eigenvalues(quadratic_hamiltonian(0.1), dim, samples=500, seed=2)
+        assert 0.9 - 1e-9 <= eigs.min() and eigs.max() <= 1.1 + 1e-9
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 def test_gradient_check(eps):
-    ham, _ = quadratic_hamiltonian(eps)
-    assert check_hamiltonian_gradient(ham, dim=1, samples=50, seed=5) <= 1e-6
-    assert check_hamiltonian_gradient(ham, dim=2, samples=50, seed=5) <= 1e-6
+    # D_pH = a(x) p bit for bit, and it is the derivative of H
+    ham = quadratic_hamiltonian(eps)
+    for dim in (1, 2):
+        x, p = sample_xp(dim, 50, seed=5, p_max=5.0)
+        grad = ham.grad_p(x, p)
+        assert np.array_equal(grad, np.asarray(ham.coefficient(x))[..., None] * p)
+        for a in range(dim):
+            e = 1e-4 * np.eye(dim)[a]
+            fd = (ham.value(x, p + e) - ham.value(x, p - e)) / 2e-4
+            assert np.max(np.abs(fd - grad[..., a])) <= 1e-6
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_legendre_identities(eps, dim):
-    ham, lag = quadratic_hamiltonian(eps)
-    rep = check_legendre(ham, lag, dim=dim, samples=200, seed=6)
-    assert rep.conjugacy_defect <= 1e-8
-    assert rep.hessian_identity_defect <= 1e-8
-    assert rep.argmax_defect <= 1e-8
+    conj, prod, argmax = legendre_defects(quadratic_hamiltonian(eps), dim, samples=200, seed=6)
+    assert conj <= 1e-8
+    assert prod <= 1e-8
+    assert argmax <= 1e-8
 
 
 @pytest.mark.parametrize("stack", [(), (7,), (5, 6), (2, 3, 4)])
@@ -111,18 +82,19 @@ def test_squared_norm_forms_equal_the_reduction_bitwise(dim, eps, stack, rng):
     sq = (p * p).sum(axis=-1)
     a = 1.0 + eps * np.cos(2.0 * np.pi * x[0])
     da = -2.0 * np.pi * eps * np.sin(2.0 * np.pi * x[0])
-    ham, lag = quadratic_hamiltonian(eps)
+    ham = quadratic_hamiltonian(eps)
     assert np.array_equal(squared_norm(p), sq)
     assert np.array_equal(ham.value(x, p), 0.5 * a * sq)
     assert np.array_equal(ham.grad_x(x, p)[..., 0], 0.5 * da * sq)
-    assert np.array_equal(lag.value(x, p), 0.5 * sq / a)
+    assert np.array_equal(ham.lagrangian(x, p), 0.5 * sq / a)
+    assert np.array_equal(ham.lagrangian_grad(x, p), p / np.asarray(a)[..., None])
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_coefficient_gives_the_hamiltonian_and_its_hessian(dim, eps, rng):
     # H = a(x)|p|^2/2 with a = coefficient(x), bit for bit, and D2_ppH = a I
-    ham, _ = quadratic_hamiltonian(eps)
+    ham = quadratic_hamiltonian(eps)
     x = tuple(rng.uniform(0.0, 1.0, 50) for _ in range(dim))
     p = rng.standard_normal((50, dim))
     a = ham.coefficient(x)
@@ -132,7 +104,7 @@ def test_coefficient_gives_the_hamiltonian_and_its_hessian(dim, eps, rng):
 
 
 def test_legendre_newton_maximizer():
-    ham, _ = quadratic_hamiltonian(0.0)
+    ham = quadratic_hamiltonian(0.0)
     rng = np.random.default_rng(7)
     x = (rng.uniform(size=10),)
     q = rng.standard_normal((10, 1))

@@ -62,6 +62,13 @@ def test_manufactured_convergence():
     assert order >= 1.8
 
 
+@pytest.mark.parametrize("n_list", [[32], [32, 32], []])
+def test_order_fit_refuses_fewer_than_two_resolutions(n_list):
+    # a degree-1 fit through one point has no slope to report
+    with pytest.raises(ValueError, match="two distinct resolutions"):
+        spatial_order_fit(n_list, [1e-3] * len(n_list))
+
+
 def test_manufactured_time_order():
     # fixed fine space, refine dt: first order in time
     errs = [manufactured_hjb_error(128, k) for k in (64, 128, 256)]
@@ -336,12 +343,12 @@ def test_hjb_sweep_reads_the_coefficient_once_and_never_calls_value(dim, eps):
 
         return wrapper
 
-    ham, lag = quadratic_hamiltonian(eps)
+    ham = quadratic_hamiltonian(eps)
     ham = dataclasses.replace(
         ham, **{name: counted(name, getattr(ham, name)) for name in calls}
     )
     model = dataclasses.replace(
-        builtin_quadratic(0.0, coupling="none", dim=dim), hamiltonian=ham, lagrangian=lag
+        builtin_quadratic(0.0, coupling="none", dim=dim), hamiltonian=ham
     )
     grid = model.make_grid(8, 6)
     x = grid.coordinates()[0]
@@ -417,11 +424,10 @@ def _plain_continuity(grid, w, m0):
 def test_sweeps_equal_plain_step_loops_bitwise(grid, seed, horizon, scale, eps):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(grid.dim, grid.n_space, grid.n_time, 0.0, horizon)
-    ham, lag = quadratic_hamiltonian(eps)
+    ham = quadratic_hamiltonian(eps)
     model = dataclasses.replace(
         builtin_quadratic(0.0, coupling="none", dim=grid.dim),
         hamiltonian=ham,
-        lagrangian=lag,
     )
     shape = (grid.n_time + 1, *grid.spatial_shape)
     source = rng.standard_normal(shape)
@@ -474,11 +480,10 @@ def test_sweep_drift_and_folded_step_follow_the_unfolded_scheme(grid, seed, hori
     # drift and with heat(m + dt div(m b)) to roundoff
     rng = np.random.default_rng(seed)
     grid = TorusGrid(grid.dim, grid.n_space, grid.n_time, 0.0, horizon)
-    ham, lag = quadratic_hamiltonian(eps)
+    ham = quadratic_hamiltonian(eps)
     model = dataclasses.replace(
         builtin_quadratic(0.0, coupling="none", dim=grid.dim),
         hamiltonian=ham,
-        lagrangian=lag,
     )
     shape = (grid.n_time + 1, *grid.spatial_shape)
     source = 0.1 * rng.standard_normal(shape)
