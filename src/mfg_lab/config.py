@@ -45,12 +45,14 @@ class _Key:
     bound: Optional[tuple[Callable, str]] = None
 
 
-_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
-_POSITIVE = (lambda v: v > 0, "> 0")
-# tolerances (at inf every check passes, after one round or at once) and
-# perturbation radii
+# every float key is finite: at an infinite tolerance every check passes,
+# after one round or at once, and an infinite strength, horizon or time
+# overflows a sweep after the run has started
+_FINITE = (math.isfinite, "finite")
 _FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
 _FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+# int keys, finite by their type
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
 # the least n_space of a `TorusGrid`; a list entry is rounded to an int
 _N_SPACE = (lambda v: 4 <= v < math.inf, "finite and >= 4")
@@ -58,7 +60,7 @@ _N_SPACE = (lambda v: 4 <= v < math.inf, "finite and >= 4")
 SCHEMA: dict[str, _Key] = {
     "experiment.kind": _Key(str, None, KINDS, required=True),
     "model.name": _Key(str, "decoupled", MODEL_NAMES),
-    "model.theta": _Key(float, 0.0, bound=_NONNEGATIVE),
+    "model.theta": _Key(float, 0.0, bound=_FINITE_NONNEGATIVE),
     "model.hamiltonian": _Key(str, "quadratic", tuple(HAMILTONIANS.keys())),
     "model.m0": _Key(str, "uniform", tuple(M0_PRESETS.keys())),
     # the amplitudes that keep the cosine profile 1 + a cos(2 pi x) nonnegative
@@ -66,8 +68,8 @@ SCHEMA: dict[str, _Key] = {
     "grid.dim": _Key(int, 1, (1, 2)),
     "grid.n_space": _Key(int, 32),
     "grid.n_time": _Key(int, 64),
-    "grid.t0": _Key(float, 0.0),
-    "grid.T": _Key(float, 1.0),
+    "grid.t0": _Key(float, 0.0, bound=_FINITE),
+    "grid.T": _Key(float, 1.0, bound=_FINITE),
     "solver.damping": _Key(float, 0.5, bound=(lambda v: 0 < v <= 1, "in (0, 1]")),
     "solver.tol": _Key(float, 1e-9, bound=_FINITE_POSITIVE),
     "solver.max_iter": _Key(int, 300, bound=_COUNT),
@@ -83,15 +85,15 @@ SCHEMA: dict[str, _Key] = {
     "stability.tol": _Key(float, 1e-6, bound=_FINITE_POSITIVE),
     "isolation.etas": _Key(str, "0.0,0.01", bound=_FINITE_NONNEGATIVE),
     "isolation.trials": _Key(int, 5, bound=_COUNT),
-    "nonuniqueness.thetas": _Key(str, "1,4,16,64", bound=_NONNEGATIVE),
-    "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8", bound=_POSITIVE),
+    "nonuniqueness.thetas": _Key(str, "1,4,16,64", bound=_FINITE_NONNEGATIVE),
+    "nonuniqueness.horizons": _Key(str, "0.5,1,2,4,8", bound=_FINITE_POSITIVE),
     "nonuniqueness.steps_per_unit_time": _Key(int, 128, bound=_COUNT),
     "nonuniqueness.tol": _Key(float, 1e-6, bound=_FINITE_POSITIVE),
     "nonuniqueness.refine": _Key(int, 1, (0, 1)),
     "study.n_list": _Key(str, "32,64,128", bound=_N_SPACE),
     "study.heat_n": _Key(int, 64, bound=_N_SPACE),
     "study.heat_k": _Key(int, 256, bound=(lambda v: v >= 2, ">= 2")),
-    "study.heat_horizon": _Key(float, 0.25, bound=_POSITIVE),
+    "study.heat_horizon": _Key(float, 0.25, bound=_FINITE_POSITIVE),
     "seed": _Key(int, 0, bound=_NONNEGATIVE),
 }
 

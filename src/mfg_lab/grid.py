@@ -86,6 +86,8 @@ class TorusGrid:
             raise GridError(f"n_space must be >= 4, got {self.n_space}")
         if self.n_time < 2:
             raise GridError(f"n_time must be >= 2, got {self.n_time}")
+        if not (math.isfinite(self.t0) and math.isfinite(self.T)):
+            raise GridError(f"t0 and T must be finite, got t0={self.t0}, T={self.T}")
         if not self.T > self.t0:
             raise GridError(f"need T > t0, got t0={self.t0}, T={self.T}")
 

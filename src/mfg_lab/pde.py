@@ -24,43 +24,57 @@ sweep's own sign test, which raises when a value falls below
 Each step of a sweep is a few small dense products on one slice: the
 per-axis difference matrix C (``grid.gradient`` of the identity) for G and
 div, and the basis Q with the inverse heat symbol for the implicit solve
-(in 1D, the one symmetric matrix S they fold into).  A step does only its
-products and updates.  What depends on the whole trajectory is formed once
-per sweep: for the backward sweep dt r and a(x)/2, where every
-Hamiltonian has the form H(x, p) = a(x)|p|^2/2 and
-``Hamiltonian.coefficient`` gives a; for the forward sweep one contiguous
-stack per drift component; row views of u and m for both.  The heat solve
-writes each new slice in place (``PeriodicHeatSolver.apply(rhs, out=...)``).
+(in 1D, the one symmetric matrix S they fold into).  What depends on the
+whole trajectory is formed once per sweep: dt r, and a(x) from
+``Hamiltonian.coefficient``, read once, since every Hamiltonian has the
+form H(x, p) = a(x)|p|^2/2.  Steps write into row views of arrays
+allocated once per sweep.
 
-A backward step writes the per-axis products of u^{k+1} with C into the
-sweep's stack of G u, forms |G u^{k+1}|^2 from them, summing the components
-in order, multiplies it by a/2 and then by -dt, adds u^{k+1} and then
-dt r^{k+1}, and solves.  After the last step the stack gets G u^0, and the
-returned drift is ``Hamiltonian.grad_p`` of the whole stack, one call per
-sweep: the sweep differentiates u once.  A forward step multiplies m^k by
-each drift component.  In 2D it differences the products, multiplies by
-dt, adds m^k and solves.  In 1D the solve is folded into the flux product,
-m^k S + (m^k b^k)(dt C S), two products with S and the cached dt C S.  The
-drift-free forward sweep (`solve_heat`, the heat flow that starts Picard
-and fictitious play) runs the heat solves alone: a zero flux adds +-0 to
-m^k, which leaves its bits.  The contract is bitwise: a sweep returns the
-same bits as the plain loops
+In 1D the linear part of a step is one product with a stacked matrix.  One
+buffer per sweep holds every slice's input row, and each product writes
+straight into the next step's input.  A backward step writes
+G u^{k+1} = u^{k+1} C into the sweep's stack of G u and its square into
+the row, then multiplies [u^{k+1}, |G u^{k+1}|^2, dt r^{k+1}] by
+[S; diag(-dt a/2) S; S], formed once per sweep: 3 numpy calls.  A forward
+step writes m^k b^k into the row and multiplies [m^k, m^k b^k] by
+[S; dt C S], cached with S: 2 calls.  The 1D heat flow (`solve_heat`)
+takes the same products with the flux blocks left zero, so it is the
+drift-free Kolmogorov sweep bit for bit by construction.  The stacks trade
+arithmetic for calls: a backward step takes about 4n^2 multiply-adds where
+separate products took 2n^2, and a heat step 2n^2 for n^2.  Below about 96
+nodes the saved calls win; above it the arithmetic does (one BLAS thread:
+a Picard solve at n = 128 runs about 15% slower than with separate
+products, at n = 64 about 13% faster).
 
-    u^k     = heat(u^{k+1} - dt H(x, grad u^{k+1}) + dt r^{k+1})
+In 2D a backward step writes the per-axis products of u^{k+1} with C into
+the stack of G u, sums their squares in order, multiplies by a/2 and then
+by -dt, adds u^{k+1} and then dt r^{k+1}, and solves.  A forward step
+multiplies m^k by each drift component, differences the products,
+multiplies by dt, adds m^k and solves.  The heat flow runs the solves
+alone: a zero flux adds +-0 to m^k, which leaves its bits.
+
+After the last backward step the stack of G u gets G u^0, and the returned
+drift is ``Hamiltonian.grad_p`` of the whole stack, one call per sweep:
+the sweep differentiates u once.  The contract is bitwise: a sweep returns
+the same bits as the plain loops
+
+    u^k     = [u^{k+1}, (u^{k+1} C)^2, dt r^{k+1}] @ [S; diag(-dt a/2) S; S]  (1D)
+    u^k     = heat(u^{k+1} - dt H(x, grad u^{k+1}) + dt r^{k+1})             (2D)
     b       = D_pH(x, [grad u^0, .., grad u^K])
-    m^{k+1} = heat(m^k + dt div(m^k b^k))             (2D)
-    m^{k+1} = m^k S + (m^k b^k)(dt C S)               (1D)
-    m^{k+1} = heat(m^k - dt div(w^k))                 (`solve_continuity`)
+    m^{k+1} = [m^k, m^k b^k] @ [S; dt C S]                                  (1D)
+    m^{k+1} = heat(m^k + dt div(m^k b^k))                                   (2D)
+    m^{k+1} = heat(m^k - dt div(w^k))                      (`solve_continuity`)
 
-with grad, div and heat per-slice ``@`` products with C, C^T and the heat
-operators, and H the Hamiltonian's ``value``, evaluated as written
-(products first, then left to right).  The backward step's order gives
-these bits because ``value`` computes (a/2)|p|^2 the same way, and
-x (-dt) = -(dt x) and y + (-z) = y - z hold exactly.  The residuals call
-``value`` and the whole-trajectory stencils of ``grid``, which stay the
-definition.  To roundoff, the sweeps' products agree with the stencils, the
-returned drift with `drift_field`, and the folded 1D step with
-heat(m^k + dt div(m^k b^k)).
+with [..] the concatenation of the blocks, diag(-dt a/2) S the rows of S
+scaled by ((-0.5 dt) a), grad, div and heat per-slice ``@`` products with
+C, C^T and the heat operators, and H the Hamiltonian's ``value``, evaluated
+as written (products first, then left to right).  The 2D backward step's
+order gives these bits because ``value`` computes (a/2)|p|^2 the same way,
+and x (-dt) = -(dt x) and y + (-z) = y - z hold exactly.  The residuals
+call ``value`` and the whole-trajectory stencils of ``grid``, which stay
+the definition.  To roundoff, the sweeps' products agree with the
+stencils, the returned drift with `drift_field`, and the 1D stacked steps
+with heat(u - dt H(x, grad u) + dt r) and heat(m^k + dt div(m^k b^k)).
 
 The forward sweep is conservative: the heat solve leaves the constant mode
 untouched and the divergence telescopes (in 1D, dt C S maps the constant
@@ -138,10 +152,11 @@ def _difference_matrix(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _heat_operators(n: int, dt: float, dim: int) -> tuple:
-    """(Q, 1/(1 - dt lambda), S, dt C S) of one axis and grid shape
+    """(Q, 1/(1 - dt lambda), S, [S; dt C S]) of one axis and grid shape
     (dx = 1/n), lambda the symbol of Lap on the basis Q.  In 1D S is the
-    symmetric Q diag(1/(1 - dt lambda)) Q^T and dt C S the flux term of the
-    folded forward step (C the difference matrix); in 2D both are None."""
+    symmetric Q diag(1/(1 - dt lambda)) Q^T and [S; dt C S] the (2n x n)
+    stack of the forward step, m^{k+1} = [m^k, m^k b^k] . [S; dt C S]
+    (C the difference matrix); in 2D both are None."""
     q = _fourier_basis(n)
     wave = (np.arange(n) + 1) // 2
     lam = laplacian_symbol(TorusGrid(dim, n, 2))[np.ix_(*(wave,) * dim)]
@@ -150,7 +165,8 @@ def _heat_operators(n: int, dt: float, dim: int) -> tuple:
         return q, _frozen(inv_symbol), None, None
     s = (q * inv_symbol) @ q.T
     s = _frozen(0.5 * (s + s.T))
-    return q, _frozen(inv_symbol), s, _frozen((dt * _difference_matrix(n)) @ s)
+    forward = np.concatenate((s, (dt * _difference_matrix(n)) @ s))
+    return q, _frozen(inv_symbol), s, _frozen(forward)
 
 
 class PeriodicHeatSolver:
@@ -185,39 +201,34 @@ class PeriodicHeatSolver:
         return out
 
 
+def _slice_divergence(grid: TorusGrid):
+    """div(w) of one slice (or a stack) from the components w[0], ..,
+    w[d-1], as products with C: C^T on the left (``matmul``, which
+    broadcasts over a stack) and C on the right (``ndarray.dot``, the bits
+    of ``@`` with less call overhead)."""
+    c = _difference_matrix(grid.n_space)
+    if grid.dim == 1:
+        return lambda w: w[0].dot(c)
+    ct = c.T
+    return lambda w: ct @ w[0] + w[1].dot(c)
+
+
 def _slice_stencils(grid: TorusGrid):
-    """|G u|^2, div(w) and the forward step of one slice (or a stack), as
-    products with C and the heat operators.
+    """The 2D steps' |G u|^2 and forward step of one slice (or a stack), as
+    products with C and the heat solve; the 1D sweeps take their stacked
+    products instead.
 
     ``sq_grad(u, out)`` sums the squared components of G u in order, the
     bits of `models.squared_norm` of the gradient, and writes component a of
-    G u into out[a] where that is a C-contiguous array of u's shape.  The
-    vector fields come as their components: ``div(w)`` reads w[0], ..,
-    w[d-1], and ``forward(m, b, out)`` multiplies m by each b[a] and returns
-    the next forward slice, heat(m + dt div(m b)), in ``out`` when given.
-    In 1D it folds the heat solve into the flux product,
-    m S + (m b[0]) (dt C S); in 2D it solves.  Products on the right use
-    ``ndarray.dot``, which gives the bits of ``@`` with less call overhead;
-    C^T on the left keeps ``matmul``, which broadcasts over a stack where
-    ``dot`` would not.
+    G u into out[a] where that is a C-contiguous array of u's shape.
+    ``forward(m, b, out)`` multiplies m by each drift component b[a] and
+    returns the next forward slice, heat(m + dt div(m b)), in ``out`` when
+    given.
     """
     c = _difference_matrix(grid.n_space)
-    if grid.dim == 1:
-        _, _, s, dt_cs = _heat_operators(grid.n_space, grid.dt, 1)
-
-        def sq_grad(u, out=(None,)):
-            g = u.dot(c, out[0])
-            return g * g
-
-        def forward(m, b, out=None):
-            out = m.dot(s, out)
-            out += (m * b[0]).dot(dt_cs)
-            return out
-
-        return sq_grad, (lambda w: w[0].dot(c)), forward
     ct = c.T
     heat = PeriodicHeatSolver(grid)
-    dt = np.asarray(grid.dt)  # 0-d: see solve_hjb
+    dt = np.asarray(grid.dt)  # 0-d: numpy multiplies by an array faster
 
     def sq_grad(u, out=(None, None)):
         g = np.matmul(ct, u, out=out[0])
@@ -226,16 +237,13 @@ def _slice_stencils(grid: TorusGrid):
         sq += g * g
         return sq
 
-    def div(w):
-        return ct @ w[0] + w[1].dot(c)
-
     def forward(m, b, out=None):
         rhs = ct @ (m * b[0]) + (m * b[1]).dot(c)
         rhs *= dt
         rhs += m
         return heat.apply(rhs, out)
 
-    return sq_grad, div, forward
+    return sq_grad, forward
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -264,23 +272,60 @@ def solve_hjb(
         raise ValueError("source shape mismatch")
     if np.shape(terminal) != grid.spatial_shape:
         raise ValueError("terminal shape mismatch")
+    coords = grid.coordinates()
+    a = np.asarray(model.hamiltonian.coefficient(coords))
+    sweep = _hjb_sweep_1d if grid.dim == 1 else _hjb_sweep_2d
+    u, du = sweep(grid, a, source, terminal)
+    return u, model.hamiltonian.grad_p(coords, np.moveaxis(du, 0, -1))
+
+
+def _hjb_sweep_1d(grid: TorusGrid, a, source, terminal):
+    """u and its stack of G u, shape (1, K+1, n): per step the products of
+    the input row [u^{k+1}, |G u^{k+1}|^2, dt r^{k+1}] with C and with
+    [S; diag(-dt a/2) S; S]."""
+    K, n = grid.n_time, grid.n_space
+    c = _difference_matrix(n)
+    s = _heat_operators(n, grid.dt, 1)[2]
+    stack = np.concatenate((s, ((-0.5 * grid.dt) * a)[..., None] * s, s))
+    # row k holds u^k, |G u^k|^2 and dt r^k; the step from k writes u^{k-1}
+    rows = np.empty((K + 1, 3, n))
+    np.multiply(grid.dt, source, out=rows[:, 2])
+    rows[K, 0] = terminal
+    du = np.empty((1, K + 1, n))
+    for row, u_next, sq, g, u_k in zip(
+        rows.reshape(K + 1, 3 * n)[:0:-1],
+        rows[:0:-1, 0],
+        rows[:0:-1, 1],
+        du[0, :0:-1],
+        rows[-2::-1, 0],
+    ):
+        u_next.dot(c, g)
+        np.multiply(g, g, out=sq)
+        row.dot(stack, u_k)
+    u = rows[:, 0].copy()
+    _check_finite(u, "HJB sweep")
+    u[0].dot(c, du[0, 0])  # G u^0, which no step reads
+    return u, du
+
+
+def _hjb_sweep_2d(grid: TorusGrid, a, source, terminal):
+    """u and its stack of G u, shape (2, K+1, *spatial): per step
+    |G u^{k+1}|^2 from the per-axis products, then the right-hand side and
+    the heat solve."""
     heat = PeriodicHeatSolver(grid)
-    sq_grad, _, _ = _slice_stencils(grid)
-    K, dt, coords = grid.n_time, grid.dt, grid.coordinates()
+    sq_grad, _ = _slice_stencils(grid)
     # factors as arrays (0-d where constant): numpy multiplies by an array
     # faster than by a scalar, with the same bits
-    half_a = np.asarray(0.5 * model.hamiltonian.coefficient(coords))
-    minus_dt = np.asarray(-dt)
-
-    u = np.empty((K + 1, *grid.spatial_shape))
-    u[K] = terminal
+    half_a = np.asarray(0.5 * a)
+    minus_dt = np.asarray(-grid.dt)
+    u = np.empty((grid.n_time + 1, *grid.spatial_shape))
+    u[-1] = terminal
     # G u by component; each step writes the rows of the slice it differentiates
-    du = np.empty((grid.dim, *u.shape))
-    dt_source = dt * source
+    du = np.empty((2, *u.shape))
     # u^k from u^{k+1}, dt r^{k+1} and the rows of G u^{k+1}, k = K-1 .. 0,
     # as row views
     for u_k, u_next, dt_r, du_next in zip(
-        u[-2::-1], u[:0:-1], dt_source[:0:-1], zip(*du[:, :0:-1])
+        u[-2::-1], u[:0:-1], (grid.dt * source)[:0:-1], zip(*du[:, :0:-1])
     ):
         rhs = sq_grad(u_next, du_next)
         rhs *= half_a
@@ -290,7 +335,7 @@ def solve_hjb(
         heat.apply(rhs, out=u_k)
     _check_finite(u, "HJB sweep")
     sq_grad(u[0], du[:, 0])  # G u^0, which no step reads
-    return u, model.hamiltonian.grad_p(coords, np.moveaxis(du, 0, -1))
+    return u, du
 
 
 def _checked_m0(grid: TorusGrid, m0) -> np.ndarray:
@@ -332,27 +377,53 @@ def solve_kolmogorov(grid: TorusGrid, drift: np.ndarray, m0: np.ndarray) -> Dens
     m0 = _checked_m0(grid, m0)
     if not np.all(np.isfinite(drift)):
         raise ValueError("drift must be finite")
-    _, _, forward = _slice_stencils(grid)
-    # one contiguous stack per drift component, b_a^0 .. b_a^{K-1}
-    components = np.ascontiguousarray(np.moveaxis(drift[:-1], -1, 0))
-    m = np.empty((grid.n_time + 1, *grid.spatial_shape))
-    m[0] = m0
-    # m^{k+1} from m^k and the components of b^k, k = 0 .. K-1, as row views
-    for m_k, m_next, b_k in zip(m[:-1], m[1:], zip(*components)):
-        forward(m_k, b_k, m_next)
+    if grid.dim == 1:
+        m = _forward_1d(grid, m0, drift[:-1, :, 0])
+    else:
+        _, forward = _slice_stencils(grid)
+        # one contiguous stack per drift component, b_a^0 .. b_a^{K-1}
+        components = np.ascontiguousarray(np.moveaxis(drift[:-1], -1, 0))
+        m = np.empty((grid.n_time + 1, *grid.spatial_shape))
+        m[0] = m0
+        # m^{k+1} from m^k and the components of b^k, k = 0 .. K-1, as row views
+        for m_k, m_next, b_k in zip(m[:-1], m[1:], zip(*components)):
+            forward(m_k, b_k, m_next)
     return _checked_density(grid, m, "Kolmogorov sweep")
+
+
+def _forward_1d(grid: TorusGrid, m0: np.ndarray, drift) -> np.ndarray:
+    """m of the 1D forward sweep: per step the product of the input row
+    [m^k, m^k b^k] with [S; dt C S].  A drift of None leaves the flux
+    blocks zero: the heat flow."""
+    K, n = grid.n_time, grid.n_space
+    stack = _heat_operators(n, grid.dt, 1)[3]
+    # row k holds m^k and m^k b^k; the step from k writes m^{k+1}
+    rows = np.zeros((K + 1, 2, n))
+    rows[0, 0] = m0
+    # per step (m^k, b^k, the flux block), or None in the heat flow
+    fluxes = [None] * K if drift is None else zip(rows[:-1, 0], drift, rows[:-1, 1])
+    for row, flux, m_next in zip(rows.reshape(K + 1, 2 * n)[:-1], fluxes, rows[1:, 0]):
+        if flux is not None:
+            m_k, b_k, out = flux
+            np.multiply(m_k, b_k, out=out)
+        row.dot(stack, m_next)
+    return rows[:, 0].copy()
 
 
 def solve_heat(grid: TorusGrid, m0: np.ndarray) -> DensityField:
     """Forward problem dm/dt - Lap m = 0, m(., t0) = m0: the Kolmogorov
     sweep under a zero drift, whose flux adds only +-0, so the same bits
-    from the heat steps alone.  m0 is checked as `solve_kolmogorov` checks
-    it."""
-    heat = PeriodicHeatSolver(grid)
-    m = np.empty((grid.n_time + 1, *grid.spatial_shape))
-    m[0] = _checked_m0(grid, m0)
-    for m_k, m_next in zip(m[:-1], m[1:]):
-        heat.apply(m_k, out=m_next)
+    from the heat steps alone (in 1D the same products, flux blocks zero).
+    m0 is checked as `solve_kolmogorov` checks it."""
+    m0 = _checked_m0(grid, m0)
+    if grid.dim == 1:
+        m = _forward_1d(grid, m0, None)
+    else:
+        heat = PeriodicHeatSolver(grid)
+        m = np.empty((grid.n_time + 1, *grid.spatial_shape))
+        m[0] = m0
+        for m_k, m_next in zip(m[:-1], m[1:]):
+            heat.apply(m_k, out=m_next)
     return _checked_density(grid, m, "heat flow")
 
 
@@ -365,7 +436,7 @@ def solve_continuity(
     implicit), so outputs have continuity residual at roundoff level.
     """
     heat = PeriodicHeatSolver(grid)
-    _, div, _ = _slice_stencils(grid)
+    div = _slice_divergence(grid)
     K, dt = grid.n_time, grid.dt
     # components on the leading axis; indexing raises if w has too few slices
     w_comps = np.moveaxis(w_values, -1, 0)

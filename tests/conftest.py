@@ -7,13 +7,31 @@ writes acceptance_report.txt only when every criterion recorded a line, so a
 partial run (-k, or a criterion that errors before recording) leaves the last
 full report in place.  The seconds stay in the terminal: the report holds
 only what the code determines, so a run on unchanged code rewrites it byte
-for byte.
+for byte.  BLAS and OpenMP run one thread, set here before numpy first
+loads: a BLAS product blocks its sums by the thread count, so the last
+digits of a printed residual would otherwise follow the host.  A session
+in which numpy loaded first (a plugin, or a script that imports numpy and
+then calls pytest.main) is refused unless the variables already read 1,
+since the setting would then be silently ignored.
 """
 
+import os
+import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in _THREAD_VARS):
+    raise RuntimeError(
+        "numpy loaded before tests/conftest.py could pin BLAS and OpenMP to one "
+        "thread, so the acceptance digits would follow the host; set "
+        + ", ".join(f"{v}=1" for v in _THREAD_VARS)
+        + " before numpy loads"
+    )
+for _var in _THREAD_VARS:
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir

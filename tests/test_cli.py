@@ -146,6 +146,13 @@ def test_cli_rejects_a_bad_grid_before_running(tmp_path, capsys, line):
         ("convergence-study", "study.heat_n = 3"),
         ("convergence-study", "study.heat_k = 1"),
         ("convergence-study", "study.heat_horizon = 0"),
+        # an infinite strength, horizon or time would overflow mid-run
+        ("solve", "model.theta = inf"),
+        ("nonuniqueness", "nonuniqueness.thetas = 4,inf"),
+        ("nonuniqueness", "nonuniqueness.horizons = 0.5,inf"),
+        ("convergence-study", "study.heat_horizon = inf"),
+        ("solve", "grid.T = inf"),
+        ("solve", "grid.t0 = -inf"),
     ],
 )
 def test_cli_rejects_an_out_of_range_value_before_running(tmp_path, capsys, kind, lines):

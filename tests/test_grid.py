@@ -1,5 +1,7 @@
 """Discrete calculus: adjointness, stencil identities, norms, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,14 @@ def test_laplacian_constant_and_eigenfunction():
     err = np.max(np.abs(laplacian(grid, u) + 4 * np.pi**2 * u))
     # width-2 centered stencil: remainder (2 pi)^4 (2 dx)^2 / 12
     assert err <= 1.1 * (2 * np.pi) ** 4 * (2 * grid.dx) ** 2 / 12
+
+
+@pytest.mark.parametrize(
+    "t0, T", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)]
+)
+def test_grid_refuses_a_non_finite_time(t0, T):
+    with pytest.raises(GridError, match="must be finite"):
+        TorusGrid(1, 8, 8, t0, T)
 
 
 def test_grid_invariants():

@@ -25,7 +25,6 @@ from mfg_lab.pde import (
     _difference_matrix,
     _fourier_basis,
     _heat_operators,
-    _slice_stencils,
     continuity_residual,
     drift_field,
     hjb_residual,
@@ -320,7 +319,9 @@ def test_heat_flow_refuses_bad_data(m0, message):
         solve_heat(grid, m0)
 
 
-@pytest.mark.parametrize("dim, n", [(1, 17), (1, 24), (2, 9), (2, 12)])
+# n = 31: m S and the product with a zero flux block differ in the last bit
+# under some BLAS blockings; the 1D heat flow takes the flux product too
+@pytest.mark.parametrize("dim, n", [(1, 17), (1, 24), (1, 31), (2, 9), (2, 12)])
 def test_heat_flow_is_the_kolmogorov_sweep_without_drift_bitwise(dim, n, rng):
     grid = TorusGrid(dim, n, 16, 0.0, 0.5)
     m0 = rng.uniform(0.5, 1.5, grid.spatial_shape)
@@ -375,32 +376,47 @@ def _plain_operators(grid):
     )
 
 
+def _plain_steps(model, grid):
+    """One backward step (u^{k+1}, r^{k+1}) -> u^k and one forward step
+    (m^k, b^k) -> m^{k+1}: in 1D the stacked products, in 2D the heat solve
+    of the unfolded right-hand side."""
+    coords, (grad, div, heat) = grid.coordinates(), _plain_operators(grid)
+    dt = grid.dt
+    if grid.dim == 1:
+        c = _difference_matrix(grid.n_space)
+        _, _, s, forward = _heat_operators(grid.n_space, dt, 1)
+        a = np.asarray(model.hamiltonian.coefficient(coords))
+        backward = np.concatenate((s, ((-0.5 * dt) * a)[..., None] * s, s))
+        return (
+            lambda u, r: np.concatenate((u, np.square(u @ c), dt * r), -1) @ backward,
+            lambda m, b: np.concatenate((m, m * b[..., 0]), -1) @ forward,
+        )
+    value = model.hamiltonian.value
+    return (
+        lambda u, r: heat(u - dt * value(coords, grad(u)) + dt * r),
+        lambda m, b: heat(m + dt * div(m[..., None] * b)),
+    )
+
+
 def _plain_hjb(model, grid, source, terminal):
     """u from one step at a time, and the drift D_pH(x, Du) of the per-slice
     gradient products."""
-    coords, (grad, _, heat) = grid.coordinates(), _plain_operators(grid)
-    value, K, dt = model.hamiltonian.value, grid.n_time, grid.dt
-    u = np.empty((K + 1, *grid.spatial_shape))
-    u[K] = terminal
-    for k in range(K - 1, -1, -1):
-        rhs = u[k + 1] - dt * value(coords, grad(u[k + 1])) + dt * source[k + 1]
-        u[k] = heat(rhs)
+    (grad, _, _), (backward, _) = _plain_operators(grid), _plain_steps(model, grid)
+    u = np.empty((grid.n_time + 1, *grid.spatial_shape))
+    u[-1] = terminal
+    for k in range(grid.n_time - 1, -1, -1):
+        u[k] = backward(u[k + 1], source[k + 1])
     du = np.stack([grad(u_k) for u_k in u])
-    return u, model.hamiltonian.grad_p(coords, du)
+    return u, model.hamiltonian.grad_p(grid.coordinates(), du)
 
 
-def _plain_kolmogorov(grid, drift, m0):
-    """m from one step at a time; in 1D the heat solve folded into the flux
-    product, m^k S + (m^k b^k)(dt C S)."""
-    _, div, heat = _plain_operators(grid)
-    _, _, s, dt_cs = _heat_operators(grid.n_space, grid.dt, grid.dim)
+def _plain_kolmogorov(model, grid, drift, m0):
+    """m from one step at a time."""
+    _, forward = _plain_steps(model, grid)
     m = np.empty((grid.n_time + 1, *grid.spatial_shape))
     m[0] = m0
     for k in range(grid.n_time):
-        if grid.dim == 1:
-            m[k + 1] = m[k] @ s + (m[k] * drift[k][..., 0]) @ dt_cs
-        else:
-            m[k + 1] = heat(m[k] + grid.dt * div(m[k][..., None] * drift[k]))
+        m[k + 1] = forward(m[k], drift[k])
     return m
 
 
@@ -450,7 +466,7 @@ def test_sweeps_equal_plain_step_loops_bitwise(grid, seed, horizon, scale, eps):
     m0 = rng.uniform(0.5, 1.5, grid.spatial_shape)
     m0 /= grid.cell_volume * m0.sum()
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _plain_kolmogorov(grid, b, m0)
+        m = _plain_kolmogorov(model, grid, b, m0)
     # the sweep checks finiteness before its sign test, which NaN passes
     if not np.isfinite(m).all():
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -476,8 +492,9 @@ def test_sweeps_equal_plain_step_loops_bitwise(grid, seed, horizon, scale, eps):
 )
 def test_sweep_drift_and_folded_step_follow_the_unfolded_scheme(grid, seed, horizon, eps):
     # the bitwise test above pins the sweeps to the drift of their own
-    # gradient products and the folded 1D step; both agree with the stencil
-    # drift and with heat(m + dt div(m b)) to roundoff
+    # gradient products and, in 1D, the stacked steps; these agree with the
+    # stencil drift and with the heat solves of the unfolded right-hand
+    # sides to roundoff
     rng = np.random.default_rng(seed)
     grid = TorusGrid(grid.dim, grid.n_space, grid.n_time, 0.0, horizon)
     ham = quadratic_hamiltonian(eps)
@@ -494,10 +511,14 @@ def test_sweep_drift_and_folded_step_follow_the_unfolded_scheme(grid, seed, hori
     scale = (1.0 + eps) * np.max(np.abs(u)) / grid.dx
     assert np.max(np.abs(b - drift_field(model, grid, u))) <= 1e-14 * scale
 
-    # every step of the sweep at once, on the stack of slices 0..K-1
+    # every step of the sweep at once, on the stack of slices 1..K or 0..K-1
+    dt, coords = grid.dt, grid.coordinates()
+    (grad, div, heat), (backward, forward) = _plain_operators(grid), _plain_steps(model, grid)
+    dt_h = dt * ham.value(coords, grad(u[1:]))
+    unfolded = heat(u[1:] - dt_h + dt * source[1:])
+    terms = np.max(np.abs(u)) + np.max(np.abs(dt_h)) + dt * np.max(np.abs(source))
+    assert np.max(np.abs(backward(u[1:], source[1:]) - unfolded)) <= 1e-14 * terms
     m = rng.uniform(0.5, 1.5, shape)[:-1]
-    components = np.moveaxis(b[:-1], -1, 0)
-    _, div, heat = _plain_operators(grid)
-    unfolded = heat(m + grid.dt * div(m[..., None] * b[:-1]))
-    folded = _slice_stencils(grid)[2](m, components)
-    assert np.max(np.abs(folded - unfolded)) <= 1e-14 * np.max(np.abs(unfolded))
+    unfolded = heat(m + dt * div(m[..., None] * b[:-1]))
+    bound = 1e-14 * np.max(np.abs(unfolded))
+    assert np.max(np.abs(forward(m, b[:-1]) - unfolded)) <= bound

@@ -18,6 +18,8 @@ from mfg_lab.models import builtin_quadratic, squared_norm
 from mfg_lab.pde import (
     PeriodicHeatSolver,
     _difference_matrix,
+    _heat_operators,
+    _slice_divergence,
     _slice_stencils,
     continuity_residual,
     hjb_residual,
@@ -76,23 +78,32 @@ def test_sweep_difference_products_equal_grid_stencils(grid, stack, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((*stack, *grid.spatial_shape))
     w = rng.standard_normal((*stack, *grid.spatial_shape, grid.dim))
-    sq_grad, div, forward = _slice_stencils(grid)
     scale = 1.0 / grid.dx
     g = gradient(grid, u)
-    # per component, |a^2 - b^2| = |a - b| |a + b| with |a - b| <= 1e-14 scale
-    bound = 2e-14 * grid.dim * scale * (np.max(np.abs(g)) + scale)
-    assert np.max(np.abs(sq_grad(u) - squared_norm(g))) <= bound
-    # the components sq_grad writes are the ones it squares
-    rows = tuple(np.empty_like(u) for _ in range(grid.dim))
-    assert np.array_equal(sq_grad(u, rows), sq_grad(u))
-    assert np.max(np.abs(np.stack(rows, axis=-1) - g)) <= 1e-14 * scale
     components = np.moveaxis(w, -1, 0)
-    assert np.max(np.abs(div(components) - divergence(grid, w))) <= 1e-14 * scale
-    # the forward step is heat(m + dt div(m b)), in 1D with the solve folded in
+    div = _slice_divergence(grid)(components)
+    assert np.max(np.abs(div - divergence(grid, w))) <= 1e-14 * scale
+    # the forward step is heat(m + dt div(m b)), in 1D the stacked product
     mw = u[..., None] * w
     expected = PeriodicHeatSolver(grid).apply(u + grid.dt * divergence(grid, mw))
+    if grid.dim == 1:
+        rows = (u.dot(_difference_matrix(grid.n_space)),)
+        sq = rows[0] * rows[0]
+        forward_stack = _heat_operators(grid.n_space, grid.dt, 1)[3]
+        forward = np.concatenate((u, u * w[..., 0]), axis=-1) @ forward_stack
+    else:
+        sq_grad, step = _slice_stencils(grid)
+        # the components sq_grad writes are the ones it squares
+        rows = tuple(np.empty_like(u) for _ in range(grid.dim))
+        sq = sq_grad(u, rows)
+        assert np.array_equal(sq, sq_grad(u))
+        forward = step(u, components)
+    # per component, |a^2 - b^2| = |a - b| |a + b| with |a - b| <= 1e-14 scale
+    bound = 2e-14 * grid.dim * scale * (np.max(np.abs(g)) + scale)
+    assert np.max(np.abs(sq - squared_norm(g))) <= bound
+    assert np.max(np.abs(np.stack(rows, axis=-1) - g)) <= 1e-14 * scale
     bound = 1e-14 * (np.max(np.abs(u)) + grid.dt * scale * max(1.0, np.max(np.abs(mw))))
-    assert np.max(np.abs(forward(u, components) - expected)) <= bound
+    assert np.max(np.abs(forward - expected)) <= bound
 
 
 # per-slice reference loops: the residuals as one step at a time
