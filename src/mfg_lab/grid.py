@@ -130,14 +130,6 @@ class TorusGrid:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
-    def time_index(self, t: float) -> int:
-        """Index of a grid-aligned time; raises if t is off-grid."""
-        k = (t - self.t0) / self.dt
-        ki = int(round(k))
-        if ki < 0 or ki > self.n_time or abs(k - ki) > 1e-9 * max(1, self.n_time):
-            raise GridError(f"time {t} is not aligned to the grid")
-        return ki
-
     def restrict(self, t1_index: int) -> "TorusGrid":
         """Sub-grid on [t_{t1_index}, T] sharing nodes and dt with self; it
         keeps at least two time steps, so t1_index <= n_time - 2."""

@@ -256,20 +256,22 @@ def best_holding_profile(model: MfgModel, grid: TorusGrid) -> tuple[np.ndarray, 
 
 def build_competitor(model: MfgModel, grid: TorusGrid) -> AdmissiblePair:
     """Admissible pair connecting m0 to the best holding profile mbar
-    (`best_holding_profile`) in unit time.
+    (`best_holding_profile`) in about unit time.
 
-    On [t0, t0+1], m interpolates linearly between m0 and mbar with flux
-    D m^{k+1} - D phi, where -Lap phi = m0 - mbar; afterwards the pair sits
-    at (mbar, D mbar).  Both segments satisfy the discrete continuity
-    equation exactly because the divergence of a gradient is the scheme's
-    Laplacian.  Requires the horizon to exceed the unit transition time.
+    Over the first k1 = max(1, round(1/dt)) steps, the grid's nearest to
+    unit time, m interpolates linearly between m0 and mbar with flux
+    D m^{k+1} - D phi, where -Lap phi = (m0 - mbar) / (k1 dt) is scaled to
+    the transition's actual time k1 dt; afterwards the pair sits at
+    (mbar, D mbar).  Both segments satisfy the discrete continuity equation
+    exactly because the divergence of a gradient is the scheme's Laplacian.
+    Requires the horizon to exceed the unit transition time.
     """
     if grid.T - grid.t0 <= 1.0:
         raise ValueError("competitor needs a horizon longer than the unit transition")
-    k1 = grid.time_index(grid.t0 + 1.0)
+    k1 = max(1, round(1.0 / grid.dt))
     m0 = model.initial_density_slice(grid)
     mbar, _ = best_holding_profile(model, grid)
-    phi = _poisson_solve(grid, m0 - mbar)
+    phi = _poisson_solve(grid, (m0 - mbar) / (k1 * grid.dt))
     dphi = gradient(grid, phi)
 
     s = np.minimum(1.0, np.arange(grid.n_time + 1) / k1)

@@ -30,16 +30,22 @@ whole trajectory is formed once per sweep: dt r, and a(x) from
 form H(x, p) = a(x)|p|^2/2.  Steps write into row views of arrays
 allocated once per sweep.
 
+The forward step is written once per dimension, for the Kolmogorov sweep,
+the heat flow and the continuity solve alike: m^{k+1} = heat(m^k + dt div
+f^k), with the flux f^k held beside m^k in the step's input row.  The
+Kolmogorov sweep fills f^k = m^k b^k at each step, `solve_continuity`
+fills in f = -w before the loop, and the heat flow leaves f zero.  So the
+continuity solve of w = -m b is the Kolmogorov sweep bit for bit, and the
+heat flow the drift-free one.
+
 In 1D the linear part of a step is one product with a stacked matrix.  One
 buffer per sweep holds every slice's input row, and each product writes
 straight into the next step's input.  A backward step writes
 G u^{k+1} = u^{k+1} C into the sweep's stack of G u and its square into
 the row, then multiplies [u^{k+1}, |G u^{k+1}|^2, dt r^{k+1}] by
 [S; diag(-dt a/2) S; S], formed once per sweep: 3 numpy calls.  A forward
-step writes m^k b^k into the row and multiplies [m^k, m^k b^k] by
-[S; dt C S], cached with S: 2 calls.  The 1D heat flow (`solve_heat`)
-takes the same products with the flux blocks left zero, so it is the
-drift-free Kolmogorov sweep bit for bit by construction.  The stacks trade
+step multiplies [m^k, f^k] by [S; dt C S], cached with S, after writing
+m^k b^k into the row in the Kolmogorov sweep: 2 calls.  The stacks trade
 arithmetic for calls: a backward step takes about 4n^2 multiply-adds where
 separate products took 2n^2, and a heat step 2n^2 for n^2.  Below about 96
 nodes the saved calls win; above it the arithmetic does (one BLAS thread:
@@ -49,9 +55,10 @@ products, at n = 64 about 13% faster).
 In 2D a backward step writes the per-axis products of u^{k+1} with C into
 the stack of G u, sums their squares in order, multiplies by a/2 and then
 by -dt, adds u^{k+1} and then dt r^{k+1}, and solves.  A forward step
-multiplies m^k by each drift component, differences the products,
-multiplies by dt, adds m^k and solves.  The heat flow runs the solves
-alone: a zero flux adds +-0 to m^k, which leaves its bits.
+writes m^k times each drift component into the row in the Kolmogorov
+sweep, differences the flux components (C^T f_0 + f_1 C), multiplies by
+dt, adds m^k and solves.  A zero flux adds +-0 to m^k, which leaves its
+bits.
 
 After the last backward step the stack of G u gets G u^0, and the returned
 drift is ``Hamiltonian.grad_p`` of the whole stack, one call per sweep:
@@ -61,20 +68,21 @@ the same bits as the plain loops
     u^k     = [u^{k+1}, (u^{k+1} C)^2, dt r^{k+1}] @ [S; diag(-dt a/2) S; S]  (1D)
     u^k     = heat(u^{k+1} - dt H(x, grad u^{k+1}) + dt r^{k+1})             (2D)
     b       = D_pH(x, [grad u^0, .., grad u^K])
-    m^{k+1} = [m^k, m^k b^k] @ [S; dt C S]                                  (1D)
-    m^{k+1} = heat(m^k + dt div(m^k b^k))                                   (2D)
-    m^{k+1} = heat(m^k - dt div(w^k))                      (`solve_continuity`)
+    m^{k+1} = [m^k, f^k] @ [S; dt C S]                                      (1D)
+    m^{k+1} = heat(m^k + dt div(f^k))                                       (2D)
 
-with [..] the concatenation of the blocks, diag(-dt a/2) S the rows of S
-scaled by ((-0.5 dt) a), grad, div and heat per-slice ``@`` products with
-C, C^T and the heat operators, and H the Hamiltonian's ``value``, evaluated
-as written (products first, then left to right).  The 2D backward step's
-order gives these bits because ``value`` computes (a/2)|p|^2 the same way,
-and x (-dt) = -(dt x) and y + (-z) = y - z hold exactly.  The residuals
-call ``value`` and the whole-trajectory stencils of ``grid``, which stay
-the definition.  To roundoff, the sweeps' products agree with the
-stencils, the returned drift with `drift_field`, and the 1D stacked steps
-with heat(u - dt H(x, grad u) + dt r) and heat(m^k + dt div(m^k b^k)).
+with f^k = m^k b^k in the Kolmogorov sweep, -w^k in `solve_continuity`
+and 0 in the heat flow, [..] the concatenation of the blocks,
+diag(-dt a/2) S the rows of S scaled by ((-0.5 dt) a), grad, div and heat
+per-slice ``@`` products with C, C^T and the heat operators, and H the
+Hamiltonian's ``value``, evaluated as written (products first, then left
+to right).  The 2D backward step's order gives these bits because
+``value`` computes (a/2)|p|^2 the same way, and x (-dt) = -(dt x) and
+y + (-z) = y - z hold exactly.  The residuals call ``value`` and the
+whole-trajectory stencils of ``grid``, which stay the definition.  To
+roundoff, the sweeps' products agree with the stencils, the returned drift
+with `drift_field`, and the 1D stacked steps with
+heat(u - dt H(x, grad u) + dt r) and heat(m^k + dt div(f^k)).
 
 The forward sweep is conservative: the heat solve leaves the constant mode
 untouched and the divergence telescopes (in 1D, dt C S maps the constant
@@ -155,8 +163,8 @@ def _heat_operators(n: int, dt: float, dim: int) -> tuple:
     """(Q, 1/(1 - dt lambda), S, [S; dt C S]) of one axis and grid shape
     (dx = 1/n), lambda the symbol of Lap on the basis Q.  In 1D S is the
     symmetric Q diag(1/(1 - dt lambda)) Q^T and [S; dt C S] the (2n x n)
-    stack of the forward step, m^{k+1} = [m^k, m^k b^k] . [S; dt C S]
-    (C the difference matrix); in 2D both are None."""
+    stack of the forward step, m^{k+1} = [m^k, f^k] . [S; dt C S]
+    (C the difference matrix, f^k the flux); in 2D both are None."""
     q = _fourier_basis(n)
     wave = (np.arange(n) + 1) // 2
     lam = laplacian_symbol(TorusGrid(dim, n, 2))[np.ix_(*(wave,) * dim)]
@@ -201,54 +209,20 @@ class PeriodicHeatSolver:
         return out
 
 
-def _slice_divergence(grid: TorusGrid):
-    """div(w) of one slice (or a stack) from the components w[0], ..,
-    w[d-1], as products with C: C^T on the left (``matmul``, which
-    broadcasts over a stack) and C on the right (``ndarray.dot``, the bits
-    of ``@`` with less call overhead)."""
-    c = _difference_matrix(grid.n_space)
-    if grid.dim == 1:
-        return lambda w: w[0].dot(c)
-    ct = c.T
-    return lambda w: ct @ w[0] + w[1].dot(c)
-
-
-def _slice_stencils(grid: TorusGrid):
-    """The 2D steps' |G u|^2 and forward step of one slice (or a stack), as
-    products with C and the heat solve; the 1D sweeps take their stacked
-    products instead.
-
-    ``sq_grad(u, out)`` sums the squared components of G u in order, the
-    bits of `models.squared_norm` of the gradient, and writes component a of
-    G u into out[a] where that is a C-contiguous array of u's shape.
-    ``forward(m, b, out)`` multiplies m by each drift component b[a] and
-    returns the next forward slice, heat(m + dt div(m b)), in ``out`` when
-    given.
-    """
-    c = _difference_matrix(grid.n_space)
-    ct = c.T
-    heat = PeriodicHeatSolver(grid)
-    dt = np.asarray(grid.dt)  # 0-d: numpy multiplies by an array faster
-
-    def sq_grad(u, out=(None, None)):
-        g = np.matmul(ct, u, out=out[0])
-        sq = g * g
-        g = u.dot(c, out[1])
-        sq += g * g
-        return sq
-
-    def forward(m, b, out=None):
-        rhs = ct @ (m * b[0]) + (m * b[1]).dot(c)
-        rhs *= dt
-        rhs += m
-        return heat.apply(rhs, out)
-
-    return sq_grad, forward
-
-
 def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         raise SolverError(f"{what} produced non-finite values")
+
+
+def _checked(arr, shape, name: str, kind: str) -> np.ndarray:
+    """arr as floats, refused with a ValueError that names the argument
+    unless it has `shape` and finite entries: checked before any work."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{kind} shape {arr.shape} != {shape} for {name}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{kind} {name} has non-finite entries")
+    return arr
 
 
 def drift_field(model: MfgModel, grid: TorusGrid, u_values: np.ndarray) -> np.ndarray:
@@ -313,7 +287,19 @@ def _hjb_sweep_2d(grid: TorusGrid, a, source, terminal):
     |G u^{k+1}|^2 from the per-axis products, then the right-hand side and
     the heat solve."""
     heat = PeriodicHeatSolver(grid)
-    sq_grad, _ = _slice_stencils(grid)
+    c = _difference_matrix(grid.n_space)
+    ct = c.T
+
+    def sq_grad(u, out):
+        """|G u|^2, the squared components summed in order (the bits of
+        `models.squared_norm` of the gradient); component a of G u goes
+        into out[a], a C-contiguous array of u's shape."""
+        g = np.matmul(ct, u, out=out[0])
+        sq = g * g
+        g = u.dot(c, out[1])
+        sq += g * g
+        return sq
+
     # factors as arrays (0-d where constant): numpy multiplies by an array
     # faster than by a scalar, with the same bits
     half_a = np.asarray(0.5 * a)
@@ -377,73 +363,81 @@ def solve_kolmogorov(grid: TorusGrid, drift: np.ndarray, m0: np.ndarray) -> Dens
     m0 = _checked_m0(grid, m0)
     if not np.all(np.isfinite(drift)):
         raise ValueError("drift must be finite")
-    if grid.dim == 1:
-        m = _forward_1d(grid, m0, drift[:-1, :, 0])
-    else:
-        _, forward = _slice_stencils(grid)
-        # one contiguous stack per drift component, b_a^0 .. b_a^{K-1}
-        components = np.ascontiguousarray(np.moveaxis(drift[:-1], -1, 0))
-        m = np.empty((grid.n_time + 1, *grid.spatial_shape))
-        m[0] = m0
-        # m^{k+1} from m^k and the components of b^k, k = 0 .. K-1, as row views
-        for m_k, m_next, b_k in zip(m[:-1], m[1:], zip(*components)):
-            forward(m_k, b_k, m_next)
-    return _checked_density(grid, m, "Kolmogorov sweep")
+    return _checked_density(grid, _forward(grid, m0, drift=drift), "Kolmogorov sweep")
 
 
-def _forward_1d(grid: TorusGrid, m0: np.ndarray, drift) -> np.ndarray:
-    """m of the 1D forward sweep: per step the product of the input row
-    [m^k, m^k b^k] with [S; dt C S].  A drift of None leaves the flux
-    blocks zero: the heat flow."""
+def _forward(grid: TorusGrid, m0: np.ndarray, drift=None, w=None) -> np.ndarray:
+    """m of the forward step m^{k+1} = heat(m^k + dt div f^k), k = 0 .. K-1.
+
+    Row k of one buffer holds m^k and the components of the flux f^k, and
+    step k writes m^{k+1} into row k+1.  A drift b fills f^k = m^k b^k at
+    step k, a flux w fills f = -w before the loop, and with neither f stays
+    zero: the heat flow.  In 1D a step is the product of the row [m^k, f^k]
+    with [S; dt C S]; in 2D it is heat(m^k + dt (C^T f_0^k + f_1^k C)).
+    """
     K, n = grid.n_time, grid.n_space
-    stack = _heat_operators(n, grid.dt, 1)[3]
-    # row k holds m^k and m^k b^k; the step from k writes m^{k+1}
-    rows = np.zeros((K + 1, 2, n))
+    rows = np.zeros((K + 1, 1 + grid.dim, *grid.spatial_shape))
     rows[0, 0] = m0
-    # per step (m^k, b^k, the flux block), or None in the heat flow
-    fluxes = [None] * K if drift is None else zip(rows[:-1, 0], drift, rows[:-1, 1])
-    for row, flux, m_next in zip(rows.reshape(K + 1, 2 * n)[:-1], fluxes, rows[1:, 0]):
-        if flux is not None:
-            m_k, b_k, out = flux
-            np.multiply(m_k, b_k, out=out)
-        row.dot(stack, m_next)
-    return rows[:, 0].copy()
+    if w is not None:
+        np.negative(np.moveaxis(w[:-1], -1, 1), out=rows[:-1, 1:])
+    m, f = rows[:, 0], rows[:, 1:]
+    if grid.dim == 1:
+        stack = _heat_operators(n, grid.dt, 1)[3]
+        # per step (m^k, b^k, f^k), or None where the flux is given
+        fluxes = [None] * K if drift is None else zip(m[:-1], drift[:-1, :, 0], f[:-1, 0])
+        for row, flux, m_next in zip(rows.reshape(K + 1, 2 * n)[:-1], fluxes, m[1:]):
+            if flux is not None:
+                m_k, b_k, out = flux
+                np.multiply(m_k, b_k, out=out)
+            row.dot(stack, m_next)
+    else:
+        c = _difference_matrix(n)
+        ct = c.T
+        heat = PeriodicHeatSolver(grid)
+        dt = np.asarray(grid.dt)  # 0-d: numpy multiplies by an array faster
+        # per step the components of b^k, each from one contiguous stack
+        # b_a^0 .. b_a^{K-1}, or None where the flux is given
+        drifts = (
+            [None] * K
+            if drift is None
+            else zip(*np.ascontiguousarray(np.moveaxis(drift[:-1], -1, 0)))
+        )
+        for m_k, f_0, f_1, b_k, m_next in zip(m[:-1], f[:-1, 0], f[:-1, 1], drifts, m[1:]):
+            if b_k is not None:
+                np.multiply(m_k, b_k[0], out=f_0)
+                np.multiply(m_k, b_k[1], out=f_1)
+            rhs = ct @ f_0 + f_1.dot(c)
+            rhs *= dt
+            rhs += m_k
+            heat.apply(rhs, m_next)
+    return m.copy()
 
 
 def solve_heat(grid: TorusGrid, m0: np.ndarray) -> DensityField:
-    """Forward problem dm/dt - Lap m = 0, m(., t0) = m0: the Kolmogorov
-    sweep under a zero drift, whose flux adds only +-0, so the same bits
-    from the heat steps alone (in 1D the same products, flux blocks zero).
-    m0 is checked as `solve_kolmogorov` checks it."""
-    m0 = _checked_m0(grid, m0)
-    if grid.dim == 1:
-        m = _forward_1d(grid, m0, None)
-    else:
-        heat = PeriodicHeatSolver(grid)
-        m = np.empty((grid.n_time + 1, *grid.spatial_shape))
-        m[0] = m0
-        for m_k, m_next in zip(m[:-1], m[1:]):
-            heat.apply(m_k, out=m_next)
-    return _checked_density(grid, m, "heat flow")
+    """Forward problem dm/dt - Lap m = 0, m(., t0) = m0: the forward step
+    of the Kolmogorov sweep with its flux left zero, so the zero-drift
+    Kolmogorov sweep bit for bit.  m0 is checked as `solve_kolmogorov`
+    checks it."""
+    return _checked_density(grid, _forward(grid, _checked_m0(grid, m0)), "heat flow")
 
 
 def solve_continuity(
     grid: TorusGrid, w_values: np.ndarray, m0_slice: np.ndarray
 ) -> np.ndarray:
-    """Solve dm/dt - Lap m + div(w) = 0 forward with the scheme's stencils.
+    """Solve dm/dt - Lap m + div(w) = 0 forward from m0_slice: the forward
+    step of the Kolmogorov sweep with the flux -w filled in, so for
+    w = -m b the Kolmogorov sweep bit for bit, and outputs have continuity
+    residual at roundoff level.
 
-    Same staggering as the Kolmogorov sweep (flux at the old slice, diffusion
-    implicit), so outputs have continuity residual at roundoff level.
+    w_values has shape (K+1, *spatial, d), of which slices 0..K-1 feed the
+    sweep; m0_slice has shape (*spatial,).  Either one misshaped or not
+    finite raises a ValueError that names it.
     """
-    heat = PeriodicHeatSolver(grid)
-    div = _slice_divergence(grid)
-    K, dt = grid.n_time, grid.dt
-    # components on the leading axis; indexing raises if w has too few slices
-    w_comps = np.moveaxis(w_values, -1, 0)
-    m = np.empty((K + 1, *grid.spatial_shape))
-    m[0] = np.asarray(m0_slice, dtype=float)
-    for k in range(K):
-        heat.apply(m[k] - dt * div(w_comps[:, k]), out=m[k + 1])
+    w = _checked(
+        w_values, (grid.n_time + 1, *grid.spatial_shape, grid.dim), "w_values", "flux"
+    )
+    m0 = _checked(m0_slice, grid.spatial_shape, "m0_slice", "initial slice")
+    m = _forward(grid, m0, w=w)
     _check_finite(m, "continuity sweep")
     return m
 

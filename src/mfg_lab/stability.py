@@ -17,9 +17,10 @@ base density.  For the family H = a(x)|p|^2/2 (`models.Hamiltonian`),
 A = a(x) I, so m A is the scalar m a(x) on every node.
 `AssembledOperator` keeps these rows as the arrays they are made of,
 stacked over the slices: the drift b and m a of every slice, the kernel
-factors, the initial-row block and the heat solver.  Its four block kinds
-are applied to whole stacks through the per-axis difference products of
-the sweeps (`pde`; the stencils of `grid` to roundoff):
+factors and the heat solver; the initial rows are the identity on mu^0.
+Its four block kinds are applied to whole stacks through the per-axis
+difference products of the sweeps (`pde`; the stencils of `grid` to
+roundoff):
 
     T_k = -I/dt + b^k.G,    T_k^T = -I/dt - div(b^k .),
     E_k = -div(m^k a G .) = E_k^T,    D0 = I/dt - Lap,
@@ -84,7 +85,7 @@ from .grid import (
 )
 from .mfg import MfgSolution, solution_distance, solve_picard
 from .models import KernelFactors, MfgModel
-from .pde import PeriodicHeatSolver, _check_finite, _difference_matrix
+from .pde import PeriodicHeatSolver, _check_finite, _checked, _difference_matrix, drift_field
 from .perturb import perturb_density_values, spawn_rngs
 
 __all__ = [
@@ -196,13 +197,10 @@ def _coefficients(
     b = D_pH(x, Du), shape (K'+1, d, n), and the scalar m a(x) with
     m D2_ppH = m a(x) I, shape (K'+1, n)."""
     grid = base.grid.restrict(t1_index)
-    ham = model.hamiltonian
-    coords = grid.coordinates()
-    du = gradient(grid, base.u.values[t1_index:])
     m = base.m.values[t1_index:]
     K, n, d = grid.n_time, grid.n_nodes, grid.dim
-    b = ham.grad_p(coords, du).reshape(K + 1, n, d)
-    ma = (m * ham.coefficient(coords)).reshape(K + 1, n)
+    b = drift_field(model, grid, base.u.values[t1_index:]).reshape(K + 1, n, d)
+    ma = (m * model.hamiltonian.coefficient(grid.coordinates())).reshape(K + 1, n)
     return grid, np.moveaxis(b, 1, -1).copy(), ma
 
 
@@ -215,17 +213,6 @@ def _require_converged(base: MfgSolution) -> None:
     """Linearized solves and certificates need a solution; an operator alone does not."""
     if not base.converged:
         raise ValueError("linearization requires a converged base solution")
-
-
-def _checked(arr, shape, name: str, kind: str) -> np.ndarray:
-    """arr as floats, refused with a ValueError that names the argument
-    unless it has `shape` and finite entries: checked before any work."""
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{kind} shape {arr.shape} != {shape} for {name}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{kind} {name} has non-finite entries")
-    return arr
 
 
 def _shaped(arr, shape, name: str) -> np.ndarray:
@@ -260,14 +247,14 @@ class AssembledOperator:
     n = N^d nodes per slice.  Rows are stacked the same way: the backward
     rows k = 0..K'-1 (D0 v^k + T_{k+1} v^{k+1} + B_{k+1} mu^{k+1}), the
     forward rows k = 0..K'-1 (D0 mu^{k+1} + T_k^T mu^k + E_k v^k), the
-    initial rows (`initial` mu^0) and the terminal rows (v^K' + B_g mu^K'),
+    initial rows (mu^0) and the terminal rows (v^K' + B_g mu^K'),
     with B_k = -Kf^k and B_g = -Kg the kernel blocks.
 
     Held: `drift` b (K'+1, d, n) and `ma`, the scalar m a(x) of m D2_ppH =
     m a(x) I (K'+1, n), of every slice, the kernel blocks `kernel_f`
-    (B_1..B_K', one `KernelFactors` stack) and `kernel_g`, and the
-    initial-row block `initial` I.  Products apply the blocks to whole stacks
-    at any size; the factorization and the sparse oracle are guarded.
+    (B_1..B_K', one `KernelFactors` stack) and `kernel_g`; the initial-row
+    block is the identity.  Products apply the blocks to whole stacks at any
+    size; the factorization and the sparse oracle are guarded.
     """
 
     def __init__(self, model: MfgModel, base: MfgSolution, t1_index: int = 0):
@@ -282,7 +269,6 @@ class AssembledOperator:
         kg = model.coupling.kernel_g(grid, m[K])
         self.kernel_f = KernelFactors(-kf.c, -kf.U, kf.W)
         self.kernel_g = KernelFactors(-kg.c, -kg.U, kg.W)
-        self.initial = 1.0
 
     # -- layout helpers ----------------------------------------------------
     def unstack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +288,7 @@ class AssembledOperator:
             _d0(g, v[:K]) + _transport(g, b[1:], v[1:]) + self.kernel_f @ mu[1:],
             _d0(g, mu[1:]) + _transport(g, b[:K], mu[:K], True)
             + _diffusion(g, self.ma[:K], v[:K]),
-            self.initial * mu[0],
+            mu[0],
             v[K] + self.kernel_g @ mu[K],
         )
         return np.concatenate([r.reshape(-1) for r in rows])
@@ -319,7 +305,7 @@ class AssembledOperator:
         ov[K] += Y[2 * K + 1]
         om[1:] += self.kernel_f.T @ back + _d0(g, fwd)
         om[:K] += _transport(g, b[:K], fwd)
-        om[0] += self.initial * Y[2 * K]
+        om[0] += Y[2 * K]
         om[K] += self.kernel_g.T @ Y[2 * K + 1]
         return out.reshape(-1)
 
@@ -383,7 +369,7 @@ class AssembledOperator:
             blocks[k][K + 2 + k] = sp.csr_matrix(self.kernel_f[k].toarray())
             blocks[K + k][K + 1 + k] = sp.csr_matrix(_transport(g, self.drift[k], eye, True).T)
             blocks[K + k][k] = sp.csr_matrix(_diffusion(g, self.ma[k], eye).T)
-        blocks[2 * K][K + 1] = sp.csr_matrix(self.initial * eye)
+        blocks[2 * K][K + 1] = sp.identity(n, format="csr")
         blocks[2 * K + 1][K] = sp.identity(n, format="csr")
         blocks[2 * K + 1][2 * K + 1] = sp.csr_matrix(self.kernel_g.toarray())
         return sp.bmat(blocks, format="csr")
@@ -458,9 +444,9 @@ class TimeBlockLU:
         H_k = E_{k-1} D0^-1 + T_{k-1}^T P_{k-1},    M_k = D0 - H_k B_k,
         P_k = M_k^-1 H_k T_k D0^-1,
 
-    with M_0 the scaled initial block and P_0 = 0.  At K' the terminal row
-    s (v + B_g mu), s the boundary weight, pivots on v with s I; eliminating
-    v adds H T_K' B_g to M_K' and makes P_K' = M_K'^-1 H T_K' / s.
+    with M_0 = s I the initial block scaled by the boundary weight s, and
+    P_0 = 0.  At K' the terminal row s (v + B_g mu) pivots on v with s I;
+    eliminating v adds H T_K' B_g to M_K' and makes P_K' = M_K'^-1 H T_K' / s.
 
     Stored, all n x n, and all counted by the memory guard (`stored_shapes`):
     D0^-1, M_k^-1 and P_k, (2K'+3) n^2 entries, and in 1D the transport
@@ -556,7 +542,7 @@ class TimeBlockLU:
         # order and are kept so; D0^-1 is symmetric, and LAPACK returns
         # M_k^-1 in Fortran order.
         try:
-            m_inv[0] = self._inverse(s * op.initial * eye, 0)
+            m_inv[0] = self._inverse(s * eye, 0)
             p[0] = 0.0
             for k in range(1, K + 1):
                 h_t = _div(g, _times_ma(ma[k - 1], grad_d0))  # (E_{k-1} D0^-1)^T

@@ -376,6 +376,22 @@ def test_stability_at_the_horizon_certifies_the_last_restriction(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
 
 
+def test_nonuniqueness_off_a_unit_time_node_builds_its_competitor(tmp_path):
+    # K = 294 steps on [0, 2.3] has no node at t = 1: the competitor's
+    # transition takes the nearest number of steps, 128
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        "experiment.kind = nonuniqueness\nmodel.name = antimonotone_symmetric\n"
+        "grid.n_space = 24\nnonuniqueness.thetas = 64\nnonuniqueness.horizons = 2.3\n"
+        "nonuniqueness.steps_per_unit_time = 128\nnonuniqueness.refine = 0\nseed = 3\n"
+    )
+    out = tmp_path / "out"
+    assert main(["nonuniqueness", "--config", str(path), "--output", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["competitor_j"] < summary["best"]["j_symmetric"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+
+
 @pytest.mark.parametrize(
     "kind, lines", [("isolation", ""), ("fictitious-play", "fp.attractor_deltas = 0.01\n")]
 )

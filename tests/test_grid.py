@@ -117,9 +117,6 @@ def test_grid_invariants():
         TorusGrid(3, 8, 8)
     grid = TorusGrid(1, 48, 8)
     assert np.allclose(grid.axis_coordinates(), np.arange(48) / 48, atol=0)
-    assert grid.time_index(grid.t0 + 3 * grid.dt) == 3
-    with pytest.raises(GridError):
-        grid.time_index(grid.t0 + 0.5 * grid.dt)
     sub = grid.restrict(3)
     assert sub.n_time == 5 and abs(sub.t0 - (grid.t0 + 3 * grid.dt)) < 1e-15
     # a restriction keeps two time steps at least

@@ -149,6 +149,18 @@ def test_competitor_beats_symmetric(branch_setup, branch_pair):
     assert j_comp < branch_pair.j_symmetric.total
 
 
+@pytest.mark.parametrize("horizon, n_time", [(2.3, 294), (2.3, 290), (1.7, 12)])
+def test_competitor_is_admissible_without_a_node_at_unit_time(horizon, n_time):
+    # the transition takes round(1/dt) steps, not unit time; its Poisson
+    # data is scaled to the time it does take
+    model = builtin_quadratic(
+        theta=64.0, coupling="antimonotone_symmetric", T=horizon, m0="uniform"
+    )
+    grid = model.make_grid(24, n_time)
+    assert round(1.0 / grid.dt) * grid.dt != 1.0
+    assert is_admissible(build_competitor(model, grid))
+
+
 def _count_rounds_before_polish(monkeypatch):
     """Count fp_step calls, and record the count at each polish call."""
     counts = {"rounds": 0, "at_polish": []}

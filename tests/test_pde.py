@@ -238,22 +238,36 @@ def test_fourier_basis_is_orthonormal_and_diagonalizes_the_laplacian(n):
     assert np.max(np.abs(q.T @ lap @ q - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-@settings(max_examples=40)
-@given(grids(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
-def test_kolmogorov_sweep_conserves_mass_under_random_drifts(grid, seed, ratio):
-    rng = np.random.default_rng(seed)
+def _positive_sweep_data(grid, rng, ratio):
+    """A grid of time step ratio dx^2 / (2d), m0 and a drift under which the
+    Kolmogorov sweep stays positive.  m0 is within a factor 2 of its mean;
+    the drifts have rho = dt d max|b| / dx = 1 / (8K), so each explicit
+    transport step moves m by at most rho max m and the heat solve obeys
+    the maximum principle: the sweep's sign test never fires."""
     d, dx, K = grid.dim, grid.dx, grid.n_time
     grid = TorusGrid(d, grid.n_space, K, 0.0, K * ratio * dx**2 / (2 * d))
-    # m0 within a factor 2 of its mean; drifts with rho = dt d max|b| / dx
-    # = 1 / (8K), so each explicit transport step moves m by at most rho
-    # max m and the heat solve obeys the maximum principle: m stays positive
-    # and the sweep's sign test never fires.
     m0 = rng.uniform(0.5, 1.0, grid.spatial_shape)
     m0 /= grid.cell_volume * m0.sum()
     bmax = dx / (8 * K * grid.dt * d)
     drift = bmax * rng.uniform(-1.0, 1.0, (K + 1, *grid.spatial_shape, d))
+    return grid, m0, drift
+
+
+@settings(max_examples=40)
+@given(grids(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
+def test_kolmogorov_sweep_conserves_mass_under_random_drifts(grid, seed, ratio):
+    grid, m0, drift = _positive_sweep_data(grid, np.random.default_rng(seed), ratio)
     out = solve_kolmogorov(grid, drift, m0)
     assert np.max(np.abs(out.mass() - 1.0)) <= 1e-13
+
+
+@settings(max_examples=40)
+@given(grids(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
+def test_continuity_solve_of_minus_m_b_is_the_kolmogorov_sweep_bitwise(grid, seed, ratio):
+    # the continuity solve's flux -w = m b is the one the sweep forms at each step
+    grid, m0, drift = _positive_sweep_data(grid, np.random.default_rng(seed), ratio)
+    m = solve_kolmogorov(grid, drift, m0).values
+    assert np.array_equal(solve_continuity(grid, -m[..., None] * drift, m0), m)
 
 
 def test_hjb_sweep_with_overflowing_hamiltonian_raises(model):
@@ -317,6 +331,25 @@ def test_heat_flow_refuses_bad_data(m0, message):
     grid = TorusGrid(1, 16, 8, 0.0, 0.25)
     with pytest.raises(ValueError, match=message):
         solve_heat(grid, m0)
+
+
+@pytest.mark.parametrize(
+    "w, m0, message",
+    [
+        (np.zeros((9, 1, 1)), np.zeros(16), r"flux shape \(9, 1, 1\) != \(9, 16, 1\) for w_"),
+        (np.zeros((8, 16, 1)), np.zeros(16), "flux shape .* for w_values"),
+        (np.zeros((9, 16, 2)), np.zeros(16), "flux shape .* for w_values"),
+        (np.full((9, 16, 1), np.inf), np.zeros(16), "flux w_values has non-finite entries"),
+        (np.zeros((9, 16, 1)), 0.0, r"initial slice shape \(\) != \(16,\) for m0_slice"),
+        (np.zeros((9, 16, 1)), np.zeros((1, 16)), "initial slice shape .* for m0_slice"),
+        (np.zeros((9, 16, 1)), np.r_[np.nan, np.zeros(15)], "m0_slice has non-finite entries"),
+    ],
+)
+def test_continuity_solve_refuses_bad_data(w, m0, message):
+    # a misshaped argument would broadcast into the sweep's buffer unnoticed
+    grid = TorusGrid(1, 16, 8, 0.0, 0.25)
+    with pytest.raises(ValueError, match=message):
+        solve_continuity(grid, w, m0)
 
 
 # n = 31: m S and the product with a zero flux block differ in the last bit
@@ -421,11 +454,23 @@ def _plain_kolmogorov(model, grid, drift, m0):
 
 
 def _plain_continuity(grid, w, m0):
+    """m from one step at a time: in 1D the stacked product of [m^k, -w^k],
+    in 2D the heat solve of m^k - dt div(w^k)."""
     _, div, heat = _plain_operators(grid)
+    if grid.dim == 1:
+        forward = _heat_operators(grid.n_space, grid.dt, 1)[3]
+
+        def step(m_k, w_k):
+            return np.concatenate((m_k, -w_k[..., 0]), -1) @ forward
+    else:
+
+        def step(m_k, w_k):
+            return heat(m_k - grid.dt * div(w_k))
+
     m = np.empty((grid.n_time + 1, *grid.spatial_shape))
     m[0] = m0
     for k in range(grid.n_time):
-        m[k + 1] = heat(m[k] - grid.dt * div(w[k]))
+        m[k + 1] = step(m[k], w[k])
     return m
 
 

@@ -23,6 +23,8 @@ from mfg_lab.pde import continuity_residual
 from mfg_lab.perturb import low_frequency_field
 from mfg_lab.potential import second_variation_parts
 from mfg_lab.stability import (
+    AssembledOperator,
+    TimeBlockLU,
     _coefficients,
     _orthonormal,
     _transport,
@@ -728,17 +730,46 @@ def test_2d_sigma_min_matches_dense_svd(t1):
     assert abs(dense - cert.sigma_min) <= 1e-8 * dense
 
 
-def _without_initial_rows(op):
+class _ZeroInitialBlockLU(TimeBlockLU):
+    """The factorization with slice 0's Schur block, the scaled initial
+    block, zeroed."""
+
+    def _inverse(self, a, slice_index):
+        return super()._inverse(0.0 * a if slice_index == 0 else a, slice_index)
+
+
+class _WithoutInitialRows(AssembledOperator):
     """The operator with its initial block zeroed: mu^0 is then undetermined
-    and the Schur block of slice 0 singular."""
-    op.initial = 0.0
-    return op
+    and the Schur block of slice 0 singular.  Products, the sparse oracle
+    and the factorization all drop the initial rows, so the adjoint stays
+    consistent."""
+
+    def _initial_rows(self):
+        return slice(2 * self.K * self.n, (2 * self.K + 1) * self.n)
+
+    def matvec(self, x):
+        y = super().matvec(x)
+        y[self._initial_rows()] = 0.0
+        return y
+
+    def rmatvec(self, y):
+        y = np.array(y, dtype=float)
+        y[self._initial_rows()] = 0.0
+        return super().rmatvec(y)
+
+    def to_sparse(self):
+        import scipy.sparse as sp
+
+        keep = np.ones(self.n_unknowns)
+        keep[self._initial_rows()] = 0.0
+        return (sp.diags(keep) @ super().to_sparse()).tocsr()
+
+    def factorize(self):
+        return _ZeroInitialBlockLU(self)
 
 
 def _assemble_without_initial_rows(model, base, t1_index=0):
-    import mfg_lab.stability as stab
-
-    return _without_initial_rows(stab.AssembledOperator(model, base, t1_index))
+    return _WithoutInitialRows(model, base, t1_index)
 
 
 def test_singular_schur_block_names_its_slice(monkeypatch, monotone_model, monotone_solution):
@@ -746,6 +777,10 @@ def test_singular_schur_block_names_its_slice(monkeypatch, monotone_model, monot
     import mfg_lab.stability as stab
 
     op = _assemble_without_initial_rows(monotone_model, monotone_solution)
+    x, y = np.random.default_rng(5).standard_normal((2, op.n_unknowns))
+    a = op.to_sparse()
+    assert np.allclose(a @ x, op.matvec(x), rtol=0.0, atol=1e-12 * np.abs(a @ x).max())
+    assert np.allclose(a.T @ y, op.rmatvec(y), rtol=0.0, atol=1e-12 * np.abs(a.T @ y).max())
     with pytest.raises(np.linalg.LinAlgError, match="time slice 0 is singular"):
         op.factorize()
     monkeypatch.setattr(stab, "assemble_operator", _assemble_without_initial_rows)

@@ -18,12 +18,11 @@ from mfg_lab.models import builtin_quadratic, squared_norm
 from mfg_lab.pde import (
     PeriodicHeatSolver,
     _difference_matrix,
-    _heat_operators,
-    _slice_divergence,
-    _slice_stencils,
     continuity_residual,
     hjb_residual,
     kolmogorov_residual,
+    solve_continuity,
+    solve_hjb,
 )
 
 
@@ -72,38 +71,33 @@ def test_heat_step_matches_dense_solve(grid, stack, seed, dt):
 
 
 @SETTINGS
-@given(grids(), stacks, seeds)
-def test_sweep_difference_products_equal_grid_stencils(grid, stack, seed):
+@given(grids(), seeds)
+def test_sweep_difference_products_equal_grid_stencils(grid, seed):
     # the sweeps' C products sum in another order than the stencils
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((*stack, *grid.spatial_shape))
-    w = rng.standard_normal((*stack, *grid.spatial_shape, grid.dim))
-    scale = 1.0 / grid.dx
+    model = builtin_quadratic(0.0, coupling="none", dim=grid.dim)
+    shape = (grid.n_time + 1, *grid.spatial_shape)
+    source = rng.standard_normal(shape)
+    u, du = solve_hjb(model, grid, source, 0.1 * rng.standard_normal(grid.spatial_shape))
+    heat, dt = PeriodicHeatSolver(grid), grid.dt
+    # a = 1, so the returned drift is the sweep's own G u
+    scale = np.max(np.abs(u)) / grid.dx
     g = gradient(grid, u)
-    components = np.moveaxis(w, -1, 0)
-    div = _slice_divergence(grid)(components)
-    assert np.max(np.abs(div - divergence(grid, w))) <= 1e-14 * scale
-    # the forward step is heat(m + dt div(m b)), in 1D the stacked product
-    mw = u[..., None] * w
-    expected = PeriodicHeatSolver(grid).apply(u + grid.dt * divergence(grid, mw))
-    if grid.dim == 1:
-        rows = (u.dot(_difference_matrix(grid.n_space)),)
-        sq = rows[0] * rows[0]
-        forward_stack = _heat_operators(grid.n_space, grid.dt, 1)[3]
-        forward = np.concatenate((u, u * w[..., 0]), axis=-1) @ forward_stack
-    else:
-        sq_grad, step = _slice_stencils(grid)
-        # the components sq_grad writes are the ones it squares
-        rows = tuple(np.empty_like(u) for _ in range(grid.dim))
-        sq = sq_grad(u, rows)
-        assert np.array_equal(sq, sq_grad(u))
-        forward = step(u, components)
-    # per component, |a^2 - b^2| = |a - b| |a + b| with |a - b| <= 1e-14 scale
-    bound = 2e-14 * grid.dim * scale * (np.max(np.abs(g)) + scale)
-    assert np.max(np.abs(sq - squared_norm(g))) <= bound
-    assert np.max(np.abs(np.stack(rows, axis=-1) - g)) <= 1e-14 * scale
-    bound = 1e-14 * (np.max(np.abs(u)) + grid.dt * scale * max(1.0, np.max(np.abs(mw))))
-    assert np.max(np.abs(forward - expected)) <= bound
+    assert np.max(np.abs(du - g)) <= 1e-14 * scale
+    # each backward step is heat(u - dt |G u|^2 / 2 + dt r), with |G u|^2
+    # summed from those products: per component, |a^2 - b^2| = |a - b| |a + b|
+    # with |a - b| <= 1e-14 scale
+    dt_h = 0.5 * dt * squared_norm(g[1:])
+    expected = heat.apply(u[1:] - dt_h + dt * source[1:])
+    terms = np.max(np.abs(u)) + np.max(np.abs(dt_h)) + dt * np.max(np.abs(source))
+    bound = 1e-14 * (terms + dt * grid.dim * scale * (np.max(np.abs(g)) + scale))
+    assert np.max(np.abs(u[:-1] - expected)) <= bound
+    # each forward step is heat(m - dt div(w)), in 1D the stacked product
+    w = rng.standard_normal((*shape, grid.dim))
+    m = solve_continuity(grid, w, rng.standard_normal(grid.spatial_shape))
+    expected = heat.apply(m[:-1] - dt * divergence(grid, w[:-1]))
+    bound = 1e-14 * (np.max(np.abs(m)) + dt / grid.dx * max(1.0, np.max(np.abs(w))))
+    assert np.max(np.abs(m[1:] - expected)) <= bound
 
 
 # per-slice reference loops: the residuals as one step at a time
